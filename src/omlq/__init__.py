@@ -31,6 +31,7 @@ from .errors import (
     OmlqError,
     ParamOutOfRange,
     StructureViolation,
+    TableTooLarge,
     UnknownCatalogEntry,
 )
 from .foulis import (
@@ -99,7 +100,6 @@ from .qmodule import (
     sasaki_module,
 )
 from .quantale import (
-    EAGER_LIMIT,
     FinQuantale,
     QElementView,
     check_involutive,

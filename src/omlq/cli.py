@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 every requested check passed; 1 a mathematical law is
-violated (a witness is reported); 2 usage, parse, or input errors.  The
-one nuance is enumeration caps: `lin` reports a blown cap as exit 1 (the
-requested enumeration is the result, and it is too large), all other
-commands treat it as exit 2 (the requested verification could not run).
+violated (a witness is reported); 2 usage, parse, or input errors, and
+quantales too large for dense tables.  The one nuance is enumeration caps:
+`lin` reports a blown cap as exit 1 (the requested enumeration is the
+result, and it is too large), all other commands treat it as exit 2.
 
 Inputs are given as --catalog SPEC (see `omlq catalog`) or --file PATH.
 Reports are printed as text by default; --format json emits the full
@@ -29,6 +29,7 @@ from .errors import (
     NotFoulis,
     ParamOutOfRange,
     StructureViolation,
+    TableTooLarge,
     UnknownCatalogEntry,
 )
 from .foulis import FoulisQuantale, check_foulis, derive_sai, foulis_from_lin, sasaki_oml
@@ -66,6 +67,7 @@ _INPUT_ERRORS = (
     UnknownCatalogEntry,
     ParamOutOfRange,
     DomainMismatch,
+    TableTooLarge,
 )
 
 

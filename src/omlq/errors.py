@@ -54,6 +54,10 @@ class CapExceeded(OmlqError):
         self.cap = cap
 
 
+class TableTooLarge(OmlqError):
+    """A quantale's dense tables would not fit in memory; refused unbuilt."""
+
+
 class NotFoulis(OmlqError):
     def __init__(self, label):
         super().__init__(

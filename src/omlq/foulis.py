@@ -101,18 +101,13 @@ def derive_sai(q: FinQuantale) -> np.ndarray:
     return sai
 
 
-def foulis_from_lin(
-    oml: FiniteOML,
-    cap: int | None = None,
-    force_lazy: bool = False,
-    workers: int = 1,
-):
+def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     """Endomorphism quantale with the closed-form projection table.
 
     sai(s) is the Sasaki projection at the complement of dagger(s)(top);
     derive_sai recovers the same table by annihilator search.
     """
-    q, view = lin_quantale(oml, cap=cap, force_lazy=force_lazy, workers=workers)
+    q, view = lin_quantale(oml, cap=cap, workers=workers)
     proj_idx = np.empty(oml.n, dtype=np.int32)
     for a in range(oml.n):
         row = tuple(sasaki_apply(oml, a, y) for y in range(oml.n))

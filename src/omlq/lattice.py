@@ -178,32 +178,47 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n}, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
 
 
+# Per byte: popcount and first set bit in np.packbits order (byte 0 gets 0,
+# never accepted: an empty intersection has popcount 0).  A block of rows has
+# about ten times _BLOCK_BYTES of temporaries, kept small for peak memory.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_FIRST_BIT = np.array([8 - b.bit_length() if b else 0 for b in range(256)])
+_BLOCK_BYTES = 1 << 16
+
+
 def _order_tables(labels, leq):
     """Join/meet tables from a validated order matrix.
 
-    The least upper bound of i and j, when it exists, is the unique element
-    whose up-set is the intersection of the two up-sets; the tables are
-    filled by looking the intersection up in a row-content dictionary.
+    The join of i and j is the least element of the intersection of their
+    up-sets; the meet is the same on the transposed order.  With columns
+    packed in descending order of up-set size, a linear extension, the
+    first set bit of an intersection is a minimal element k of it, and the
+    intersection (an up-set containing up(k)) has k as least element
+    exactly when both have the same size.  Rows go in blocks; the first
+    pair in row-major order with no join or meet is reported, join first.
     """
     n = leq.shape[0]
-    up_id = {leq[i].tobytes(): i for i in range(n)}
-    down = np.ascontiguousarray(leq.T)
-    down_id = {down[i].tobytes(): i for i in range(n)}
-    join_tab = np.empty((n, n), dtype=np.int32)
-    meet_tab = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        ui = leq[i]
-        di = down[i]
-        for j in range(n):
-            k = up_id.get((ui & leq[j]).tobytes())
-            if k is None:
-                raise NotALattice("join", labels[i], labels[j])
-            join_tab[i, j] = k
-            k = down_id.get((di & down[j]).tobytes())
-            if k is None:
-                raise NotALattice("meet", labels[i], labels[j])
-            meet_tab[i, j] = k
-    return join_tab, meet_tab
+    tables, packs = [], []
+    for up in (leq, leq.T):
+        size = up.sum(axis=1, dtype=np.int32)
+        order = np.argsort(-size, kind="stable")
+        packs.append((size, order, np.packbits(up[:, order], axis=1)))
+        tables.append(np.empty((n, n), dtype=np.int32))
+    step = max(1, _BLOCK_BYTES // (n * packs[0][2].shape[1]))
+    for lo in range(0, n, step):
+        ok = []
+        for tab, (size, order, packed) in zip(tables, packs):
+            both = np.bitwise_and(packed[lo : lo + step, None], packed[None], order="C")
+            first = (both != 0).argmax(axis=2)
+            byte = np.take_along_axis(both, first[..., None], axis=2)[..., 0]
+            tab[lo : lo + step] = cand = order[first * 8 + _FIRST_BIT[byte]]
+            ok.append(np.take(_POPCOUNT, both).sum(axis=2, dtype=np.int32) == size[cand])
+        bad = ~(ok[0] & ok[1])
+        if bad.any():
+            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            kind = "meet" if ok[0][i, j] else "join"
+            raise NotALattice(kind, labels[lo + i], labels[j])
+    return tables
 
 
 def lattice_from_leq(labels, leq) -> FiniteLattice:

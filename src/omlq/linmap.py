@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainMismatch, StructureViolation
+from .errors import CapExceeded, DomainMismatch, FormatError, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
@@ -35,15 +35,17 @@ _CHUNK = 1 << 16
 
 
 def default_cap() -> int:
-    """Enumeration cap; the OMLQ_CAP environment variable overrides it."""
+    """Enumeration cap; OMLQ_CAP, a positive integer, overrides it."""
     raw = os.environ.get("OMLQ_CAP")
     if raw is None:
         return DEFAULT_CAP
     try:
         cap = int(raw)
     except ValueError:
-        return DEFAULT_CAP
-    return cap if cap > 0 else DEFAULT_CAP
+        cap = 0
+    if cap < 1:
+        raise FormatError(f"OMLQ_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 class LinMap:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, TableTooLarge
 from .lattice import (
     CheckReport,
     FiniteLattice,
@@ -36,32 +36,19 @@ from .linmap import (
 )
 from .scan import first_hit
 
-EAGER_LIMIT = 2048
-
-
-class _LazyTable:
-    """Memoized table filled on demand.
-
-    dict writes are atomic and setdefault keeps the first stored value, so
-    concurrent readers observe at most one initialization per cell.
-    """
-
-    def __init__(self, fill):
-        self._fill = fill
-        self._cache = {}
-
-    def __getitem__(self, key):
-        v = self._cache.get(key)
-        if v is None:
-            v = self._cache.setdefault(key, self._fill(key))
-        return v
+# Bytes per element pair of a quantale's dense tables: a bool order plus
+# int32 join, meet and multiplication.  The reference machine has 7 GiB;
+# hom holds two quantales of equal size and the checkers add row
+# temporaries, so one quantale may take 3 GiB: mo:3 (2.3 GB) fits,
+# boolean:4 (56 GB) is refused.
+TABLE_CELL_BYTES = 1 + 3 * 4
+TABLE_BYTE_LIMIT = 3 << 30
+_PAIR_CHUNK = 1 << 15
 
 
 class FinQuantale:
-    """Carrier lattice plus multiplication, involution, and unit.
+    """Carrier lattice plus dense multiplication and involution tables.
 
-    mult and star may be dense arrays or on-demand tables; dense_mult and
-    dense_star materialize them, which the exhaustive checkers rely on.
     The zero element is the carrier bottom (the empty join).
     """
 
@@ -98,29 +85,11 @@ class FinQuantale:
     def le(self, i, j) -> bool:
         return self.carrier.le(i, j)
 
-    @property
-    def is_lazy(self) -> bool:
-        return not isinstance(self._mult, np.ndarray)
-
     def dense_mult(self) -> np.ndarray:
-        if isinstance(self._mult, np.ndarray):
-            return self._mult
-        n = self.n
-        out = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self._mult[i, j]
-        out.setflags(write=False)
-        self._mult = out
-        return out
+        return self._mult
 
     def dense_star(self) -> np.ndarray:
-        if isinstance(self._star, np.ndarray):
-            return self._star
-        out = np.array([self._star[i] for i in range(self.n)], dtype=np.int32)
-        out.setflags(write=False)
-        self._star = out
-        return out
+        return self._star
 
 
 class QElementView:
@@ -167,22 +136,25 @@ def leq_by_mult_matrix(q: FinQuantale) -> np.ndarray:
     return m.T == np.arange(q.n, dtype=m.dtype)[:, None]
 
 
-def lin_quantale(
-    oml: FiniteOML,
-    cap: int | None = None,
-    force_lazy: bool = False,
-    workers: int = 1,
-):
+def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     """The endomorphism quantale of an OML, with its element view.
 
     Elements are all join-preserving endomaps in canonical (value vector)
-    order.  Multiplication of i and j composes map i after map j.  Tables
-    are materialized eagerly up to EAGER_LIMIT elements and filled on
-    demand beyond that (or when force_lazy is set); both routes compute the
-    same entries.
+    order; multiplication of i and j composes map i after map j.  Such a
+    composite preserves joins, so it is determined by its values on the
+    join-irreducibles J: each map is keyed by a mixed-radix int64 code of
+    those values (oml.n ** |J| is within the enumeration limit, so no
+    overflow) and composites are found by binary search, a code with no
+    map raising FormatError.  Raises TableTooLarge, before any table is
+    allocated, when the dense tables would exceed TABLE_BYTE_LIMIT.
     """
     maps = enumerate_lin(oml, oml, cap=cap, workers=workers)
     k = len(maps)
+    if k * k * TABLE_CELL_BYTES > TABLE_BYTE_LIMIT:
+        raise TableTooLarge(
+            f"a quantale of {k} elements needs {k * k * TABLE_CELL_BYTES} bytes "
+            f"of dense tables, above the limit of {TABLE_BYTE_LIMIT} bytes"
+        )
     values = np.array([m.values for m in maps], dtype=np.int32).reshape(k, oml.n)
     labels = [vector_label(m) for m in maps]
     pointwise = np.empty((k, k), dtype=bool)
@@ -192,27 +164,26 @@ def lin_quantale(
         pointwise[lo:hi] = leq[values[lo:hi, None, :], values[None, :, :]].all(axis=2)
     carrier = lattice_from_leq(labels, pointwise)
     view = QElementView(maps)
-    row_index = {values[i].tobytes(): i for i in range(k)}
-
-    def compose_idx(i, j):
-        return row_index[np.ascontiguousarray(values[i][values[j]]).tobytes()]
-
     unit = view.index_of(identity_map(oml))
     zero = view.index_of(bottom_map(oml))
     if zero != carrier.bottom:
         raise FormatError("bottom map is not the carrier bottom")
-
-    if force_lazy or k > EAGER_LIMIT:
-        mult = _LazyTable(lambda key: compose_idx(*key))
-        star = _LazyTable(lambda key: view.index_of(dagger(maps[key])))
-    else:
-        mult = np.empty((k, k), dtype=np.int32)
-        for i in range(k):
-            comp = values[i][values]  # row j: map i after map j
-            mult[i] = [row_index[np.ascontiguousarray(row).tobytes()] for row in comp]
-        mult.setflags(write=False)
-        star = np.array([view.index_of(dagger(m)) for m in maps], dtype=np.int32)
-        star.setflags(write=False)
+    irr = oml.lattice.join_irreducibles()
+    base = oml.n ** np.arange(len(irr) - 1, -1, -1, dtype=np.int64)
+    on_irr = values[:, irr]
+    codes = on_irr @ base
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    mult = np.empty((k, k), dtype=np.int32)
+    for i in range(k):
+        comp = values[i][on_irr] @ base  # entry j: code of map i after map j
+        pos = np.minimum(np.searchsorted(sorted_codes, comp), k - 1)
+        if (sorted_codes[pos] != comp).any():
+            raise FormatError(f"a composite of {labels[i]} is not enumerated")
+        mult[i] = order[pos]
+    mult.setflags(write=False)
+    star = np.array([view.index_of(dagger(m)) for m in maps], dtype=np.int32)
+    star.setflags(write=False)
     return FinQuantale(carrier, mult, star, unit), view
 
 
@@ -254,25 +225,33 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         bad = np.nonzero(m[lo:hi, q.zero] != q.zero)[0]
         return (lo + int(bad[0]),) if bad.size else None
 
-    def dist_left(lo, hi):
-        # x * (y join z) = (x * y) join (x * z), witness (x, y, z)
-        for x in range(lo, hi):
-            row = m[x]
-            bad = np.argwhere(row[j] != j[row[:, None], row[None, :]])
-            if bad.size:
-                y, z = map(int, bad[0])
-                return (x, y, z)
-        return None
+    # Both distributive laws are symmetric in (y, z), as the carrier join
+    # commutes, and hold at y = z, as joins are idempotent, so the least
+    # witness has y < z and only those pairs are scanned, in row-major
+    # order.  Flat int32 indices into the join table stay below n * n.
+    # The pairs are built once the list below reaches these laws, and rows
+    # are chunked, which keeps them below the associativity scan's memory.
+    j_flat = j.ravel()
 
-    def dist_right(lo, hi):
-        # (y join z) * x = (y * x) join (z * x), witness (x, y, z)
-        for x in range(lo, hi):
-            col = m[:, x]
-            bad = np.argwhere(col[j] != j[col[:, None], col[None, :]])
-            if bad.size:
-                y, z = map(int, bad[0])
-                return (x, y, z)
-        return None
+    def distributes(table):
+        # x * (y join z) = (x * y) join (x * z), with x * w read as
+        # table[x, w] (m: left law, m.T: right law); witness (x, y, z)
+        ys, zs = (a.astype(np.int32) for a in np.triu_indices(n, 1))
+        j_yz = np.take(j_flat, ys * n + zs)
+
+        def scan(lo, hi):
+            for x in range(lo, hi):
+                act = table[x]
+                for c in range(0, len(ys), _PAIR_CHUNK):
+                    part = slice(c, c + _PAIR_CHUNK)
+                    joined = np.take(j_flat, np.take(act, ys[part]) * n + np.take(act, zs[part]))
+                    bad = np.nonzero(np.take(act, j_yz[part]) != joined)[0]
+                    if bad.size:
+                        k = c + int(bad[0])
+                        return (x, int(ys[k]), int(zs[k]))
+            return None
+
+        return scan
 
     hits = [
         ("associativity", first_hit(assoc, n, workers)),
@@ -280,8 +259,8 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         ("unit-right", first_hit(unit_right, n, workers)),
         ("zero-left", first_hit(zero_left, n, workers)),
         ("zero-right", first_hit(zero_right, n, workers)),
-        ("distributes-left", first_hit(dist_left, n, workers)),
-        ("distributes-right", first_hit(dist_right, n, workers)),
+        ("distributes-left", first_hit(distributes(m), n, workers)),
+        ("distributes-right", first_hit(distributes(m.T), n, workers)),
     ]
     named = [
         (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits

@@ -174,12 +174,12 @@ def parse_quantale(d: dict):
     mult_rows = d.get("mult")
     if not isinstance(mult_rows, list) or len(mult_rows) != n:
         raise FormatError('"mult" must be an n-by-n label table')
+    index = {lab: i for i, lab in enumerate(lat.labels)}
     mult = np.empty((n, n), dtype=np.int32)
     for i, row in enumerate(mult_rows):
         if not isinstance(row, list) or len(row) != n:
             raise FormatError('"mult" must be an n-by-n label table')
-        for j, lab in enumerate(row):
-            mult[i, j] = lat.index(lab)
+        mult[i] = [index[lab] if lab in index else lat.index(lab) for lab in row]
     star = _label_array(lat, d.get("star"), "star")
     if "unit" not in d:
         raise FormatError('missing "unit"')

@@ -5,6 +5,7 @@ on well-formed input, 2 unusable input or usage error.
 """
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -471,3 +472,20 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "boolean:1" in proc.stdout
+
+
+def test_lin_quantale_too_large_is_refused_before_allocation():
+    # boolean:4 has 65,536 endomaps: 65,536^2 cells of dense tables at
+    # 13 bytes each.  The child gets a 2 GiB address-space limit, so a guard
+    # placed after any k-by-k allocation fails here instead of exhausting
+    # the machine.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "omlq.cli", "lin-quantale", "--catalog", "boolean:4"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert str(65536 * 65536 * 13) in proc.stderr
+    assert "65536 elements" in proc.stderr

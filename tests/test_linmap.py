@@ -20,6 +20,7 @@ import pytest
 from omlq import (
     CapExceeded,
     DomainMismatch,
+    FormatError,
     LinMap,
     bottom_map,
     compose,
@@ -40,6 +41,7 @@ from omlq import (
     vector_label,
     verify_adjoint_pair,
 )
+from omlq.cli import main
 
 
 def brute_force_linear_tables(dom, cod):
@@ -188,9 +190,15 @@ def test_enumeration_cap(mo2):
     assert len(enumerate_lin(mo2, cap=234)) == 234
 
 
-def test_default_cap_env(monkeypatch):
+def test_default_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("OMLQ_CAP", "777")
     assert default_cap() == 777
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("OMLQ_CAP", bad)
+        with pytest.raises(FormatError, match="OMLQ_CAP"):
+            default_cap()
+        assert main(["lin", "--catalog", "boolean:1", "--count-only"]) == 2
+        assert "OMLQ_CAP" in capsys.readouterr().err
     monkeypatch.delenv("OMLQ_CAP")
     assert default_cap() > 0
 

@@ -3,12 +3,16 @@ checkers, including the defined order and orthogonality relations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlq import (
     CapExceeded,
     FinQuantale,
     FormatError,
+    NotALattice,
     catalog,
+    catalog_names,
     check_involutive,
     check_quantale,
     compose,
@@ -22,6 +26,7 @@ from omlq import (
     perp_by_star,
     sasaki_apply,
 )
+from omlq.lattice import _order_tables
 
 from conftest import make_two_chain_quantale
 
@@ -121,20 +126,92 @@ def test_nilpotent_chain_is_still_a_lawful_quantale(nilpotent_chain_quantale):
     assert check_involutive(nilpotent_chain_quantale).passed
 
 
-def test_lazy_and_eager_tables_agree(b2):
-    eager_q, _ = lin_quantale(b2)
-    lazy_q, _ = lin_quantale(b2, force_lazy=True)
-    assert not eager_q.is_lazy
-    assert lazy_q.is_lazy
-    assert lazy_q.times(3, 5) == eager_q.times(3, 5)
-    assert np.array_equal(lazy_q.dense_mult(), eager_q.dense_mult())
-    assert np.array_equal(lazy_q.dense_star(), eager_q.dense_star())
+# ---------------------------------------------------------------------------
+# Independent oracles for the vectorised construction.
+# ---------------------------------------------------------------------------
 
 
-def test_lazy_checks_agree_with_eager(b2):
-    lazy_q, _ = lin_quantale(b2, force_lazy=True)
-    assert check_quantale(lazy_q).passed
-    assert check_involutive(lazy_q).passed
+def order_tables_reference(labels, leq):
+    """Join/meet tables by looking each up-set (down-set) intersection up
+    in a row-content dictionary, pair by pair, join before meet."""
+    n = leq.shape[0]
+    up_id = {leq[i].tobytes(): i for i in range(n)}
+    down = np.ascontiguousarray(leq.T)
+    down_id = {down[i].tobytes(): i for i in range(n)}
+    join_tab = np.empty((n, n), dtype=np.int32)
+    meet_tab = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(n):
+            k = up_id.get((leq[i] & leq[j]).tobytes())
+            if k is None:
+                raise NotALattice("join", labels[i], labels[j])
+            join_tab[i, j] = k
+            k = down_id.get((down[i] & down[j]).tobytes())
+            if k is None:
+                raise NotALattice("meet", labels[i], labels[j])
+            meet_tab[i, j] = k
+    return join_tab, meet_tab
+
+
+def order_tables_outcome(tables, labels, leq):
+    try:
+        join_tab, meet_tab = tables(labels, leq)
+    except NotALattice as e:
+        return ("no " + e.kind, e.witness)
+    return (join_tab.tolist(), meet_tab.tolist())
+
+
+def closed_order(n, pairs):
+    leq = np.eye(n, dtype=bool)
+    for x, y in pairs:
+        leq[x, y] = True
+    for k in range(n):  # Warshall
+        leq |= leq[:, k, None] & leq[None, k, :]
+    return leq
+
+
+def test_mult_table_matches_composition(fq_b2, fq_mo2, fq_b3):
+    for f, view in (fq_b2, fq_mo2, fq_b3):
+        mult = f.base.dense_mult()
+        maps = view.maps
+        for i, g in enumerate(maps):
+            expected = [view.index_of(compose(g, h)) for h in maps]
+            assert mult[i].tolist() == expected
+
+
+def test_order_tables_match_dictionary_reference(fq_b2, fq_mo2):
+    hosts = [catalog(name).lattice for name in catalog_names() if "(" not in name]
+    hosts += [catalog("product(boolean:1,mo:2)").lattice, fq_b2[0].base.carrier,
+              fq_mo2[0].base.carrier]
+    for lat in hosts:
+        want = order_tables_outcome(order_tables_reference, lat.labels, lat.leq_mat)
+        assert order_tables_outcome(_order_tables, lat.labels, lat.leq_mat) == want
+        assert want == (lat.join_tab.tolist(), lat.meet_tab.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_order_tables_report_the_reference_witness(data):
+    # 0 < a, 0 < b, a < c, a < d, b < c, b < d: the pair (a, b) has two
+    # minimal upper bounds.  Dually, a < 1 and b < 1 have no lower bound.
+    no_join = (list("0abcd"), closed_order(5, [(0, 1), (0, 2), (1, 3), (1, 4),
+                                               (2, 3), (2, 4)]))
+    no_meet = (list("ab1"), closed_order(3, [(0, 2), (1, 2)]))
+    for (labels, leq), kind in ((no_join, "no join"), (no_meet, "no meet")):
+        want = order_tables_outcome(order_tables_reference, labels, leq)
+        assert want == (kind, ("a", "b"))
+        assert order_tables_outcome(_order_tables, labels, leq) == want
+    # Random posets, relabelled so that the label order need not be a
+    # linear extension: lattices and non-lattices of both kinds.
+    n = data.draw(st.integers(1, 9))
+    perm = data.draw(st.permutations(range(n)))
+    upper = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(upper), unique=True) if upper else st.just([]))
+    leq = closed_order(n, [(perm[x], perm[y]) for x, y in chosen])
+    labels = [f"e{i}" for i in range(n)]
+    assert order_tables_outcome(_order_tables, labels, leq) == order_tables_outcome(
+        order_tables_reference, labels, leq
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +311,39 @@ def test_single_star_mutation_is_caught(fq_b2):
     assert not report.passed
     failing = {v.axiom for v in report.violations}
     assert "unit-self-adjoint" in failing
+
+
+def distributivity_reference(q):
+    """Least (x, y, z) witnesses of both distributive laws, by scanning the
+    full square of (y, z) pairs for each x."""
+    m, j = q.dense_mult(), q.carrier.join_tab
+    out = []
+    for table in (m, m.T):
+        hit = None
+        for x in range(q.n):
+            act = table[x]
+            bad = np.argwhere(act[j] != j[act[:, None], act[None, :]])
+            if bad.size:
+                hit = tuple(q.label(i) for i in (x, *map(int, bad[0])))
+                break
+        out.append(hit)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_distributivity_half_scan_matches_full_square(fq_b2, fq_mo2, data):
+    q = data.draw(st.sampled_from([fq_b2[0].base, fq_mo2[0].base]))
+    i = data.draw(st.integers(0, q.n - 1))
+    j = data.draw(st.integers(0, q.n - 1))
+    v = data.draw(st.integers(0, q.n - 1).filter(lambda v: v != q.times(i, j)))
+    mult = q.dense_mult().copy()
+    mult[i, j] = v
+    mutant = FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
+    report = check_quantale(mutant, workers=data.draw(st.sampled_from([1, 2])))
+    left, right = distributivity_reference(mutant)
+    assert report.witness("distributes-left") == left
+    assert report.witness("distributes-right") == right
 
 
 def test_mult_associativity_mutation_is_caught(two_chain_quantale):

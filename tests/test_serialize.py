@@ -223,6 +223,10 @@ def test_parse_rejects_partial_tables(b2):
     del q["star"]["[0,1]"]
     with pytest.raises(FormatError):
         parse_quantale(q)
+    q = quantale_to_dict(foulis_from_lin(catalog("boolean:1"))[0].base)
+    q["mult"][1][0] = "nope"
+    with pytest.raises(FormatError, match="unknown element 'nope'"):
+        parse_quantale(q)
 
 
 def test_dump_json_is_canonical():
