@@ -88,6 +88,7 @@ from .linmap import (
     is_linear,
     join_maps,
     kernel,
+    lin_values,
     make_map,
     vector_label,
     verify_adjoint_pair,

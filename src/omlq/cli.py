@@ -35,7 +35,7 @@ from .errors import (
 from .foulis import FoulisQuantale, check_foulis, derive_sai, foulis_from_lin, sasaki_oml
 from .goldens import golden_path, regen_goldens
 from .lattice import check_oml, sasaki_apply
-from .linmap import dagger, enumerate_lin, is_linear, kernel, vector_label
+from .linmap import dagger, enumerate_lin, is_linear, kernel, lin_values, vector_label
 from .qmodule import (
     check_left_module,
     check_right_two_module,
@@ -182,10 +182,10 @@ def cmd_lin(args) -> int:
             cod = catalog(args.cod)
         except UnknownCatalogEntry:
             cod = parse_oml(load_json(args.cod))
-    maps = enumerate_lin(dom, cod, cap=args.cap, workers=_workers(args))
     if args.count_only:
-        print(len(maps))
+        print(len(lin_values(dom, cod, cap=args.cap, workers=_workers(args))))
         return 0
+    maps = enumerate_lin(dom, cod, cap=args.cap, workers=_workers(args))
     if args.fmt == "json":
         codl = (cod or dom).labels
         arr = [[codl[v] for v in f.values] for f in maps]

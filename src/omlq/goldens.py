@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .catalog import catalog
-from .linmap import enumerate_lin
+from .linmap import lin_values
 
 GOLDEN_ENTRIES = ("boolean:1", "boolean:2", "mo:1", "mo:2")
 
@@ -39,7 +39,7 @@ def golden_lin_count(entry: str) -> int:
 def compute_lin_count(entry: str, workers: int = 1) -> int:
     """Run the brute-force oracle for one catalog entry."""
     oml = catalog(entry)
-    return len(enumerate_lin(oml, strategy="bruteforce", workers=workers))
+    return len(lin_values(oml, strategy="bruteforce", workers=workers))
 
 
 def regen_goldens(path=None, workers: int = 1) -> dict:

@@ -259,18 +259,19 @@ def _irreducible_values(dom, cod, cap, workers):
     return found
 
 
-def enumerate_lin(
+def lin_values(
     dom: FiniteOML,
     cod: FiniteOML | None = None,
     cap: int | None = None,
     strategy: str = "auto",
     workers: int = 1,
-) -> list[LinMap]:
-    """All join-preserving maps dom -> cod, sorted by value vector.
+) -> np.ndarray:
+    """Value tables of all join-preserving maps dom -> cod, one sorted row
+    per map.
 
     Brute force over every value table when the table space is small
     enough, generation from join-irreducible assignments otherwise.  Raises
-    CapExceeded rather than returning a truncated list.
+    CapExceeded rather than returning a truncated array.
     """
     cod = dom if cod is None else cod
     if cap is None:
@@ -287,6 +288,20 @@ def enumerate_lin(
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(values) > cap:
         raise CapExceeded(cap, f"{len(values)} join-preserving maps")
+    return values
+
+
+def enumerate_lin(
+    dom: FiniteOML,
+    cod: FiniteOML | None = None,
+    cap: int | None = None,
+    strategy: str = "auto",
+    workers: int = 1,
+) -> list[LinMap]:
+    """All join-preserving maps dom -> cod, sorted by value vector; the
+    rows of lin_values as maps."""
+    cod = dom if cod is None else cod
+    values = lin_values(dom, cod, cap=cap, strategy=strategy, workers=workers)
     return [LinMap(dom, cod, row) for row in values.tolist()]
 
 

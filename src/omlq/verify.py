@@ -33,7 +33,7 @@ from .foulis import (
     roundtrip_iso,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, check_oml, make_report, sasaki_apply
+from .lattice import FiniteOML, check_oml, make_report
 from .linmap import dagger, enumerate_lin, vector_label
 from .qmodule import (
     check_left_module,
@@ -149,16 +149,24 @@ def dagger_kernel_report(
     embedding; the embedding splits to the projection at k and normalizes
     to the identity; the embedding is a dagger mono whose dagger is the
     coembedding; and every m with f o m = 0 factors: proj_k o m = m.
+
+    Every check reads f only through Z_f = {s : f(s) = 0} and
+    D_f = {s : f(s) <= complement(top)}.  Z_f is the zero set, decides
+    whether f kills the embedding and picks the m with f o m = 0 (the m
+    with values in Z_f).  dagger(f)(top) is the complement of join(D_f),
+    so k and its splitting are functions of D_f.  Maps with one key
+    (Z_f, D_f) fail the same axioms with the same witnesses but for f
+    itself, so the checks run once on the least map of each class, in
+    ascending order, and report the witnesses of a scan over every map.
+    In an OML D_f = Z_f; keying on both keeps this exact for any tables.
     """
     from .linmap import _sasaki_split, compose, identity_map
 
     if maps is None:
         maps = enumerate_lin(oml, cap=cap, workers=workers)
-    values = np.array([f.values for f in maps], dtype=np.int32)
+    values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
     leq = oml.lattice.leq_mat
     S = _sasaki_table(oml)
-    n = oml.n
-    kcount = len(maps)
 
     def per_map(fi):
         f = maps[fi]
@@ -203,26 +211,13 @@ def dagger_kernel_report(
         "embed-dagger-mono",
         "weak-kernel",
     )
+    key = np.concatenate([values == oml.bottom, leq[values, oml.orthoc(oml.top)]], 1)
+    _, reps = np.unique(np.packbits(key, axis=1), axis=0, return_index=True)
     found = {}
-
-    def scan_for(axiom):
-        def scan(lo, hi):
-            for fi in range(lo, hi):
-                cached = found.get(fi)
-                if cached is None:
-                    cached = per_map(fi)
-                    found[fi] = cached
-                if axiom in cached:
-                    return (fi,)
-            return None
-
-        return scan
-
-    hits = []
-    for axiom in axioms:
-        w = first_hit(scan_for(axiom), kcount, workers)
-        hits.append((axiom, None if w is None else found[w[0]][axiom]))
-    return make_report(subject, hits)
+    for fi in np.sort(reps).tolist():
+        for axiom, witness in per_map(fi).items():
+            found.setdefault(axiom, witness)
+    return make_report(subject, [(axiom, found.get(axiom)) for axiom in axioms])
 
 
 # ---------------------------------------------------------------------------

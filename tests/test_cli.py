@@ -457,13 +457,14 @@ def test_workers_flag_does_not_change_output(capsys):
 
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "omlq.cli", "lin", "--catalog", "boolean:2",
-         "--count-only"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "16"
+    for module in ("omlq.cli", "omlq"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "lin", "--catalog", "boolean:2",
+             "--count-only"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "16"
 
 
 def test_installed_entry_point():

@@ -1,18 +1,30 @@
 """Theorem pipelines: per-selector reports, prerequisite gating, and the
 aggregate payload."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlq import (
     SELECTORS,
+    FiniteOML,
+    LinMap,
     catalog,
+    compose,
+    dagger,
     dagger_kernel_report,
     dump_json,
     enumerate_lin,
+    identity_map,
+    make_report,
     run_verify,
     sasaki_facts_report,
+    vector_label,
     verify_text,
 )
+from omlq.linmap import _sasaki_split
+from omlq.verify import _sasaki_table
 
 
 def test_selector_listing_is_stable():
@@ -58,6 +70,94 @@ def test_dagger_kernel_report(b2, mo2):
             "normalized", "embed-dagger-of-coembed", "embed-dagger-mono",
             "weak-kernel",
         }
+
+
+DAGGER_KERNEL_AXIOMS = (
+    "kernel-downset",
+    "kills-kernel",
+    "splits-projection",
+    "normalized",
+    "embed-dagger-of-coembed",
+    "embed-dagger-mono",
+    "weak-kernel",
+)
+
+
+def dagger_kernel_reference(oml, maps):
+    """The kernel checks run on every map; each axiom reports its least
+    failing map."""
+    values = np.array([f.values for f in maps], dtype=np.int32)
+    leq = oml.lattice.leq_mat
+    S = _sasaki_table(oml)
+
+    def per_map(f, row):
+        k = oml.orthoc(dagger(f).values[oml.top])
+        sub, coembed, embed = _sasaki_split(oml, k)
+        issues = {}
+        bad = np.nonzero((row == oml.bottom) != leq[:, k])[0]
+        if bad.size:
+            issues["kernel-downset"] = (vector_label(f), oml.label(int(bad[0])))
+        if any(v != oml.bottom for v in compose(f, embed).values):
+            issues["kills-kernel"] = (vector_label(f),)
+        if compose(embed, coembed).values != tuple(int(v) for v in S[k]):
+            issues["splits-projection"] = (vector_label(f),)
+        if compose(coembed, embed) != identity_map(sub.oml):
+            issues["normalized"] = (vector_label(f),)
+        if dagger(embed) != coembed:
+            issues["embed-dagger-of-coembed"] = (vector_label(f),)
+        if compose(dagger(embed), embed) != identity_map(sub.oml):
+            issues["embed-dagger-mono"] = (vector_label(f),)
+        for m, mv in zip(maps, values):
+            if (row[mv] == oml.bottom).all() and (S[k][mv] != mv).any():
+                issues["weak-kernel"] = (vector_label(f), vector_label(m))
+                break
+        return issues
+
+    found = {}
+    for f, row in zip(maps, values):
+        for axiom, witness in per_map(f, row).items():
+            found.setdefault(axiom, witness)
+    return make_report(
+        "dagger-kernel", [(a, found.get(a)) for a in DAGGER_KERNEL_AXIOMS]
+    )
+
+
+def test_dagger_kernel_report_matches_per_map_reference(b1, b2, mo2, benzene):
+    # One to three cells of the enumerated tables overwritten, sometimes
+    # shuffled.  On an OML the splitting axioms depend only on k and hold,
+    # and every m with f o m = 0 lands below k, so only kernel-downset and
+    # kills-kernel can fail there.  benzene fails the OML laws and with them
+    # normalized, embed-dagger-mono and weak-kernel.  In twisted the
+    # complement of the top is b, so {s : f(s) <= complement(top)} is not
+    # the zero set and the report must key on both.
+    twisted = FiniteOML(b2.lattice, {"0": "a", "a": "0", "b": "1", "1": "b"})
+    hosts = [(oml, [list(f.values) for f in enumerate_lin(oml)])
+             for oml in (b1, b2, mo2, benzene)]
+    hosts.append((twisted, hosts[1][1]))
+    failed = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        oml, rows = data.draw(st.sampled_from(hosts))
+        tables = [r[:] for r in rows]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(tables) - 1))
+            x = data.draw(st.integers(0, oml.n - 1))
+            tables[i][x] = data.draw(st.integers(0, oml.n - 1))
+        if data.draw(st.booleans()):
+            data.draw(st.randoms(use_true_random=False)).shuffle(tables)
+        maps = [LinMap(oml, oml, t) for t in tables]
+        want = dagger_kernel_reference(oml, maps).to_dict()
+        for w in (1, 2):
+            assert dagger_kernel_report(oml, maps=maps, workers=w).to_dict() == want
+        failed.update(a for a, e in want["axioms"].items() if not e["passed"])
+
+    check()
+    assert failed >= {
+        "kernel-downset", "kills-kernel", "normalized", "embed-dagger-mono",
+        "weak-kernel",
+    }
 
 
 # ---------------------------------------------------------------------------
