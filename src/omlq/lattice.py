@@ -152,11 +152,19 @@ class FiniteLattice:
         return [(int(i), int(j)) for i, j in out]
 
     def join_irreducibles(self) -> list[int]:
-        """Elements with exactly one lower cover; every element is a join of these."""
-        lower = [0] * self.n
-        for _, j in self.covers():
-            lower[j] += 1
-        return [i for i in range(self.n) if lower[i] == 1]
+        """Elements with exactly one lower cover; every element is a join of these.
+
+        An element j has exactly one lower cover iff j is not the bottom and
+        the join of everything strictly below j is not j (with two covers
+        that join is j; with one, it is the cover).  One pass over x joins
+        x into the accumulator of every element strictly above x.
+        """
+        acc = np.full(self.n, self.bottom, dtype=self.join_tab.dtype)
+        for x in range(self.n):
+            above = np.flatnonzero(self.leq_mat[x])
+            above = above[above != x]
+            acc[above] = self.join_tab[acc[above], x]
+        return [int(j) for j in np.flatnonzero(acc != np.arange(self.n))]
 
     @property
     def signature(self):

@@ -30,8 +30,8 @@ from .linmap import (
     LinMap,
     bottom_map,
     dagger,
-    enumerate_lin,
     identity_map,
+    lin_values,
     vector_label,
 )
 from .scan import first_hit
@@ -148,14 +148,14 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     map raising FormatError.  Raises TableTooLarge, before any table is
     allocated, when the dense tables would exceed TABLE_BYTE_LIMIT.
     """
-    maps = enumerate_lin(oml, oml, cap=cap, workers=workers)
-    k = len(maps)
+    values = lin_values(oml, oml, cap=cap, workers=workers)
+    k = len(values)
     if k * k * TABLE_CELL_BYTES > TABLE_BYTE_LIMIT:
         raise TableTooLarge(
             f"a quantale of {k} elements needs {k * k * TABLE_CELL_BYTES} bytes "
             f"of dense tables, above the limit of {TABLE_BYTE_LIMIT} bytes"
         )
-    values = np.array([m.values for m in maps], dtype=np.int32).reshape(k, oml.n)
+    maps = [LinMap(oml, oml, row) for row in values.tolist()]
     labels = [vector_label(m) for m in maps]
     pointwise = np.empty((k, k), dtype=bool)
     leq = oml.lattice.leq_mat
@@ -195,6 +195,32 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
 
     Distributivity over arbitrary joins reduces to the binary case plus the
     empty case (zero annihilation) in a finite quantale.
+
+    The three cubic laws may be certified from the carrier's
+    join-irreducibles J.  Write J(x) for the members of J below x; every x
+    is the join of J(x), and J(0) is empty.
+
+    (a) Left distributivity, x(y v z) = xy v xz, holds when
+        (1) xy = V{iy : i in J(x)} for all x, y, and
+        (2) i(y v z) = iy v iz for every i in J and all y, z.
+        By (1), (2) and (1) again, x(y v z) = V_i i(y v z)
+        = V_i (iy v iz) = xy v xz, using only that the carrier join is
+        associative, commutative and idempotent.  Right distributivity is
+        the mirror image: expand over J(y) in the second argument, and check
+        the columns of J.
+    (b) Associativity holds when both distributive laws and both zero laws
+        hold, certified or scanned, and i(jk) = (ij)k for all i, j, k in J.
+        Multiplication then preserves every finite join, the empty one
+        included, in each argument, so (ab)c is the join of (ij)k over
+        i in J(a), j in J(b), k in J(c), and a(bc) is the join of i(jk)
+        over the same triples; the two joins agree term by term.
+
+    A certificate of (a) reads at most |J| n^2 cells per law, fact (1) once
+    per i below each row and fact (2) n^2 / 2 pairs per row of J, against
+    the n^3 / 2 of the exhaustive scan, so certificates are tried only when
+    2 |J| < n; (b) then costs |J|^3.  A certificate only ever certifies a
+    pass: when one fails, its law runs the exhaustive scan, which reports
+    the least witness.
     """
     m = q.dense_mult()
     j = q.carrier.join_tab
@@ -225,12 +251,30 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         bad = np.nonzero(m[lo:hi, q.zero] != q.zero)[0]
         return (lo + int(bad[0]),) if bad.size else None
 
+    irr = q.carrier.join_irreducibles()
+    certify = 2 * len(irr) < n
+
+    def expands(table):
+        # fact (1): table[x, y] is the join of table[i, y] over i in J(x),
+        # built in blocks of rows
+        leq = q.carrier.leq_mat
+        rows = max(1, _PAIR_CHUNK // n)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            acc = np.full((hi - lo, n), q.zero, dtype=table.dtype)
+            for i in irr:
+                above = np.flatnonzero(leq[i, lo:hi])
+                acc[above] = j[acc[above], table[i]]
+            if not np.array_equal(acc, table[lo:hi]):
+                return False
+        return True
+
     # Both distributive laws are symmetric in (y, z), as the carrier join
     # commutes, and hold at y = z, as joins are idempotent, so the least
     # witness has y < z and only those pairs are scanned, in row-major
     # order.  Flat int32 indices into the join table stay below n * n.
-    # The pairs are built once the list below reaches these laws, and rows
-    # are chunked, which keeps them below the associativity scan's memory.
+    # The pairs are built per law and rows are chunked, which keeps them
+    # below the associativity scan's memory.
     j_flat = j.ravel()
 
     def distributes(table):
@@ -239,31 +283,52 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         ys, zs = (a.astype(np.int32) for a in np.triu_indices(n, 1))
         j_yz = np.take(j_flat, ys * n + zs)
 
-        def scan(lo, hi):
-            for x in range(lo, hi):
-                act = table[x]
-                for c in range(0, len(ys), _PAIR_CHUNK):
-                    part = slice(c, c + _PAIR_CHUNK)
-                    joined = np.take(j_flat, np.take(act, ys[part]) * n + np.take(act, zs[part]))
-                    bad = np.nonzero(np.take(act, j_yz[part]) != joined)[0]
-                    if bad.size:
-                        k = c + int(bad[0])
-                        return (x, int(ys[k]), int(zs[k]))
+        def row_hit(x):
+            act = table[x]
+            for c in range(0, len(ys), _PAIR_CHUNK):
+                part = slice(c, c + _PAIR_CHUNK)
+                joined = np.take(j_flat, np.take(act, ys[part]) * n + np.take(act, zs[part]))
+                bad = np.nonzero(np.take(act, j_yz[part]) != joined)[0]
+                if bad.size:
+                    k = c + int(bad[0])
+                    return (x, int(ys[k]), int(zs[k]))
             return None
 
-        return scan
+        def scan(lo, hi):
+            for x in range(lo, hi):
+                hit = row_hit(x)
+                if hit is not None:
+                    return hit
+            return None
 
-    hits = [
-        ("associativity", first_hit(assoc, n, workers)),
-        ("unit-left", first_hit(unit_left, n, workers)),
-        ("unit-right", first_hit(unit_right, n, workers)),
-        ("zero-left", first_hit(zero_left, n, workers)),
-        ("zero-right", first_hit(zero_right, n, workers)),
-        ("distributes-left", first_hit(distributes(m), n, workers)),
-        ("distributes-right", first_hit(distributes(m.T), n, workers)),
-    ]
+        if certify and expands(table) and not any(row_hit(i) for i in irr):
+            return None
+        return first_hit(scan, n, workers)
+
+    def associates_on_irreducibles():
+        # one |J| x |J| slice (ij)k against i(jk) per i in J
+        js = np.array(irr, dtype=np.intp)
+        ij = m[np.ix_(js, js)]
+        return all(np.array_equal(m[ij[a][:, None], js], m[i][ij]) for a, i in enumerate(js))
+
+    # associativity is reported first but decided last, from the others
+    hits = {
+        "associativity": None,
+        "unit-left": first_hit(unit_left, n, workers),
+        "unit-right": first_hit(unit_right, n, workers),
+        "zero-left": first_hit(zero_left, n, workers),
+        "zero-right": first_hit(zero_right, n, workers),
+        "distributes-left": distributes(m),
+        "distributes-right": distributes(m.T),
+    }
+    bilinear = not any(hits[ax] for ax in ("zero-left", "zero-right", "distributes-left",
+                                           "distributes-right"))
+    hits["associativity"] = (
+        None if certify and bilinear and associates_on_irreducibles()
+        else first_hit(assoc, n, workers)
+    )
     named = [
-        (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits
+        (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits.items()
     ]
     return make_report(subject, named)
 

@@ -1,16 +1,22 @@
 """Deterministic striped scanning for the exhaustive checkers.
 
 Witness searches iterate an outer index range that may be partitioned
-across worker threads.  Every stripe reports the least witness tuple it
-contains and stripes are merged by tuple order, so the reported witness is
-the lexicographically smallest one regardless of the partitioning.
+across worker threads.  Every scan reports witnesses whose first component
+is the outer index, so the least witness of a chunk is below every
+witness of a later chunk, and the first hit in chunk order is the
+lexicographically smallest one regardless of the partitioning.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
+# Chunks per worker: a hit in an early chunk stops the scan after the
+# chunks already running, not after the rest of a whole stripe.
+CHUNKS_PER_WORKER = 4
 
-def stripe_bounds(total, workers):
-    w = max(1, min(int(workers), total))
+
+def stripe_bounds(total, parts):
+    w = max(1, min(int(parts), total))
     base, rem = divmod(total, w)
     bounds = []
     lo = 0
@@ -26,13 +32,36 @@ def first_hit(scan, total, workers=1):
     """Least witness over range(total), or None.
 
     scan(lo, hi) must inspect outer indices in ascending order and return
-    the least witness tuple within the stripe, or None.
+    the least witness tuple within the chunk, with the outer index as its
+    first component, or None.  Workers take chunks in ascending order, the
+    calling thread among them, and take none past a chunk with a hit: every
+    chunk before the least such chunk has run, so its hit is the least.
     """
     if total <= 0:
         return None
-    bounds = stripe_bounds(total, workers)
+    workers = max(1, int(workers))
+    bounds = stripe_bounds(total, 1 if workers == 1 else workers * CHUNKS_PER_WORKER)
     if len(bounds) == 1:
         return scan(*bounds[0])
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        hits = [h for h in pool.map(lambda b: scan(*b), bounds) if h is not None]
-    return min(hits) if hits else None
+    hits = {}
+    order = iter(range(len(bounds)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = next(order, len(bounds))
+                if k >= min(hits, default=len(bounds)):
+                    return
+            hit = scan(*bounds[k])
+            if hit is not None:
+                with lock:
+                    hits[k] = hit
+
+    threads = min(workers, len(bounds))
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+        for f in helpers:
+            f.result()
+    return hits[min(hits)] if hits else None

@@ -18,6 +18,7 @@ from omlq import (
     SubOML,
     build_lattice,
     catalog,
+    catalog_names,
     check_oml,
     downset_oml,
     lattice_from_leq,
@@ -86,6 +87,17 @@ def test_lattice_navigation_helpers(b2):
     assert set(b2.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
     assert set(b2.lattice.join_irreducibles()) == {1, 2}
 
+
+
+def test_join_irreducibles_match_the_cover_count(fq_b2, fq_mo2, fq_b3):
+    hosts = [catalog(name).lattice for name in catalog_names() if "(" not in name]
+    hosts += [catalog("product(boolean:1,mo:2)").lattice]
+    hosts += [f.base.carrier for f, _ in (fq_b2, fq_mo2, fq_b3)]
+    for lat in hosts:
+        lower = np.zeros(lat.n, dtype=int)
+        for _, j in lat.covers():
+            lower[j] += 1
+        assert lat.join_irreducibles() == [int(j) for j in np.flatnonzero(lower == 1)]
 
 def test_build_lattice_from_covers_equals_full_order():
     full = lattice_from_leq(["0", "a", "b", "1"], B2_LEQ)

@@ -11,6 +11,7 @@ from omlq import (
     FinQuantale,
     FormatError,
     NotALattice,
+    TableTooLarge,
     catalog,
     catalog_names,
     check_involutive,
@@ -23,9 +24,12 @@ from omlq import (
     leq_by_mult_matrix,
     lin_quantale,
     make_map,
+    make_report,
     perp_by_star,
     sasaki_apply,
 )
+import omlq.linmap as linmap_module
+import omlq.quantale as quantale_module
 from omlq.lattice import _order_tables
 
 from conftest import make_two_chain_quantale
@@ -82,6 +86,17 @@ def test_lin_quantale_cap():
     with pytest.raises(CapExceeded):
         lin_quantale(catalog("mo:2"), cap=100)
 
+
+
+def test_lin_quantale_refuses_before_building_map_objects(monkeypatch, b2):
+    def no_maps(*args):
+        raise AssertionError("a LinMap was built before the size guard")
+
+    monkeypatch.setattr(quantale_module, "TABLE_BYTE_LIMIT", 0)
+    monkeypatch.setattr(quantale_module, "LinMap", no_maps)
+    monkeypatch.setattr(linmap_module, "LinMap", no_maps)
+    with pytest.raises(TableTooLarge, match="16 elements"):
+        lin_quantale(b2)
 
 def test_view_round_trip(fq_b2):
     f, view = fq_b2
@@ -354,3 +369,194 @@ def test_mult_associativity_mutation_is_caught(two_chain_quantale):
     report = check_quantale(broken)
     assert not report.passed
     assert report.witness("zero-left") is not None
+
+
+# ---------------------------------------------------------------------------
+# Join-irreducible certificates against the exhaustive scans.
+# ---------------------------------------------------------------------------
+
+
+def check_quantale_reference(q, subject="quantale"):
+    """check_quantale by exhaustive scans alone: associativity over every
+    triple, the distributive laws over the full square of (y, z) pairs."""
+    m, n = q.dense_mult(), q.n
+    ar = np.arange(n)
+
+    def first(bad):
+        return tuple(q.label(int(i)) for i in bad[0]) if len(bad) else None
+
+    assoc = None
+    for a in range(n):
+        bad = np.argwhere(m[m[a]] != m[a][m])
+        if bad.size:
+            assoc = tuple(q.label(int(i)) for i in (a, *bad[0]))
+            break
+    left, right = distributivity_reference(q)
+    return make_report(subject, [
+        ("associativity", assoc),
+        ("unit-left", first(np.argwhere(m[q.unit] != ar))),
+        ("unit-right", first(np.argwhere(m[:, q.unit] != ar))),
+        ("zero-left", first(np.argwhere(m[q.zero] != q.zero))),
+        ("zero-right", first(np.argwhere(m[:, q.zero] != q.zero))),
+        ("distributes-left", left),
+        ("distributes-right", right),
+    ])
+
+
+def test_check_quantale_matches_exhaustive_reference(
+    fq_b1, fq_b2, fq_b3, fq_mo2, two_chain_quantale, nilpotent_chain_quantale
+):
+    # boolean:2 and boolean:3 take the certificates (|J| = 4 of 16, 9 of
+    # 512); mo:2 (136 of 234), boolean:1 and the chains do not.
+    for q in (fq_b1[0].base, fq_b2[0].base, fq_b3[0].base, fq_mo2[0].base,
+              two_chain_quantale, nilpotent_chain_quantale):
+        want = check_quantale_reference(q).to_dict()
+        for workers in (1, 2):
+            assert check_quantale(q, workers=workers).to_dict() == want
+
+
+def draw_mutant(data, q):
+    """One to three overwritten mult cells, each anywhere, in a row of a
+    join-irreducible, or in its column."""
+    irr = q.carrier.join_irreducibles()
+    mult = q.dense_mult().copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        a = data.draw(st.integers(0, q.n - 1))
+        b = data.draw(st.integers(0, q.n - 1))
+        where = data.draw(st.sampled_from(["anywhere", "irreducible row", "irreducible column"]))
+        if where == "irreducible row":
+            a = data.draw(st.sampled_from(irr))
+        elif where == "irreducible column":
+            b = data.draw(st.sampled_from(irr))
+        old = int(mult[a, b])
+        mult[a, b] = data.draw(st.integers(0, q.n - 1).filter(lambda v: v != old))
+    return FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_certified_check_quantale_matches_reference_on_boolean2_mutants(fq_b2, data):
+    mutant = draw_mutant(data, fq_b2[0].base)
+    want = check_quantale_reference(mutant).to_dict()
+    for workers in (1, 2):
+        assert check_quantale(mutant, workers=workers).to_dict() == want
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_certified_check_quantale_matches_reference_on_boolean3_mutants(fq_b3, data):
+    mutant = draw_mutant(data, fq_b3[0].base)
+    want = check_quantale_reference(mutant).to_dict()
+    for workers in (1, 2):
+        assert check_quantale(mutant, workers=workers).to_dict() == want
+
+
+def affine_table(lat, c, r, s, g):
+    """x * y = c v V r(i) v V s(k) v V g(i, k) over i in J(x), k in J(y)."""
+    irr = lat.join_irreducibles()
+    below = [[i for i in irr if lat.le(i, x)] for x in range(lat.n)]
+    return [[lat.join_set([c] + [r[i] for i in below[x]] + [s[k] for k in below[y]]
+                          + [g[i, k] for i in below[x] for k in below[y]])
+             for y in range(lat.n)] for x in range(lat.n)]
+
+
+def draw_extension(data, lat):
+    """A multiplication on a Boolean lattice from values drawn on its
+    join-irreducibles (atoms), each kind passing some facts of the
+    certificates and failing others:
+
+    affine: affine_table, which preserves binary joins in each argument;
+        the zero laws hold only when c, r and s are 0.
+    expanded rows: x * y = V row_i(y) over i in J(x) with arbitrary rows of
+        J, so fact (1) of left distributivity holds and fact (2) may fail.
+    meet with free rows: meet on the rows of J and 0, and an arbitrary
+        join-preserving row for every other x, so associativity holds on J^3
+        and left distributivity holds, but fact (1) and right distributivity
+        may fail.
+    Each kind is transposed half of the time, which swaps left and right.
+    """
+    n, irr = lat.n, lat.join_irreducibles()
+    below = [[i for i in irr if lat.le(i, x)] for x in range(n)]
+    value = st.one_of(st.just(lat.bottom), st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(["affine", "expanded rows", "meet with free rows"]))
+    if kind == "affine":
+        c = data.draw(value)
+        r = {i: data.draw(value) for i in irr}
+        s = {k: data.draw(value) for k in irr}
+        g = {(i, k): data.draw(value) for i in irr for k in irr}
+        mult = affine_table(lat, c, r, s, g)
+    elif kind == "expanded rows":
+        # each row of J is arbitrary or join-preserving
+        rows = {i: data.draw(st.one_of(
+            st.lists(value, min_size=n, max_size=n),
+            st.fixed_dictionaries({k: value for k in irr}).map(
+                lambda on_irr: [lat.join_set(on_irr[k] for k in below[y]) for y in range(n)]),
+        )) for i in irr}
+        mult = [[lat.join_set(rows[i][y] for i in below[x]) for y in range(n)]
+                for x in range(n)]
+    else:
+        free = {x: {k: data.draw(value) for k in irr} for x in range(n)}
+        mult = [[lat.meet(x, y) if x == lat.bottom or x in irr
+                 else lat.join_set(free[x][k] for k in below[y]) for y in range(n)]
+                for x in range(n)]
+    mult = np.array(mult, dtype=np.int32)
+    return mult.T.copy() if data.draw(st.booleans()) else mult
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_certificates_fall_back_on_tables_built_from_join_irreducibles(data):
+    # boolean:3 has 3 atoms of 8 elements and boolean:4 4 of 16, so the
+    # certificates are tried; the reference decides every law.
+    lat = catalog(data.draw(st.sampled_from(["boolean:3", "boolean:4"]))).lattice
+    mult = draw_extension(data, lat)
+    q = FinQuantale(lat, mult, np.arange(lat.n, dtype=np.int32), lat.top)
+    want = check_quantale_reference(q).to_dict()
+    for workers in (1, 2):
+        assert check_quantale(q, workers=workers).to_dict() == want
+
+
+def test_associativity_certificate_needs_every_premise():
+    lat = catalog("boolean:3").lattice
+    ix = lat.index
+    meet = {(i, k): lat.meet(i, k) for i in (1, 2, 3) for k in (1, 2, 3)}
+    zero = {i: lat.bottom for i in (1, 2, 3)}
+    # Binary distributivity holds and associativity holds on J^3, but
+    # 0 * 0 = ab and (0 * 0) * 0 != 0 * (0 * 0): the zero laws are needed.
+    no_zero = affine_table(
+        lat, ix("ab"), {ix("a"): ix("ac"), ix("b"): ix("0"), ix("c"): ix("ac")},
+        {ix("a"): ix("0"), ix("b"): ix("0"), ix("c"): ix("1")},
+        {(ix(i), ix(k)): ix(v) for (i, k), v in {
+            ("a", "a"): "a", ("a", "b"): "0", ("a", "c"): "0",
+            ("b", "a"): "1", ("b", "b"): "a", ("b", "c"): "0",
+            ("c", "a"): "0", ("c", "b"): "0", ("c", "c"): "bc"}.items()},
+    )
+    # Meet on J except c * a = c: bilinear, and associativity fails on J^3
+    # only at triples that start with the last join-irreducible.
+    last_row = affine_table(lat, lat.bottom, zero, zero, {**meet, (3, 1): 3})
+    for table, witness in ((no_zero, ("0", "0", "0")), (last_row, ("c", "a", "c"))):
+        q = FinQuantale(lat, np.array(table, dtype=np.int32), np.arange(8, dtype=np.int32), 7)
+        want = check_quantale_reference(q).to_dict()
+        assert want["axioms"]["associativity"]["witness"] == list(witness)
+        assert want["axioms"]["distributes-left"]["passed"]
+        assert want["axioms"]["distributes-right"]["passed"]
+        for workers in (1, 2):
+            assert check_quantale(q, workers=workers).to_dict() == want
+
+
+def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, fq_b3, fq_mo2):
+    # boolean:3 has 9 join-irreducibles of 512 elements; mo:2 has 136 of 234.
+    calls = []
+    real = quantale_module.first_hit
+
+    def counting(scan, total, workers=1):
+        calls.append(scan.__name__)
+        return real(scan, total, workers)
+
+    monkeypatch.setattr(quantale_module, "first_hit", counting)
+    assert check_quantale(fq_b3[0].base).passed
+    assert sorted(calls) == ["unit_left", "unit_right", "zero_left", "zero_right"]
+    calls.clear()
+    assert check_quantale(fq_mo2[0].base).passed
+    assert sorted(calls) == ["assoc", "scan", "scan", "unit_left", "unit_right",
+                             "zero_left", "zero_right"]
