@@ -31,7 +31,7 @@ from .lattice import (
     check_oml,
     lattice_from_leq,
     make_report,
-    sasaki_apply,
+    sasaki_table,
 )
 from .linmap import LinMap, dagger, vector_label
 from .quantale import (
@@ -108,13 +108,9 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     derive_sai recovers the same table by annihilator search.
     """
     q, view = lin_quantale(oml, cap=cap, workers=workers)
-    proj_idx = np.empty(oml.n, dtype=np.int32)
-    for a in range(oml.n):
-        row = tuple(sasaki_apply(oml, a, y) for y in range(oml.n))
-        proj_idx[a] = view.index_of(row)
-    star = q.dense_star()
-    values = np.array([f.values for f in view.maps], dtype=np.int32)
-    adjoint_tops = values[star, oml.top]
+    proj_idx = np.array([view.index_of(row) for row in sasaki_table(oml).tolist()],
+                        dtype=np.int32)
+    adjoint_tops = view.values[q.dense_star(), oml.top]
     sai = proj_idx[oml.ortho[adjoint_tops]]
     if set(sai.tolist()) != set(proj_idx.tolist()):
         raise StructureViolation("projection-image-mismatch")
@@ -123,7 +119,7 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
 
 def sasaki_projection_index(view: QElementView, oml: FiniteOML, a: int) -> int:
     """Quantale index of the Sasaki projection at a."""
-    return view.index_of(tuple(sasaki_apply(oml, a, y) for y in range(oml.n)))
+    return view.index_of(sasaki_table(oml)[a].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +291,7 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     members = f.members()
     sel = np.array(members, dtype=np.int32)
     local_labels = tuple(q.label(k) for k in members)
-    lem = leq_by_mult_matrix(q)
-    order = lem[np.ix_(sel, sel)]
+    order = m[np.ix_(sel, sel)].T == sel[:, None]  # entry (i, j): sel[j] * sel[i] = sel[i]
 
     def lab(i):
         return local_labels[i]
@@ -430,6 +425,11 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     perp_t = t.sai[st]
     n = f.n
     sub_oml = h.sub.oml
+    tview = h.target_view
+    # target index of the Sasaki projection at each element of sub_oml
+    proj_t = np.array([tview.index_of(row) for row in sasaki_table(sub_oml).tolist()],
+                      dtype=np.int32)
+    img_tops = tview.values[tb, sub_oml.top]
 
     def joins(lo, hi):
         for u in range(lo, hi):
@@ -454,13 +454,8 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
         return (lo + int(bad[0]),) if bad.size else None
 
     def perp_closed_form(lo, hi):
-        for u in range(lo, hi):
-            img = h.target_view.map_at(tb[u])
-            at = sub_oml.orthoc(img.values[sub_oml.top])
-            proj = tuple(sasaki_apply(sub_oml, at, y) for y in range(sub_oml.n))
-            if h.target_view.index_of(proj) != perp_t[tb[u]]:
-                return (u,)
-        return None
+        bad = np.nonzero(proj_t[sub_oml.ortho[img_tops[lo:hi]]] != perp_t[tb[lo:hi]])[0]
+        return (lo + int(bad[0]),) if bad.size else None
 
     hits = [
         ("preserves-join", first_hit(joins, n, workers)),

@@ -3,8 +3,10 @@
 Elements are indexed 0..n-1 in input order.  The order relation is kept as
 a dense boolean matrix and the binary join/meet tables are precomputed at
 construction, so law checking and Sasaki arithmetic reduce to table
-lookups.  Input relations may list covering pairs or the full order; the
-reflexive-transitive closure is always recomputed.
+lookups.  A lattice may be built without its meet table, which is then
+derived from the order on first use.  Input relations may list covering
+pairs or the full order; the reflexive-transitive closure is always
+recomputed.
 """
 
 from __future__ import annotations
@@ -87,19 +89,29 @@ class FiniteLattice:
     """Finite bounded lattice with precomputed join/meet tables.
 
     Not constructed directly in normal use; see build_lattice and
-    lattice_from_leq.
+    lattice_from_leq.  meet_tab may be None: the table is then built from
+    the order, once, when it is first read.
     """
 
     def __init__(self, labels, leq, join_tab, meet_tab, bottom, top):
         self.labels = tuple(labels)
         self.leq_mat = leq
         self.join_tab = join_tab
-        self.meet_tab = meet_tab
+        self._meet_tab = meet_tab
         self.bottom = int(bottom)
         self.top = int(top)
         self._idx = {lab: i for i, lab in enumerate(self.labels)}
-        for arr in (self.leq_mat, self.join_tab, self.meet_tab):
-            arr.setflags(write=False)
+        for arr in (leq, join_tab, meet_tab):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @property
+    def meet_tab(self) -> np.ndarray:
+        if self._meet_tab is None:
+            meet_tab = _order_tables(self.labels, self.leq_mat)[1]
+            meet_tab.setflags(write=False)
+            self._meet_tab = meet_tab
+        return self._meet_tab
 
     @property
     def n(self) -> int:
@@ -462,6 +474,12 @@ def check_oml(lattice_or_oml, ortho=None, subject="oml", workers=1) -> CheckRepo
 def sasaki_apply(oml: FiniteOML, a: int, y: int) -> int:
     """Sasaki projection of y onto a: a meet (a' join y)."""
     return oml.meet(a, oml.join(oml.orthoc(a), y))
+
+
+def sasaki_table(oml: FiniteOML) -> np.ndarray:
+    """Row a holds the value table of the Sasaki projection at a."""
+    jt, mt = oml.lattice.join_tab, oml.lattice.meet_tab
+    return mt[np.arange(oml.n)[:, None], jt[oml.ortho]]
 
 
 def ortho_pair(oml: FiniteOML, x: int, y: int) -> bool:

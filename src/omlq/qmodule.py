@@ -58,8 +58,7 @@ def lin_module(
     """The endomorphism quantale acting on its lattice by application."""
     if q is None or view is None:
         q, view = lin_quantale(oml, cap=cap, workers=workers)
-    table = np.array([f.values for f in view.maps], dtype=np.int32)
-    return ModuleAction(q, oml.lattice, table)
+    return ModuleAction(q, oml.lattice, view.values)
 
 
 def sasaki_module(f: FoulisQuantale, sub: SasakiOML | None = None) -> ModuleAction:

@@ -3,8 +3,8 @@
 The central instance is the endomorphism quantale of an OML: all
 join-preserving endomaps under pointwise order, with composition as
 multiplication and the adjoint as the involution.  Carrier joins of maps
-are pointwise; carrier meets are joins of lower bounds and are read off
-the order, never computed pointwise.
+are pointwise.  Carrier meets are not tabled: no law reads them, and the
+lattice derives its meet table from the order if one is asked for.
 
 The defined relations
 
@@ -23,13 +23,11 @@ from .lattice import (
     CheckReport,
     FiniteLattice,
     FiniteOML,
-    lattice_from_leq,
     make_report,
 )
 from .linmap import (
     LinMap,
     bottom_map,
-    dagger,
     identity_map,
     lin_values,
     vector_label,
@@ -37,11 +35,12 @@ from .linmap import (
 from .scan import first_hit
 
 # Bytes per element pair of a quantale's dense tables: a bool order plus
-# int32 join, meet and multiplication.  The reference machine has 7 GiB;
-# hom holds two quantales of equal size and the checkers add row
-# temporaries, so one quantale may take 3 GiB: mo:3 (2.3 GB) fits,
-# boolean:4 (56 GB) is refused.
-TABLE_CELL_BYTES = 1 + 3 * 4
+# int32 join and multiplication.  The reference machine has 7 GiB; hom
+# holds two quantales of equal size and the checkers add row temporaries,
+# so one quantale may take 3 GiB: Lin(mo:3) (13,376 elements, 1.61 GB) and
+# Lin(product(boolean:1,mo:2)) (16,848 elements, 2.55 GB) fit, Lin(boolean:4)
+# (65,536 elements, 38.7 GB) is refused.
+TABLE_CELL_BYTES = 1 + 2 * 4
 TABLE_BYTE_LIMIT = 3 << 30
 _PAIR_CHUNK = 1 << 15
 
@@ -93,10 +92,15 @@ class FinQuantale:
 
 
 class QElementView:
-    """Order-preserving bijection between quantale indices and map tables."""
+    """Order-preserving bijection between quantale indices and map tables.
 
-    def __init__(self, maps):
+    values is the read-only array of the maps' value tables, row i for
+    map i.
+    """
+
+    def __init__(self, maps, values: np.ndarray):
         self.maps = tuple(maps)
+        self.values = values
         self._by_values = {m.values: i for i, m in enumerate(self.maps)}
 
     @property
@@ -140,13 +144,21 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     """The endomorphism quantale of an OML, with its element view.
 
     Elements are all join-preserving endomaps in canonical (value vector)
-    order; multiplication of i and j composes map i after map j.  Such a
-    composite preserves joins, so it is determined by its values on the
-    join-irreducibles J: each map is keyed by a mixed-radix int64 code of
-    those values (oml.n ** |J| is within the enumeration limit, so no
-    overflow) and composites are found by binary search, a code with no
-    map raising FormatError.  Raises TableTooLarge, before any table is
-    allocated, when the dense tables would exceed TABLE_BYTE_LIMIT.
+    order; multiplication of i and j composes map i after map j, the
+    carrier join is pointwise and the involution is the adjoint.  A
+    join-preserving map is determined by its values on the
+    join-irreducibles J, and composites and pointwise joins of such maps
+    preserve joins again, so each map is keyed by a mixed-radix int64 code
+    of its values on J (oml.n ** |J| is within the enumeration limit, so no
+    overflow) and every product and join is found by binary search over
+    the sorted codes.  Codes are injective, so i <= j pointwise exactly
+    when the join of i and j is j.  The adjoint of every map is computed
+    on all of X at once, looked up by its code on J and confirmed on its
+    full value row.  A code with no map, or an adjoint that differs from
+    the map its code names, raises FormatError.  The carrier keeps no meet
+    table (FiniteLattice builds one from the order if it is read).  Raises
+    TableTooLarge, before any table is allocated, when the dense tables
+    would exceed TABLE_BYTE_LIMIT.
     """
     values = lin_values(oml, oml, cap=cap, workers=workers)
     k = len(values)
@@ -155,34 +167,47 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
             f"a quantale of {k} elements needs {k * k * TABLE_CELL_BYTES} bytes "
             f"of dense tables, above the limit of {TABLE_BYTE_LIMIT} bytes"
         )
+    values.setflags(write=False)
     maps = [LinMap(oml, oml, row) for row in values.tolist()]
     labels = [vector_label(m) for m in maps]
-    pointwise = np.empty((k, k), dtype=bool)
-    leq = oml.lattice.leq_mat
-    for lo in range(0, k, 256):
-        hi = min(lo + 256, k)
-        pointwise[lo:hi] = leq[values[lo:hi, None, :], values[None, :, :]].all(axis=2)
-    carrier = lattice_from_leq(labels, pointwise)
-    view = QElementView(maps)
+    view = QElementView(maps, values)
     unit = view.index_of(identity_map(oml))
     zero = view.index_of(bottom_map(oml))
-    if zero != carrier.bottom:
-        raise FormatError("bottom map is not the carrier bottom")
     irr = oml.lattice.join_irreducibles()
     base = oml.n ** np.arange(len(irr) - 1, -1, -1, dtype=np.int64)
     on_irr = values[:, irr]
     codes = on_irr @ base
     order = np.argsort(codes)
     sorted_codes = codes[order]
+
+    def lookup(code, what):
+        pos = np.minimum(np.searchsorted(sorted_codes, code), k - 1)
+        if (sorted_codes[pos] != code).any():
+            raise FormatError(f"{what} is not enumerated")
+        return order[pos]
+
+    jx = oml.lattice.join_tab
     mult = np.empty((k, k), dtype=np.int32)
+    join = np.empty((k, k), dtype=np.int32)
     for i in range(k):
-        comp = values[i][on_irr] @ base  # entry j: code of map i after map j
-        pos = np.minimum(np.searchsorted(sorted_codes, comp), k - 1)
-        if (sorted_codes[pos] != comp).any():
-            raise FormatError(f"a composite of {labels[i]} is not enumerated")
-        mult[i] = order[pos]
+        # entry j: code of map i after map j, and of the join of i and j
+        mult[i] = lookup(values[i][on_irr] @ base, f"a composite of {labels[i]}")
+        join[i] = lookup(jx[on_irr[i], on_irr] @ base, f"a join of {labels[i]}")
+    leq = join == np.arange(k, dtype=np.int32)
+    top = int(lookup(np.full(len(irr), oml.top) @ base, "the top map"))
+    carrier = FiniteLattice(labels, leq, join, None, zero, top)
     mult.setflags(write=False)
-    star = np.array([view.index_of(dagger(m)) for m in maps], dtype=np.int32)
+    # dagger(f)(t) = complement of the join of {s : f(s) <= complement(t)}
+    below = oml.lattice.leq_mat[:, oml.ortho]  # entry (x, t): x <= complement(t)
+    adjoint = np.full((k, oml.n), oml.bottom, dtype=np.int32)
+    for s in range(oml.n):
+        hit = below[values[:, s]]
+        adjoint[hit] = jx[adjoint[hit], s]
+    adjoint = oml.ortho[adjoint]
+    star = lookup(adjoint[:, irr] @ base, "an adjoint").astype(np.int32)
+    bad = np.nonzero((values[star] != adjoint).any(axis=1))[0]
+    if bad.size:
+        raise FormatError(f"the adjoint of {labels[int(bad[0])]} is not enumerated")
     star.setflags(write=False)
     return FinQuantale(carrier, mult, star, unit), view
 

@@ -33,7 +33,7 @@ from .foulis import (
     roundtrip_iso,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, check_oml, make_report
+from .lattice import FiniteOML, check_oml, make_report, sasaki_table
 from .linmap import dagger, enumerate_lin, vector_label
 from .qmodule import (
     check_left_module,
@@ -74,12 +74,6 @@ _PREREQS = {
 # ---------------------------------------------------------------------------
 # aggregate report builders
 
-def _sasaki_table(oml: FiniteOML) -> np.ndarray:
-    """Row a holds the value table of the Sasaki projection at a."""
-    jt, mt = oml.lattice.join_tab, oml.lattice.meet_tab
-    return mt[np.arange(oml.n)[:, None], jt[oml.ortho]]
-
-
 def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts", workers=1):
     """The four projection laws, scanned over every (a, y[, z]).
 
@@ -92,7 +86,7 @@ def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts", workers=1):
     n = oml.n
     leq = oml.lattice.leq_mat
     ortho = oml.ortho
-    S = _sasaki_table(oml)
+    S = sasaki_table(oml)
     ar = np.arange(n)
 
     def fixed_below(lo, hi):
@@ -166,7 +160,7 @@ def dagger_kernel_report(
         maps = enumerate_lin(oml, cap=cap, workers=workers)
     values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
     leq = oml.lattice.leq_mat
-    S = _sasaki_table(oml)
+    S = sasaki_table(oml)
 
     def per_map(fi):
         f = maps[fi]

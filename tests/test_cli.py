@@ -477,7 +477,7 @@ def test_installed_entry_point():
 
 def test_lin_quantale_too_large_is_refused_before_allocation():
     # boolean:4 has 65,536 endomaps: 65,536^2 cells of dense tables at
-    # 13 bytes each.  The child gets a 2 GiB address-space limit, so a guard
+    # 9 bytes each.  The child gets a 2 GiB address-space limit, so a guard
     # placed after any k-by-k allocation fails here instead of exhausting
     # the machine.
     def limit_memory():
@@ -488,5 +488,5 @@ def test_lin_quantale_too_large_is_refused_before_allocation():
         capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
     )
     assert proc.returncode == 2
-    assert str(65536 * 65536 * 13) in proc.stderr
+    assert str(65536 * 65536 * 9) in proc.stderr
     assert "65536 elements" in proc.stderr

@@ -20,6 +20,7 @@ from omlq import (
     dagger,
     enumerate_lin,
     identity_map,
+    lattice_from_leq,
     leq_by_mult,
     leq_by_mult_matrix,
     lin_quantale,
@@ -97,6 +98,58 @@ def test_lin_quantale_refuses_before_building_map_objects(monkeypatch, b2):
     monkeypatch.setattr(linmap_module, "LinMap", no_maps)
     with pytest.raises(TableTooLarge, match="16 elements"):
         lin_quantale(b2)
+
+
+LOOKUP_HOSTS = ("boolean:1", "boolean:2", "boolean:3", "mo:2")
+
+
+def test_lin_carrier_by_code_lookup_matches_the_generic_build():
+    # The generic build validates the pointwise order and derives join and
+    # meet from it; the lookup build derives the order from the join.
+    for name in LOOKUP_HOSTS:
+        oml = catalog(name)
+        q, view = lin_quantale(oml)
+        values = view.values
+        pointwise = oml.lattice.leq_mat[values[:, None, :], values[None, :, :]].all(axis=2)
+        want = lattice_from_leq(q.labels, pointwise)
+        got = q.carrier
+        assert got._meet_tab is None
+        assert got.leq_mat.dtype == want.leq_mat.dtype
+        assert got.leq_mat.tobytes() == want.leq_mat.tobytes()
+        assert got.join_tab.dtype == want.join_tab.dtype
+        assert got.join_tab.tobytes() == want.join_tab.tobytes()
+        assert (got.bottom, got.top) == (want.bottom, want.top)
+        assert np.array_equal(got.meet_tab, want.meet_tab)
+        assert got.meet_tab is got.meet_tab
+
+
+def test_lin_star_by_code_lookup_is_dagger():
+    for name in LOOKUP_HOSTS:
+        q, view = lin_quantale(catalog(name))
+        star = q.dense_star()
+        for i, f in enumerate(view.maps):
+            assert star[i] == view.index_of(dagger(f))
+
+
+def test_lin_quantale_with_a_missing_map_is_refused(monkeypatch, b2, mo2):
+    # Without one map, some join, composite or adjoint of the others has no
+    # code.  The projections onto atoms are self-adjoint, so only the join
+    # and composite lookups can miss them.  boolean:2 drops every map but
+    # the bottom and the identity in turn, mo:2 each atom projection.
+    for oml in (b2, mo2):
+        full = linmap_module.lin_values(oml, oml)
+        rows = [r for r, row in enumerate(full.tolist())
+                if row not in (list(range(oml.n)), [oml.bottom] * oml.n)]
+        if oml is mo2:
+            atoms = [[sasaki_apply(oml, a, y) for y in range(oml.n)] for a in oml.atoms()]
+            rows = [r for r in rows if full[r].tolist() in atoms]
+            assert len(rows) == len(atoms) == 4
+        for r in rows:
+            monkeypatch.setattr(quantale_module, "lin_values",
+                                lambda *args, r=r, **kwargs: np.delete(full, r, axis=0))
+            with pytest.raises(FormatError):
+                lin_quantale(oml)
+
 
 def test_view_round_trip(fq_b2):
     f, view = fq_b2

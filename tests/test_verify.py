@@ -24,7 +24,7 @@ from omlq import (
     verify_text,
 )
 from omlq.linmap import _sasaki_split
-from omlq.verify import _sasaki_table
+from omlq.lattice import sasaki_table
 
 
 def test_selector_listing_is_stable():
@@ -88,7 +88,7 @@ def dagger_kernel_reference(oml, maps):
     failing map."""
     values = np.array([f.values for f in maps], dtype=np.int32)
     leq = oml.lattice.leq_mat
-    S = _sasaki_table(oml)
+    S = sasaki_table(oml)
 
     def per_map(f, row):
         k = oml.orthoc(dagger(f).values[oml.top])
