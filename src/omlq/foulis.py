@@ -28,6 +28,7 @@ from .errors import AmbiguousSai, NotALattice, NotFoulis, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
+    bool_product,
     check_oml,
     lattice_from_leq,
     make_report,
@@ -304,7 +305,7 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise StructureViolation("projection-order-antisymmetric", (lab(i), lab(j)))
-    closure = order @ order
+    closure = bool_product(order, order)
     if (closure & ~order).any():
         i, j = map(int, np.argwhere(closure & ~order)[0])
         raise StructureViolation("projection-order-transitive", (lab(i), lab(j)))

@@ -19,6 +19,17 @@ from .errors import FormatError, NotALattice, NotAPoset
 from .scan import first_hit
 
 
+def bool_product(a, b) -> np.ndarray:
+    """Boolean matrix product: entry (i, j) is whether a[i, k] and b[k, j]
+    for some k.
+
+    Computed through BLAS as a float32 product of 0/1 matrices.  Every
+    entry counts at most a.shape[1] < 2**24 paths, and float32 holds every
+    such count exactly, so the result is exact.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 # ---------------------------------------------------------------------------
 # check reports
 
@@ -159,7 +170,7 @@ class FiniteLattice:
         """Covering pairs (i, j) with i < j and nothing strictly between."""
         strict = self.leq_mat & ~np.eye(self.n, dtype=bool)
         # z strictly between i and j iff strict[i,z] and strict[z,j]
-        between = strict @ strict
+        between = bool_product(strict, strict)
         out = np.argwhere(strict & ~between)
         return [(int(i), int(j)) for i, j in out]
 
@@ -254,7 +265,7 @@ def lattice_from_leq(labels, leq) -> FiniteLattice:
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise NotAPoset(labels[i], labels[j])
-    closed = leq @ leq
+    closed = bool_product(leq, leq)
     if (closed & ~leq).any():
         raise FormatError("order relation is not transitive")
     join_tab, meet_tab = _order_tables(labels, leq)
@@ -287,7 +298,7 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
             raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements")
         leq[idx[x], idx[y]] = True
     while True:
-        closed = leq | (leq @ leq)
+        closed = leq | bool_product(leq, leq)
         if (closed == leq).all():
             break
         leq = closed

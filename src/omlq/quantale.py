@@ -149,14 +149,15 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     join-preserving map is determined by its values on the
     join-irreducibles J, and composites and pointwise joins of such maps
     preserve joins again, so each map is keyed by a mixed-radix int64 code
-    of its values on J (oml.n ** |J| is within the enumeration limit, so no
-    overflow) and every product and join is found by binary search over
-    the sorted codes.  Codes are injective, so i <= j pointwise exactly
-    when the join of i and j is j.  The adjoint of every map is computed
-    on all of X at once, looked up by its code on J and confirmed on its
-    full value row.  A code with no map, or an adjoint that differs from
-    the map its code names, raises FormatError.  The carrier keeps no meet
-    table (FiniteLattice builds one from the order if it is read).  Raises
+    of its values on J, and every product and join is found by indexing a
+    dense inverse of the codes (oml.n ** |J| int32 entries, within the
+    enumeration limit, so the codes do not overflow and the inverse stays
+    small).  Codes are injective, so i <= j pointwise exactly when the
+    join of i and j is j.  The adjoint of every map is computed on all of
+    X at once, looked up by its code on J and confirmed on its full value
+    row.  A code with no map, or an adjoint that differs from the map its
+    code names, raises FormatError.  The carrier keeps no meet table
+    (FiniteLattice builds one from the order if it is read).  Raises
     TableTooLarge, before any table is allocated, when the dense tables
     would exceed TABLE_BYTE_LIMIT.
     """
@@ -176,15 +177,14 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     irr = oml.lattice.join_irreducibles()
     base = oml.n ** np.arange(len(irr) - 1, -1, -1, dtype=np.int64)
     on_irr = values[:, irr]
-    codes = on_irr @ base
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
+    inverse = np.full(oml.n ** len(irr), -1, dtype=np.int32)
+    inverse[on_irr @ base] = np.arange(k, dtype=np.int32)
 
     def lookup(code, what):
-        pos = np.minimum(np.searchsorted(sorted_codes, code), k - 1)
-        if (sorted_codes[pos] != code).any():
+        found = inverse[code]
+        if (found < 0).any():
             raise FormatError(f"{what} is not enumerated")
-        return order[pos]
+        return found
 
     jx = oml.lattice.join_tab
     mult = np.empty((k, k), dtype=np.int32)
@@ -204,7 +204,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
         hit = below[values[:, s]]
         adjoint[hit] = jx[adjoint[hit], s]
     adjoint = oml.ortho[adjoint]
-    star = lookup(adjoint[:, irr] @ base, "an adjoint").astype(np.int32)
+    star = lookup(adjoint[:, irr] @ base, "an adjoint")
     bad = np.nonzero((values[star] != adjoint).any(axis=1))[0]
     if bad.size:
         raise FormatError(f"the adjoint of {labels[int(bad[0])]} is not enumerated")
@@ -215,37 +215,87 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
 # ---------------------------------------------------------------------------
 # law checking
 
+def nonadditive_row(table, lat: FiniteLattice, irr) -> int | None:
+    """Least x whose row w -> table[x, w] does not preserve the binary
+    joins of lat, or None.
+
+    irr lists the join-irreducibles of lat.  By the lemma in check_quantale
+    a row preserves binary joins exactly when table[x, y v i] =
+    table[x, y] v table[x, i] for every y and every i in irr not below y;
+    those pairs are read for blocks of rows at once, as int32 gathers from
+    the flat join table.
+    """
+    n = lat.n
+    j_flat = lat.join_tab.ravel()
+    js = np.asarray(irr, dtype=np.int32)
+    ys, cols = np.nonzero(~lat.leq_mat[js].T)  # entry (y, c): irr[c] not below y
+    ys = ys.astype(np.int32)
+    ks = js[cols]
+    j_yk = np.take(j_flat, ys * n + ks)
+    rows = max(1, _PAIR_CHUNK // max(1, len(ys)))
+    for lo in range(0, table.shape[0], rows):
+        t = np.ascontiguousarray(table[lo : lo + rows])
+        joined = np.take(j_flat, np.take(t, ys, axis=1) * n + np.take(t, ks, axis=1))
+        bad = (np.take(t, j_yk, axis=1) != joined).any(axis=1)
+        if bad.any():
+            return lo + int(bad.argmax())
+    return None
+
+
+def _row_witness(act, j_flat, ys, zs, j_yz):
+    """Least (y, z) among the pairs ys, zs with act[y v z] != act[y] v act[z],
+    or None; j_yz holds the flat join-table index of each y v z."""
+    n = len(act)
+    for c in range(0, len(ys), _PAIR_CHUNK):
+        part = slice(c, c + _PAIR_CHUNK)
+        joined = np.take(j_flat, np.take(act, ys[part]) * n + np.take(act, zs[part]))
+        bad = np.nonzero(np.take(act, j_yz[part]) != joined)[0]
+        if bad.size:
+            k = c + int(bad[0])
+            return (int(ys[k]), int(zs[k]))
+    return None
+
+
 def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport:
     """Associativity, unit, zero annihilation, and join distributivity.
 
     Distributivity over arbitrary joins reduces to the binary case plus the
     empty case (zero annihilation) in a finite quantale.
 
-    The three cubic laws may be certified from the carrier's
-    join-irreducibles J.  Write J(x) for the members of J below x; every x
-    is the join of J(x), and J(0) is empty.
+    The three cubic laws may be decided from the carrier's
+    join-irreducibles J.  Write J(z) for the members of J below z; every z
+    is the join of J(z), and J(0) is empty.
 
-    (a) Left distributivity, x(y v z) = xy v xz, holds when
-        (1) xy = V{iy : i in J(x)} for all x, y, and
-        (2) i(y v z) = iy v iz for every i in J and all y, z.
-        By (1), (2) and (1) again, x(y v z) = V_i i(y v z)
-        = V_i (iy v iz) = xy v xz, using only that the carrier join is
-        associative, commutative and idempotent.  Right distributivity is
-        the mirror image: expand over J(y) in the second argument, and check
-        the columns of J.
+    (a) Lemma: a map f on the carrier preserves binary joins exactly when
+        f(y v i) = f(y) v f(i) for every y and every i in J not below y.
+        Only the converse needs proof.  First, f(0) <= f(i) <= f(y) for
+        i in J(y): join the members of J(y) into 0 one at a time, i first.
+        A member below the running join w leaves w unchanged; any other
+        step is an instance of the premise, f(w v k) = f(w) v f(k), so f
+        never decreases along the way from 0 through i to y.  Second, join
+        the members of J(z) into y one at a time.  A member k below the
+        running join w has f(k) <= f(w) by the first part; any other step
+        is an instance of the premise; either way f(w v k) = f(w) v f(k).
+        So f(y v z) = f(y) v V f(J(z)), and y = 0 gives f(z) =
+        f(0) v V f(J(z)); as f(0) <= f(y), f(y v z) = f(y) v f(z).
+        Left distributivity says that every row x -> x * w of the table
+        preserves binary joins, right distributivity the same of every
+        column, so a row passes the lemma's test exactly when it holds no
+        witness.  The least row that fails the test is therefore the row of
+        the least witness, and the y < z scan of that one row finds it.
     (b) Associativity holds when both distributive laws and both zero laws
-        hold, certified or scanned, and i(jk) = (ij)k for all i, j, k in J.
-        Multiplication then preserves every finite join, the empty one
-        included, in each argument, so (ab)c is the join of (ij)k over
-        i in J(a), j in J(b), k in J(c), and a(bc) is the join of i(jk)
-        over the same triples; the two joins agree term by term.
+        hold, and i(jk) = (ij)k for all i, j, k in J.  Multiplication then
+        preserves every finite join, the empty one included, in each
+        argument, so (ab)c is the join of (ij)k over i in J(a), j in J(b),
+        k in J(c), and a(bc) is the join of i(jk) over the same triples;
+        the two joins agree term by term.
 
-    A certificate of (a) reads at most |J| n^2 cells per law, fact (1) once
-    per i below each row and fact (2) n^2 / 2 pairs per row of J, against
-    the n^3 / 2 of the exhaustive scan, so certificates are tried only when
-    2 |J| < n; (b) then costs |J|^3.  A certificate only ever certifies a
-    pass: when one fails, its law runs the exhaustive scan, which reports
-    the least witness.
+    The row test of (a) reads at most |J| n pairs per row against the
+    n (n - 1) / 2 of the scan, so it replaces the scan when 2 |J| < n; (b)
+    then costs |J|^3.  Otherwise every row is scanned in parallel chunks.
+    The certificate of (b) only ever certifies a pass: when it fails,
+    associativity runs the exhaustive scan, which reports the least
+    witness.
     """
     m = q.dense_mult()
     j = q.carrier.join_tab
@@ -279,21 +329,6 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     irr = q.carrier.join_irreducibles()
     certify = 2 * len(irr) < n
 
-    def expands(table):
-        # fact (1): table[x, y] is the join of table[i, y] over i in J(x),
-        # built in blocks of rows
-        leq = q.carrier.leq_mat
-        rows = max(1, _PAIR_CHUNK // n)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            acc = np.full((hi - lo, n), q.zero, dtype=table.dtype)
-            for i in irr:
-                above = np.flatnonzero(leq[i, lo:hi])
-                acc[above] = j[acc[above], table[i]]
-            if not np.array_equal(acc, table[lo:hi]):
-                return False
-        return True
-
     # Both distributive laws are symmetric in (y, z), as the carrier join
     # commutes, and hold at y = z, as joins are idempotent, so the least
     # witness has y < z and only those pairs are scanned, in row-major
@@ -305,30 +340,20 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     def distributes(table):
         # x * (y join z) = (x * y) join (x * z), with x * w read as
         # table[x, w] (m: left law, m.T: right law); witness (x, y, z)
+        first = nonadditive_row(table, q.carrier, irr) if certify else 0
+        if first is None:
+            return None
         ys, zs = (a.astype(np.int32) for a in np.triu_indices(n, 1))
         j_yz = np.take(j_flat, ys * n + zs)
 
-        def row_hit(x):
-            act = table[x]
-            for c in range(0, len(ys), _PAIR_CHUNK):
-                part = slice(c, c + _PAIR_CHUNK)
-                joined = np.take(j_flat, np.take(act, ys[part]) * n + np.take(act, zs[part]))
-                bad = np.nonzero(np.take(act, j_yz[part]) != joined)[0]
-                if bad.size:
-                    k = c + int(bad[0])
-                    return (x, int(ys[k]), int(zs[k]))
-            return None
-
         def scan(lo, hi):
             for x in range(lo, hi):
-                hit = row_hit(x)
+                hit = _row_witness(table[x], j_flat, ys, zs, j_yz)
                 if hit is not None:
-                    return hit
+                    return (x, *hit)
             return None
 
-        if certify and expands(table) and not any(row_hit(i) for i in irr):
-            return None
-        return first_hit(scan, n, workers)
+        return scan(first, first + 1) if certify else first_hit(scan, n, workers)
 
     def associates_on_irreducibles():
         # one |J| x |J| slice (ij)k against i(jk) per i in J

@@ -16,6 +16,7 @@ from omlq.cli import main
 from omlq.serialize import linmap_to_dict, quantale_to_dict
 
 from conftest import make_nilpotent_chain_quantale
+from test_quantale import check_quantale_reference
 
 
 def run(capsys, *argv):
@@ -298,6 +299,32 @@ def test_check_quantale_detects_broken_mult(capsys, tmp_path):
     code, out, _ = run(capsys, "check-quantale", "--file", str(p))
     assert code == 1
     assert "unit" in out
+
+
+def test_check_quantale_file_with_a_late_row_mutant(tmp_path, fq_b3):
+    # One cell in row 450 of the boolean:3 quantale file: the distributive
+    # laws fail in row 450 and in column 300, far from the rows of the
+    # join-irreducibles.
+    q = fq_b3[0].base
+    d = quantale_to_dict(q)
+    old = d["mult"][450][300]
+    d["mult"][450][300] = next(lab for lab in d["elements"] if lab != old)
+    p = tmp_path / "late.json"
+    p.write_text(dump_json(d))
+    outs = []
+    for workers in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "omlq", "check-quantale", "--file", str(p),
+             "--format", "json", "--workers", workers],
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    report = next(r for r in json.loads(outs[0])["reports"] if r["subject"] == "quantale")
+    want = check_quantale_reference(parse_quantale(d)).to_dict()
+    assert report == want
+    assert want["axioms"]["distributes-left"]["witness"][0] == q.label(450)
 
 
 def test_check_foulis_on_catalog(capsys):

@@ -8,6 +8,8 @@ code's tables are compared against them entry by entry.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omlq import (
     CheckReport,
@@ -25,6 +27,7 @@ from omlq import (
     ortho_pair,
     sasaki_apply,
 )
+from omlq.lattice import bool_product
 
 # ---------------------------------------------------------------------------
 # Hand-frozen tables for the four-element Boolean algebra {0, a, b, 1}.
@@ -345,3 +348,19 @@ def test_check_report_passing_str(b2):
     assert report.passed
     assert isinstance(report, CheckReport)
     assert str(report) == "square: PASS"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), inner=st.integers(1, 40), cols=st.integers(1, 40),
+       density=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+@example(rows=1, inner=1, cols=1, density=1.0, seed=0)
+@example(rows=1, inner=1, cols=1, density=0.0, seed=0)
+@example(rows=600, inner=640, cols=620, density=0.01, seed=1)
+@example(rows=600, inner=640, cols=620, density=1.0, seed=2)
+def test_bool_product_matches_numpy_bool_matmul(rows, inner, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.random((rows, inner)) < density
+    b = rng.random((inner, cols)) < density
+    got = bool_product(a, b)
+    assert got.dtype == bool
+    assert np.array_equal(got, a @ b)

@@ -12,6 +12,7 @@ from omlq import (
     FormatError,
     NotALattice,
     TableTooLarge,
+    build_lattice,
     catalog,
     catalog_names,
     check_involutive,
@@ -613,3 +614,124 @@ def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, 
     assert check_quantale(fq_mo2[0].base).passed
     assert sorted(calls) == ["assoc", "scan", "scan", "unit_left", "unit_right",
                              "zero_left", "zero_right"]
+
+
+# ---------------------------------------------------------------------------
+# The join-irreducible row test of the distributive laws.
+# ---------------------------------------------------------------------------
+
+
+def row_test_carriers(fq_b2):
+    """The carriers the lemma is tested on: Boolean, orthomodular, a product,
+    a Lin carrier, and a chain and the pentagon, which are not relatively
+    complemented."""
+    hosts = [catalog(name).lattice for name in ("boolean:3", "mo:2", "product(boolean:1,mo:2)")]
+    hosts.append(fq_b2[0].base.carrier)
+    hosts.append(build_lattice(list("0ab1"), [["0", "a"], ["a", "b"], ["b", "1"]]))
+    hosts.append(build_lattice(list("0abc1"), [["0", "a"], ["a", "b"], ["b", "1"],
+                                               ["0", "c"], ["c", "1"]]))
+    return hosts
+
+
+def preserves_binary_joins(f, lat):
+    j = lat.join_tab
+    return bool((f[j] == j[f[:, None], f[None, :]]).all())
+
+
+def draw_row(data, lat):
+    """A map on the carrier: arbitrary, monotone (the join of arbitrary
+    values over each down-set), or join-preserving with one overwritten
+    cell.  y -> c v V{b_k : y not below a_k} preserves binary joins on any
+    lattice, as y v z is below a exactly when y and z are."""
+    n, leq = lat.n, lat.leq_mat
+    value = st.integers(0, n - 1)
+    kind = data.draw(st.sampled_from(["arbitrary", "monotone", "join-preserving"]))
+    if kind == "arbitrary":
+        return np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=np.int32)
+    if kind == "monotone":
+        g = data.draw(st.lists(value, min_size=n, max_size=n))
+        return np.array([lat.join_set(g[x] for x in range(n) if leq[x, y]) for y in range(n)],
+                        dtype=np.int32)
+    terms = data.draw(st.lists(st.tuples(value, value), max_size=4))
+    c = data.draw(st.one_of(st.just(lat.bottom), value))
+    f = np.array([lat.join_set([c] + [b for a, b in terms if not leq[y, a]]) for y in range(n)],
+                 dtype=np.int32)
+    f[data.draw(value)] = data.draw(value)
+    return f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_row_test_decides_join_preservation(fq_b2, data):
+    # Rows drawn one to four at a time: the row test names the first row
+    # that fails to preserve binary joins, or none.
+    lat = data.draw(st.sampled_from(row_test_carriers(fq_b2)))
+    rows = [draw_row(data, lat) for _ in range(data.draw(st.integers(1, 4)))]
+    failing = [r for r, f in enumerate(rows) if not preserves_binary_joins(f, lat)]
+    irr = lat.join_irreducibles()
+    got = quantale_module.nonadditive_row(np.array(rows), lat, irr)
+    assert got == (failing[0] if failing else None)
+
+
+def test_row_test_reads_every_join_irreducible(fq_b2):
+    # Top everywhere but bottom at one join-irreducible k: the pair (0, k)
+    # is the only pair of the test that fails, so no member of J may be
+    # left out.  The same row behind a lawful one, and twice, is found at
+    # its first place.
+    for lat in row_test_carriers(fq_b2):
+        irr = lat.join_irreducibles()
+        top = np.full(lat.n, lat.top, dtype=np.int32)
+        for k in irr:
+            f = top.copy()
+            f[k] = lat.bottom
+            assert not preserves_binary_joins(f, lat)
+            assert quantale_module.nonadditive_row(np.array([top, f, f]), lat, irr) == 1
+        assert quantale_module.nonadditive_row(top[None, :], lat, irr) is None
+
+
+def draw_late_mutant(data, q):
+    """One to three overwritten mult cells, each in the second half of the
+    rows or of the columns."""
+    mult = q.dense_mult().copy()
+    late = st.integers(q.n // 2, q.n - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b = data.draw(st.sampled_from([(late, st.integers(0, q.n - 1)),
+                                          (st.integers(0, q.n - 1), late)]))
+        a, b = data.draw(a), data.draw(b)
+        old = int(mult[a, b])
+        mult[a, b] = data.draw(st.integers(0, q.n - 1).filter(lambda v: v != old))
+    return FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_row_test_matches_reference_on_late_boolean3_mutants(fq_b3, data):
+    mutant = draw_late_mutant(data, fq_b3[0].base)
+    want = check_quantale_reference(mutant).to_dict()
+    for workers in (1, 2):
+        assert check_quantale(mutant, workers=workers).to_dict() == want
+
+
+def test_failed_row_test_scans_one_row_per_law(monkeypatch, fq_b3):
+    # One cell in row 400 breaks left distributivity in row 400 and right
+    # distributivity in column 266; each law scans only its failing row.
+    q = fq_b3[0].base
+    mult = q.dense_mult().copy()
+    mult[400, 266] = (mult[400, 266] + 1) % q.n
+    mutant = FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
+    scanned = []
+    real = quantale_module._row_witness
+
+    def counting(act, *args):
+        scanned.append(act)
+        return real(act, *args)
+
+    monkeypatch.setattr(quantale_module, "_row_witness", counting)
+    for workers in (1, 2):
+        scanned.clear()
+        report = check_quantale(mutant, workers=workers)
+        assert report.witness("distributes-left")[0] == q.label(400)
+        assert report.witness("distributes-right")[0] == q.label(266)
+        assert len(scanned) == 2
+        assert np.array_equal(scanned[0], mult[400])
+        assert np.array_equal(scanned[1], mult[:, 266])
