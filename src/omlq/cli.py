@@ -36,12 +36,7 @@ from .foulis import FoulisQuantale, check_foulis, derive_sai, foulis_from_lin, s
 from .goldens import golden_path, regen_goldens
 from .lattice import check_oml, sasaki_apply
 from .linmap import dagger, enumerate_lin, is_linear, kernel, lin_values, vector_label
-from .qmodule import (
-    check_left_module,
-    check_right_two_module,
-    lin_module,
-    sasaki_module,
-)
+from .qmodule import check_left_module, check_right_two_module, module_reports
 from .quantale import check_involutive, check_quantale, lin_quantale
 from .serialize import (
     dump_json,
@@ -301,18 +296,7 @@ def cmd_check_module(args) -> int:
         return _emit_reports(args, reports)
     oml = catalog(args.catalog)
     f, view = foulis_from_lin(oml, cap=args.cap, workers=w)
-    sub = sasaki_oml(f)
-    lm = lin_module(oml, f.base, view)
-    sm = sasaki_module(f, sub)
-    reports = [
-        check_left_module(lm, subject="lin-module", workers=w),
-        check_left_module(sm, subject="sasaki-module", workers=w),
-        check_right_two_module(oml.lattice, left=lm, subject="two-module", workers=w),
-        check_right_two_module(
-            sub.oml.lattice, left=sm, subject="projection-two-module", workers=w
-        ),
-    ]
-    return _emit_reports(args, reports)
+    return _emit_reports(args, module_reports(oml, f, view, sasaki_oml(f), workers=w))
 
 
 def cmd_verify(args) -> int:

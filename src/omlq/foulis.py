@@ -28,20 +28,23 @@ from .errors import AmbiguousSai, NotALattice, NotFoulis, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
+    Law,
     bool_product,
     check_oml,
     lattice_from_leq,
+    least,
     make_report,
+    rows,
+    run_laws,
     sasaki_table,
 )
-from .linmap import LinMap, dagger, vector_label
+from .linmap import LinMap
 from .quantale import (
     FinQuantale,
     QElementView,
     leq_by_mult_matrix,
     lin_quantale,
 )
-from .scan import first_hit
 
 
 class FoulisQuantale:
@@ -140,49 +143,27 @@ def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
     perp = sai[s]
     n = q.n
 
-    def idem(table):
-        def scan(lo, hi):
-            t = table[lo:hi]
-            bad = np.nonzero(m[t, t] != t)[0]
-            return (lo + int(bad[0]),) if bad.size else None
-
-        return scan
-
-    def selfadj(table):
-        def scan(lo, hi):
-            t = table[lo:hi]
-            bad = np.nonzero(s[t] != t)[0]
-            return (lo + int(bad[0]),) if bad.size else None
-
-        return scan
-
     def annihilator(source):
-        # source maps s to the element whose annihilator must be generated
-        def scan(lo, hi):
-            for t in range(lo, hi):
-                ann = set(np.nonzero(m[source[t]] == q.zero)[0].tolist())
-                gen = set(m[sai[source[t]]].tolist())
-                if ann != gen:
-                    return (t, min(ann ^ gen))
-            return None
+        # source maps s to the element t whose annihilator {x | t*x = 0}
+        # must be the set of left multiples of sai(t)
+        def bad(i):
+            t = source[i]
+            generated = np.zeros(n, dtype=bool)
+            generated[m[sai[t]]] = True
+            return (m[t] == q.zero) != generated
 
-        return scan
+        return rows(bad)
 
-    identity = np.arange(n)
-    hits = [
-        ("sai-idempotent", first_hit(idem(sai), n, workers)),
-        ("sai-self-adjoint", first_hit(selfadj(sai), n, workers)),
-        ("sai-unit", None if sai[q.unit] == q.zero else (q.unit,)),
-        ("sai-annihilator", first_hit(annihilator(identity), n, workers)),
-        ("perp-idempotent", first_hit(idem(perp), n, workers)),
-        ("perp-self-adjoint", first_hit(selfadj(perp), n, workers)),
-        ("perp-unit", None if perp[q.unit] == q.zero else (q.unit,)),
-        ("perp-annihilator", first_hit(annihilator(s), n, workers)),
-    ]
-    named = [
-        (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits
-    ]
-    return make_report(subject, named)
+    return run_laws(subject, q.label, [
+        Law("sai-idempotent", hit=least(m[sai, sai] != sai)),
+        Law("sai-self-adjoint", hit=least(s[sai] != sai)),
+        Law("sai-unit", hit=None if sai[q.unit] == q.zero else (q.unit,)),
+        Law("sai-annihilator", annihilator(np.arange(n)), n),
+        Law("perp-idempotent", hit=least(m[perp, perp] != perp)),
+        Law("perp-self-adjoint", hit=least(s[perp] != perp)),
+        Law("perp-unit", hit=None if perp[q.unit] == q.zero else (q.unit,)),
+        Law("perp-annihilator", annihilator(s), n),
+    ], workers)
 
 
 def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> CheckReport:
@@ -201,52 +182,17 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
     n = q.n
     lem = leq_by_mult_matrix(q)  # entry (s, t): s = t * s
     ar = np.arange(n)
-
-    def fixed_point(lo, hi):
-        for r in range(lo, hi):
-            lhs = m[s[r]] == q.zero
-            rhs = m[sai[s[r]]] == ar
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                return (r, int(bad[0]))
-        return None
-
     perp_rows = lem[perp]
-
-    def antitone(lo, hi):
-        for t in range(lo, hi):
-            required = perp_rows[:, perp[t]]  # entry r: perp(r) <= perp(t)
-            bad = np.nonzero(lem[t] & ~required)[0]
-            if bad.size:
-                return (t, int(bad[0]))
-        return None
-
     members = np.array(f.members(), dtype=np.int32)
-
-    def double_perp(lo, hi):
-        ks = members[lo:hi]
-        bad = np.nonzero(perp[perp[ks]] != ks)[0]
-        return (int(members[lo + int(bad[0])]),) if bad.size else None
-
-    def galois(lo, hi):
-        for t in range(lo, hi):
-            lhs = lem[t][perp]        # entry r: t <= perp(r)
-            rhs = lem[:, perp[t]]     # entry r: r <= perp(t)
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                return (t, int(bad[0]))
-        return None
-
-    hits = [
-        ("fixed-point", first_hit(fixed_point, n, workers)),
-        ("perp-antitone", first_hit(antitone, n, workers)),
-        ("double-perp", first_hit(double_perp, len(members), workers)),
-        ("perp-galois", first_hit(galois, n, workers)),
-    ]
-    named = [
-        (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits
-    ]
-    return make_report(subject, named)
+    unfixed = members[perp[perp[members]] != members]
+    return run_laws(subject, q.label, [
+        Law("fixed-point", rows(lambda r: (m[s[r]] == q.zero) != (m[sai[s[r]]] == ar)), n),
+        # entry r: t <= r but not perp(r) <= perp(t)
+        Law("perp-antitone", rows(lambda t: lem[t] & ~perp_rows[:, perp[t]]), n),
+        Law("double-perp", hit=tuple(unfixed[:1].tolist()) or None),
+        # entry r: t <= perp(r) against r <= perp(t)
+        Law("perp-galois", rows(lambda t: lem[t][perp] != lem[:, perp[t]]), n),
+    ], workers)
 
 
 # ---------------------------------------------------------------------------
@@ -431,46 +377,15 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     proj_t = np.array([tview.index_of(row) for row in sasaki_table(sub_oml).tolist()],
                       dtype=np.int32)
     img_tops = tview.values[tb, sub_oml.top]
-
-    def joins(lo, hi):
-        for u in range(lo, hi):
-            bad = np.nonzero(tb[js[u]] != jt[tb[u]][tb])[0]
-            if bad.size:
-                return (u, int(bad[0]))
-        return None
-
-    def mults(lo, hi):
-        for u in range(lo, hi):
-            bad = np.nonzero(tb[ms[u]] != mt[tb[u]][tb])[0]
-            if bad.size:
-                return (u, int(bad[0]))
-        return None
-
-    def stars(lo, hi):
-        bad = np.nonzero(tb[ss[lo:hi]] != st[tb[lo:hi]])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def perps(lo, hi):
-        bad = np.nonzero(tb[perp_s[lo:hi]] != perp_t[tb[lo:hi]])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def perp_closed_form(lo, hi):
-        bad = np.nonzero(proj_t[sub_oml.ortho[img_tops[lo:hi]]] != perp_t[tb[lo:hi]])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    hits = [
-        ("preserves-join", first_hit(joins, n, workers)),
-        ("preserves-zero", None if tb[f.base.zero] == t.base.zero else (f.base.zero,)),
-        ("preserves-mult", first_hit(mults, n, workers)),
-        ("preserves-unit", None if tb[f.base.unit] == t.base.unit else (f.base.unit,)),
-        ("preserves-star", first_hit(stars, n, workers)),
-        ("preserves-perp", first_hit(perps, n, workers)),
-        ("perp-closed-form", first_hit(perp_closed_form, n, workers)),
-    ]
-    named = [
-        (ax, None if w is None else tuple(f.label(i) for i in w)) for ax, w in hits
-    ]
-    return make_report(subject, named)
+    return run_laws(subject, f.label, [
+        Law("preserves-join", rows(lambda u: tb[js[u]] != jt[tb[u]][tb]), n),
+        Law("preserves-zero", hit=None if tb[f.base.zero] == t.base.zero else (f.base.zero,)),
+        Law("preserves-mult", rows(lambda u: tb[ms[u]] != mt[tb[u]][tb]), n),
+        Law("preserves-unit", hit=None if tb[f.base.unit] == t.base.unit else (f.base.unit,)),
+        Law("preserves-star", hit=least(tb[ss] != st[tb])),
+        Law("preserves-perp", hit=least(tb[perp_s] != perp_t[tb])),
+        Law("perp-closed-form", hit=least(proj_t[sub_oml.ortho[img_tops]] != perp_t[tb])),
+    ], workers)
 
 
 def roundtrip_iso(
@@ -490,57 +405,28 @@ def roundtrip_iso(
         built = foulis_from_lin(oml, cap=cap, workers=workers)
     f, view = built
     sub = sasaki_oml(f)
-    cand = [
-        sub.from_host(sasaki_projection_index(view, oml, a)) for a in range(oml.n)
-    ]
     n = oml.n
-    sub_oml = sub.oml
-
-    bijection = None
-    if len(set(cand)) != n:
-        seen = {}
-        for a, c in enumerate(cand):
-            if c in seen:
-                bijection = (oml.label(seen[c]), oml.label(a))
-                break
-            seen[c] = a
+    cand = np.array([sub.from_host(sasaki_projection_index(view, oml, a)) for a in range(n)])
+    seen = {}
+    dup = next(((seen[c], a) for a, c in enumerate(cand.tolist()) if seen.setdefault(c, a) != a),
+               None)
+    if dup is not None:
+        bijection = Law("bijection", hit=dup, kinds="xx")
     elif len(sub.members) != n:
-        bijection = (str(n), str(len(sub.members)))
+        bijection = Law("bijection", hit=(n, len(sub.members)), kinds="nn")
+    else:
+        bijection = Law("bijection")
+    lat, img = oml.lattice, sub.oml.lattice
 
-    def order(lo, hi):
-        for a in range(lo, hi):
-            for b in range(n):
-                if oml.le(a, b) != sub_oml.le(cand[a], cand[b]):
-                    return (a, b)
-        return None
+    def preserves(tab, img_tab):
+        # entry b: the image of a op b against cand[a] op cand[b]
+        return rows(lambda a: cand[tab[a]] != img_tab[cand[a], cand])
 
-    def complement(lo, hi):
-        for a in range(lo, hi):
-            if cand[oml.orthoc(a)] != sub_oml.orthoc(cand[a]):
-                return (a,)
-        return None
-
-    def meets(lo, hi):
-        for a in range(lo, hi):
-            for b in range(n):
-                if cand[oml.meet(a, b)] != sub_oml.meet(cand[a], cand[b]):
-                    return (a, b)
-        return None
-
-    def joins(lo, hi):
-        for a in range(lo, hi):
-            for b in range(n):
-                if cand[oml.join(a, b)] != sub_oml.join(cand[a], cand[b]):
-                    return (a, b)
-        return None
-
-    hits = [
-        ("order-isomorphism", first_hit(order, n, workers)),
-        ("complement-preserved", first_hit(complement, n, workers)),
-        ("meet-preserved", first_hit(meets, n, workers)),
-        ("join-preserved", first_hit(joins, n, workers)),
-    ]
-    named = [("bijection", bijection)] + [
-        (ax, None if w is None else tuple(oml.label(i) for i in w)) for ax, w in hits
-    ]
-    return make_report(subject, named)
+    return run_laws(subject, {"x": oml.label, "n": str}, [
+        bijection,
+        Law("order-isomorphism", rows(lambda a: lat.leq_mat[a] != img.leq_mat[cand[a], cand]),
+            n, kinds="xx"),
+        Law("complement-preserved", hit=least(cand[oml.ortho] != sub.oml.ortho[cand]), kinds="x"),
+        Law("meet-preserved", preserves(lat.meet_tab, img.meet_tab), n, kinds="xx"),
+        Law("join-preserved", preserves(lat.join_tab, img.join_tab), n, kinds="xx"),
+    ], workers)

@@ -7,11 +7,19 @@ lookups.  A lattice may be built without its meet table, which is then
 derived from the order on first use.  Input relations may list covering
 pairs or the full order; the reflexive-transitive closure is always
 recomputed.
+
+Every exhaustive checker states its laws as Law values and hands them to
+run_laws, which decides them in order and labels each least witness.  A
+law over a linear range is one vector comparison, decided on the spot
+with least(); a law with a row of witnesses per outer index is a
+first_hit scan, built from a per-row mask with rows(), which run_laws
+cuts into ordered chunks across the workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,6 +99,61 @@ def make_report(subject, axiom_hits) -> CheckReport:
         if witness is not None
     )
     return CheckReport(subject, violations, tuple(a for a, _ in axiom_hits))
+
+
+@dataclass(frozen=True)
+class Law:
+    """One law of a checker and how to find its least witness.
+
+    Either scan is a first_hit scan over range(total), or the law was
+    decided without a scan and hit is its least witness (None when the law
+    holds).  Witnesses are index tuples; kinds, one letter per coordinate,
+    picks each coordinate's labeller when run_laws is given several.
+    """
+
+    name: str
+    scan: Callable | None = None
+    total: int = 0
+    hit: tuple | None = None
+    kinds: str = ""
+
+
+def run_laws(subject, label, laws, workers=1) -> CheckReport:
+    """Decide laws in order and report each least witness as labels.
+
+    label maps an index to its label: one function for every coordinate,
+    or a dict of functions keyed by the letters of each law's kinds.
+    """
+    hits = []
+    for law in laws:
+        w = law.hit if law.scan is None else first_hit(law.scan, law.total, workers)
+        if w is not None:
+            labels = [label[k] for k in law.kinds] if isinstance(label, dict) else [label] * len(w)
+            w = tuple(lab(i) for lab, i in zip(labels, w))
+        hits.append((law.name, w))
+    return make_report(subject, hits)
+
+
+def least(mask):
+    """Index tuple of the first True entry of mask in row-major order, or None."""
+    flat = np.flatnonzero(mask)
+    if not flat.size:
+        return None
+    return tuple(int(i) for i in np.unravel_index(flat[0], mask.shape))
+
+
+def rows(bad):
+    """A first_hit scan from a per-row mask: bad(i) marks the witnesses
+    whose first coordinate is i, and the least of them is (i, *least)."""
+
+    def scan(lo, hi):
+        for i in range(lo, hi):
+            w = least(bad(i))
+            if w is not None:
+                return (i, *w)
+        return None
+
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -444,42 +507,14 @@ def check_oml(lattice_or_oml, ortho=None, subject="oml", workers=1) -> CheckRepo
     leq = lat.leq_mat
     jt, mt = lat.join_tab, lat.meet_tab
     ar = np.arange(n)
-
-    def involution(lo, hi):
-        bad = np.nonzero(ortho[ortho[lo:hi]] != ar[lo:hi])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def antitone(lo, hi):
-        for i in range(lo, hi):
-            ok = leq[ortho, ortho[i]]  # entry j: ortho(j) <= ortho(i)
-            bad = np.nonzero(leq[i] & ~ok)[0]
-            if bad.size:
-                return (i, int(bad[0]))
-        return None
-
-    def complement(lo, hi):
-        bad = np.nonzero(mt[ar[lo:hi], ortho[lo:hi]] != lat.bottom)[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def orthomodular(lo, hi):
-        for i in range(lo, hi):
-            rebuilt = jt[i, mt[ortho[i]]]  # entry j: i join (i' meet j)
-            bad = np.nonzero(leq[i] & (rebuilt != ar))[0]
-            if bad.size:
-                return (i, int(bad[0]))
-        return None
-
-    hits = [
-        ("involution", first_hit(involution, n, workers)),
-        ("antitone", first_hit(antitone, n, workers)),
-        ("complement", first_hit(complement, n, workers)),
-        ("orthomodular", first_hit(orthomodular, n, workers)),
-    ]
-    named = [
-        (axiom, None if w is None else tuple(lat.label(i) for i in w))
-        for axiom, w in hits
-    ]
-    return make_report(subject, named)
+    return run_laws(subject, lat.label, [
+        Law("involution", hit=least(ortho[ortho] != ar)),
+        # entry j: j >= i but ortho(j) not below ortho(i)
+        Law("antitone", rows(lambda i: leq[i] & ~leq[ortho, ortho[i]]), n),
+        Law("complement", hit=least(mt[ar, ortho] != lat.bottom)),
+        # entry j: j >= i but j differs from i join (i' meet j)
+        Law("orthomodular", rows(lambda i: leq[i] & (jt[i, mt[ortho[i]]] != ar)), n),
+    ], workers)
 
 
 def sasaki_apply(oml: FiniteOML, a: int, y: int) -> int:

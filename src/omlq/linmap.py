@@ -22,12 +22,13 @@ from .errors import CapExceeded, DomainMismatch, FormatError, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
+    Law,
     SubOML,
     downset_oml,
-    make_report,
+    rows,
+    run_laws,
     sasaki_apply,
 )
-from .scan import first_hit
 
 DEFAULT_CAP = 100000
 BRUTEFORCE_LIMIT = 10_000_000
@@ -155,19 +156,10 @@ def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1)
     X, Y = f.dom, f.cod
     leq_x, leq_y = X.lattice.leq_mat, Y.lattice.leq_mat
     hop = X.ortho[np.array(h.values, dtype=np.int32)]
-
-    def scan(lo, hi):
-        for x in range(lo, hi):
-            lhs = leq_y[f.values[x]][Y.ortho]  # entry y: f(x) orthogonal y
-            rhs = leq_x[x][hop]                # entry y: x orthogonal h(y)
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                return (x, int(bad[0]))
-        return None
-
-    hit = first_hit(scan, X.n, workers)
-    named = None if hit is None else (X.label(hit[0]), Y.label(hit[1]))
-    return make_report(subject, [("adjoint-biconditional", named)])
+    # entry y: f(x) orthogonal y against x orthogonal h(y)
+    biconditional = rows(lambda x: leq_y[f.values[x]][Y.ortho] != leq_x[x][hop])
+    return run_laws(subject, {"x": X.label, "y": Y.label},
+                    [Law("adjoint-biconditional", biconditional, X.n, kinds="xy")], workers)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import StructureViolation
 from .foulis import FoulisQuantale, SasakiOML, sasaki_oml
-from .lattice import CheckReport, FiniteLattice, FiniteOML, make_report
+from .lattice import CheckReport, FiniteLattice, FiniteOML, Law, least, rows, run_laws
 from .quantale import FinQuantale, QElementView, lin_quantale
-from .scan import first_hit
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,23 @@ def sasaki_module(f: FoulisQuantale, sub: SasakiOML | None = None) -> ModuleActi
     return ModuleAction(q, sub.oml.lattice, table)
 
 
+def module_reports(oml: FiniteOML, f: FoulisQuantale, view: QElementView, sub: SasakiOML,
+                   workers=1) -> list[CheckReport]:
+    """The module laws of both canonical actions, each with its right
+    two-module: Lin(oml) on oml by application, and the Foulis quantale f
+    (built from oml, with element view view) on its projection lattice sub."""
+    lm = lin_module(oml, f.base, view)
+    sm = sasaki_module(f, sub)
+    return [
+        check_left_module(lm, subject="lin-module", workers=workers),
+        check_left_module(sm, subject="sasaki-module", workers=workers),
+        check_right_two_module(oml.lattice, left=lm, subject="two-module", workers=workers),
+        check_right_two_module(
+            sub.oml.lattice, left=sm, subject="projection-two-module", workers=workers
+        ),
+    ]
+
+
 def check_left_module(action: ModuleAction, subject="module", workers=1) -> CheckReport:
     """The left module laws, each scanned exhaustively.
 
@@ -96,65 +112,18 @@ def check_left_module(action: ModuleAction, subject="module", workers=1) -> Chec
     unit-act      e . a = a
     """
     q, lat, table = action.quantale, action.lattice, action.table
-    qn, ln = q.n, lat.n
     jq = q.carrier.join_tab
     jl = lat.join_tab
     mq = q.dense_mult()
-    ar = np.arange(ln)
-
-    def act_join(lo, hi):
-        for s in range(lo, hi):
-            row = table[s]
-            bad = np.argwhere(row[jl] != jl[row[:, None], row[None, :]])
-            if bad.size:
-                a, b = map(int, bad[0])
-                return (s, a, b)
-        return None
-
-    def act_bottom(lo, hi):
-        bad = np.nonzero(table[lo:hi, lat.bottom] != lat.bottom)[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def join_act(lo, hi):
-        for s in range(lo, hi):
-            lhs = table[jq[s]]
-            rhs = jl[table[s], table]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                t, a = map(int, bad[0])
-                return (s, t, a)
-        return None
-
-    def assoc_act(lo, hi):
-        for u in range(lo, hi):
-            lhs = table[mq[u]]
-            rhs = table[u][table]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                v, a = map(int, bad[0])
-                return (u, v, a)
-        return None
-
-    zero_bad = np.nonzero(table[q.zero] != lat.bottom)[0]
-    unit_bad = np.nonzero(table[q.unit] != ar)[0]
-
-    def lab(w, kinds):
-        if w is None:
-            return None
-        out = []
-        for i, kind in zip(w, kinds):
-            out.append(q.label(i) if kind == "q" else lat.label(i))
-        return tuple(out)
-
-    hits = [
-        ("act-join", lab(first_hit(act_join, qn, workers), "qll")),
-        ("act-bottom", lab(first_hit(act_bottom, qn, workers), "q")),
-        ("join-act", lab(first_hit(join_act, qn, workers), "qql")),
-        ("zero-act", lab((int(zero_bad[0]),) if zero_bad.size else None, "l")),
-        ("assoc-act", lab(first_hit(assoc_act, qn, workers), "qql")),
-        ("unit-act", lab((int(unit_bad[0]),) if unit_bad.size else None, "l")),
-    ]
-    return make_report(subject, hits)
+    return run_laws(subject, {"q": q.label, "l": lat.label}, [
+        Law("act-join", rows(lambda s: table[s][jl] != jl[table[s][:, None], table[s]]), q.n,
+            kinds="qll"),
+        Law("act-bottom", hit=least(table[:, lat.bottom] != lat.bottom), kinds="q"),
+        Law("join-act", rows(lambda s: table[jq[s]] != jl[table[s], table]), q.n, kinds="qql"),
+        Law("zero-act", hit=least(table[q.zero] != lat.bottom), kinds="l"),
+        Law("assoc-act", rows(lambda u: table[mq[u]] != table[u][table]), q.n, kinds="qql"),
+        Law("unit-act", hit=least(table[q.unit] != np.arange(lat.n)), kinds="l"),
+    ], workers)
 
 
 def check_right_two_module(
@@ -168,73 +137,35 @@ def check_right_two_module(
     """
     n = lat.n
     bottom = lat.bottom
+    jl = lat.join_tab
     acted = np.stack([np.full(n, bottom, dtype=np.int32), np.arange(n, dtype=np.int32)])
-    # acted[t, a] = a . t
-
-    def two_join_act(lo, hi):
-        jl = lat.join_tab
-        for a in range(lo, hi):
-            for t1 in (0, 1):
-                for t2 in (0, 1):
-                    lhs = acted[t1 | t2, a]
-                    rhs = jl[acted[t1, a], acted[t2, a]]
-                    if lhs != rhs:
-                        return (a, t1, t2)
-        return None
-
-    def act_two_join(lo, hi):
-        jl = lat.join_tab
-        for a in range(lo, hi):
-            for b in range(n):
-                for t in (0, 1):
-                    if acted[t, jl[a, b]] != jl[acted[t, a], acted[t, b]]:
-                        return (a, b, t)
-        return None
-
-    def two_assoc(lo, hi):
-        for a in range(lo, hi):
-            for t1 in (0, 1):
-                for t2 in (0, 1):
-                    if acted[t1 & t2, a] != acted[t2, acted[t1, a]]:
-                        return (a, t1, t2)
-        return None
-
-    unit_bad = np.nonzero(acted[1] != np.arange(n))[0]
-    zero_bad = np.nonzero(acted[0] != bottom)[0]
-
-    def compat(lo, hi):
-        table = left.table
-        for s in range(lo, hi):
-            for t in (0, 1):
-                lhs = acted[t][table[s]]          # (s . a) . t
-                rhs = table[s][acted[t]]          # s . (a . t)
-                bad = np.nonzero(lhs != rhs)[0]
-                if bad.size:
-                    return (s, int(bad[0]), t)
-        return None
-
-    def lab(w, kinds):
-        if w is None:
-            return None
-        out = []
-        for i, kind in zip(w, kinds):
-            if kind == "l":
-                out.append(lat.label(i))
-            elif kind == "q":
-                out.append(left.quantale.label(i))
-            else:
-                out.append(str(i))
-        return tuple(out)
-
-    hits = [
-        ("two-unit-act", lab((int(unit_bad[0]),) if unit_bad.size else None, "l")),
-        ("two-zero-act", lab((int(zero_bad[0]),) if zero_bad.size else None, "l")),
-        ("two-join-act", lab(first_hit(two_join_act, n, workers), "ltt")),
-        ("act-two-join", lab(first_hit(act_two_join, n, workers), "llt")),
-        ("two-assoc", lab(first_hit(two_assoc, n, workers), "ltt")),
+    # acted[t, a] = a . t; witnesses (a, t1, t2) run over a, then t1, then t2
+    a, t1, t2 = np.arange(n)[:, None, None], *np.indices((2, 2))
+    laws = [
+        Law("two-unit-act", hit=least(acted[1] != np.arange(n)), kinds="l"),
+        Law("two-zero-act", hit=least(acted[0] != bottom), kinds="l"),
+        Law("two-join-act", hit=least(acted[t1 | t2, a] != jl[acted[t1, a], acted[t2, a]]),
+            kinds="ltt"),
+        # entry (b, t): (a join b) . t against (a . t) join (b . t)
+        Law("act-two-join", rows(lambda a: (acted[:, jl[a]] != jl[acted[:, a, None], acted]).T),
+            n, kinds="llt"),
+        Law("two-assoc", hit=least(acted[t1 & t2, a] != acted[t2, acted[t1, a]]), kinds="ltt"),
     ]
+    label = {"l": lat.label, "t": str}
     if left is not None:
         if left.lattice.signature != lat.signature:
             raise StructureViolation("bimodule-lattice-mismatch")
-        hits.append(("bimodule-compat", lab(first_hit(compat, left.quantale.n, workers), "qlt")))
-    return make_report(subject, hits)
+        table = left.table
+
+        def compat(lo, hi):
+            # (s . a) . t = s . (a . t), scanned over t before a
+            for s in range(lo, hi):
+                for t in (0, 1):
+                    bad = np.nonzero(acted[t][table[s]] != table[s][acted[t]])[0]
+                    if bad.size:
+                        return (s, int(bad[0]), t)
+            return None
+
+        laws.append(Law("bimodule-compat", compat, left.quantale.n, kinds="qlt"))
+        label["q"] = left.quantale.label
+    return run_laws(subject, label, laws, workers)

@@ -23,7 +23,10 @@ from .lattice import (
     CheckReport,
     FiniteLattice,
     FiniteOML,
-    make_report,
+    Law,
+    least,
+    rows,
+    run_laws,
 )
 from .linmap import (
     LinMap,
@@ -32,7 +35,6 @@ from .linmap import (
     lin_values,
     vector_label,
 )
-from .scan import first_hit
 
 # Bytes per element pair of a quantale's dense tables: a bool order plus
 # int32 join and multiplication.  The reference machine has 7 GiB; hom
@@ -301,31 +303,6 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     j = q.carrier.join_tab
     n = q.n
     ar = np.arange(n)
-
-    def assoc(lo, hi):
-        for a in range(lo, hi):
-            bad = np.argwhere(m[m[a]] != m[a][m])
-            if bad.size:
-                b, c = map(int, bad[0])
-                return (a, b, c)
-        return None
-
-    def unit_left(lo, hi):
-        bad = np.nonzero(m[q.unit][lo:hi] != ar[lo:hi])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def unit_right(lo, hi):
-        bad = np.nonzero(m[lo:hi, q.unit] != ar[lo:hi])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def zero_left(lo, hi):
-        bad = np.nonzero(m[q.zero][lo:hi] != q.zero)[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def zero_right(lo, hi):
-        bad = np.nonzero(m[lo:hi, q.zero] != q.zero)[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
     irr = q.carrier.join_irreducibles()
     certify = 2 * len(irr) < n
 
@@ -337,12 +314,12 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     # below the associativity scan's memory.
     j_flat = j.ravel()
 
-    def distributes(table):
+    def distributes(name, table):
         # x * (y join z) = (x * y) join (x * z), with x * w read as
         # table[x, w] (m: left law, m.T: right law); witness (x, y, z)
         first = nonadditive_row(table, q.carrier, irr) if certify else 0
         if first is None:
-            return None
+            return Law(name)
         ys, zs = (a.astype(np.int32) for a in np.triu_indices(n, 1))
         j_yz = np.take(j_flat, ys * n + zs)
 
@@ -353,7 +330,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
                     return (x, *hit)
             return None
 
-        return scan(first, first + 1) if certify else first_hit(scan, n, workers)
+        return Law(name, hit=scan(first, first + 1)) if certify else Law(name, scan, n)
 
     def associates_on_irreducibles():
         # one |J| x |J| slice (ij)k against i(jk) per i in J
@@ -361,26 +338,22 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         ij = m[np.ix_(js, js)]
         return all(np.array_equal(m[ij[a][:, None], js], m[i][ij]) for a, i in enumerate(js))
 
-    # associativity is reported first but decided last, from the others
-    hits = {
-        "associativity": None,
-        "unit-left": first_hit(unit_left, n, workers),
-        "unit-right": first_hit(unit_right, n, workers),
-        "zero-left": first_hit(zero_left, n, workers),
-        "zero-right": first_hit(zero_right, n, workers),
-        "distributes-left": distributes(m),
-        "distributes-right": distributes(m.T),
-    }
-    bilinear = not any(hits[ax] for ax in ("zero-left", "zero-right", "distributes-left",
-                                           "distributes-right"))
-    hits["associativity"] = (
-        None if certify and bilinear and associates_on_irreducibles()
-        else first_hit(assoc, n, workers)
-    )
-    named = [
-        (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits.items()
+    laws = [
+        Law("unit-left", hit=least(m[q.unit] != ar)),
+        Law("unit-right", hit=least(m[:, q.unit] != ar)),
+        Law("zero-left", hit=least(m[q.zero] != q.zero)),
+        Law("zero-right", hit=least(m[:, q.zero] != q.zero)),
+        distributes("distributes-left", m),
+        distributes("distributes-right", m.T),
     ]
-    return make_report(subject, named)
+    # associativity is reported first but decided last, from the others;
+    # with certify the distributive laws above are decided, not scans
+    bilinear = all(law.hit is None for law in laws[2:])
+    if certify and bilinear and associates_on_irreducibles():
+        assoc = Law("associativity")
+    else:
+        assoc = Law("associativity", rows(lambda a: m[m[a]] != m[a][m]), n)
+    return run_laws(subject, q.label, [assoc, *laws], workers)
 
 
 def check_involutive(q: FinQuantale, subject="involutive", workers=1) -> CheckReport:
@@ -389,36 +362,12 @@ def check_involutive(q: FinQuantale, subject="involutive", workers=1) -> CheckRe
     s = q.dense_star()
     j = q.carrier.join_tab
     n = q.n
-    ar = np.arange(n)
-
-    def involution(lo, hi):
-        bad = np.nonzero(s[s[lo:hi]] != ar[lo:hi])[0]
-        return (lo + int(bad[0]),) if bad.size else None
-
-    def antihom(lo, hi):
+    return run_laws(subject, q.label, [
+        Law("star-involution", hit=least(s[s] != np.arange(n))),
         # star(a * b) = star(b) * star(a), witness (a, b)
-        for a in range(lo, hi):
-            bad = np.nonzero(s[m[a]] != m[s, s[a]])[0]
-            if bad.size:
-                return (a, int(bad[0]))
-        return None
-
-    def star_join(lo, hi):
+        Law("star-antihomomorphism", rows(lambda a: s[m[a]] != m[s, s[a]]), n),
         # star(a join b) = star(a) join star(b), witness (a, b)
-        for a in range(lo, hi):
-            bad = np.nonzero(s[j[a]] != j[s[a]][s])[0]
-            if bad.size:
-                return (a, int(bad[0]))
-        return None
-
-    hits = [
-        ("star-involution", first_hit(involution, n, workers)),
-        ("star-antihomomorphism", first_hit(antihom, n, workers)),
-        ("star-join", first_hit(star_join, n, workers)),
-        ("star-zero", None if s[q.zero] == q.zero else (q.zero,)),
-        ("unit-self-adjoint", None if s[q.unit] == q.unit else (q.unit,)),
-    ]
-    named = [
-        (ax, None if w is None else tuple(q.label(i) for i in w)) for ax, w in hits
-    ]
-    return make_report(subject, named)
+        Law("star-join", rows(lambda a: s[j[a]] != j[s[a]][s]), n),
+        Law("star-zero", hit=None if s[q.zero] == q.zero else (q.zero,)),
+        Law("unit-self-adjoint", hit=None if s[q.unit] == q.unit else (q.unit,)),
+    ], workers)

@@ -1,10 +1,12 @@
 """Deterministic striped scanning for the exhaustive checkers.
 
-Witness searches iterate an outer index range that may be partitioned
-across worker threads.  Every scan reports witnesses whose first component
-is the outer index, so the least witness of a chunk is below every
-witness of a later chunk, and the first hit in chunk order is the
-lexicographically smallest one regardless of the partitioning.
+lattice.run_laws calls first_hit for every law that has a row of
+witnesses per outer index; a linear law is one vector comparison and
+does not come here.  A scan iterates an outer index range that may be
+partitioned across worker threads.  Every scan reports witnesses whose
+first component is the outer index, so the least witness of a chunk is
+below every witness of a later chunk, and the first hit in chunk order is
+the lexicographically smallest one regardless of the partitioning.
 """
 
 import threading

@@ -33,16 +33,10 @@ from .foulis import (
     roundtrip_iso,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, check_oml, make_report, sasaki_table
+from .lattice import FiniteOML, Law, check_oml, make_report, rows, run_laws, sasaki_table
 from .linmap import dagger, enumerate_lin, vector_label
-from .qmodule import (
-    check_left_module,
-    check_right_two_module,
-    lin_module,
-    sasaki_module,
-)
+from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
-from .scan import first_hit
 
 SELECTORS = (
     "sasaki-facts",
@@ -88,49 +82,13 @@ def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts", workers=1):
     ortho = oml.ortho
     S = sasaki_table(oml)
     ar = np.arange(n)
-
-    def fixed_below(lo, hi):
-        for a in range(lo, hi):
-            bad = np.nonzero(leq[:, a] != (S[a] == ar))[0]
-            if bad.size:
-                return (a, int(bad[0]))
-        return None
-
-    def interior(lo, hi):
-        for a in range(lo, hi):
-            v = S[a, ortho[S[a, ortho]]]
-            bad = np.nonzero(~leq[v, ar])[0]
-            if bad.size:
-                return (a, int(bad[0]))
-        return None
-
-    def annihilates(lo, hi):
-        for a in range(lo, hi):
-            bad = np.nonzero((S[a] == oml.bottom) != leq[:, ortho[a]])[0]
-            if bad.size:
-                return (a, int(bad[0]))
-        return None
-
-    def adjoint_swap(lo, hi):
-        for a in range(lo, hi):
-            lhs = leq[S[a]][:, ortho]
-            rhs = leq[:, ortho[S[a]]]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                y, z = map(int, bad[0])
-                return (a, y, z)
-        return None
-
-    hits = [
-        ("fixed-below", first_hit(fixed_below, n, workers)),
-        ("interior", first_hit(interior, n, workers)),
-        ("annihilates", first_hit(annihilates, n, workers)),
-        ("adjoint-swap", first_hit(adjoint_swap, n, workers)),
-    ]
-    named = [
-        (ax, None if w is None else tuple(oml.label(i) for i in w)) for ax, w in hits
-    ]
-    return make_report(subject, named)
+    return run_laws(subject, oml.label, [
+        Law("fixed-below", rows(lambda a: leq[:, a] != (S[a] == ar)), n),
+        Law("interior", rows(lambda a: ~leq[S[a, ortho[S[a, ortho]]], ar]), n),
+        Law("annihilates", rows(lambda a: (S[a] == oml.bottom) != leq[:, ortho[a]]), n),
+        # entry (y, z): proj_a(y) orthogonal to z against y orthogonal to proj_a(z)
+        Law("adjoint-swap", rows(lambda a: leq[S[a]][:, ortho] != leq[:, ortho[S[a]]]), n),
+    ], workers)
 
 
 def dagger_kernel_report(
@@ -274,18 +232,7 @@ def _run_selector(sel: str, ctx: _Ctx):
     if sel == "modules":
         f, view = ctx.foulis()
         sub, _ = ctx.sub_report()
-        lm = lin_module(ctx.oml, f.base, view)
-        sm = sasaki_module(f, sub)
-        return [
-            check_left_module(lm, subject="lin-module", workers=w),
-            check_left_module(sm, subject="sasaki-module", workers=w),
-            check_right_two_module(
-                ctx.oml.lattice, left=lm, subject="two-module", workers=w
-            ),
-            check_right_two_module(
-                sub.oml.lattice, left=sm, subject="projection-two-module", workers=w
-            ),
-        ], {}
+        return module_reports(ctx.oml, f, view, sub, workers=w), {}
     if sel == "hom":
         f, _ = ctx.foulis()
         sub, _ = ctx.sub_report()

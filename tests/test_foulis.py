@@ -38,6 +38,7 @@ from omlq import (
     sasaki_oml_report,
     sasaki_projection_index,
 )
+import omlq.foulis as foulis_module
 
 from conftest import make_nilpotent_chain_quantale, make_two_chain_quantale
 
@@ -318,6 +319,31 @@ def test_roundtrip_axiom_names(b2, fq_b2):
         "bijection", "order-isomorphism", "complement-preserved",
         "meet-preserved", "join-preserved",
     }
+
+
+def test_roundtrip_reports_the_least_witness_of_a_rewired_candidate(
+        monkeypatch, b2, mo2, fq_b2, fq_mo2):
+    # A mutated quantale fails inside sasaki_oml before any round-trip law
+    # runs, so the laws are reached by sending a to the projection of
+    # perm[a] instead.
+    real = foulis_module.sasaki_projection_index
+
+    def rewired(oml, built, perm, workers):
+        idx = [real(built[1], oml, a) for a in range(oml.n)]
+        monkeypatch.setattr(foulis_module, "sasaki_projection_index",
+                            lambda view, host, a: idx[perm[a]])
+        return roundtrip_iso(oml, workers=workers, built=built).to_dict()["violations"]
+
+    for workers in (1, 2):
+        # boolean:2 with a sent where b goes: every law fails at (a, b) or a
+        assert rewired(b2, fq_b2, [0, 2, 2, 3], workers) == [
+            {"axiom": ax, "witness": w} for ax, w in (
+                ("bijection", ["a", "b"]), ("order-isomorphism", ["a", "b"]),
+                ("complement-preserved", ["a"]), ("meet-preserved", ["a", "b"]),
+                ("join-preserved", ["a", "b"]))]
+        # mo:2 with atoms a and b swapped keeps order, meets and joins
+        assert rewired(mo2, fq_mo2, [0, 3, 2, 1, 4, 5], workers) == [
+            {"axiom": "complement-preserved", "witness": ["a"]}]
 
 
 def test_projection_lattice_of_b2_has_expected_labels(fq_b2):

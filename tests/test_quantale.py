@@ -600,20 +600,20 @@ def test_associativity_certificate_needs_every_premise():
 
 def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, fq_b3, fq_mo2):
     # boolean:3 has 9 join-irreducibles of 512 elements; mo:2 has 136 of 234.
-    calls = []
-    real = quantale_module.first_hit
+    # The names of the laws handed to the runner as scans, not decided.
+    scanned = []
+    real = quantale_module.run_laws
 
-    def counting(scan, total, workers=1):
-        calls.append(scan.__name__)
-        return real(scan, total, workers)
+    def recording(subject, label, laws, workers=1):
+        laws = list(laws)
+        scanned.extend(law.name for law in laws if law.scan is not None)
+        return real(subject, label, laws, workers)
 
-    monkeypatch.setattr(quantale_module, "first_hit", counting)
+    monkeypatch.setattr(quantale_module, "run_laws", recording)
     assert check_quantale(fq_b3[0].base).passed
-    assert sorted(calls) == ["unit_left", "unit_right", "zero_left", "zero_right"]
-    calls.clear()
+    assert scanned == []
     assert check_quantale(fq_mo2[0].base).passed
-    assert sorted(calls) == ["assoc", "scan", "scan", "unit_left", "unit_right",
-                             "zero_left", "zero_right"]
+    assert sorted(scanned) == ["associativity", "distributes-left", "distributes-right"]
 
 
 # ---------------------------------------------------------------------------
