@@ -31,7 +31,7 @@ from .lattice import (
     Law,
     bool_product,
     check_oml,
-    lattice_from_leq,
+    lattice_from_order,
     least,
     make_report,
     rows,
@@ -202,13 +202,15 @@ class SasakiOML:
     """The projection image as an OML under the defined order.
 
     members are quantale indices ascending; oml is the local structure
-    with complement k -> sai(k) and top sai(0).
+    with complement k -> sai(k) and top sai(0); report is its passing
+    check_oml report.
     """
 
-    def __init__(self, host: FoulisQuantale, members, oml: FiniteOML):
+    def __init__(self, host: FoulisQuantale, members, oml: FiniteOML, report: CheckReport):
         self.host = host
         self.members = tuple(int(k) for k in members)
         self.oml = oml
+        self.report = report
         self._local = {k: i for i, k in enumerate(self.members)}
 
     def to_host(self, i: int) -> int:
@@ -256,7 +258,7 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
         i, j = map(int, np.argwhere(closure & ~order)[0])
         raise StructureViolation("projection-order-transitive", (lab(i), lab(j)))
     try:
-        lat = lattice_from_leq(local_labels, order)
+        lat = lattice_from_order(local_labels, order)
     except NotALattice as e:
         raise StructureViolation(f"projection-{e.kind}-exists", e.witness) from None
 
@@ -286,19 +288,22 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
                 raise StructureViolation("join-formula", (lab(i), lab(j)))
     if local[int(sai[sai[zero]])] != lat.bottom:
         raise StructureViolation("empty-join-formula", (lab(lat.bottom),))
-    return SasakiOML(f, members, oml)
+    return SasakiOML(f, members, oml, report)
 
 
-def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml", workers=1):
-    """Reporting wrapper: construction failures become a failing report."""
+def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml"):
+    """Reporting wrapper: construction failures become a failing report.
+
+    A built projection lattice has passed check_oml inside sasaki_oml, and
+    that report is relabelled here.
+    """
     try:
         sub = sasaki_oml(f)
     except StructureViolation as e:
         report = make_report(subject, [(e.formula, tuple(str(w) for w in e.witness))])
         return None, report
-    oml_report = check_oml(sub.oml, subject=subject, workers=workers)
-    axioms = ("construction",) + oml_report.axioms
-    return sub, CheckReport(subject, oml_report.violations, axioms)
+    axioms = ("construction",) + sub.report.axioms
+    return sub, CheckReport(subject, sub.report.violations, axioms)
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,9 @@ def rows(bad):
 class FiniteLattice:
     """Finite bounded lattice with precomputed join/meet tables.
 
-    Not constructed directly in normal use; see build_lattice and
-    lattice_from_leq.  meet_tab may be None: the table is then built from
-    the order, once, when it is first read.
+    Not constructed directly in normal use; see build_lattice,
+    lattice_from_leq and lattice_from_order.  meet_tab may be None: the
+    table is then built from the order, once, when it is first read.
     """
 
     def __init__(self, labels, leq, join_tab, meet_tab, bottom, top):
@@ -324,13 +324,30 @@ def lattice_from_leq(labels, leq) -> FiniteLattice:
         raise FormatError("order matrix shape does not match element count")
     if not leq.diagonal().all():
         raise FormatError("order relation is not reflexive")
-    bad = leq & leq.T & ~np.eye(n, dtype=bool)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NotAPoset(labels[i], labels[j])
+    _check_antisymmetric(labels, leq)
     closed = bool_product(leq, leq)
     if (closed & ~leq).any():
         raise FormatError("order relation is not transitive")
+    return lattice_from_order(labels, leq)
+
+
+def _check_antisymmetric(labels, leq):
+    bad = leq & leq.T & ~np.eye(len(labels), dtype=bool)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise NotAPoset(labels[i], labels[j])
+
+
+def lattice_from_order(labels, leq) -> FiniteLattice:
+    """Build a lattice from a bool order matrix already known to be a
+    partial order: square, reflexive, antisymmetric and transitive.
+
+    For callers that have just established transitivity themselves, which
+    costs a boolean matrix product; lattice_from_leq checks it first.
+    Raises NotALattice when some pair has no join or meet, or the order has
+    no single bottom or top.
+    """
+    n = len(labels)
     join_tab, meet_tab = _order_tables(labels, leq)
     bottoms = [i for i in range(n) if leq[i].all()]
     tops = [i for i in range(n) if leq[:, i].all()]
@@ -360,12 +377,14 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
         if x not in idx or y not in idx:
             raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements")
         leq[idx[x], idx[y]] = True
+    # the loop ends on a product that adds nothing: leq is transitive
     while True:
         closed = leq | bool_product(leq, leq)
         if (closed == leq).all():
             break
         leq = closed
-    return lattice_from_leq(labels, leq)
+    _check_antisymmetric(labels, leq)
+    return lattice_from_order(labels, leq)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,12 @@ The central instance is the endomorphism quantale of an OML: all
 join-preserving endomaps under pointwise order, with composition as
 multiplication and the adjoint as the involution.  Carrier joins of maps
 are pointwise.  Carrier meets are not tabled: no law reads them, and the
-lattice derives its meet table from the order if one is asked for.
+lattice derives its meet table from the order if one is asked for.  Such
+a quantale keeps its elements' maps as its representation phi, and
+check_quantale decides associativity and both distributive laws through
+it: composition is associative, and composites and pointwise joins of
+join-preserving maps distribute.  Quantales from other sources carry no
+phi and are decided from their tables alone.
 
 The defined relations
 
@@ -15,6 +20,8 @@ live on the quantale and are distinct from the carrier order.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from .lattice import (
     run_laws,
 )
 from .linmap import (
+    BRUTEFORCE_LIMIT,
     LinMap,
     bottom_map,
     identity_map,
@@ -50,15 +58,19 @@ _PAIR_CHUNK = 1 << 15
 class FinQuantale:
     """Carrier lattice plus dense multiplication and involution tables.
 
-    The zero element is the carrier bottom (the empty join).
+    The zero element is the carrier bottom (the empty join).  phi, when
+    given, is a representation (host, values) on a host OML X: row a of
+    values is the value table of a map phi(a) on X.  check_quantale tries
+    it as a certificate; only lin_quantale sets it.
     """
 
-    def __init__(self, carrier: FiniteLattice, mult, star, unit: int):
+    def __init__(self, carrier: FiniteLattice, mult, star, unit: int, phi=None):
         self.carrier = carrier
         self._mult = mult
         self._star = star
         self.unit = int(unit)
         self.zero = carrier.bottom
+        self.phi = phi
 
     @property
     def n(self) -> int:
@@ -159,7 +171,8 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     X at once, looked up by its code on J and confirmed on its full value
     row.  A code with no map, or an adjoint that differs from the map its
     code names, raises FormatError.  The carrier keeps no meet table
-    (FiniteLattice builds one from the order if it is read).  Raises
+    (FiniteLattice builds one from the order if it is read).  The quantale
+    carries phi = (oml, values), each element as its map.  Raises
     TableTooLarge, before any table is allocated, when the dense tables
     would exceed TABLE_BYTE_LIMIT.
     """
@@ -211,7 +224,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     if bad.size:
         raise FormatError(f"the adjoint of {labels[int(bad[0])]} is not enumerated")
     star.setflags(write=False)
-    return FinQuantale(carrier, mult, star, unit), view
+    return FinQuantale(carrier, mult, star, unit, phi=(oml, values)), view
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +271,63 @@ def _row_witness(act, j_flat, ys, zs, j_yz):
     return None
 
 
+def represents(q: FinQuantale) -> bool:
+    """Whether q.phi is a certificate in the sense of (c) in check_quantale.
+
+    (i) is read as a zero column, the row test of nonadditive_row on the
+    host, and distinct codes of the rows on J(X): base-|X| numbers, as in
+    lin_quantale.  The codes of every phi it builds stay within the
+    enumeration limit BRUTEFORCE_LIMIT; a larger host declines.  (ii) and
+    (iii) compare codes.  The code that phi(a) o phi(b), or phi(a) v
+    phi(b), takes is found digit by digit: the digits split into two
+    halves, and for each half a table over all half codes, built per row
+    a, is indexed by that half of the code of every b.  Rows a go in
+    blocks of about _PAIR_CHUNK cells.
+    """
+    host, values = q.phi
+    x = host.lattice
+    k = q.n
+    irr = x.join_irreducibles()
+    if (values.shape != (k, x.n) or values.min(initial=0) < 0 or values.max(initial=0) >= x.n
+            or x.n ** len(irr) > BRUTEFORCE_LIMIT):
+        return False
+    if (values[:, x.bottom] != x.bottom).any() or nonadditive_row(values, x, irr) is not None:
+        return False
+    cut = (len(irr) + 1) // 2
+    halves = [values[:, irr[:cut]], values[:, irr[cut:]]]
+    weights = [x.n ** np.arange(h.shape[1] - 1, -1, -1, dtype=np.int32) for h in halves]
+    # the digits of every half code, in code order
+    digits = [np.array(list(itertools.product(range(x.n), repeat=len(w))), dtype=np.intp)
+              for w in weights]
+    part = [h @ w for h, w in zip(halves, weights)]
+    shift = x.n ** (len(irr) - cut)
+    code = part[0] * shift + part[1]
+    if len(set(code.tolist())) < k:
+        return False
+    m, j, jx = q.dense_mult(), q.carrier.join_tab, x.join_tab
+
+    def mapped(tables):
+        # tables[i][r, c]: the code of half i that row r maps half code c
+        # to; entry (r, b) is the code that row r maps the code of b to
+        out = tables[0][:, part[0]]
+        out *= shift
+        out += tables[1][:, part[1]]
+        return out
+
+    step = max(1, _PAIR_CHUNK // k)
+    for lo in range(0, k, step):
+        a = slice(lo, lo + step)
+        # phi(a) applied to each digit of b, against phi(a * b); each digit
+        # of a joined with that of b, against phi(a v b)
+        applied = mapped([values[a][:, d] @ w for d, w in zip(digits, weights)])
+        if not np.array_equal(code[m[a]], applied):
+            return False
+        joined = mapped([jx[h[a][:, None, :], d] @ w for h, d, w in zip(halves, digits, weights)])
+        if not np.array_equal(code[j[a]], joined):
+            return False
+    return True
+
+
 def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport:
     """Associativity, unit, zero annihilation, and join distributivity.
 
@@ -291,18 +361,49 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         argument, so (ab)c is the join of (ij)k over i in J(a), j in J(b),
         k in J(c), and a(bc) is the join of i(jk) over the same triples;
         the two joins agree term by term.
+    (c) A representation q.phi maps each a to a map phi(a) on a host
+        lattice X with join-irreducibles J(X).  It certifies associativity
+        and both distributive laws when
+        (i) every phi(a) preserves joins, phi(a)(0) = 0 included, and no
+            two of them agree on J(X);
+        (ii) phi(a * b)(i) = phi(a)(phi(b)(i)) for all a, b and i in J(X);
+        (iii) phi(a v b)(i) = phi(a)(i) v phi(b)(i) for all a, b and i in
+            J(X), with v on the left the carrier join.
+        Two join-preserving maps that agree on J(X) are equal, as each x is
+        the join of J(x) and both send the empty join to 0.  Composites
+        and pointwise joins of join-preserving maps preserve joins, so
+        (ii) and (iii) hold on all of X, and by (i) phi is injective.
+        Then phi((ab)c) = phi(a) o phi(b) o phi(c) = phi(a(bc)) gives
+        associativity.  phi(a(b v c)) = phi(a) o (phi(b) v phi(c)) =
+        phi(ab) v phi(ac) = phi(ab v ac), as phi(a) preserves binary
+        joins, gives left distributivity, and phi((b v c)a) = phi(ba) v
+        phi(ca) = phi(ba v ca), as the join is pointwise, gives right
+        distributivity.  The binary half of (i) is the test of (a), applied
+        to the rows of phi on X.
 
-    The row test of (a) reads at most |J| n pairs per row against the
-    n (n - 1) / 2 of the scan, so it replaces the scan when 2 |J| < n; (b)
-    then costs |J|^3.  Otherwise every row is scanned in parallel chunks.
-    The certificate of (b) only ever certifies a pass: when it fails,
-    associativity runs the exhaustive scan, which reports the least
+    (c) is tried first when q.phi is present; it reads each cell of the
+    multiplication and join tables once, and the unit and zero laws keep
+    their vector comparisons.  Otherwise, or
+    when (c) fails, the row test of (a) reads at most |J| n pairs per row
+    against the n (n - 1) / 2 of the scan, so it replaces the scan when
+    2 |J| < n; (b) then costs |J|^3.  Otherwise every row is scanned in
+    parallel chunks.  The certificates only ever certify a pass: when (b)
+    fails, associativity runs the exhaustive scan, which reports the least
     witness.
     """
     m = q.dense_mult()
-    j = q.carrier.join_tab
     n = q.n
     ar = np.arange(n)
+    linear = [
+        Law("unit-left", hit=least(m[q.unit] != ar)),
+        Law("unit-right", hit=least(m[:, q.unit] != ar)),
+        Law("zero-left", hit=least(m[q.zero] != q.zero)),
+        Law("zero-right", hit=least(m[:, q.zero] != q.zero)),
+    ]
+    if q.phi is not None and represents(q):
+        laws = [Law("associativity"), *linear, Law("distributes-left"), Law("distributes-right")]
+        return run_laws(subject, q.label, laws, workers)
+    j = q.carrier.join_tab
     irr = q.carrier.join_irreducibles()
     certify = 2 * len(irr) < n
 
@@ -339,10 +440,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         return all(np.array_equal(m[ij[a][:, None], js], m[i][ij]) for a, i in enumerate(js))
 
     laws = [
-        Law("unit-left", hit=least(m[q.unit] != ar)),
-        Law("unit-right", hit=least(m[:, q.unit] != ar)),
-        Law("zero-left", hit=least(m[q.zero] != q.zero)),
-        Law("zero-right", hit=least(m[:, q.zero] != q.zero)),
+        *linear,
         distributes("distributes-left", m),
         distributes("distributes-right", m.T),
     ]

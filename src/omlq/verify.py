@@ -201,7 +201,7 @@ class _Ctx:
     def sub_report(self):
         if "sub" not in self._built:
             f, _ = self.foulis()
-            self._built["sub"] = sasaki_oml_report(f, workers=self.workers)
+            self._built["sub"] = sasaki_oml_report(f)
         return self._built["sub"]
 
 

@@ -189,6 +189,22 @@ def test_projection_lattice_is_an_oml(fq_b1, fq_b2, fq_b3, fq_mo2):
         assert report.passed, str(report)
 
 
+def test_projection_lattice_is_checked_once_per_report(monkeypatch, fq_b3):
+    # sasaki_oml checks the OML laws while building; the report reuses it.
+    subjects = []
+    real = foulis_module.check_oml
+
+    def counting(*args, **kwargs):
+        subjects.append(kwargs.get("subject"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(foulis_module, "check_oml", counting)
+    _, report = sasaki_oml_report(fq_b3[0])
+    assert subjects == ["projection-lattice"]
+    assert report.subject == "sasaki-oml" and report.passed
+    assert report.axioms == ("construction", "involution", "antitone", "complement", "orthomodular")
+
+
 def test_projection_lattice_complement_is_projection_table(fq_mo2):
     f, _ = fq_mo2
     sub = sasaki_oml(f)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from omlq import (
     CapExceeded,
     FinQuantale,
+    FiniteLattice,
     FormatError,
     NotALattice,
     TableTooLarge,
@@ -598,9 +599,15 @@ def test_associativity_certificate_needs_every_premise():
             assert check_quantale(q, workers=workers).to_dict() == want
 
 
+def without_phi(q):
+    return FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit)
+
+
 def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, fq_b3, fq_mo2):
     # boolean:3 has 9 join-irreducibles of 512 elements; mo:2 has 136 of 234.
-    # The names of the laws handed to the runner as scans, not decided.
+    # The names of the laws handed to the runner as scans, not decided; the
+    # copies without phi take the join-irreducible certificates or the scans,
+    # the Lin quantales themselves the representation certificate.
     scanned = []
     real = quantale_module.run_laws
 
@@ -610,10 +617,121 @@ def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, 
         return real(subject, label, laws, workers)
 
     monkeypatch.setattr(quantale_module, "run_laws", recording)
-    assert check_quantale(fq_b3[0].base).passed
+    assert check_quantale(without_phi(fq_b3[0].base)).passed
     assert scanned == []
-    assert check_quantale(fq_mo2[0].base).passed
+    assert check_quantale(without_phi(fq_mo2[0].base)).passed
     assert sorted(scanned) == ["associativity", "distributes-left", "distributes-right"]
+    scanned.clear()
+    for q in (fq_b3[0].base, fq_mo2[0].base):
+        assert q.phi is not None
+        assert check_quantale(q).passed
+    assert scanned == []
+
+
+# ---------------------------------------------------------------------------
+# The representation certificate of the Lin quantales.
+# ---------------------------------------------------------------------------
+
+
+def test_lin_quantale_carries_its_maps_as_phi(fq_b1, fq_b2, fq_b3, fq_mo2, b2):
+    for f, view in (fq_b1, fq_b2, fq_b3, fq_mo2):
+        assert f.base.phi[1] is view.values
+        assert quantale_module.represents(f.base)
+    assert fq_b2[0].base.phi[0] is b2
+
+
+def draw_phi_mutant(data, q):
+    """One to three overwritten cells of mult, of the carrier join table
+    (a new FiniteLattice over the mutated table) or of phi's values."""
+    host, values = q.phi
+    mult, join, values = q.dense_mult().copy(), q.carrier.join_tab.copy(), values.copy()
+    kind = data.draw(st.sampled_from(["mult", "join", "phi"]))
+    table, size = {"mult": (mult, q.n), "join": (join, q.n), "phi": (values, host.n)}[kind]
+    for _ in range(data.draw(st.integers(1, 3))):
+        a = data.draw(st.integers(0, table.shape[0] - 1))
+        b = data.draw(st.integers(0, table.shape[1] - 1))
+        old = int(table[a, b])
+        table[a, b] = data.draw(st.integers(0, size - 1).filter(lambda v: v != old))
+    c = q.carrier
+    if kind == "join":
+        c = FiniteLattice(c.labels, c.leq_mat, join, None, c.bottom, c.top)
+    return kind, FinQuantale(c, mult, q.dense_star(), q.unit, phi=(host, values))
+
+
+def check_phi_mutant(kind, mutant):
+    # A mutated join table is no lattice join, and the certificates and
+    # half scans of the path without phi assume one, so there the
+    # reference is that path; mult and phi mutants keep a lattice carrier.
+    if kind == "join":
+        want = check_quantale(without_phi(mutant)).to_dict()
+    else:
+        want = check_quantale_reference(mutant).to_dict()
+    for workers in (1, 2):
+        assert check_quantale(mutant, workers=workers).to_dict() == want
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_phi_certificate_matches_reference_on_mutants(fq_b1, fq_b2, fq_mo2, data):
+    q = data.draw(st.sampled_from([fq_b1[0].base, fq_b2[0].base, fq_mo2[0].base]))
+    check_phi_mutant(*draw_phi_mutant(data, q))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_phi_certificate_matches_reference_on_boolean3_mutants(fq_b3, data):
+    check_phi_mutant(*draw_phi_mutant(data, fq_b3[0].base))
+
+
+def reread_from_phi(q, values):
+    """q with phi's values replaced and every product a * b re-read as the
+    element whose values on J(X) are those of phi(a) o phi(b); a product
+    that names no element keeps its cell.  (ii) and (iii) then hold by
+    construction, so only (i) can fail the certificate."""
+    host = q.phi[0]
+    irr = host.lattice.join_irreducibles()
+    base = host.n ** np.arange(len(irr))
+    by_code = {int(c): a for a, c in enumerate(values[:, irr] @ base)}
+    mult = q.dense_mult().copy()
+    for (a, b), c in np.ndenumerate(np.take(values, values[:, irr], axis=1) @ base):
+        mult[a, b] = by_code.get(int(c), mult[a, b])
+    return FinQuantale(q.carrier, mult, q.dense_star(), q.unit, phi=(host, values))
+
+
+def test_phi_certificate_needs_join_preserving_rows(fq_b2):
+    # Every one-cell change of phi off J(X) on Lin(boolean:2), at 0 or at
+    # the top: a raised phi(a)(0) that stays below phi(a) on J(X) keeps the
+    # binary joins, any other change breaks them.  Some of the re-read
+    # multiplications break associativity or distributivity.
+    q = fq_b2[0].base
+    host, values = q.phi
+    irr = host.lattice.join_irreducibles()
+    cubic = ("associativity", "distributes-left", "distributes-right")
+    failing = 0
+    for a in range(q.n):
+        for x in set(range(host.n)) - set(irr):
+            for v in set(range(host.n)) - {int(values[a, x])}:
+                changed = values.copy()
+                changed[a, x] = v
+                mutant = reread_from_phi(q, changed)
+                want = check_quantale_reference(mutant).to_dict()
+                failing += any(not want["axioms"][law]["passed"] for law in cubic)
+                for workers in (1, 2):
+                    assert check_quantale(mutant, workers=workers).to_dict() == want
+    assert failing > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_phi_certificate_needs_distinct_rows(fq_b2, fq_mo2, data):
+    # Every row of phi the zero map: (i) holds but for distinctness, and
+    # (ii) and (iii) hold for any tables.
+    q = data.draw(st.sampled_from([fq_b2[0].base, fq_mo2[0].base]))
+    host, values = q.phi
+    mutant = draw_mutant(data, q)
+    collapsed = np.repeat(values[q.zero][None], q.n, axis=0)
+    check_phi_mutant("mult", FinQuantale(q.carrier, mutant.dense_mult(), q.dense_star(), q.unit,
+                                         phi=(host, collapsed)))
 
 
 # ---------------------------------------------------------------------------
