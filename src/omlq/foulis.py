@@ -399,17 +399,18 @@ def roundtrip_iso(
     workers: int = 1,
     subject="roundtrip",
     built=None,
+    sub: SasakiOML | None = None,
 ) -> CheckReport:
     """a -> Sasaki projection at a, as an isomorphism onto the projection
     lattice of the endomorphism quantale.
 
-    built, when given, is a prebuilt (FoulisQuantale, QElementView) pair
-    for this lattice, saving a re-enumeration.
+    built and sub, when given, are a prebuilt (FoulisQuantale,
+    QElementView) pair for this lattice and its projection lattice.
     """
     if built is None:
         built = foulis_from_lin(oml, cap=cap, workers=workers)
     f, view = built
-    sub = sasaki_oml(f)
+    sub = sasaki_oml(f) if sub is None else sub
     n = oml.n
     cand = np.array([sub.from_host(sasaki_projection_index(view, oml, a)) for a in range(n)])
     seen = {}

@@ -388,6 +388,49 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
 
 
 # ---------------------------------------------------------------------------
+# join preservation
+
+_JOIN_CELLS = 1 << 15  # table cells one slice of breaks_joins gathers
+
+
+def join_pairs(lat: FiniteLattice, irr=None):
+    """The pairs (y, k) of the join test on lat, as int32 arrays ys, ks and
+    yk, the index of each y v k.
+
+    k runs over the join-irreducibles irr (by default those of lat) and y
+    over the elements with k not below y: by the lemma of check_quantale
+    part (a), a map t preserves binary joins exactly when t[y v k] =
+    t[y] v t[k] for all of them.  Of two incomparable join-irreducibles
+    only (y, k) with y < k is kept, as (k, y) states the same equation.
+    """
+    js = np.asarray(lat.join_irreducibles() if irr is None else irr, dtype=np.int32)
+    leq = lat.leq_mat
+    ys, cols = np.nonzero(~leq[js].T)  # entry (y, c): irr[c] not below y
+    ks = js[cols]
+    twin = np.isin(ys, js) & ~leq[ys, ks] & (ys > ks)
+    ys, ks = ys[~twin].astype(np.int32), ks[~twin]
+    return ys, ks, lat.join_tab[ys, ks].astype(np.int32)
+
+
+def breaks_joins(tables, pairs, cod: FiniteLattice) -> np.ndarray:
+    """Per row of tables, the value table of a map into cod: whether
+    t[y v k] = t[y] v t[k] fails at one of pairs, join_pairs of the maps'
+    domain.  The tables are read transposed, one contiguous row per
+    element, in slices of at most _JOIN_CELLS cells: one pair at a time
+    when there are more maps than that."""
+    ys, ks, yk = pairs
+    cols = np.ascontiguousarray(np.asarray(tables).T)  # entry (x, f): f at x
+    j_flat, m = cod.join_tab.ravel(), cod.n
+    bad = np.zeros(cols.shape[1], dtype=bool)
+    step = max(1, _JOIN_CELLS // max(1, cols.shape[1]))
+    for lo in range(0, len(ys), step):
+        s = slice(lo, lo + step)
+        joined = np.take(j_flat, np.take(cols, ys[s], axis=0) * m + np.take(cols, ks[s], axis=0))
+        bad |= (np.take(cols, yk[s], axis=0) != joined).any(axis=0)
+    return bad
+
+
+# ---------------------------------------------------------------------------
 # orthomodular lattices
 
 class FiniteOML:

@@ -24,13 +24,16 @@ from .lattice import (
     FiniteOML,
     Law,
     SubOML,
+    breaks_joins,
     downset_oml,
+    join_pairs,
     rows,
     run_laws,
     sasaki_apply,
 )
 
 DEFAULT_CAP = 100000
+# Desk scale: the most assignments of lin_values and codes of quantale.represents.
 BRUTEFORCE_LIMIT = 10_000_000
 _CHUNK = 1 << 16
 
@@ -104,16 +107,10 @@ def bottom_map(dom: FiniteOML, cod: FiniteOML | None = None) -> LinMap:
 
 
 def is_linear(f: LinMap) -> bool:
-    """Bottom preservation plus binary join preservation, all pairs."""
+    """Bottom preservation plus the binary join test of join_pairs."""
     dom, cod, v = f.dom, f.cod, f.values
-    if v[dom.bottom] != cod.bottom:
-        return False
-    jd, jc = dom.lattice.join_tab, cod.lattice.join_tab
-    for x in range(dom.n):
-        for y in range(dom.n):
-            if v[jd[x, y]] != jc[v[x], v[y]]:
-                return False
-    return True
+    return v[dom.bottom] == cod.bottom and not breaks_joins([v], join_pairs(dom.lattice),
+                                                             cod.lattice)[0]
 
 
 def make_map(dom: FiniteOML, cod: FiniteOML, values) -> LinMap:
@@ -166,35 +163,15 @@ def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1)
 # enumeration
 
 def _decode(codes: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Mixed-radix decode; first element is the most significant digit,
-    so numeric code order is lexicographic value-vector order."""
-    out = np.empty((len(codes), n), dtype=np.int32)
+    """Mixed-radix decode into one row per digit, a column per code; the
+    first digit is the most significant, so numeric code order is
+    lexicographic value-vector order."""
+    out = np.empty((n, len(codes)), dtype=np.int32)
     rest = codes.copy()
     for x in range(n - 1, -1, -1):
-        out[:, x] = rest % m
+        out[x] = rest % m
         rest //= m
     return out
-
-
-def _linear_mask(dom: FiniteOML, cod: FiniteOML, tables: np.ndarray) -> np.ndarray:
-    """Rows that preserve bottom and binary joins.
-
-    Pairs involving the bottom and the diagonal are implied once the bottom
-    is preserved, and the condition is symmetric, so only x < y pairs away
-    from bottom are scanned.
-    """
-    jd, jc = dom.lattice.join_tab, cod.lattice.join_tab
-    ok = tables[:, dom.bottom] == cod.bottom
-    for x in range(dom.n):
-        if x == dom.bottom:
-            continue
-        for y in range(x + 1, dom.n):
-            if y == dom.bottom:
-                continue
-            np.logical_and(
-                ok, jc[tables[:, x], tables[:, y]] == tables[:, jd[x, y]], out=ok
-            )
-    return ok
 
 
 def _chunked_codes(total: int, workers: int, work):
@@ -204,80 +181,49 @@ def _chunked_codes(total: int, workers: int, work):
             parts = list(pool.map(lambda b: work(*b), bounds))
     else:
         parts = [work(*b) for b in bounds]
-    return np.concatenate(parts) if parts else np.empty((0, 0), dtype=np.int32)
-
-
-def _bruteforce_values(dom, cod, workers):
-    n, m = dom.n, cod.n
-
-    def work(lo, hi):
-        tables = _decode(np.arange(lo, hi, dtype=np.int64), n, m)
-        return tables[_linear_mask(dom, cod, tables)]
-
-    return _chunked_codes(m**n, workers, work)
-
-
-def _irreducible_values(dom, cod, cap, workers):
-    """Generate from join-irreducible assignments, then prune.
-
-    A table extends an assignment g by sending x to the join of g over the
-    irreducibles below x.  Extensions that do not restrict back to g would
-    duplicate the extension of their own restriction and are dropped.
-    """
-    irr = dom.lattice.join_irreducibles()
-    n, m, r = dom.n, cod.n, len(irr)
-    if m**r > BRUTEFORCE_LIMIT:
-        raise CapExceeded(cap, f"{m}^{r} generator assignments is beyond desk scale")
-    below = [[t for t, j in enumerate(irr) if dom.le(j, x)] for x in range(n)]
-    jc = cod.lattice.join_tab
-
-    def work(lo, hi):
-        g = _decode(np.arange(lo, hi, dtype=np.int64), r, m)
-        full = np.empty((len(g), n), dtype=np.int32)
-        for x in range(n):
-            acc = np.full(len(g), cod.bottom, dtype=np.int32)
-            for t in below[x]:
-                acc = jc[acc, g[:, t]]
-            full[:, x] = acc
-        keep = np.ones(len(g), dtype=bool)
-        for t, j in enumerate(irr):
-            keep &= full[:, j] == g[:, t]
-        full = full[keep]
-        return full[_linear_mask(dom, cod, full)]
-
-    found = _chunked_codes(m**r, workers, work)
-    if len(found):
-        found = found[np.lexsort(found.T[::-1])]
-    return found
+    return np.concatenate(parts)
 
 
 def lin_values(
     dom: FiniteOML,
     cod: FiniteOML | None = None,
     cap: int | None = None,
-    strategy: str = "auto",
     workers: int = 1,
 ) -> np.ndarray:
     """Value tables of all join-preserving maps dom -> cod, one sorted row
     per map.
 
-    Brute force over every value table when the table space is small
-    enough, generation from join-irreducible assignments otherwise.  Raises
-    CapExceeded rather than returning a truncated array.
+    Each assignment g of values to the join-irreducibles J of dom extends
+    to the table x -> join of g over J(x).  Extensions that do not restrict
+    back to g duplicate that of their restriction; the others that pass the
+    join test of join_pairs are the join-preserving maps, each once.
+    Raises CapExceeded, rather than returning a truncated array, beyond
+    BRUTEFORCE_LIMIT assignments or cap maps.
     """
     cod = dom if cod is None else cod
     if cap is None:
         cap = default_cap()
-    if strategy == "auto":
-        strategy = "bruteforce" if cod.n**dom.n <= BRUTEFORCE_LIMIT else "irreducible"
-    if strategy == "bruteforce":
-        if cod.n**dom.n > BRUTEFORCE_LIMIT:
-            raise CapExceeded(cap, f"{cod.n}^{dom.n} value tables is beyond desk scale")
-        values = _bruteforce_values(dom, cod, workers)
-    elif strategy == "irreducible":
-        values = _irreducible_values(dom, cod, cap, workers)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    irr = dom.lattice.join_irreducibles()
+    n, m, r = dom.n, cod.n, len(irr)
+    if m**r > BRUTEFORCE_LIMIT:
+        raise CapExceeded(cap, f"{m}^{r} generator assignments is beyond desk scale")
+    above = [np.flatnonzero(dom.lattice.leq_mat[j]) for j in irr]
+    jc = cod.lattice.join_tab
+    pairs = join_pairs(dom.lattice, irr)
+
+    def work(lo, hi):
+        g = _decode(np.arange(lo, hi, dtype=np.int64), r, m)
+        ext = np.full((n, hi - lo), cod.bottom, dtype=np.int32)  # entry (x, c): extension c at x
+        for t in range(r):
+            for x in above[t]:
+                ext[x] = jc[ext[x], g[t]]
+        keep = ~breaks_joins(ext.T, pairs, cod.lattice)  # before any copy, for peak memory
+        for t, j in enumerate(irr):
+            keep &= ext[j] == g[t]
+        return ext[:, keep].T
+
+    values = _chunked_codes(m**r, workers, work)
+    values = values[np.lexsort(values.T[::-1])]
     if len(values) > cap:
         raise CapExceeded(cap, f"{len(values)} join-preserving maps")
     return values
@@ -287,13 +233,12 @@ def enumerate_lin(
     dom: FiniteOML,
     cod: FiniteOML | None = None,
     cap: int | None = None,
-    strategy: str = "auto",
     workers: int = 1,
 ) -> list[LinMap]:
     """All join-preserving maps dom -> cod, sorted by value vector; the
     rows of lin_values as maps."""
     cod = dom if cod is None else cod
-    values = lin_values(dom, cod, cap=cap, strategy=strategy, workers=workers)
+    values = lin_values(dom, cod, cap=cap, workers=workers)
     return [LinMap(dom, cod, row) for row in values.tolist()]
 
 

@@ -132,8 +132,10 @@ def check_right_two_module(
     """The canonical right action of the two-element quantale.
 
     a . 1 = a and a . 0 = bottom; multiplication on {0, 1} is meet and the
-    unit is 1.  When a left action on the same lattice is supplied, the
-    two actions must commute: (s . a) . t = s . (a . t).
+    unit is 1.  The action table is built from these two rules, so
+    two-unit-act, two-zero-act and two-assoc hold by construction; they
+    stay listed, which keeps the payload.  When a left action on the same
+    lattice is supplied, the two actions must commute: (s . a) . t = s . (a . t).
     """
     n = lat.n
     bottom = lat.bottom

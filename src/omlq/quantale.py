@@ -31,6 +31,8 @@ from .lattice import (
     FiniteLattice,
     FiniteOML,
     Law,
+    breaks_joins,
+    join_pairs,
     least,
     rows,
     run_laws,
@@ -234,24 +236,14 @@ def nonadditive_row(table, lat: FiniteLattice, irr) -> int | None:
     """Least x whose row w -> table[x, w] does not preserve the binary
     joins of lat, or None.
 
-    irr lists the join-irreducibles of lat.  By the lemma in check_quantale
-    a row preserves binary joins exactly when table[x, y v i] =
-    table[x, y] v table[x, i] for every y and every i in irr not below y;
-    those pairs are read for blocks of rows at once, as int32 gathers from
-    the flat join table.
+    irr lists the join-irreducibles of lat.  Rows get the join test of
+    join_pairs in blocks of about _PAIR_CHUNK cells, up to the first block
+    with a failing row.
     """
-    n = lat.n
-    j_flat = lat.join_tab.ravel()
-    js = np.asarray(irr, dtype=np.int32)
-    ys, cols = np.nonzero(~lat.leq_mat[js].T)  # entry (y, c): irr[c] not below y
-    ys = ys.astype(np.int32)
-    ks = js[cols]
-    j_yk = np.take(j_flat, ys * n + ks)
-    rows = max(1, _PAIR_CHUNK // max(1, len(ys)))
-    for lo in range(0, table.shape[0], rows):
-        t = np.ascontiguousarray(table[lo : lo + rows])
-        joined = np.take(j_flat, np.take(t, ys, axis=1) * n + np.take(t, ks, axis=1))
-        bad = (np.take(t, j_yk, axis=1) != joined).any(axis=1)
+    pairs = join_pairs(lat, irr)
+    step = max(1, _PAIR_CHUNK // max(1, len(pairs[0])))
+    for lo in range(0, table.shape[0], step):
+        bad = breaks_joins(table[lo : lo + step], pairs, lat)
         if bad.any():
             return lo + int(bad.argmax())
     return None

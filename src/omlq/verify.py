@@ -34,7 +34,7 @@ from .foulis import (
     sasaki_oml_report,
 )
 from .lattice import FiniteOML, Law, check_oml, make_report, rows, run_laws, sasaki_table
-from .linmap import dagger, enumerate_lin, vector_label
+from .linmap import LinMap, dagger, lin_values, vector_label
 from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
 
@@ -111,17 +111,20 @@ def dagger_kernel_report(
     itself, so the checks run once on the least map of each class, in
     ascending order, and report the witnesses of a scan over every map.
     In an OML D_f = Z_f; keying on both keeps this exact for any tables.
+
+    maps, when given, are checked in place of the enumeration.
     """
     from .linmap import _sasaki_split, compose, identity_map
 
     if maps is None:
-        maps = enumerate_lin(oml, cap=cap, workers=workers)
-    values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
+        values = lin_values(oml, cap=cap, workers=workers)
+    else:
+        values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
     leq = oml.lattice.leq_mat
     S = sasaki_table(oml)
 
     def per_map(fi):
-        f = maps[fi]
+        f = LinMap(oml, oml, values[fi].tolist())
         fstar = dagger(f)
         k = oml.orthoc(fstar.values[oml.top])
         sub, coembed, embed = _sasaki_split(oml, k)
@@ -150,7 +153,7 @@ def dagger_kernel_report(
             if bad.size:
                 issues["weak-kernel"] = (
                     vector_label(f),
-                    vector_label(maps[int(ann[bad[0]])]),
+                    vector_label(LinMap(oml, oml, values[ann[bad[0]]].tolist())),
                 )
         return issues
 
@@ -184,13 +187,6 @@ class _Ctx:
         self.workers = workers
         self._built = {}
 
-    def maps(self):
-        if "maps" not in self._built:
-            self._built["maps"] = enumerate_lin(
-                self.oml, cap=self.cap, workers=self.workers
-            )
-        return self._built["maps"]
-
     def foulis(self):
         if "foulis" not in self._built:
             self._built["foulis"] = foulis_from_lin(
@@ -211,9 +207,7 @@ def _run_selector(sel: str, ctx: _Ctx):
     if sel == "sasaki-facts":
         return [sasaki_facts_report(ctx.oml, workers=w)], {}
     if sel == "dagger-kernel":
-        return [
-            dagger_kernel_report(ctx.oml, cap=ctx.cap, workers=w, maps=ctx.maps())
-        ], {}
+        return [dagger_kernel_report(ctx.oml, cap=ctx.cap, workers=w)], {}
     if sel == "quantale":
         f, _ = ctx.foulis()
         return [check_quantale(f.base, workers=w)], {}
@@ -239,9 +233,8 @@ def _run_selector(sel: str, ctx: _Ctx):
         h = hom_h(f, cap=ctx.cap, workers=w, sub=sub)
         return [check_hom(h, workers=w)], {"injective": h.injective}
     if sel == "roundtrip":
-        return [
-            roundtrip_iso(ctx.oml, cap=ctx.cap, workers=w, built=ctx.foulis())
-        ], {}
+        sub, _ = ctx.sub_report()
+        return [roundtrip_iso(ctx.oml, cap=ctx.cap, workers=w, built=ctx.foulis(), sub=sub)], {}
     raise ValueError(f"unknown selector {sel!r}")
 
 

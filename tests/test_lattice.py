@@ -6,6 +6,8 @@ order, join, meet, and orthocomplement tables are frozen by hand and the
 code's tables are compared against them entry by entry.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from omlq import (
     CheckReport,
     FiniteOML,
     FormatError,
+    LinMap,
     NotALattice,
     NotAPoset,
     SubOML,
@@ -23,11 +26,13 @@ from omlq import (
     catalog_names,
     check_oml,
     downset_oml,
+    is_linear,
     lattice_from_leq,
     ortho_pair,
     sasaki_apply,
 )
-from omlq.lattice import bool_product
+from omlq import lattice as lattice_module
+from omlq.lattice import bool_product, breaks_joins, join_pairs
 
 # ---------------------------------------------------------------------------
 # Hand-frozen tables for the four-element Boolean algebra {0, a, b, 1}.
@@ -364,3 +369,88 @@ def test_bool_product_matches_numpy_bool_matmul(rows, inner, cols, density, seed
     got = bool_product(a, b)
     assert got.dtype == bool
     assert np.array_equal(got, a @ b)
+
+
+# ---------------------------------------------------------------------------
+# The join test shared by the enumerator, is_linear and the row test.
+# ---------------------------------------------------------------------------
+
+
+def join_test_hosts():
+    """Benzene, a 4-chain, N5 and 2x3, whose join-irreducibles are
+    comparable, plus boolean:2 and mo:2.  The chain and 2x3 list their
+    labels against the order, so index order is no linear extension."""
+    chain = build_lattice(list("1ba0"), [["0", "a"], ["a", "b"], ["b", "1"]])
+    n5 = build_lattice(list("0abc1"), [["0", "a"], ["a", "b"], ["b", "1"],
+                                       ["0", "c"], ["c", "1"]])
+    cells = [(i, j) for i in (1, 0) for j in (2, 1, 0)]
+    grid = build_lattice([f"{i}{j}" for i, j in cells],
+                         [[f"{i}{j}", f"{k}{m}"] for i, j in cells for k, m in cells
+                          if i <= k and j <= m])
+    return [catalog("benzene").lattice, chain, n5, grid,
+            catalog("boolean:2").lattice, catalog("mo:2").lattice]
+
+
+JOIN_TEST_HOSTS = join_test_hosts()
+
+
+def preserves_joins_by_definition(t, dom, cod):
+    """Binary join preservation over every pair of dom."""
+    jd, jc = dom.join_tab, cod.join_tab
+    return bool((t[jd] == jc[t[:, None], t[None, :]]).all())
+
+
+def draw_map(data, dom, cod):
+    """A map dom -> cod: arbitrary, monotone (the join of arbitrary values
+    over each down-set), or join-preserving with one overwritten cell.
+    y -> c v V{b_k : y not below a_k} preserves binary joins, as y v z is
+    below a exactly when y and z are."""
+    leq = dom.leq_mat
+    value = st.integers(0, cod.n - 1)
+    kind = data.draw(st.sampled_from(["arbitrary", "monotone", "join-preserving"]))
+    if kind == "arbitrary":
+        return np.array(data.draw(st.lists(value, min_size=dom.n, max_size=dom.n)),
+                        dtype=np.int32)
+    if kind == "monotone":
+        g = data.draw(st.lists(value, min_size=dom.n, max_size=dom.n))
+        return np.array([cod.join_set(g[x] for x in range(dom.n) if leq[x, y])
+                         for y in range(dom.n)], dtype=np.int32)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, dom.n - 1), value), max_size=4))
+    c = data.draw(st.one_of(st.just(cod.bottom), value))
+    f = np.array([cod.join_set([c] + [b for a, b in terms if not leq[y, a]])
+                  for y in range(dom.n)], dtype=np.int32)
+    f[data.draw(st.integers(0, dom.n - 1))] = data.draw(value)
+    return f
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_join_test_decides_join_preservation(data):
+    # Maps between two hosts, equal or not, one to four at a time; the
+    # cell budget 1 makes the test read one pair at a time.
+    dom = data.draw(st.sampled_from(JOIN_TEST_HOSTS))
+    cod = data.draw(st.sampled_from(JOIN_TEST_HOSTS))
+    tables = np.array([draw_map(data, dom, cod) for _ in range(data.draw(st.integers(1, 4)))])
+    want = [preserves_joins_by_definition(t, dom, cod) for t in tables]
+    budget = data.draw(st.sampled_from([1, 3, lattice_module._JOIN_CELLS]))
+    with mock.patch.object(lattice_module, "_JOIN_CELLS", budget):
+        assert (~breaks_joins(tables, join_pairs(dom), cod)).tolist() == want
+    d, c = FiniteOML(dom, range(dom.n)), FiniteOML(cod, range(cod.n))
+    for t, ok in zip(tables, want):
+        assert is_linear(LinMap(d, c, t)) == (ok and t[dom.bottom] == cod.bottom)
+
+
+def test_join_pairs_drop_only_twins_of_incomparable_irreducibles():
+    # Every pair of the lemma, y with a join-irreducible k not below y, is
+    # kept, or its twin (k, y) is and the two are incomparable
+    # join-irreducibles.
+    for lat in JOIN_TEST_HOSTS:
+        irr = set(lat.join_irreducibles())
+        ys, ks, yk = join_pairs(lat)
+        kept = set(zip(ys.tolist(), ks.tolist()))
+        assert len(kept) == len(ys)
+        assert yk.tolist() == [lat.join(y, k) for y, k in zip(ys.tolist(), ks.tolist())]
+        lemma = {(y, k) for k in irr for y in range(lat.n) if not lat.le(k, y)}
+        assert kept <= lemma
+        for y, k in lemma - kept:
+            assert y in irr and not lat.le(y, k) and (k, y) in kept

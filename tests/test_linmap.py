@@ -35,6 +35,7 @@ from omlq import (
     is_linear,
     join_maps,
     kernel,
+    lin_values,
     load_goldens,
     make_map,
     sasaki_apply,
@@ -42,6 +43,8 @@ from omlq import (
     verify_adjoint_pair,
 )
 from omlq.cli import main
+from omlq.goldens import bruteforce_lin_values
+from omlq.linmap import BRUTEFORCE_LIMIT
 
 
 def brute_force_linear_tables(dom, cod):
@@ -152,11 +155,19 @@ def test_enumeration_matches_goldens():
         assert len(enumerate_lin(catalog(name))) == count
 
 
-def test_strategies_agree(b2, mo2):
-    for dom in (b2, mo2):
-        brute = [f.values for f in enumerate_lin(dom, strategy="bruteforce")]
-        irr = [f.values for f in enumerate_lin(dom, strategy="irreducible")]
-        assert brute == irr
+def test_strategies_agree(b2):
+    # The generator against the brute-force oracle of goldens: every fixed
+    # catalog host within BRUTEFORCE_LIMIT value tables, and mixed pairs.
+    from omlq import catalog
+
+    hosts = [catalog(name) for name in
+             ("zero", "boolean:1", "boolean:2", "boolean:3", "mo:1", "mo:2", "mo:3", "benzene",
+              "product(boolean:1,boolean:1)", "horizontal_sum(boolean:2,boolean:2)")]
+    pairs = [(dom, dom) for dom in hosts if dom.n**dom.n <= BRUTEFORCE_LIMIT]
+    assert len(pairs) == 8
+    mo1 = catalog("mo:1")
+    for dom, cod in pairs + [(b2, mo1), (mo1, b2)]:
+        assert np.array_equal(lin_values(dom, cod), bruteforce_lin_values(dom, cod))
 
 
 def test_boolean_maps_are_free_on_atoms(b3):

@@ -242,3 +242,22 @@ def test_run_verify_deterministic_across_workers(mo2):
         dump_json(run_verify(mo2, ["all"], workers=w)[0]) for w in (1, 2, 8)
     }
     assert len(texts) == 1
+
+
+def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
+    # sasaki-oml, modules, hom and roundtrip share the run's projection
+    # lattice: one sasaki_oml call, which also checks its OML laws once.
+    from omlq import foulis, qmodule
+
+    calls = []
+    real = foulis.sasaki_oml
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(foulis, "sasaki_oml", counting)
+    monkeypatch.setattr(qmodule, "sasaki_oml", counting)
+    payload, code = run_verify(b2, ["all"])
+    assert code == 0 and payload["results"]["roundtrip"]["passed"]
+    assert len(calls) == 1
