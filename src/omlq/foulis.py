@@ -112,8 +112,7 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     derive_sai recovers the same table by annihilator search.
     """
     q, view = lin_quantale(oml, cap=cap, workers=workers)
-    proj_idx = np.array([view.index_of(row) for row in sasaki_table(oml).tolist()],
-                        dtype=np.int32)
+    proj_idx = view.indices(sasaki_table(oml))
     adjoint_tops = view.values[q.dense_star(), oml.top]
     sai = proj_idx[oml.ortho[adjoint_tops]]
     if set(sai.tolist()) != set(proj_idx.tolist()):
@@ -123,7 +122,7 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
 
 def sasaki_projection_index(view: QElementView, oml: FiniteOML, a: int) -> int:
     """Quantale index of the Sasaki projection at a."""
-    return view.index_of(sasaki_table(oml)[a].tolist())
+    return view.index_of(oml.lattice.meet_tab[a, oml.lattice.join_tab[oml.ortho[a]]])
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +313,27 @@ def module_action(f: FoulisQuantale, u: int, k: int) -> int:
     return f.perp(f.perp(f.base.times(u, k)))
 
 
+def sasaki_action_table(f: FoulisQuantale, sub: SasakiOML) -> np.ndarray:
+    """Row u: the action of u on the projection lattice sub, in local
+    indices; an action that leaves the projections raises StructureViolation."""
+    q = f.base
+    perp = f.sai[q.dense_star()]
+    sel = np.array(sub.members, dtype=np.int32)
+    acted = perp[perp[q.dense_mult()[:, sel]]]
+    local_of = np.full(q.n, -1, dtype=np.int32)
+    local_of[sel] = np.arange(len(sel), dtype=np.int32)
+    table = local_of[acted]
+    if (table < 0).any():
+        u, i = map(int, np.argwhere(table < 0)[0])
+        raise StructureViolation("action-escapes-projections", (q.label(u), q.label(int(sel[i]))))
+    return table
+
+
 def sasaki_action(f: FoulisQuantale, u: int, sub: SasakiOML | None = None) -> LinMap:
     """The action of u on the projection lattice, as a value table."""
     if sub is None:
         sub = sasaki_oml(f)
-    vals = [sub.from_host(module_action(f, u, k)) for k in sub.members]
-    return LinMap(sub.oml, sub.oml, vals)
+    return LinMap(sub.oml, sub.oml, [sub.from_host(module_action(f, u, k)) for k in sub.members])
 
 
 @dataclass(frozen=True)
@@ -351,13 +365,10 @@ def hom_h(
     if sub is None:
         sub = sasaki_oml(f)
     target, tview = foulis_from_lin(sub.oml, cap=cap, workers=workers)
-    table = []
-    for u in range(f.n):
-        act = sasaki_action(f, u, sub)
-        if act.values not in tview:
-            raise StructureViolation("action-not-join-preserving", (f.label(u),))
-        table.append(tview.index_of(act.values))
-    return FoulisHom(f, target, tview, sub, tuple(table))
+    table = tview.find(sasaki_action_table(f, sub))
+    if (table < 0).any():
+        raise StructureViolation("action-not-join-preserving", (f.label(int(table.argmin())),))
+    return FoulisHom(f, target, tview, sub, tuple(table.tolist()))
 
 
 def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
@@ -379,8 +390,7 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     sub_oml = h.sub.oml
     tview = h.target_view
     # target index of the Sasaki projection at each element of sub_oml
-    proj_t = np.array([tview.index_of(row) for row in sasaki_table(sub_oml).tolist()],
-                      dtype=np.int32)
+    proj_t = tview.indices(sasaki_table(sub_oml))
     img_tops = tview.values[tb, sub_oml.top]
     return run_laws(subject, f.label, [
         Law("preserves-join", rows(lambda u: tb[js[u]] != jt[tb[u]][tb]), n),

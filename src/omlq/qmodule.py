@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureViolation
-from .foulis import FoulisQuantale, SasakiOML, sasaki_oml
+from .foulis import FoulisQuantale, SasakiOML, sasaki_action_table, sasaki_oml
 from .lattice import CheckReport, FiniteLattice, FiniteOML, Law, least, rows, run_laws
 from .quantale import FinQuantale, QElementView, lin_quantale
 
@@ -68,20 +68,7 @@ def sasaki_module(f: FoulisQuantale, sub: SasakiOML | None = None) -> ModuleActi
     """
     if sub is None:
         sub = sasaki_oml(f)
-    q = f.base
-    m = q.dense_mult()
-    perp = f.sai[q.dense_star()]
-    sel = np.array(sub.members, dtype=np.int32)
-    acted = perp[perp[m[:, sel]]]
-    local_of = np.full(q.n, -1, dtype=np.int32)
-    local_of[sel] = np.arange(len(sub.members), dtype=np.int32)
-    table = local_of[acted]
-    if (table < 0).any():
-        u, i = map(int, np.argwhere(table < 0)[0])
-        raise StructureViolation(
-            "action-escapes-projections", (q.label(u), q.label(int(sel[i])))
-        )
-    return ModuleAction(q, sub.oml.lattice, table)
+    return ModuleAction(f.base, sub.oml.lattice, sasaki_action_table(f, sub))
 
 
 def module_reports(oml: FiniteOML, f: FoulisQuantale, view: QElementView, sub: SasakiOML,

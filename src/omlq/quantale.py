@@ -21,8 +21,6 @@ live on the quantale and are distinct from the carrier order.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import FormatError, TableTooLarge
@@ -37,14 +35,7 @@ from .lattice import (
     rows,
     run_laws,
 )
-from .linmap import (
-    BRUTEFORCE_LIMIT,
-    LinMap,
-    bottom_map,
-    identity_map,
-    lin_values,
-    vector_label,
-)
+from .linmap import BRUTEFORCE_LIMIT, LinMap, lin_values
 
 # Bytes per element pair of a quantale's dense tables: a bool order plus
 # int32 join and multiplication.  The reference machine has 7 GiB; hom
@@ -108,36 +99,96 @@ class FinQuantale:
 
 
 class QElementView:
-    """Order-preserving bijection between quantale indices and map tables.
+    """The J-code index of a quantale of join-preserving maps on a host OML X.
 
     values is the read-only array of the maps' value tables, row i for
-    map i.
+    element i.  A join-preserving map is fixed by its values on J(X), the
+    join-irreducibles: each x is the join of J(x).  A row's code reads its
+    values on J(X) as a base-|X| number, in a high and a low half code.
+    The codes' dense inverse (|X|^|J(X)| <= BRUTEFORCE_LIMIT entries) is
+    -1 where no row has the code; find confirms each row on all of X.
     """
 
-    def __init__(self, maps, values: np.ndarray):
-        self.maps = tuple(maps)
+    def __init__(self, host: FiniteOML, values: np.ndarray):
+        self.host = host
         self.values = values
-        self._by_values = {m.values: i for i, m in enumerate(self.maps)}
+        x = host.lattice
+        irr = x.join_irreducibles()
+        cut = (len(irr) + 1) // 2
+        self._halves = [irr[:cut], irr[cut:]]
+        self._weights = [x.n ** np.arange(len(h) - 1, -1, -1, dtype=np.int32)
+                         for h in self._halves]
+        # the digits of every half code, in code order
+        self._digits = [np.indices((x.n,) * len(h)).reshape(len(h), x.n ** len(h)).T
+                        for h in self._halves]
+        self._shift = x.n ** (len(irr) - cut)
+        self._part = self._half_codes(values)
+        self._inverse = np.full(x.n ** len(irr), -1, dtype=np.int32)
+        self._inverse[self._part[0] * self._shift + self._part[1]] = np.arange(len(values))
+
+    def _half_codes(self, rows):
+        return [rows[:, h] @ w for h, w in zip(self._halves, self._weights)]
+
+    def _mapped(self, tables):
+        # tables[i][r, c]: the code of half i that row r sends half code c
+        # to; entry (r, b) is the element whose code row r sends that of b to
+        out = tables[0][:, self._part[0]]
+        out *= self._shift
+        out += tables[1][:, self._part[1]]
+        return self._inverse[out]
+
+    def products(self):
+        """Per block a of rows, phi(a) the map of row a: a, and the elements
+        whose codes phi(a) o phi(b) and phi(a) v phi(b) take, or -1, per b."""
+        jx = self.host.lattice.join_tab
+        # a block holds at most four int32 arrays of its rows by every b
+        step = max(1, _PAIR_CHUNK // (4 * self.n))
+        for lo in range(0, self.n, step):
+            a = slice(lo, lo + step)
+            rows = self.values[a]
+            applied = [rows[:, d] @ w for d, w in zip(self._digits, self._weights)]
+            joined = [jx[rows[:, h][:, None, :], d] @ w
+                      for h, d, w in zip(self._halves, self._digits, self._weights)]
+            yield a, self._mapped(applied), self._mapped(joined)
+
+    def find(self, rows) -> np.ndarray:
+        """The element index of each value row, -1 for a row that is none."""
+        rows = np.asarray(rows)
+        part = self._half_codes(np.clip(rows, 0, self.host.n - 1))
+        found = self._inverse[part[0] * self._shift + part[1]]
+        found[(self.values[found] != rows).any(axis=1)] = -1
+        return found
+
+    def indices(self, rows) -> np.ndarray:
+        """find, raising FormatError at the first row that is no element."""
+        found = self.find(rows)
+        if (found < 0).any():
+            row = np.asarray(rows)[found.argmin()].tolist()
+            raise FormatError(f"value table {row} is not a quantale element")
+        return found
 
     @property
     def n(self) -> int:
-        return len(self.maps)
+        return len(self.values)
+
+    @property
+    def maps(self) -> tuple[LinMap, ...]:
+        return tuple(self.map_at(i) for i in range(self.n))
 
     def map_at(self, i) -> LinMap:
-        return self.maps[i]
+        return LinMap(self.host, self.host, self.values[i].tolist())
 
     def index_of(self, values) -> int:
-        if isinstance(values, LinMap):
-            values = values.values
-        try:
-            return self._by_values[tuple(values)]
-        except KeyError:
-            raise FormatError(f"value table {values!r} is not a quantale element") from None
+        row = np.asarray(values.values if isinstance(values, LinMap) else values)
+        if row.shape != (self.host.n,):
+            raise FormatError(f"value table {values!r} is not a quantale element")
+        return int(self.indices(row[None])[0])
 
     def __contains__(self, values) -> bool:
-        if isinstance(values, LinMap):
-            values = values.values
-        return tuple(values) in self._by_values
+        try:
+            return self.index_of(values) >= 0
+        except FormatError:
+            return False
 
 
 def leq_by_mult(q: FinQuantale, s: int, t: int) -> bool:
@@ -161,22 +212,15 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
 
     Elements are all join-preserving endomaps in canonical (value vector)
     order; multiplication of i and j composes map i after map j, the
-    carrier join is pointwise and the involution is the adjoint.  A
-    join-preserving map is determined by its values on the
-    join-irreducibles J, and composites and pointwise joins of such maps
-    preserve joins again, so each map is keyed by a mixed-radix int64 code
-    of its values on J, and every product and join is found by indexing a
-    dense inverse of the codes (oml.n ** |J| int32 entries, within the
-    enumeration limit, so the codes do not overflow and the inverse stays
-    small).  Codes are injective, so i <= j pointwise exactly when the
-    join of i and j is j.  The adjoint of every map is computed on all of
-    X at once, looked up by its code on J and confirmed on its full value
-    row.  A code with no map, or an adjoint that differs from the map its
-    code names, raises FormatError.  The carrier keeps no meet table
-    (FiniteLattice builds one from the order if it is read).  The quantale
-    carries phi = (oml, values), each element as its map.  Raises
-    TableTooLarge, before any table is allocated, when the dense tables
-    would exceed TABLE_BYTE_LIMIT.
+    carrier join is pointwise and the involution is the adjoint.  The view
+    is the J-code index of the maps.  Composites and pointwise joins of
+    join-preserving maps preserve joins, so each is the element its code
+    names (QElementView.products); i <= j exactly when i v j is j.  The
+    unit, zero and top maps and every adjoint are found as whole rows.  A
+    code or row that is no element raises FormatError.  No LinMap is built,
+    and the carrier keeps no meet table.  The quantale carries phi = (oml,
+    values).  Raises TableTooLarge, before any table is allocated, when the
+    dense tables would exceed TABLE_BYTE_LIMIT.
     """
     values = lin_values(oml, oml, cap=cap, workers=workers)
     k = len(values)
@@ -186,45 +230,29 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
             f"of dense tables, above the limit of {TABLE_BYTE_LIMIT} bytes"
         )
     values.setflags(write=False)
-    maps = [LinMap(oml, oml, row) for row in values.tolist()]
-    labels = [vector_label(m) for m in maps]
-    view = QElementView(maps, values)
-    unit = view.index_of(identity_map(oml))
-    zero = view.index_of(bottom_map(oml))
-    irr = oml.lattice.join_irreducibles()
-    base = oml.n ** np.arange(len(irr) - 1, -1, -1, dtype=np.int64)
-    on_irr = values[:, irr]
-    inverse = np.full(oml.n ** len(irr), -1, dtype=np.int32)
-    inverse[on_irr @ base] = np.arange(k, dtype=np.int32)
-
-    def lookup(code, what):
-        found = inverse[code]
-        if (found < 0).any():
-            raise FormatError(f"{what} is not enumerated")
-        return found
-
-    jx = oml.lattice.join_tab
+    view = QElementView(oml, values)
+    lab = oml.labels
+    labels = ["[" + ",".join(lab[v] for v in row) + "]" for row in values.tolist()]
+    ar = np.arange(oml.n)
+    top_map = np.where(ar == oml.bottom, oml.bottom, oml.top)
+    unit, zero, top = view.indices([ar, np.full_like(ar, oml.bottom), top_map])
     mult = np.empty((k, k), dtype=np.int32)
     join = np.empty((k, k), dtype=np.int32)
-    for i in range(k):
-        # entry j: code of map i after map j, and of the join of i and j
-        mult[i] = lookup(values[i][on_irr] @ base, f"a composite of {labels[i]}")
-        join[i] = lookup(jx[on_irr[i], on_irr] @ base, f"a join of {labels[i]}")
+    for a, applied, joined in view.products():
+        if (applied < 0).any() or (joined < 0).any():
+            raise FormatError("a composite or join is not enumerated")
+        mult[a], join[a] = applied, joined
     leq = join == np.arange(k, dtype=np.int32)
-    top = int(lookup(np.full(len(irr), oml.top) @ base, "the top map"))
-    carrier = FiniteLattice(labels, leq, join, None, zero, top)
+    carrier = FiniteLattice(labels, leq, join, None, int(zero), int(top))
     mult.setflags(write=False)
     # dagger(f)(t) = complement of the join of {s : f(s) <= complement(t)}
+    jx = oml.lattice.join_tab
     below = oml.lattice.leq_mat[:, oml.ortho]  # entry (x, t): x <= complement(t)
     adjoint = np.full((k, oml.n), oml.bottom, dtype=np.int32)
     for s in range(oml.n):
         hit = below[values[:, s]]
         adjoint[hit] = jx[adjoint[hit], s]
-    adjoint = oml.ortho[adjoint]
-    star = lookup(adjoint[:, irr] @ base, "an adjoint")
-    bad = np.nonzero((values[star] != adjoint).any(axis=1))[0]
-    if bad.size:
-        raise FormatError(f"the adjoint of {labels[int(bad[0])]} is not enumerated")
+    star = view.indices(oml.ortho[adjoint])
     star.setflags(write=False)
     return FinQuantale(carrier, mult, star, unit, phi=(oml, values)), view
 
@@ -266,15 +294,12 @@ def _row_witness(act, j_flat, ys, zs, j_yz):
 def represents(q: FinQuantale) -> bool:
     """Whether q.phi is a certificate in the sense of (c) in check_quantale.
 
-    (i) is read as a zero column, the row test of nonadditive_row on the
-    host, and distinct codes of the rows on J(X): base-|X| numbers, as in
-    lin_quantale.  The codes of every phi it builds stay within the
-    enumeration limit BRUTEFORCE_LIMIT; a larger host declines.  (ii) and
-    (iii) compare codes.  The code that phi(a) o phi(b), or phi(a) v
-    phi(b), takes is found digit by digit: the digits split into two
-    halves, and for each half a table over all half codes, built per row
-    a, is indexed by that half of the code of every b.  Rows a go in
-    blocks of about _PAIR_CHUNK cells.
+    phi declines when its values are out of shape or range, or when its
+    host has more than BRUTEFORCE_LIMIT J-codes.  (i) is read as a zero
+    column, the row test of nonadditive_row on the host, and distinct
+    codes: the index finds every row at its own position.  (ii) and (iii)
+    compare the tables with the elements QElementView.products names, which
+    as codes are distinct is a comparison of codes.
     """
     host, values = q.phi
     x = host.lattice
@@ -285,39 +310,11 @@ def represents(q: FinQuantale) -> bool:
         return False
     if (values[:, x.bottom] != x.bottom).any() or nonadditive_row(values, x, irr) is not None:
         return False
-    cut = (len(irr) + 1) // 2
-    halves = [values[:, irr[:cut]], values[:, irr[cut:]]]
-    weights = [x.n ** np.arange(h.shape[1] - 1, -1, -1, dtype=np.int32) for h in halves]
-    # the digits of every half code, in code order
-    digits = [np.array(list(itertools.product(range(x.n), repeat=len(w))), dtype=np.intp)
-              for w in weights]
-    part = [h @ w for h, w in zip(halves, weights)]
-    shift = x.n ** (len(irr) - cut)
-    code = part[0] * shift + part[1]
-    if len(set(code.tolist())) < k:
-        return False
-    m, j, jx = q.dense_mult(), q.carrier.join_tab, x.join_tab
-
-    def mapped(tables):
-        # tables[i][r, c]: the code of half i that row r maps half code c
-        # to; entry (r, b) is the code that row r maps the code of b to
-        out = tables[0][:, part[0]]
-        out *= shift
-        out += tables[1][:, part[1]]
-        return out
-
-    step = max(1, _PAIR_CHUNK // k)
-    for lo in range(0, k, step):
-        a = slice(lo, lo + step)
-        # phi(a) applied to each digit of b, against phi(a * b); each digit
-        # of a joined with that of b, against phi(a v b)
-        applied = mapped([values[a][:, d] @ w for d, w in zip(digits, weights)])
-        if not np.array_equal(code[m[a]], applied):
-            return False
-        joined = mapped([jx[h[a][:, None, :], d] @ w for h, d, w in zip(halves, digits, weights)])
-        if not np.array_equal(code[j[a]], joined):
-            return False
-    return True
+    view = QElementView(host, values)
+    m, j = q.dense_mult(), q.carrier.join_tab
+    return np.array_equal(view.find(values), np.arange(k)) and all(
+        np.array_equal(m[a], applied) and np.array_equal(j[a], joined)
+        for a, applied, joined in view.products())
 
 
 def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport:
@@ -382,6 +379,11 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     parallel chunks.  The certificates only ever certify a pass: when (b)
     fails, associativity runs the exhaustive scan, which reports the least
     witness.
+
+    Without phi the carrier's join table is assumed to be the join of its
+    order: J(Q) and the row test of (a) read it, and the y < z half scan
+    needs it commutative and idempotent.  build_lattice and lin_quantale
+    always build such a table; FiniteLattice accepts any.
     """
     m = q.dense_mult()
     n = q.n

@@ -314,6 +314,31 @@ def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
         assert hom_h(f).injective
 
 
+def hom_table_reference(f, sub, tview):
+    """One sasaki_action per element, looked up by its whole value row."""
+    index = {tuple(row): i for i, row in enumerate(tview.values.tolist())}
+    return tuple(index[sasaki_action(f, u, sub).values] for u in range(f.n))
+
+
+def test_hom_table_matches_a_per_element_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
+    for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
+        sub = sasaki_oml(f)
+        h = hom_h(f, sub=sub)
+        assert h.table == hom_table_reference(f, sub, h.target_view)
+
+
+def test_hom_names_the_first_action_that_is_no_element(monkeypatch, fq_b2):
+    f, _ = fq_b2
+    sub = sasaki_oml(f)
+    table = foulis_module.sasaki_action_table(f, sub).copy()
+    table[[9, 5]] = sub.oml.top  # sends the bottom to the top: not join-preserving
+    monkeypatch.setattr(foulis_module, "sasaki_action_table", lambda *args: table)
+    with pytest.raises(StructureViolation) as err:
+        hom_h(f, sub=sub)
+    assert (err.value.formula, err.value.witness) == ("action-not-join-preserving",
+                                                     (f.label(5),))
+
+
 # ---------------------------------------------------------------------------
 # Round trip: host -> endomorphisms -> projection lattice -> host.
 # ---------------------------------------------------------------------------

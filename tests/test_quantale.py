@@ -21,6 +21,7 @@ from omlq import (
     compose,
     dagger,
     enumerate_lin,
+    foulis_from_lin,
     identity_map,
     lattice_from_leq,
     leq_by_mult,
@@ -30,7 +31,9 @@ from omlq import (
     make_report,
     perp_by_star,
     sasaki_apply,
+    vector_label,
 )
+import omlq.foulis as foulis_module
 import omlq.linmap as linmap_module
 import omlq.quantale as quantale_module
 from omlq.lattice import _order_tables
@@ -157,9 +160,39 @@ def test_view_round_trip(fq_b2):
     f, view = fq_b2
     for i in range(view.n):
         assert view.index_of(view.map_at(i)) == i
+        assert f.base.label(i) == vector_label(view.map_at(i))
     assert view.map_at(0).values in view
     with pytest.raises(FormatError):
         view.index_of((3, 3, 3, 3))  # not join-preserving, not a member
+
+
+def test_view_find_confirms_the_whole_row(fq_b2, fq_mo2, b2):
+    for f, view in (fq_b2, fq_mo2):
+        assert np.array_equal(view.find(view.values), np.arange(view.n))
+    view = fq_b2[1]
+    identity = list(range(b2.n))
+    # the identity on J(boolean:2), the atoms, but not at the top
+    twin = identity[:b2.top] + [b2.index("a")] + identity[b2.top + 1:]
+    out_of_range = [b2.n] + identity[1:]
+    found = view.find([twin, out_of_range, identity])
+    assert found.tolist() == [-1, -1, view.index_of(identity)]
+    assert twin not in view and out_of_range not in view
+    with pytest.raises(FormatError):
+        view.index_of(identity[:-1])
+
+
+def test_lin_builds_make_no_map_objects(monkeypatch, b2, mo2, fq_b2, fq_mo2):
+    def no_maps(*args):
+        raise AssertionError("a LinMap was built")
+
+    for module in (quantale_module, linmap_module, foulis_module):
+        monkeypatch.setattr(module, "LinMap", no_maps)
+    for oml, (want, _) in ((b2, fq_b2), (mo2, fq_mo2)):
+        q, _ = lin_quantale(oml)
+        f, _ = foulis_from_lin(oml)
+        assert q.dense_mult().tobytes() == want.base.dense_mult().tobytes()
+        assert q.labels == want.base.labels
+        assert f.sai.tobytes() == want.sai.tobytes()
 
 
 # ---------------------------------------------------------------------------
