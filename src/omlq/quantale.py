@@ -38,11 +38,11 @@ from .lattice import (
 from .linmap import BRUTEFORCE_LIMIT, LinMap, lin_values
 
 # Bytes per element pair of a quantale's dense tables: a bool order plus
-# int32 join and multiplication.  The reference machine has 7 GiB; hom
-# holds two quantales of equal size and the checkers add row temporaries,
-# so one quantale may take 3 GiB: Lin(mo:3) (13,376 elements, 1.61 GB) and
-# Lin(product(boolean:1,mo:2)) (16,848 elements, 2.55 GB) fit, Lin(boolean:4)
-# (65,536 elements, 38.7 GB) is refused.
+# int32 join and multiplication.  The reference machine has 7 GiB; a run
+# builds one dense quantale and the checkers add row temporaries, so it may
+# take 3 GiB: Lin(mo:3) (13,376 elements, 1.61 GB) and Lin(product(boolean:1,
+# mo:2)) (16,848 elements, 2.55 GB) fit, Lin(boolean:4) (65,536 elements,
+# 38.7 GB) is refused.
 TABLE_CELL_BYTES = 1 + 2 * 4
 TABLE_BYTE_LIMIT = 3 << 30
 _PAIR_CHUNK = 1 << 15
@@ -137,19 +137,31 @@ class QElementView:
         out += tables[1][:, self._part[1]]
         return self._inverse[out]
 
-    def products(self):
-        """Per block a of rows, phi(a) the map of row a: a, and the elements
-        whose codes phi(a) o phi(b) and phi(a) v phi(b) take, or -1, per b."""
+    def products(self, idx=None):
+        """Per block of the rows idx (default: all): a slice a of idx, and the
+        elements whose codes phi(i) o phi(b) and phi(i) v phi(b) take, or -1,
+        for i in idx[a] and every b."""
+        idx = np.arange(self.n) if idx is None else np.asarray(idx)
         jx = self.host.lattice.join_tab
         # a block holds at most four int32 arrays of its rows by every b
         step = max(1, _PAIR_CHUNK // (4 * self.n))
-        for lo in range(0, self.n, step):
+        for lo in range(0, len(idx), step):
             a = slice(lo, lo + step)
-            rows = self.values[a]
+            rows = self.values[idx[a]]
             applied = [rows[:, d] @ w for d, w in zip(self._digits, self._weights)]
             joined = [jx[rows[:, h][:, None, :], d] @ w
                       for h, d, w in zip(self._halves, self._digits, self._weights)]
             yield a, self._mapped(applied), self._mapped(joined)
+
+    def adjoints(self) -> np.ndarray:
+        """Element index of each row's adjoint: dagger(f)(t) = (V{s : f(s) <= t'})'."""
+        x = self.host
+        below = x.lattice.leq_mat[:, x.ortho]  # entry (s, t): s <= complement(t)
+        adjoint = np.full((self.n, x.n), x.bottom, dtype=np.int32)
+        for s in range(x.n):
+            hit = below[self.values[:, s]]
+            adjoint[hit] = x.lattice.join_tab[adjoint[hit], s]
+        return self.indices(x.ortho[adjoint])
 
     def find(self, rows) -> np.ndarray:
         """The element index of each value row, -1 for a row that is none."""
@@ -245,14 +257,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     leq = join == np.arange(k, dtype=np.int32)
     carrier = FiniteLattice(labels, leq, join, None, int(zero), int(top))
     mult.setflags(write=False)
-    # dagger(f)(t) = complement of the join of {s : f(s) <= complement(t)}
-    jx = oml.lattice.join_tab
-    below = oml.lattice.leq_mat[:, oml.ortho]  # entry (x, t): x <= complement(t)
-    adjoint = np.full((k, oml.n), oml.bottom, dtype=np.int32)
-    for s in range(oml.n):
-        hit = below[values[:, s]]
-        adjoint[hit] = jx[adjoint[hit], s]
-    star = view.indices(oml.ortho[adjoint])
+    star = view.adjoints()
     star.setflags(write=False)
     return FinQuantale(carrier, mult, star, unit, phi=(oml, values)), view
 

@@ -202,7 +202,7 @@ def test_criterion_08_representation_homomorphism(fq_b1, fq_b2):
     smallest Boolean hosts; on the two-element host it is a bijection."""
     h1 = hom_h(fq_b1[0])
     assert check_hom(h1).passed
-    assert h1.injective and len(set(h1.table)) == h1.target.n
+    assert h1.injective and len(set(h1.table)) == h1.target_view.n
     h2 = hom_h(fq_b2[0])
     rep = check_hom(h2)
     assert rep.passed, str(rep)

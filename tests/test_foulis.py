@@ -12,8 +12,12 @@ Key cross-checks:
   projections is rejected with the offending element named.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlq import (
     AmbiguousSai,
@@ -39,6 +43,7 @@ from omlq import (
     sasaki_projection_index,
 )
 import omlq.foulis as foulis_module
+from omlq.lattice import Law, least, rows, run_laws, sasaki_table
 
 from conftest import make_nilpotent_chain_quantale, make_two_chain_quantale
 
@@ -299,14 +304,14 @@ def test_hom_axiom_names(fq_b2):
 def test_hom_unit_goes_to_identity(fq_b2):
     f, _ = fq_b2
     h = hom_h(f)
-    assert h.table[f.base.unit] == h.target.base.unit
+    assert h.target_view.values[h.table[f.base.unit]].tolist() == list(range(h.sub.oml.n))
 
 
 def test_hom_on_two_element_host_is_a_bijection(fq_b1):
     f, _ = fq_b1
     h = hom_h(f)
     assert h.injective
-    assert len(set(h.table)) == h.target.n
+    assert len(set(h.table)) == h.target_view.n
 
 
 def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
@@ -337,6 +342,69 @@ def test_hom_names_the_first_action_that_is_no_element(monkeypatch, fq_b2):
         hom_h(f, sub=sub)
     assert (err.value.formula, err.value.witness) == ("action-not-join-preserving",
                                                      (f.label(5),))
+
+
+def check_hom_reference(h, target, view, workers=1):
+    """check_hom read from the dense tables of target, the Foulis quantale
+    foulis_from_lin builds on the projection lattice, with view its element
+    view and h.target_sai in place of its projection table."""
+    f = h.source
+    tb = np.array(h.table, dtype=np.int32)
+    ms, mt = f.base.dense_mult(), target.base.dense_mult()
+    js, jt = f.base.carrier.join_tab, target.base.carrier.join_tab
+    ss, st_ = f.base.dense_star(), target.base.dense_star()
+    perp_s = f.sai[ss]
+    perp_t = h.target_sai[st_]
+    sub_oml = h.sub.oml
+    proj_t = view.indices(sasaki_table(sub_oml))
+    img_tops = view.values[tb, sub_oml.top]
+    zero, unit = f.base.zero, f.base.unit
+    return run_laws("hom", f.label, [
+        Law("preserves-join", rows(lambda u: tb[js[u]] != jt[tb[u]][tb]), f.n),
+        Law("preserves-zero", hit=None if tb[zero] == target.base.zero else (zero,)),
+        Law("preserves-mult", rows(lambda u: tb[ms[u]] != mt[tb[u]][tb]), f.n),
+        Law("preserves-unit", hit=None if tb[unit] == target.base.unit else (unit,)),
+        Law("preserves-star", hit=least(tb[ss] != st_[tb])),
+        Law("preserves-perp", hit=least(tb[perp_s] != perp_t[tb])),
+        Law("perp-closed-form", hit=least(proj_t[sub_oml.ortho[img_tops]] != perp_t[tb])),
+    ], workers)
+
+
+def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
+    # One to three cells of h.table or h.target_sai overwritten, the zero
+    # and unit cells drawn often; boolean:3 gets a few of them.
+    cases = []
+    for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
+        h = hom_h(f)
+        target, view = foulis_from_lin(h.sub.oml)
+        assert np.array_equal(view.values, h.target_view.values)
+        assert np.array_equal(target.sai, h.target_sai)
+        cases.append((h, target, view))
+    failed = set()
+
+    def mutants(cases, examples):
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            h, target, view = data.draw(st.sampled_from(cases))
+            field = data.draw(st.sampled_from(["table", "target_sai"]))
+            cells = np.array(getattr(h, field), dtype=np.int32)
+            cell = st.integers(0, len(cells) - 1)
+            if field == "table":
+                cell = st.sampled_from([h.source.base.zero, h.source.base.unit]) | cell
+            for _ in range(data.draw(st.integers(1, 3))):
+                cells[data.draw(cell)] = data.draw(st.integers(0, h.target_view.n - 1))
+            hm = replace(h, **{field: tuple(cells.tolist()) if field == "table" else cells})
+            for w in (1, 2, 4):  # 4 workers: chunks of one or a few rows
+                want = check_hom_reference(hm, target, view, workers=w).to_dict()
+                assert check_hom(hm, workers=w).to_dict() == want
+            failed.update(a for a, e in want["axioms"].items() if not e["passed"])
+
+        check()
+
+    mutants(cases[:3], 120)
+    mutants(cases[3:], 6)
+    assert failed == set(check_hom(cases[0][0]).axioms)
 
 
 # ---------------------------------------------------------------------------

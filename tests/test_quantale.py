@@ -111,6 +111,8 @@ LOOKUP_HOSTS = ("boolean:1", "boolean:2", "boolean:3", "mo:2")
 def test_lin_carrier_by_code_lookup_matches_the_generic_build():
     # The generic build validates the pointwise order and derives join and
     # meet from it; the lookup build derives the order from the join.
+    # products also takes a shuffled index with repeats, block by block.
+    rng = np.random.default_rng(0)
     for name in LOOKUP_HOSTS:
         oml = catalog(name)
         q, view = lin_quantale(oml)
@@ -126,6 +128,14 @@ def test_lin_carrier_by_code_lookup_matches_the_generic_build():
         assert (got.bottom, got.top) == (want.bottom, want.top)
         assert np.array_equal(got.meet_tab, want.meet_tab)
         assert got.meet_tab is got.meet_tab
+        idx = rng.integers(view.n, size=2 * view.n + 1)
+        assert len(set(idx.tolist())) < len(idx) and (np.diff(idx) < 0).any()
+        seen = []
+        for a, applied, joined in view.products(idx):
+            assert np.array_equal(applied, q.dense_mult()[idx[a]])
+            assert np.array_equal(joined, want.join_tab[idx[a]])
+            seen += range(len(idx))[a]
+        assert seen == list(range(len(idx)))
 
 
 def test_lin_star_by_code_lookup_is_dagger():

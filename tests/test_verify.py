@@ -261,3 +261,23 @@ def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
     payload, code = run_verify(b2, ["all"])
     assert code == 0 and payload["results"]["roundtrip"]["passed"]
     assert len(calls) == 1
+
+
+def test_verify_all_builds_one_quantale(monkeypatch, b2):
+    # hom reads its target, the endomorphism quantale of the projection
+    # lattice, through a J-code index: the run builds the host's quantale
+    # and no other.
+    from omlq import foulis, qmodule
+
+    calls = []
+    real = foulis.lin_quantale
+
+    def counting(oml, *args, **kwargs):
+        calls.append(oml)
+        return real(oml, *args, **kwargs)
+
+    monkeypatch.setattr(foulis, "lin_quantale", counting)
+    monkeypatch.setattr(qmodule, "lin_quantale", counting)
+    payload, code = run_verify(b2, ["all"])
+    assert code == 0 and payload["results"]["hom"]["passed"]
+    assert calls == [b2]

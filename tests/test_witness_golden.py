@@ -136,12 +136,11 @@ def quantale_cases(host):
         rt = (fq, view)
         yield f"sai-roundtrip/{k}", lambda w, rt=rt: roundtrip_iso(oml, workers=w, built=rt)
     yield "roundtrip/0", lambda w: roundtrip_iso(oml, workers=w, built=(f, view))
-    tn = h.target.n
+    tn = h.target_view.n
     tables = [h.table] + [one_cell(h.table, seed, tn) for seed in SEEDS]
     tables += [one_cell(h.table, 9, tn, (q.zero,)), one_cell(h.table, 9, tn, (q.unit,))]
     homs = [replace(h, table=tuple(int(v) for v in table)) for table in tables]
-    homs += [replace(h, target=FoulisQuantale(h.target.base, one_cell(h.target.sai, seed, tn)))
-             for seed in (0, 1)]
+    homs += [replace(h, target_sai=one_cell(h.target_sai, seed, tn)) for seed in (0, 1)]
     for k, hm in enumerate(homs):
         yield f"hom/{k}", lambda w, hm=hm: check_hom(hm, workers=w)
 
