@@ -32,7 +32,7 @@ from .errors import (
     TableTooLarge,
     UnknownCatalogEntry,
 )
-from .foulis import FoulisQuantale, check_foulis, derive_sai, foulis_from_lin, sasaki_oml
+from .foulis import FoulisQuantale, check_foulis, derive_sai, foulis_from_lin, hom_h, sasaki_oml
 from .goldens import golden_path, regen_goldens
 from .lattice import check_oml, sasaki_apply
 from .linmap import dagger, enumerate_lin, is_linear, kernel, lin_values, vector_label
@@ -296,7 +296,8 @@ def cmd_check_module(args) -> int:
         return _emit_reports(args, reports)
     oml = catalog(args.catalog)
     f, view = foulis_from_lin(oml, cap=args.cap, workers=w)
-    return _emit_reports(args, module_reports(oml, f, view, sasaki_oml(f), workers=w))
+    h = hom_h(f, cap=args.cap, workers=w)
+    return _emit_reports(args, module_reports(oml, f, view, h, workers=w))
 
 
 def cmd_verify(args) -> int:

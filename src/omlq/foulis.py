@@ -381,31 +381,26 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
 
     The target's products are the elements target_view.products names, its
     star target_view.adjoints, an involution, and its sai h.target_sai.
+    preserves-join and preserves-mult are read from one pass of
+    FinQuantale.preserved_by over the image rows, memoized on the source
+    quantale, so the Sasaki module of module_reports reads the same pass.
     perp-closed-form reads closed_form_sai at the star of each image, so it
     compares the closed form with itself when target_sai is closed_form_sai;
     it stays for the payload and for supplied target_sai tables.
     """
     f, tview = h.source, h.target_view
     tb = np.array(h.table, dtype=np.int32)
-    ms, js, ss = f.base.dense_mult(), f.base.carrier.join_tab, f.base.dense_star()
+    ss = f.base.dense_star()
     st = tview.adjoints()
     perp_t = h.target_sai[st]
     sub_oml = h.sub.oml
     t_zero, t_unit = tview.indices([np.full(sub_oml.n, sub_oml.bottom), np.arange(sub_oml.n)])
     closed = closed_form_sai(tview, st)
-
-    def preserves(tab, k):
-        # entry (u, v): tb[tab[u, v]] against tb[u] o tb[v] (k = 0) or v (1)
-        def scan(lo, hi):
-            hits = ((lo + a.start + w[0], w[1]) for a, *prods in tview.products(tb[lo:hi])
-                    if (w := least(tb[tab[lo:hi][a]] != prods[k][:, tb])) is not None)
-            return next(hits, None)
-        return scan
-
+    mult_hit, join_hit = f.base.preserved_by(tview, tb)
     return run_laws(subject, f.label, [
-        Law("preserves-join", preserves(js, 1), f.n),
+        Law("preserves-join", hit=join_hit),
         Law("preserves-zero", hit=None if tb[f.base.zero] == t_zero else (f.base.zero,)),
-        Law("preserves-mult", preserves(ms, 0), f.n),
+        Law("preserves-mult", hit=mult_hit),
         Law("preserves-unit", hit=None if tb[f.base.unit] == t_unit else (f.base.unit,)),
         Law("preserves-star", hit=least(tb[ss] != st[tb])),
         Law("preserves-perp", hit=least(tb[f.sai[ss]] != perp_t[tb])),

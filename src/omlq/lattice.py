@@ -1,12 +1,11 @@
 """Finite bounded lattices and orthomodular lattices as dense tables.
 
 Elements are indexed 0..n-1 in input order.  The order relation is kept as
-a dense boolean matrix and the binary join/meet tables are precomputed at
-construction, so law checking and Sasaki arithmetic reduce to table
-lookups.  A lattice may be built without its meet table, which is then
-derived from the order on first use.  Input relations may list covering
-pairs or the full order; the reflexive-transitive closure is always
-recomputed.
+a dense boolean matrix, the binary join table is precomputed at
+construction and the meet table is derived from the order on first use, so
+law checking and Sasaki arithmetic reduce to table lookups.  Input
+relations may list covering pairs or the full order; the
+reflexive-transitive closure is always recomputed.
 
 Every exhaustive checker states its laws as Law values and hands them to
 run_laws, which decides them in order and labels each least witness.  A
@@ -182,7 +181,7 @@ class FiniteLattice:
     @property
     def meet_tab(self) -> np.ndarray:
         if self._meet_tab is None:
-            meet_tab = _order_tables(self.labels, self.leq_mat)[1]
+            (meet_tab,) = _order_tables(self.labels, self.leq_mat, ("meet",))
             meet_tab.setflags(write=False)
             self._meet_tab = meet_tab
         return self._meet_tab
@@ -280,8 +279,8 @@ _FIRST_BIT = np.array([8 - b.bit_length() if b else 0 for b in range(256)])
 _BLOCK_BYTES = 1 << 16
 
 
-def _order_tables(labels, leq):
-    """Join/meet tables from a validated order matrix.
+def _order_tables(labels, leq, kinds=("join", "meet")):
+    """The tables of kinds, join and/or meet, from a validated order matrix.
 
     The join of i and j is the least element of the intersection of their
     up-sets; the meet is the same on the transposed order.  With columns
@@ -293,7 +292,7 @@ def _order_tables(labels, leq):
     """
     n = leq.shape[0]
     tables, packs = [], []
-    for up in (leq, leq.T):
+    for up in ({"join": leq, "meet": leq.T}[k] for k in kinds):
         size = up.sum(axis=1, dtype=np.int32)
         order = np.argsort(-size, kind="stable")
         packs.append((size, order, np.packbits(up[:, order], axis=1)))
@@ -307,10 +306,10 @@ def _order_tables(labels, leq):
             byte = np.take_along_axis(both, first[..., None], axis=2)[..., 0]
             tab[lo : lo + step] = cand = order[first * 8 + _FIRST_BIT[byte]]
             ok.append(np.take(_POPCOUNT, both).sum(axis=2, dtype=np.int32) == size[cand])
-        bad = ~(ok[0] & ok[1])
+        bad = ~np.logical_and.reduce(ok)
         if bad.any():
             i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-            kind = "meet" if ok[0][i, j] else "join"
+            kind = next(k for k, o in zip(kinds, ok) if not o[i, j])
             raise NotALattice(kind, labels[lo + i], labels[j])
     return tables
 
@@ -345,15 +344,17 @@ def lattice_from_order(labels, leq) -> FiniteLattice:
     For callers that have just established transitivity themselves, which
     costs a boolean matrix product; lattice_from_leq checks it first.
     Raises NotALattice when some pair has no join or meet, or the order has
-    no single bottom or top.
+    no single bottom or top.  Only the join table is built, as a finite
+    poset with all binary joins and one bottom has all meets; a failure
+    scans both tables, so the error is that of the two-table scan.
     """
-    n = len(labels)
-    join_tab, meet_tab = _order_tables(labels, leq)
-    bottoms = [i for i in range(n) if leq[i].all()]
-    tops = [i for i in range(n) if leq[:, i].all()]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotALattice("bound", labels[0], labels[-1])
-    return FiniteLattice(labels, leq, join_tab, meet_tab, bottoms[0], tops[0])
+    try:
+        (join_tab,) = _order_tables(labels, leq, ("join",))
+        (bottom,), (top,) = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
+    except (NotALattice, ValueError):
+        _order_tables(labels, leq)
+        raise NotALattice("bound", labels[0], labels[-1]) from None
+    return FiniteLattice(labels, leq, join_tab, None, bottom, top)
 
 
 def build_lattice(labels, leq_pairs) -> FiniteLattice:

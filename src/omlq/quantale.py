@@ -54,7 +54,7 @@ class FinQuantale:
     The zero element is the carrier bottom (the empty join).  phi, when
     given, is a representation (host, values) on a host OML X: row a of
     values is the value table of a map phi(a) on X.  check_quantale tries
-    it as a certificate; only lin_quantale sets it.
+    it as a certificate; only lin_quantale sets it, with its element view.
     """
 
     def __init__(self, carrier: FiniteLattice, mult, star, unit: int, phi=None):
@@ -64,6 +64,7 @@ class FinQuantale:
         self.unit = int(unit)
         self.zero = carrier.bottom
         self.phi = phi
+        self._phi_view, self._passes = None, {}
 
     @property
     def n(self) -> int:
@@ -96,6 +97,24 @@ class FinQuantale:
 
     def dense_star(self) -> np.ndarray:
         return self._star
+
+    def preserved_by(self, view: QElementView, idx):
+        """The least (u, v) with idx[u * v] not the element idx[u] o idx[v]
+        of view, and the least with idx[u v v] not idx[u] v idx[v], or None.
+        One view.products pass over idx in ascending blocks up to both hits,
+        memoized per view and idx; a code naming no element reads -1, a hit."""
+        idx = np.asarray(idx, dtype=np.int32)
+        key = (view, idx.tobytes())
+        if key not in self._passes:
+            hits = [None, None]
+            for a, *prods in view.products(idx):
+                for k, tab in enumerate((self._mult, self.carrier.join_tab)):
+                    if hits[k] is None and (w := least(idx[tab[a]] != prods[k][:, idx])):
+                        hits[k] = (a.start + w[0], w[1])
+                if all(hits):
+                    break
+            self._passes[key] = tuple(hits)
+        return self._passes[key]
 
 
 class QElementView:
@@ -259,7 +278,9 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     mult.setflags(write=False)
     star = view.adjoints()
     star.setflags(write=False)
-    return FinQuantale(carrier, mult, star, unit, phi=(oml, values)), view
+    q = FinQuantale(carrier, mult, star, unit, phi=(oml, values))
+    q._phi_view = view
+    return q, view
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +324,9 @@ def represents(q: FinQuantale) -> bool:
     host has more than BRUTEFORCE_LIMIT J-codes.  (i) is read as a zero
     column, the row test of nonadditive_row on the host, and distinct
     codes: the index finds every row at its own position.  (ii) and (iii)
-    compare the tables with the elements QElementView.products names, which
-    as codes are distinct is a comparison of codes.
+    are the pass of FinQuantale.preserved_by over every row, which as codes
+    are distinct is a comparison of codes; q memoizes it, with the index
+    lin_quantale built when it built q.
     """
     host, values = q.phi
     x = host.lattice
@@ -315,11 +337,9 @@ def represents(q: FinQuantale) -> bool:
         return False
     if (values[:, x.bottom] != x.bottom).any() or nonadditive_row(values, x, irr) is not None:
         return False
-    view = QElementView(host, values)
-    m, j = q.dense_mult(), q.carrier.join_tab
-    return np.array_equal(view.find(values), np.arange(k)) and all(
-        np.array_equal(m[a], applied) and np.array_equal(j[a], joined)
-        for a, applied, joined in view.products())
+    view = q._phi_view or QElementView(host, values)
+    ar = np.arange(k, dtype=np.int32)
+    return np.array_equal(view.find(values), ar) and q.preserved_by(view, ar) == (None, None)
 
 
 def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport:

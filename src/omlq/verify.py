@@ -22,6 +22,8 @@ reports are byte-identical across worker counts.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .foulis import (
@@ -185,20 +187,18 @@ class _Ctx:
         self.oml = oml
         self.cap = cap
         self.workers = workers
-        self._built = {}
 
+    @cached_property
     def foulis(self):
-        if "foulis" not in self._built:
-            self._built["foulis"] = foulis_from_lin(
-                self.oml, cap=self.cap, workers=self.workers
-            )
-        return self._built["foulis"]
+        return foulis_from_lin(self.oml, cap=self.cap, workers=self.workers)
 
+    @cached_property
     def sub_report(self):
-        if "sub" not in self._built:
-            f, _ = self.foulis()
-            self._built["sub"] = sasaki_oml_report(f)
-        return self._built["sub"]
+        return sasaki_oml_report(self.foulis[0])
+
+    @cached_property
+    def hom(self):
+        return hom_h(self.foulis[0], cap=self.cap, workers=self.workers, sub=self.sub_report[0])
 
 
 def _run_selector(sel: str, ctx: _Ctx):
@@ -209,32 +209,29 @@ def _run_selector(sel: str, ctx: _Ctx):
     if sel == "dagger-kernel":
         return [dagger_kernel_report(ctx.oml, cap=ctx.cap, workers=w)], {}
     if sel == "quantale":
-        f, _ = ctx.foulis()
+        f, _ = ctx.foulis
         return [check_quantale(f.base, workers=w)], {}
     if sel == "involutive":
-        f, _ = ctx.foulis()
+        f, _ = ctx.foulis
         return [check_involutive(f.base, workers=w)], {}
     if sel == "foulis":
-        f, _ = ctx.foulis()
+        f, _ = ctx.foulis
         return [check_foulis(f, workers=w)], {}
     if sel == "star-props":
-        f, _ = ctx.foulis()
+        f, _ = ctx.foulis
         return [check_star_props(f, workers=w)], {}
     if sel == "sasaki-oml":
-        _, report = ctx.sub_report()
+        _, report = ctx.sub_report
         return [report], {}
     if sel == "modules":
-        f, view = ctx.foulis()
-        sub, _ = ctx.sub_report()
-        return module_reports(ctx.oml, f, view, sub, workers=w), {}
+        f, view = ctx.foulis
+        return module_reports(ctx.oml, f, view, ctx.hom, workers=w), {}
     if sel == "hom":
-        f, _ = ctx.foulis()
-        sub, _ = ctx.sub_report()
-        h = hom_h(f, cap=ctx.cap, workers=w, sub=sub)
+        h = ctx.hom
         return [check_hom(h, workers=w)], {"injective": h.injective}
     if sel == "roundtrip":
-        sub, _ = ctx.sub_report()
-        return [roundtrip_iso(ctx.oml, cap=ctx.cap, workers=w, built=ctx.foulis(), sub=sub)], {}
+        sub, _ = ctx.sub_report
+        return [roundtrip_iso(ctx.oml, cap=ctx.cap, workers=w, built=ctx.foulis, sub=sub)], {}
     raise ValueError(f"unknown selector {sel!r}")
 
 

@@ -4,13 +4,18 @@ two-element quantale on any complete lattice."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlq import (
+    FinQuantale,
     ModuleAction,
+    QElementView,
     StructureViolation,
     catalog,
     check_left_module,
     check_right_two_module,
+    hom_h,
     lin_module,
     module_action,
     sasaki_action,
@@ -185,3 +190,104 @@ def test_perturbed_composition_yields_assoc_witness(fq_b2, b2):
     assert not report.passed
     failing = {v.axiom for v in report.violations}
     assert "assoc-act" in failing
+
+
+# ---------------------------------------------------------------------------
+# The certificate of join-act and assoc-act against the exhaustive scan.
+# ---------------------------------------------------------------------------
+
+
+def canonical_actions(f, view, oml):
+    """The lin-module and the sasaki-module of f, each with its view."""
+    h = hom_h(f)
+    return [lin_module(oml, f.base, view), sasaki_module(f, h.sub, h.target_view)]
+
+
+def assert_certificate_matches_scan(action, table):
+    """check_left_module on table with the action's view and without a
+    view, which scans, give the same report at 1, 2 and 4 workers; returns
+    the report."""
+    q, lat = action.quantale, action.lattice
+    for w in (1, 2, 4):  # 4 workers: chunks of one or a few rows
+        want = check_left_module(ModuleAction(q, lat, table), workers=w).to_dict()
+        got = check_left_module(ModuleAction(q, lat, table, action.view), workers=w).to_dict()
+        assert got == want
+    return want
+
+
+def test_module_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo2, fq_b3,
+                                                        b1, b2, mo2, b3):
+    # One to three cells of the action table overwritten, the zero and
+    # unit rows and the bottom column drawn often, or two rows swapped: a
+    # swapped table keeps every row an element, so only the pass can fail.
+    small = [a for (f, view), oml in ((fq_b1, b1), (fq_b2, b2), (fq_mo2, mo2))
+             for a in canonical_actions(f, view, oml)]
+    large = canonical_actions(*fq_b3, b3)
+    for action in small + large:
+        assert check_left_module(action).passed
+    failed = set()
+
+    def mutants(cases, examples):
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            action = data.draw(st.sampled_from(cases))
+            q, lat = action.quantale, action.lattice
+            table = action.table.copy()
+            if data.draw(st.booleans()):
+                s, t = data.draw(st.lists(st.integers(0, q.n - 1), min_size=2, max_size=2,
+                                          unique=True))
+                table[[s, t]] = table[[t, s]]
+            else:
+                row = st.sampled_from([q.zero, q.unit]) | st.integers(0, q.n - 1)
+                col = st.just(lat.bottom) | st.integers(0, lat.n - 1)
+                for _ in range(data.draw(st.integers(1, 3))):
+                    table[data.draw(row), data.draw(col)] = data.draw(st.integers(0, lat.n - 1))
+            want = assert_certificate_matches_scan(action, table)
+            failed.update(a for a, e in want["axioms"].items() if not e["passed"])
+
+        check()
+
+    mutants(small, 150)
+    mutants(large, 6)
+    assert failed == set(check_left_module(small[0]).axioms)
+
+
+def reread(q, view):
+    """q with every product a * b re-read as the element of view whose
+    values on J(L) are those of row a after row b; a product that names no
+    element keeps its cell, and is the only product the pass can fault."""
+    lat, values = view.host.lattice, view.values
+    irr = lat.join_irreducibles()
+    base = lat.n ** np.arange(len(irr))
+    by_code = {int(c): a for a, c in enumerate(values[:, irr] @ base)}
+    mult = q.dense_mult().copy()
+    for (a, b), c in np.ndenumerate(np.take(values, values[:, irr], axis=1) @ base):
+        mult[a, b] = by_code.get(int(c), mult[a, b])
+    return FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
+
+
+def test_module_certificate_needs_zero_preserving_and_additive_rows(fq_b2, fq_mo2, b2, mo2):
+    # A view may hold maps that no Lin view holds, under the codes of Lin
+    # maps: row r becomes the constant top map, which preserves binary joins
+    # but not 0, or the identity sent to 0 at one point off J(L), which
+    # keeps 0 but no longer preserves binary joins.  The twisted rows form
+    # the action table, each found in the twisted view, and the quantale
+    # re-reads its products from that view, so the pass sees the codes of a
+    # lawful action; only act-bottom and the row test reject it.
+    for (f, view), oml in ((fq_b2, b2), (fq_mo2, mo2)):
+        lat = oml.lattice
+        top_map = view.index_of(np.where(np.arange(lat.n) == lat.bottom, lat.bottom, lat.top))
+        off_j = next(x for x in range(lat.n)
+                     if x != lat.bottom and x not in lat.join_irreducibles())
+        bent = np.arange(lat.n)
+        bent[off_j] = lat.bottom
+        for r, row in ((top_map, np.full(lat.n, lat.top)), (f.base.unit, bent)):
+            values = view.values.copy()
+            values[r] = row
+            twisted = QElementView(oml, values)
+            assert view.find(values)[r] == -1 and twisted.find(values)[r] == r
+            action = ModuleAction(reread(f.base, twisted), lat, values, twisted)
+            want = assert_certificate_matches_scan(action, values)
+            assert not (want["axioms"]["join-act"]["passed"]
+                        and want["axioms"]["assoc-act"]["passed"])

@@ -1,6 +1,8 @@
 """Endomorphism quantale construction and the quantale/involution law
 checkers, including the defined order and orthogonality relations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,9 +36,10 @@ from omlq import (
     vector_label,
 )
 import omlq.foulis as foulis_module
+import omlq.lattice as lattice_module
 import omlq.linmap as linmap_module
 import omlq.quantale as quantale_module
-from omlq.lattice import _order_tables
+from omlq.lattice import _order_tables, lattice_from_order
 
 from conftest import make_two_chain_quantale
 
@@ -300,6 +303,31 @@ def test_order_tables_match_dictionary_reference(fq_b2, fq_mo2):
         want = order_tables_outcome(order_tables_reference, lat.labels, lat.leq_mat)
         assert order_tables_outcome(_order_tables, lat.labels, lat.leq_mat) == want
         assert want == (lat.join_tab.tolist(), lat.meet_tab.tolist())
+        assert lattice_from_order_outcome(lat.labels, lat.leq_mat) == want
+
+
+def lattice_from_order_reference(labels, leq):
+    """The outcome of a lattice build that scans both tables and then the
+    bounds, as lattice_from_order did before it built the join table alone."""
+    outcome = order_tables_outcome(order_tables_reference, labels, leq)
+    bottoms, tops = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
+    if isinstance(outcome[0], str) or (len(bottoms), len(tops)) == (1, 1):
+        return outcome
+    return ("no bound", (labels[0], labels[-1]))
+
+
+def lattice_from_order_outcome(labels, leq):
+    """lattice_from_order's error, or its join table and the meet table it
+    builds on first read, through the meet orientation alone."""
+    try:
+        lat = lattice_from_order(labels, leq)
+    except NotALattice as e:
+        return ("no " + e.kind, e.witness)
+    assert lat._meet_tab is None
+    with mock.patch.object(lattice_module, "_order_tables", wraps=_order_tables) as spy:
+        meet_tab = lat.meet_tab.tolist()
+    assert [c.args[2] for c in spy.call_args_list] == [("meet",)]
+    return (lat.join_tab.tolist(), meet_tab)
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,6 +342,7 @@ def test_order_tables_report_the_reference_witness(data):
         want = order_tables_outcome(order_tables_reference, labels, leq)
         assert want == (kind, ("a", "b"))
         assert order_tables_outcome(_order_tables, labels, leq) == want
+        assert lattice_from_order_outcome(labels, leq) == want
     # Random posets, relabelled so that the label order need not be a
     # linear extension: lattices and non-lattices of both kinds.
     n = data.draw(st.integers(1, 9))
@@ -325,6 +354,7 @@ def test_order_tables_report_the_reference_witness(data):
     assert order_tables_outcome(_order_tables, labels, leq) == order_tables_outcome(
         order_tables_reference, labels, leq
     )
+    assert lattice_from_order_outcome(labels, leq) == lattice_from_order_reference(labels, leq)
 
 
 # ---------------------------------------------------------------------------

@@ -281,3 +281,28 @@ def test_verify_all_builds_one_quantale(monkeypatch, b2):
     payload, code = run_verify(b2, ["all"])
     assert code == 0 and payload["results"]["hom"]["passed"]
     assert calls == [b2]
+
+
+def test_verify_all_makes_three_products_passes_and_one_hom(monkeypatch, mo2):
+    # The passes are the quantale build, the representation certificate of
+    # check_quantale and the homomorphism h; the lin-module reads the
+    # second and the sasaki-module the third, and hom_h runs once.
+    from omlq import foulis, quantale, verify
+
+    passes, homs = [], []
+    real_products, real_hom = quantale.QElementView.products, foulis.hom_h
+
+    def products(view, idx=None):
+        passes.append(view)
+        return real_products(view, idx)
+
+    def hom(*args, **kwargs):
+        homs.append(args)
+        return real_hom(*args, **kwargs)
+
+    monkeypatch.setattr(quantale.QElementView, "products", products)
+    monkeypatch.setattr(verify, "hom_h", hom)
+    payload, code = run_verify(mo2, ["all"], workers=1)
+    assert code == 0
+    assert payload["results"]["modules"]["passed"] and payload["results"]["hom"]["passed"]
+    assert len(passes) == 3 and len(homs) == 1

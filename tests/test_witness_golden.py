@@ -3,7 +3,8 @@
 Every case is a checker run on a seeded one-cell mutant (or on the
 unmutated structure) of one table: the complement, the multiplication and
 involution tables, sai, the representation table and both module action
-tables.  Hosts are boolean:2, mo:2, boolean:3, benzene and mo:3 for the
+tables, the latter with the views that may certify the module laws.
+Hosts are boolean:2, mo:2, boolean:3, benzene and mo:3 for the
 lattice-level checkers, and boolean:2, mo:2 and boolean:3 for the quantale
 level.  The fixture holds the to_dict() violations of each report, or the
 exception the checker raised, and the axiom list of each checker; every
@@ -148,14 +149,15 @@ def quantale_cases(host):
 def module_cases(host):
     oml, f, view, sub, h = built(host)
     q = f.base
-    for name, action in (("lin", lin_module(oml, q, view)), ("sasaki", sasaki_module(f, sub))):
+    for name, action in (("lin", lin_module(oml, q, view)),
+                         ("sasaki", sasaki_module(f, sub, h.target_view))):
         ln = action.lattice.n
         t = action.table
         tables = [t] + [one_cell(t, seed, ln) for seed in SEEDS]
         tables += [one_cell(t, 9, ln, (q.zero, ln - 1)), one_cell(t, 9, ln, (q.unit, ln - 1)),
                    one_cell(t, 9, ln, (q.n - 1, action.lattice.bottom))]
         for k, table in enumerate(tables):
-            act = ModuleAction(q, action.lattice, table)
+            act = ModuleAction(q, action.lattice, table, action.view)
             yield f"{name}-module/{k}", lambda w, a=act: check_left_module(a, workers=w)
             yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(
                 a.lattice, left=a, workers=w)
