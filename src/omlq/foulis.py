@@ -121,7 +121,7 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
 
 def sasaki_projection_index(view: QElementView, oml: FiniteOML, a: int) -> int:
     """Quantale index of the Sasaki projection at a."""
-    return view.index_of(oml.lattice.meet_tab[a, oml.lattice.join_tab[oml.ortho[a]]])
+    return view.index_of(oml.meet_tab[a, oml.join_tab[oml.ortho[a]]])
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def roundtrip_iso(
         bijection = Law("bijection", hit=(n, len(sub.members)), kinds="nn")
     else:
         bijection = Law("bijection")
-    lat, img = oml.lattice, sub.oml.lattice
+    img = sub.oml
 
     def preserves(tab, img_tab):
         # entry b: the image of a op b against cand[a] op cand[b]
@@ -445,9 +445,9 @@ def roundtrip_iso(
 
     return run_laws(subject, {"x": oml.label, "n": str}, [
         bijection,
-        Law("order-isomorphism", rows(lambda a: lat.leq_mat[a] != img.leq_mat[cand[a], cand]),
+        Law("order-isomorphism", rows(lambda a: oml.leq_mat[a] != img.leq_mat[cand[a], cand]),
             n, kinds="xx"),
         Law("complement-preserved", hit=least(cand[oml.ortho] != sub.oml.ortho[cand]), kinds="x"),
-        Law("meet-preserved", preserves(lat.meet_tab, img.meet_tab), n, kinds="xx"),
-        Law("join-preserved", preserves(lat.join_tab, img.join_tab), n, kinds="xx"),
+        Law("meet-preserved", preserves(oml.meet_tab, img.meet_tab), n, kinds="xx"),
+        Law("join-preserved", preserves(oml.join_tab, img.join_tab), n, kinds="xx"),
     ], workers)

@@ -47,7 +47,7 @@ def bruteforce_lin_values(dom: FiniteOML, cod: FiniteOML | None = None, workers:
     symmetric and holds on the diagonal, so pairs x < y are read."""
     cod = dom if cod is None else cod
     n, m = dom.n, cod.n
-    jd, jc = dom.lattice.join_tab, cod.lattice.join_tab
+    jd, jc = dom.join_tab, cod.join_tab
     pairs = list(zip(*np.triu_indices(n, 1)))
 
     def work(lo, hi):

@@ -431,10 +431,55 @@ def breaks_joins(tables, pairs, cod: FiniteLattice) -> np.ndarray:
     return bad
 
 
+def nonadditive_row(table, lat: FiniteLattice, irr) -> int | None:
+    """Least x whose row w -> table[x, w] does not preserve the binary
+    joins of lat, or None.
+
+    irr lists the join-irreducibles of lat.  Rows get the join test of
+    join_pairs in blocks of about _JOIN_CELLS cells, up to the first block
+    with a failing row.
+    """
+    pairs = join_pairs(lat, irr)
+    step = max(1, _JOIN_CELLS // max(1, len(pairs[0])))
+    for lo in range(0, table.shape[0], step):
+        bad = breaks_joins(table[lo : lo + step], pairs, lat)
+        if bad.any():
+            return lo + int(bad.argmax())
+    return None
+
+
+def _row_witness(f, lat: FiniteLattice):
+    """Least (y, z) in row-major order with f[y v z] != f[y] v f[z], or
+    None; y runs in blocks of about _JOIN_CELLS cells."""
+    j, n = lat.join_tab, lat.n
+    step = max(1, _JOIN_CELLS // n)
+    for lo in range(0, n, step):
+        ys = np.arange(lo, min(lo + step, n))
+        w = least(f[j[ys]] != j[f[ys][:, None], f])
+        if w is not None:
+            return (lo + w[0], w[1])
+    return None
+
+
+def join_law(name, table, lat: FiniteLattice, irr=None, kinds="") -> Law:
+    """The law that every row w -> table[x, w] preserves the binary joins
+    of lat, decided with its least witness (x, y, z).
+
+    By the lemma of check_quantale part (a), the least row x that fails the
+    row test of nonadditive_row (irr, by default lat's join-irreducibles)
+    holds the least witness, and only that row is scanned.  lat's join
+    table is assumed to be the join of its order, as the lemma needs; the
+    least witness then has y < z, as that join commutes and is idempotent.
+    """
+    x = nonadditive_row(table, lat, lat.join_irreducibles() if irr is None else irr)
+    w = None if x is None else _row_witness(table[x], lat)
+    return Law(name, hit=w and (x, *w), kinds=kinds)
+
+
 # ---------------------------------------------------------------------------
 # orthomodular lattices
 
-class FiniteOML:
+class FiniteOML(FiniteLattice):
     """A finite lattice carrying an orthocomplement candidate.
 
     The constructor only requires the complement map to be total and
@@ -444,76 +489,21 @@ class FiniteOML:
     """
 
     def __init__(self, lattice: FiniteLattice, ortho):
-        self.lattice = lattice
-        ortho = normalize_ortho(lattice, ortho)
-        self.ortho = ortho
+        super().__init__(lattice.labels, lattice.leq_mat, lattice.join_tab, lattice._meet_tab,
+                         lattice.bottom, lattice.top)
+        self.ortho = normalize_ortho(lattice, ortho)
         self.ortho.setflags(write=False)
-
-    # delegation
-    @property
-    def n(self):
-        return self.lattice.n
-
-    @property
-    def labels(self):
-        return self.lattice.labels
-
-    @property
-    def bottom(self):
-        return self.lattice.bottom
-
-    @property
-    def top(self):
-        return self.lattice.top
-
-    def index(self, label):
-        return self.lattice.index(label)
-
-    def label(self, i):
-        return self.lattice.label(i)
-
-    def le(self, i, j):
-        return self.lattice.le(i, j)
-
-    def join(self, i, j):
-        return self.lattice.join(i, j)
-
-    def meet(self, i, j):
-        return self.lattice.meet(i, j)
-
-    def join_set(self, items):
-        return self.lattice.join_set(items)
-
-    def meet_set(self, items):
-        return self.lattice.meet_set(items)
-
-    def downset(self, i):
-        return self.lattice.downset(i)
-
-    def atoms(self):
-        return self.lattice.atoms()
-
-    def covers(self):
-        return self.lattice.covers()
 
     def orthoc(self, i) -> int:
         return int(self.ortho[i])
 
     @property
     def signature(self):
-        sig = getattr(self, "_sig", None)
+        # its own slot: FiniteLattice.signature caches the order's in _sig
+        sig = getattr(self, "_oml_sig", None)
         if sig is None:
-            sig = (self.lattice.signature, self.ortho.tobytes())
-            self._sig = sig
+            sig = self._oml_sig = (super().signature, self.ortho.tobytes())
         return sig
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteOML):
-            return NotImplemented
-        return self.signature == other.signature
-
-    def __hash__(self):
-        return hash(self.signature)
 
     def __repr__(self):
         return f"FiniteOML(n={self.n})"
@@ -553,7 +543,7 @@ def _coerce_oml(subject_or_oml, ortho):
     if isinstance(subject_or_oml, FiniteOML):
         if ortho is not None:
             raise ValueError("ortho given twice")
-        return subject_or_oml.lattice, subject_or_oml.ortho
+        return subject_or_oml, subject_or_oml.ortho
     lattice = subject_or_oml
     return lattice, normalize_ortho(lattice, ortho)
 
@@ -587,7 +577,7 @@ def sasaki_apply(oml: FiniteOML, a: int, y: int) -> int:
 
 def sasaki_table(oml: FiniteOML) -> np.ndarray:
     """Row a holds the value table of the Sasaki projection at a."""
-    jt, mt = oml.lattice.join_tab, oml.lattice.meet_tab
+    jt, mt = oml.join_tab, oml.meet_tab
     return mt[np.arange(oml.n)[:, None], jt[oml.ortho]]
 
 
@@ -612,7 +602,7 @@ class SubOML:
         self._local = local
         m = len(members)
         sel = np.array(members, dtype=np.int32)
-        leq = parent.lattice.leq_mat[np.ix_(sel, sel)].copy()
+        leq = parent.leq_mat[np.ix_(sel, sel)].copy()
         join_tab = np.empty((m, m), dtype=np.int32)
         meet_tab = np.empty((m, m), dtype=np.int32)
         for i, p in enumerate(members):

@@ -109,8 +109,7 @@ def bottom_map(dom: FiniteOML, cod: FiniteOML | None = None) -> LinMap:
 def is_linear(f: LinMap) -> bool:
     """Bottom preservation plus the binary join test of join_pairs."""
     dom, cod, v = f.dom, f.cod, f.values
-    return v[dom.bottom] == cod.bottom and not breaks_joins([v], join_pairs(dom.lattice),
-                                                             cod.lattice)[0]
+    return v[dom.bottom] == cod.bottom and not breaks_joins([v], join_pairs(dom), cod)[0]
 
 
 def make_map(dom: FiniteOML, cod: FiniteOML, values) -> LinMap:
@@ -130,14 +129,14 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
 def join_maps(f: LinMap, g: LinMap) -> LinMap:
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch("join_maps: maps live between different lattices")
-    jc = f.cod.lattice.join_tab
+    jc = f.cod.join_tab
     return LinMap(f.dom, f.cod, tuple(int(jc[a, b]) for a, b in zip(f.values, g.values)))
 
 
 def dagger(f: LinMap) -> LinMap:
     """The unique adjoint, by the closed formula."""
     dom, cod = f.dom, f.cod
-    leq = cod.lattice.leq_mat
+    leq = cod.leq_mat
     vals = []
     for t in range(cod.n):
         tp = cod.orthoc(t)
@@ -151,7 +150,7 @@ def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1)
     if f.dom != h.cod or f.cod != h.dom:
         raise DomainMismatch("adjoint candidate runs between the wrong lattices")
     X, Y = f.dom, f.cod
-    leq_x, leq_y = X.lattice.leq_mat, Y.lattice.leq_mat
+    leq_x, leq_y = X.leq_mat, Y.leq_mat
     hop = X.ortho[np.array(h.values, dtype=np.int32)]
     # entry y: f(x) orthogonal y against x orthogonal h(y)
     biconditional = rows(lambda x: leq_y[f.values[x]][Y.ortho] != leq_x[x][hop])
@@ -203,13 +202,13 @@ def lin_values(
     cod = dom if cod is None else cod
     if cap is None:
         cap = default_cap()
-    irr = dom.lattice.join_irreducibles()
+    irr = dom.join_irreducibles()
     n, m, r = dom.n, cod.n, len(irr)
     if m**r > BRUTEFORCE_LIMIT:
         raise CapExceeded(cap, f"{m}^{r} generator assignments is beyond desk scale")
-    above = [np.flatnonzero(dom.lattice.leq_mat[j]) for j in irr]
-    jc = cod.lattice.join_tab
-    pairs = join_pairs(dom.lattice, irr)
+    above = [np.flatnonzero(dom.leq_mat[j]) for j in irr]
+    jc = cod.join_tab
+    pairs = join_pairs(dom, irr)
 
     def work(lo, hi):
         g = _decode(np.arange(lo, hi, dtype=np.int64), r, m)
@@ -217,7 +216,7 @@ def lin_values(
         for t in range(r):
             for x in above[t]:
                 ext[x] = jc[ext[x], g[t]]
-        keep = ~breaks_joins(ext.T, pairs, cod.lattice)  # before any copy, for peak memory
+        keep = ~breaks_joins(ext.T, pairs, cod)  # before any copy, for peak memory
         for t, j in enumerate(irr):
             keep &= ext[j] == g[t]
         return ext[:, keep].T

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import StructureViolation
 from .foulis import FoulisHom, FoulisQuantale, SasakiOML, sasaki_action_table, sasaki_oml
-from .lattice import CheckReport, FiniteLattice, FiniteOML, Law, least, rows, run_laws
-from .quantale import FinQuantale, QElementView, lin_quantale, nonadditive_row
+from .lattice import CheckReport, FiniteLattice, FiniteOML, Law, join_law, least, rows, run_laws
+from .quantale import FinQuantale, QElementView, lin_quantale
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class ModuleAction:
     """A left action given as a dense value table.
 
     table[s, a] is the index of s acting on a; rows are indexed by
-    quantale elements, columns by lattice elements.  view, when given, is
-    an element view on the lattice in which check_left_module finds rows.
+    quantale elements, columns by lattice elements, and every entry is a
+    lattice element.  view, when given, is an element view on the lattice
+    in which check_left_module finds rows.
     """
 
     quantale: FinQuantale
@@ -42,6 +43,8 @@ class ModuleAction:
         table = np.asarray(self.table, dtype=np.int32)
         if table.shape != (self.quantale.n, self.lattice.n):
             raise StructureViolation("action-table-shape")
+        if table.min(initial=0) < 0 or table.max(initial=0) >= self.lattice.n:
+            raise StructureViolation("action-table-range")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -59,7 +62,7 @@ def lin_module(
     """The endomorphism quantale acting on its lattice by application."""
     if q is None or view is None:
         q, view = lin_quantale(oml, cap=cap, workers=workers)
-    return ModuleAction(q, oml.lattice, view.values, view)
+    return ModuleAction(q, oml, view.values, view)
 
 
 def sasaki_module(f: FoulisQuantale, sub: SasakiOML | None = None, view=None) -> ModuleAction:
@@ -71,7 +74,7 @@ def sasaki_module(f: FoulisQuantale, sub: SasakiOML | None = None, view=None) ->
     """
     if sub is None:
         sub = sasaki_oml(f)
-    return ModuleAction(f.base, sub.oml.lattice, sasaki_action_table(f, sub), view)
+    return ModuleAction(f.base, sub.oml, sasaki_action_table(f, sub), view)
 
 
 def module_reports(oml: FiniteOML, f: FoulisQuantale, view: QElementView, h: FoulisHom,
@@ -85,7 +88,7 @@ def module_reports(oml: FiniteOML, f: FoulisQuantale, view: QElementView, h: Fou
     return [
         check_left_module(lm, subject="lin-module", workers=workers),
         check_left_module(sm, subject="sasaki-module", workers=workers),
-        check_right_two_module(oml.lattice, left=lm, subject="two-module", workers=workers),
+        check_right_two_module(oml, left=lm, subject="two-module", workers=workers),
         check_right_two_module(sm.lattice, left=sm, subject="projection-two-module",
                                workers=workers),
     ]
@@ -101,38 +104,33 @@ def check_left_module(action: ModuleAction, subject="module", workers=1) -> Chec
     assoc-act     (u * v) . a = u . (v . a)
     unit-act      e . a = a
 
-    act-join holds when every row passes the row test of nonadditive_row,
-    by lemma (a) of check_quantale, with L's join the join of its order.
-    join-act and assoc-act hold when act-bottom and the row test pass,
-    action.view (on L itself) finds each row s as element idx[s], and
-    q.preserved_by(view, idx) has no hit.  Every row is then a
-    join-preserving map that sends 0 to 0, and so are pointwise joins and
-    composites of rows; two such maps that agree on J(L) agree on all of
-    L, as each x is the join of J(x).  find confirms whole rows, and the
-    pass compares the codes on J(L) of row s v t and of rows s and t
+    act-join is the join_law of the table on L, so L's join is assumed to
+    be the join of its order.  join-act and assoc-act hold when act-join
+    and act-bottom hold, action.view (on L itself) finds each row s as
+    element idx[s], and q.preserved_by(view, idx) has no hit.  Every row is
+    then a join-preserving map that sends 0 to 0, and so are pointwise
+    joins and composites of rows; two such maps that agree on J(L) agree on
+    all of L, as each x is the join of J(x).  find confirms whole rows, and
+    the pass compares the codes on J(L) of row s v t and of rows s and t
     joined, and of row u * v and of row u after row v; a code that names
-    no element reads -1, a hit.  These certificates only certify a pass:
-    on any hit or decline the law is scanned exhaustively.
+    no element reads -1, a hit.  This certificate only certifies a pass:
+    on any hit or decline both laws are scanned exhaustively.
     """
     q, lat, table = action.quantale, action.lattice, action.table
     jq, jl, mq = q.carrier.join_tab, lat.join_tab, q.dense_mult()
+    act_join = join_law("act-join", table, lat, kinds="qll")
     bottom = least(table[:, lat.bottom] != lat.bottom)
-    additive = (table.min(initial=0) >= 0 and table.max(initial=0) < lat.n
-                and nonadditive_row(table, lat, lat.join_irreducibles()) is None)
-    view = action.view if additive and bottom is None else None
-    idx = view.find(table) if view is not None and view.host.lattice is lat else None
+    view = action.view if act_join.hit is None and bottom is None else None
+    idx = view.find(table) if view is not None and view.host is lat else None
     certified = idx is not None and (idx >= 0).all() and q.preserved_by(view, idx) == (None, None)
-
-    def law(name, bad, kinds, holds):
-        return Law(name) if holds else Law(name, rows(bad), q.n, kinds=kinds)
-
     return run_laws(subject, {"q": q.label, "l": lat.label}, [
-        law("act-join", lambda s: table[s][jl] != jl[table[s][:, None], table[s]], "qll",
-            additive),
+        act_join,
         Law("act-bottom", hit=bottom, kinds="q"),
-        law("join-act", lambda s: table[jq[s]] != jl[table[s], table], "qql", certified),
+        Law("join-act", None if certified else rows(lambda s: table[jq[s]] != jl[table[s], table]),
+            q.n, kinds="qql"),
         Law("zero-act", hit=least(table[q.zero] != lat.bottom), kinds="l"),
-        law("assoc-act", lambda u: table[mq[u]] != table[u][table], "qql", certified),
+        Law("assoc-act", None if certified else rows(lambda u: table[mq[u]] != table[u][table]),
+            q.n, kinds="qql"),
         Law("unit-act", hit=least(table[q.unit] != np.arange(lat.n)), kinds="l"),
     ], workers)
 

@@ -29,9 +29,9 @@ from .lattice import (
     FiniteLattice,
     FiniteOML,
     Law,
-    breaks_joins,
-    join_pairs,
+    join_law,
     least,
+    nonadditive_row,
     rows,
     run_laws,
 )
@@ -129,9 +129,8 @@ class QElementView:
     """
 
     def __init__(self, host: FiniteOML, values: np.ndarray):
-        self.host = host
+        self.host = x = host
         self.values = values
-        x = host.lattice
         irr = x.join_irreducibles()
         cut = (len(irr) + 1) // 2
         self._halves = [irr[:cut], irr[cut:]]
@@ -161,7 +160,7 @@ class QElementView:
         elements whose codes phi(i) o phi(b) and phi(i) v phi(b) take, or -1,
         for i in idx[a] and every b."""
         idx = np.arange(self.n) if idx is None else np.asarray(idx)
-        jx = self.host.lattice.join_tab
+        jx = self.host.join_tab
         # a block holds at most four int32 arrays of its rows by every b
         step = max(1, _PAIR_CHUNK // (4 * self.n))
         for lo in range(0, len(idx), step):
@@ -175,11 +174,11 @@ class QElementView:
     def adjoints(self) -> np.ndarray:
         """Element index of each row's adjoint: dagger(f)(t) = (V{s : f(s) <= t'})'."""
         x = self.host
-        below = x.lattice.leq_mat[:, x.ortho]  # entry (s, t): s <= complement(t)
+        below = x.leq_mat[:, x.ortho]  # entry (s, t): s <= complement(t)
         adjoint = np.full((self.n, x.n), x.bottom, dtype=np.int32)
         for s in range(x.n):
             hit = below[self.values[:, s]]
-            adjoint[hit] = x.lattice.join_tab[adjoint[hit], s]
+            adjoint[hit] = x.join_tab[adjoint[hit], s]
         return self.indices(x.ortho[adjoint])
 
     def find(self, rows) -> np.ndarray:
@@ -280,42 +279,14 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     star.setflags(write=False)
     q = FinQuantale(carrier, mult, star, unit, phi=(oml, values))
     q._phi_view = view
+    # the tables are that pass's products, so preserved_by over every row
+    # would find no hit
+    q._passes[view, np.arange(k, dtype=np.int32).tobytes()] = (None, None)
     return q, view
 
 
 # ---------------------------------------------------------------------------
 # law checking
-
-def nonadditive_row(table, lat: FiniteLattice, irr) -> int | None:
-    """Least x whose row w -> table[x, w] does not preserve the binary
-    joins of lat, or None.
-
-    irr lists the join-irreducibles of lat.  Rows get the join test of
-    join_pairs in blocks of about _PAIR_CHUNK cells, up to the first block
-    with a failing row.
-    """
-    pairs = join_pairs(lat, irr)
-    step = max(1, _PAIR_CHUNK // max(1, len(pairs[0])))
-    for lo in range(0, table.shape[0], step):
-        bad = breaks_joins(table[lo : lo + step], pairs, lat)
-        if bad.any():
-            return lo + int(bad.argmax())
-    return None
-
-
-def _row_witness(act, j_flat, ys, zs, j_yz):
-    """Least (y, z) among the pairs ys, zs with act[y v z] != act[y] v act[z],
-    or None; j_yz holds the flat join-table index of each y v z."""
-    n = len(act)
-    for c in range(0, len(ys), _PAIR_CHUNK):
-        part = slice(c, c + _PAIR_CHUNK)
-        joined = np.take(j_flat, np.take(act, ys[part]) * n + np.take(act, zs[part]))
-        bad = np.nonzero(np.take(act, j_yz[part]) != joined)[0]
-        if bad.size:
-            k = c + int(bad[0])
-            return (int(ys[k]), int(zs[k]))
-    return None
-
 
 def represents(q: FinQuantale) -> bool:
     """Whether q.phi is a certificate in the sense of (c) in check_quantale.
@@ -326,10 +297,10 @@ def represents(q: FinQuantale) -> bool:
     codes: the index finds every row at its own position.  (ii) and (iii)
     are the pass of FinQuantale.preserved_by over every row, which as codes
     are distinct is a comparison of codes; q memoizes it, with the index
-    lin_quantale built when it built q.
+    lin_quantale built when it built q, and lin_quantale records the pass
+    its build made.
     """
-    host, values = q.phi
-    x = host.lattice
+    x, values = q.phi
     k = q.n
     irr = x.join_irreducibles()
     if (values.shape != (k, x.n) or values.min(initial=0) < 0 or values.max(initial=0) >= x.n
@@ -337,7 +308,7 @@ def represents(q: FinQuantale) -> bool:
         return False
     if (values[:, x.bottom] != x.bottom).any() or nonadditive_row(values, x, irr) is not None:
         return False
-    view = q._phi_view or QElementView(host, values)
+    view = q._phi_view or QElementView(x, values)
     ar = np.arange(k, dtype=np.int32)
     return np.array_equal(view.find(values), ar) and q.preserved_by(view, ar) == (None, None)
 
@@ -397,18 +368,17 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
 
     (c) is tried first when q.phi is present; it reads each cell of the
     multiplication and join tables once, and the unit and zero laws keep
-    their vector comparisons.  Otherwise, or
-    when (c) fails, the row test of (a) reads at most |J| n pairs per row
-    against the n (n - 1) / 2 of the scan, so it replaces the scan when
-    2 |J| < n; (b) then costs |J|^3.  Otherwise every row is scanned in
-    parallel chunks.  The certificates only ever certify a pass: when (b)
-    fails, associativity runs the exhaustive scan, which reports the least
-    witness.
+    their vector comparisons.  Otherwise, or when (c) fails, each
+    distributive law is the join_law of the table (m for the left law, its
+    transpose for the right) on the carrier: the row test of (a) and a
+    y < z scan of the one row it names.  Once both distributive and both
+    zero laws hold, (b) costs |J|^3.  The certificates only ever certify a
+    pass: when (b) fails, associativity runs the exhaustive scan, which
+    reports the least witness.
 
     Without phi the carrier's join table is assumed to be the join of its
-    order: J(Q) and the row test of (a) read it, and the y < z half scan
-    needs it commutative and idempotent.  build_lattice and lin_quantale
-    always build such a table; FiniteLattice accepts any.
+    order, as join_law states.  build_lattice and lin_quantale always build
+    such a table; FiniteLattice accepts any.
     """
     m = q.dense_mult()
     n = q.n
@@ -422,35 +392,12 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     if q.phi is not None and represents(q):
         laws = [Law("associativity"), *linear, Law("distributes-left"), Law("distributes-right")]
         return run_laws(subject, q.label, laws, workers)
-    j = q.carrier.join_tab
     irr = q.carrier.join_irreducibles()
-    certify = 2 * len(irr) < n
-
-    # Both distributive laws are symmetric in (y, z), as the carrier join
-    # commutes, and hold at y = z, as joins are idempotent, so the least
-    # witness has y < z and only those pairs are scanned, in row-major
-    # order.  Flat int32 indices into the join table stay below n * n.
-    # The pairs are built per law and rows are chunked, which keeps them
-    # below the associativity scan's memory.
-    j_flat = j.ravel()
-
-    def distributes(name, table):
-        # x * (y join z) = (x * y) join (x * z), with x * w read as
-        # table[x, w] (m: left law, m.T: right law); witness (x, y, z)
-        first = nonadditive_row(table, q.carrier, irr) if certify else 0
-        if first is None:
-            return Law(name)
-        ys, zs = (a.astype(np.int32) for a in np.triu_indices(n, 1))
-        j_yz = np.take(j_flat, ys * n + zs)
-
-        def scan(lo, hi):
-            for x in range(lo, hi):
-                hit = _row_witness(table[x], j_flat, ys, zs, j_yz)
-                if hit is not None:
-                    return (x, *hit)
-            return None
-
-        return Law(name, hit=scan(first, first + 1)) if certify else Law(name, scan, n)
+    laws = [
+        *linear,
+        join_law("distributes-left", m, q.carrier, irr),
+        join_law("distributes-right", m.T, q.carrier, irr),
+    ]
 
     def associates_on_irreducibles():
         # one |J| x |J| slice (ij)k against i(jk) per i in J
@@ -458,15 +405,9 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         ij = m[np.ix_(js, js)]
         return all(np.array_equal(m[ij[a][:, None], js], m[i][ij]) for a, i in enumerate(js))
 
-    laws = [
-        *linear,
-        distributes("distributes-left", m),
-        distributes("distributes-right", m.T),
-    ]
-    # associativity is reported first but decided last, from the others;
-    # with certify the distributive laws above are decided, not scans
-    bilinear = all(law.hit is None for law in laws[2:])
-    if certify and bilinear and associates_on_irreducibles():
+    # associativity is reported first but decided last, from the zero and
+    # distributive laws
+    if all(law.hit is None for law in laws[2:]) and associates_on_irreducibles():
         assoc = Law("associativity")
     else:
         assoc = Law("associativity", rows(lambda a: m[m[a]] != m[a][m]), n)

@@ -53,7 +53,7 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
 
 
 def oml_to_dict(oml: FiniteOML) -> dict:
-    d = lattice_to_dict(oml.lattice)
+    d = lattice_to_dict(oml)
     d["ortho"] = {
         oml.label(i): oml.label(oml.orthoc(i))
         for i in range(oml.n)
@@ -197,8 +197,6 @@ def parse_module(d: dict, base_dir=None) -> ModuleAction:
     if isinstance(q, FoulisQuantale):
         q = q.base
     lat = resolve_lattice(d["lattice"], base_dir)
-    if isinstance(lat, FiniteOML):
-        lat = lat.lattice
     rows = d.get("action")
     if not isinstance(rows, list) or len(rows) != q.n:
         raise FormatError('"action" must be a |Q|-by-|A| label table')
@@ -314,14 +312,14 @@ def to_dot(obj) -> str:
         obj = obj.base
     if isinstance(obj, FinQuantale):
         obj = obj.carrier
-    if isinstance(obj, ModuleAction):
-        obj = obj.lattice
     if isinstance(obj, LinMap):
         obj = obj.dom
-    ortho = obj.ortho if isinstance(obj, FiniteOML) else None
-    lat = obj.lattice if isinstance(obj, FiniteOML) else obj
+    # a module's lattice is drawn without complements, as module_to_dict
+    # writes it
+    lat = obj.lattice if isinstance(obj, ModuleAction) else obj
     if not isinstance(lat, FiniteLattice):
         raise FormatError(f"cannot draw {type(obj).__name__}")
+    ortho = obj.ortho if isinstance(obj, FiniteOML) else None
 
     def q(i):
         return f'"{_dot_escape(lat.label(i))}"'

@@ -80,7 +80,7 @@ def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts", workers=1):
     adjoint-swap  proj_a(y) orthogonal to z  iff  y orthogonal to proj_a(z)
     """
     n = oml.n
-    leq = oml.lattice.leq_mat
+    leq = oml.leq_mat
     ortho = oml.ortho
     S = sasaki_table(oml)
     ar = np.arange(n)
@@ -122,7 +122,7 @@ def dagger_kernel_report(
         values = lin_values(oml, cap=cap, workers=workers)
     else:
         values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
-    leq = oml.lattice.leq_mat
+    leq = oml.leq_mat
     S = sasaki_table(oml)
 
     def per_map(fi):

@@ -52,8 +52,8 @@ def test_criterion_01_join_preservation_equals_adjointability(b2):
     returns.  Runtime bound: 5 s."""
     start = time.perf_counter()
     n = b2.n
-    leq = b2.lattice.leq_mat
-    jt = b2.lattice.join_tab
+    leq = b2.leq_mat
+    jt = b2.join_tab
     o = b2.ortho
     tables = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.int32)
     assert len(tables) == 256
@@ -191,7 +191,7 @@ def test_criterion_07_module_law_suites(b1, b2, mo2, fq_b1, fq_b2, fq_mo2):
     names = [n for n in catalog_names() if "(" not in n]
     names += ["product(boolean:2,mo:2)", "horizontal_sum(boolean:2,boolean:3)"]
     for name in names:
-        rep = check_right_two_module(catalog(name).lattice, subject=name)
+        rep = check_right_two_module(catalog(name), subject=name)
         assert rep.passed, str(rep)
 
 

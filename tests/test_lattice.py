@@ -71,9 +71,9 @@ B2_ORTHO = np.array([3, 2, 1, 0], dtype=np.int32)
 
 def test_b2_tables_match_hand_values(b2):
     assert b2.labels == B2_LABELS
-    assert np.array_equal(b2.lattice.leq_mat, B2_LEQ)
-    assert np.array_equal(b2.lattice.join_tab, B2_JOIN)
-    assert np.array_equal(b2.lattice.meet_tab, B2_MEET)
+    assert np.array_equal(b2.leq_mat, B2_LEQ)
+    assert np.array_equal(b2.join_tab, B2_JOIN)
+    assert np.array_equal(b2.meet_tab, B2_MEET)
     assert np.array_equal(b2.ortho, B2_ORTHO)
     assert b2.bottom == 0
     assert b2.top == 3
@@ -93,13 +93,13 @@ def test_lattice_navigation_helpers(b2):
     assert set(b2.downset(1)) == {0, 1}
     assert set(b2.atoms()) == {1, 2}
     assert set(b2.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
-    assert set(b2.lattice.join_irreducibles()) == {1, 2}
+    assert set(b2.join_irreducibles()) == {1, 2}
 
 
 
 def test_join_irreducibles_match_the_cover_count(fq_b2, fq_mo2, fq_b3):
-    hosts = [catalog(name).lattice for name in catalog_names() if "(" not in name]
-    hosts += [catalog("product(boolean:1,mo:2)").lattice]
+    hosts = [catalog(name) for name in catalog_names() if "(" not in name]
+    hosts += [catalog("product(boolean:1,mo:2)")]
     hosts += [f.base.carrier for f, _ in (fq_b2, fq_mo2, fq_b3)]
     for lat in hosts:
         lower = np.zeros(lat.n, dtype=int)
@@ -209,7 +209,7 @@ def test_benzene_fails_only_orthomodularity(benzene):
 
 def test_bad_involution_detected(b2):
     # Index form can express non-involutions: both atoms point at the top.
-    broken = FiniteOML(b2.lattice, [3, 3, 3, 0])
+    broken = FiniteOML(b2, [3, 3, 3, 0])
     report = check_oml(broken)
     assert not report.passed
     assert report.witness("involution") is not None
@@ -229,7 +229,7 @@ def test_bad_complement_detected():
 def test_de_morgan_holds_on_catalog_omls():
     for name in ("boolean:3", "mo:2", "benzene"):
         oml = catalog(name)
-        jt, mt = oml.lattice.join_tab, oml.lattice.meet_tab
+        jt, mt = oml.join_tab, oml.meet_tab
         o = oml.ortho
         assert np.array_equal(jt, o[mt[o][:, o]])
         assert np.array_equal(mt, o[jt[o][:, o]])
@@ -237,15 +237,15 @@ def test_de_morgan_holds_on_catalog_omls():
 
 def test_normalize_ortho_symmetric_closure(b2):
     # Giving one direction of each pair suffices.
-    oml = FiniteOML(b2.lattice, {"0": "1", "a": "b"})
+    oml = FiniteOML(b2, {"0": "1", "a": "b"})
     assert np.array_equal(oml.ortho, B2_ORTHO)
 
 
 def test_normalize_ortho_rejects_partial_or_conflicting_maps(b2):
     with pytest.raises(FormatError):
-        FiniteOML(b2.lattice, {"0": "1"})  # a, b missing
+        FiniteOML(b2, {"0": "1"})  # a, b missing
     with pytest.raises(FormatError):
-        FiniteOML(b2.lattice, {"0": "1", "a": "b", "b": "1", "1": "0"})
+        FiniteOML(b2, {"0": "1", "a": "b", "b": "1", "1": "0"})
 
 
 def test_orthoc_and_ortho_pair(b2):
@@ -387,8 +387,8 @@ def join_test_hosts():
     grid = build_lattice([f"{i}{j}" for i, j in cells],
                          [[f"{i}{j}", f"{k}{m}"] for i, j in cells for k, m in cells
                           if i <= k and j <= m])
-    return [catalog("benzene").lattice, chain, n5, grid,
-            catalog("boolean:2").lattice, catalog("mo:2").lattice]
+    return [catalog("benzene"), chain, n5, grid,
+            catalog("boolean:2"), catalog("mo:2")]
 
 
 JOIN_TEST_HOSTS = join_test_hosts()

@@ -67,7 +67,7 @@ def brute_force_linear_tables(dom, cod):
 def adjoint_partner_tables(oml):
     """Tables admitting some adjoint partner, by exhaustive pairing."""
     n = oml.n
-    leq = oml.lattice.leq_mat
+    leq = oml.leq_mat
     o = oml.ortho
     tables = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.int32)
     # A[f, x, y] = "f(x) is orthogonal to y"
@@ -224,7 +224,7 @@ def test_dagger_matches_pairing_oracle(b2):
     admits = adjoint_partner_tables(b2)
     assert sorted(linear) == admits
     n = b2.n
-    leq = b2.lattice.leq_mat
+    leq = b2.leq_mat
     o = b2.ortho
     for values, f in linear.items():
         fd = dagger(f)

@@ -18,6 +18,7 @@ from omlq import (
     hom_h,
     lin_module,
     module_action,
+    run_verify,
     sasaki_action,
     sasaki_apply,
     sasaki_module,
@@ -113,12 +114,12 @@ def test_right_two_module_on_catalog_lattices():
         "product(boolean:2,mo:2)",
     )
     for name in names:
-        report = check_right_two_module(catalog(name).lattice, subject=name)
+        report = check_right_two_module(catalog(name), subject=name)
         assert report.passed, str(report)
 
 
 def test_right_two_module_axiom_names(b2):
-    report = check_right_two_module(b2.lattice)
+    report = check_right_two_module(b2)
     assert set(report.axioms) == {
         "two-unit-act", "two-zero-act", "two-join-act", "act-two-join",
         "two-assoc",
@@ -128,7 +129,7 @@ def test_right_two_module_axiom_names(b2):
 def test_right_two_module_compatible_with_left_action(fq_b2, b2):
     f, view = fq_b2
     left = lin_module(b2, q=f.base, view=view)
-    report = check_right_two_module(b2.lattice, left=left)
+    report = check_right_two_module(b2, left=left)
     assert report.passed, str(report)
     assert "bimodule-compat" in report.axioms
 
@@ -137,7 +138,7 @@ def test_right_two_module_rejects_mismatched_left(fq_b2, mo2):
     f, view = fq_b2
     left = lin_module(catalog("boolean:2"), q=f.base, view=view)
     with pytest.raises(StructureViolation):
-        check_right_two_module(mo2.lattice, left=left)
+        check_right_two_module(mo2, left=left)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +147,15 @@ def test_right_two_module_rejects_mismatched_left(fq_b2, mo2):
 
 
 def test_action_table_shape_is_validated(fq_b2, b2):
-    f, _ = fq_b2
+    f, view = fq_b2
     with pytest.raises(StructureViolation):
-        ModuleAction(f.base, b2.lattice, np.zeros((3, 3), dtype=np.int32))
+        ModuleAction(f.base, b2, np.zeros((3, 3), dtype=np.int32))
+    # an entry outside the lattice, which numpy would read as a wrapped index
+    for bad in (-1, b2.n):
+        table = view.values.copy()
+        table[5, 2] = bad
+        with pytest.raises(StructureViolation, match="action-table-range"):
+            ModuleAction(f.base, b2, table)
 
 
 def test_perturbed_unit_row_is_caught(fq_b2, b2):
@@ -156,7 +163,7 @@ def test_perturbed_unit_row_is_caught(fq_b2, b2):
     mod = lin_module(b2, q=f.base, view=view)
     table = mod.table.copy()
     table[f.base.unit, b2.top] = b2.bottom
-    report = check_left_module(ModuleAction(f.base, b2.lattice, table))
+    report = check_left_module(ModuleAction(f.base, b2, table))
     assert not report.passed
     assert report.witness("unit-act") == ("1",)
 
@@ -171,7 +178,7 @@ def test_perturbed_interior_entry_is_caught(fq_b2, b2):
     table = mod.table.copy()
     a = b2.index("a")
     table[s, a] = (table[s, a] + 1) % b2.n
-    report = check_left_module(ModuleAction(f.base, b2.lattice, table))
+    report = check_left_module(ModuleAction(f.base, b2, table))
     assert not report.passed
     assert report.violations[0].witness
 
@@ -186,7 +193,7 @@ def test_perturbed_composition_yields_assoc_witness(fq_b2, b2):
         i for i in range(f.n) if i not in (f.base.unit, f.base.zero)
     )[:2]
     rows[s] = rows[t]
-    report = check_left_module(ModuleAction(f.base, b2.lattice, rows))
+    report = check_left_module(ModuleAction(f.base, b2, rows))
     assert not report.passed
     failing = {v.axiom for v in report.violations}
     assert "assoc-act" in failing
@@ -203,15 +210,29 @@ def canonical_actions(f, view, oml):
     return [lin_module(oml, f.base, view), sasaki_module(f, h.sub, h.target_view)]
 
 
+def act_join_reference(action, table):
+    """The least (s, a, b) with s . (a v b) != (s . a) v (s . b), as
+    labels, by a scan of the full square of (a, b) per s in row-major
+    order, or None."""
+    q, lat = action.quantale, action.lattice
+    jl = lat.join_tab
+    for s in range(q.n):
+        bad = np.argwhere(table[s][jl] != jl[table[s][:, None], table[s]])
+        if bad.size:
+            return [q.label(s), *(lat.label(int(i)) for i in bad[0])]
+    return None
+
+
 def assert_certificate_matches_scan(action, table):
     """check_left_module on table with the action's view and without a
-    view, which scans, give the same report at 1, 2 and 4 workers; returns
-    the report."""
+    view, which scans, give the same report at 1, 2 and 4 workers, and its
+    act-join is that of the exhaustive reference; returns the report."""
     q, lat = action.quantale, action.lattice
     for w in (1, 2, 4):  # 4 workers: chunks of one or a few rows
         want = check_left_module(ModuleAction(q, lat, table), workers=w).to_dict()
         got = check_left_module(ModuleAction(q, lat, table, action.view), workers=w).to_dict()
         assert got == want
+    assert want["axioms"]["act-join"]["witness"] == act_join_reference(action, table)
     return want
 
 
@@ -257,7 +278,7 @@ def reread(q, view):
     """q with every product a * b re-read as the element of view whose
     values on J(L) are those of row a after row b; a product that names no
     element keeps its cell, and is the only product the pass can fault."""
-    lat, values = view.host.lattice, view.values
+    lat, values = view.host, view.values
     irr = lat.join_irreducibles()
     base = lat.n ** np.arange(len(irr))
     by_code = {int(c): a for a, c in enumerate(values[:, irr] @ base)}
@@ -276,7 +297,7 @@ def test_module_certificate_needs_zero_preserving_and_additive_rows(fq_b2, fq_mo
     # re-reads its products from that view, so the pass sees the codes of a
     # lawful action; only act-bottom and the row test reject it.
     for (f, view), oml in ((fq_b2, b2), (fq_mo2, mo2)):
-        lat = oml.lattice
+        lat = oml
         top_map = view.index_of(np.where(np.arange(lat.n) == lat.bottom, lat.bottom, lat.top))
         off_j = next(x for x in range(lat.n)
                      if x != lat.bottom and x not in lat.join_irreducibles())
@@ -291,3 +312,24 @@ def test_module_certificate_needs_zero_preserving_and_additive_rows(fq_b2, fq_mo
             want = assert_certificate_matches_scan(action, values)
             assert not (want["axioms"]["join-act"]["passed"]
                         and want["axioms"]["assoc-act"]["passed"])
+
+
+def test_verify_modules_hand_no_left_module_law_to_a_scan(monkeypatch, mo2, b3):
+    # act-join takes the row test, join-act and assoc-act the certificate,
+    # which needs the action's lattice to be the host of its view; only
+    # the two-module laws are scanned.
+    from omlq import qmodule
+
+    scanned = []
+    real = qmodule.run_laws
+
+    def recording(subject, label, laws, workers=1):
+        laws = list(laws)
+        scanned.extend(subject for law in laws if law.scan is not None)
+        return real(subject, label, laws, workers)
+
+    monkeypatch.setattr(qmodule, "run_laws", recording)
+    for oml in (mo2, b3):
+        payload, code = run_verify(oml, ["modules"])
+        assert code == 0 and payload["results"]["modules"]["passed"]
+    assert scanned and not {"lin-module", "sasaki-module"} & set(scanned)

@@ -120,7 +120,7 @@ def test_lin_carrier_by_code_lookup_matches_the_generic_build():
         oml = catalog(name)
         q, view = lin_quantale(oml)
         values = view.values
-        pointwise = oml.lattice.leq_mat[values[:, None, :], values[None, :, :]].all(axis=2)
+        pointwise = oml.leq_mat[values[:, None, :], values[None, :, :]].all(axis=2)
         want = lattice_from_leq(q.labels, pointwise)
         got = q.carrier
         assert got._meet_tab is None
@@ -296,8 +296,8 @@ def test_mult_table_matches_composition(fq_b2, fq_mo2, fq_b3):
 
 
 def test_order_tables_match_dictionary_reference(fq_b2, fq_mo2):
-    hosts = [catalog(name).lattice for name in catalog_names() if "(" not in name]
-    hosts += [catalog("product(boolean:1,mo:2)").lattice, fq_b2[0].base.carrier,
+    hosts = [catalog(name) for name in catalog_names() if "(" not in name]
+    hosts += [catalog("product(boolean:1,mo:2)"), fq_b2[0].base.carrier,
               fq_mo2[0].base.carrier]
     for lat in hosts:
         want = order_tables_outcome(order_tables_reference, lat.labels, lat.leq_mat)
@@ -534,8 +534,8 @@ def check_quantale_reference(q, subject="quantale"):
 def test_check_quantale_matches_exhaustive_reference(
     fq_b1, fq_b2, fq_b3, fq_mo2, two_chain_quantale, nilpotent_chain_quantale
 ):
-    # boolean:2 and boolean:3 take the certificates (|J| = 4 of 16, 9 of
-    # 512); mo:2 (136 of 234), boolean:1 and the chains do not.
+    # The Lin quantales take the representation certificate, the chains
+    # the row test and the J^3 certificate.
     for q in (fq_b1[0].base, fq_b2[0].base, fq_b3[0].base, fq_mo2[0].base,
               two_chain_quantale, nilpotent_chain_quantale):
         want = check_quantale_reference(q).to_dict()
@@ -636,7 +636,7 @@ def draw_extension(data, lat):
 def test_certificates_fall_back_on_tables_built_from_join_irreducibles(data):
     # boolean:3 has 3 atoms of 8 elements and boolean:4 4 of 16, so the
     # certificates are tried; the reference decides every law.
-    lat = catalog(data.draw(st.sampled_from(["boolean:3", "boolean:4"]))).lattice
+    lat = catalog(data.draw(st.sampled_from(["boolean:3", "boolean:4"])))
     mult = draw_extension(data, lat)
     q = FinQuantale(lat, mult, np.arange(lat.n, dtype=np.int32), lat.top)
     want = check_quantale_reference(q).to_dict()
@@ -645,7 +645,7 @@ def test_certificates_fall_back_on_tables_built_from_join_irreducibles(data):
 
 
 def test_associativity_certificate_needs_every_premise():
-    lat = catalog("boolean:3").lattice
+    lat = catalog("boolean:3")
     ix = lat.index
     meet = {(i, k): lat.meet(i, k) for i in (1, 2, 3) for k in (1, 2, 3)}
     zero = {i: lat.bottom for i in (1, 2, 3)}
@@ -676,11 +676,13 @@ def without_phi(q):
     return FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit)
 
 
-def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, fq_b3, fq_mo2):
-    # boolean:3 has 9 join-irreducibles of 512 elements; mo:2 has 136 of 234.
-    # The names of the laws handed to the runner as scans, not decided; the
-    # copies without phi take the join-irreducible certificates or the scans,
-    # the Lin quantales themselves the representation certificate.
+def test_certificates_replace_the_cubic_scans(monkeypatch, fq_b1, fq_b2, fq_b3, fq_mo2,
+                                              two_chain_quantale, nilpotent_chain_quantale):
+    # The names of the laws handed to the runner as scans, not decided: the
+    # copies without phi decide both distributive laws by the row test, and
+    # associativity by the J^3 certificate once they pass, whatever the
+    # share of join-irreducibles (boolean:3 has 9 of 512, mo:2 136 of 234);
+    # the Lin quantales themselves take the representation certificate.
     scanned = []
     real = quantale_module.run_laws
 
@@ -690,12 +692,14 @@ def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, 
         return real(subject, label, laws, workers)
 
     monkeypatch.setattr(quantale_module, "run_laws", recording)
-    assert check_quantale(without_phi(fq_b3[0].base)).passed
-    assert scanned == []
-    assert check_quantale(without_phi(fq_mo2[0].base)).passed
-    assert sorted(scanned) == ["associativity", "distributes-left", "distributes-right"]
+    lin = [f.base for f, _ in (fq_b1, fq_b2, fq_b3, fq_mo2)]
+    for q in [*map(without_phi, lin), two_chain_quantale, nilpotent_chain_quantale]:
+        check_quantale(q)
+        assert not {"distributes-left", "distributes-right"} & set(scanned)
     scanned.clear()
-    for q in (fq_b3[0].base, fq_mo2[0].base):
+    assert check_quantale(without_phi(fq_mo2[0].base)).passed
+    assert scanned == []
+    for q in lin:
         assert q.phi is not None
         assert check_quantale(q).passed
     assert scanned == []
@@ -704,6 +708,18 @@ def test_certificates_replace_the_cubic_scans_only_when_j_is_small(monkeypatch, 
 # ---------------------------------------------------------------------------
 # The representation certificate of the Lin quantales.
 # ---------------------------------------------------------------------------
+
+
+def test_lin_quantale_records_the_pass_of_its_build(fq_b2, fq_mo2, fq_b3):
+    # The build fills mult and join from one products pass over every row,
+    # so it records that pass as preserved_by would return it, and
+    # represents reads it instead of making the pass again.
+    for f, view in (fq_b2, fq_mo2, fq_b3):
+        q = f.base
+        ar = np.arange(q.n, dtype=np.int32)
+        recorded = q._passes[view, ar.tobytes()]
+        copy = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit, phi=q.phi)
+        assert copy.preserved_by(view, ar) == recorded == (None, None)
 
 
 def test_lin_quantale_carries_its_maps_as_phi(fq_b1, fq_b2, fq_b3, fq_mo2, b2):
@@ -762,7 +778,7 @@ def reread_from_phi(q, values):
     that names no element keeps its cell.  (ii) and (iii) then hold by
     construction, so only (i) can fail the certificate."""
     host = q.phi[0]
-    irr = host.lattice.join_irreducibles()
+    irr = host.join_irreducibles()
     base = host.n ** np.arange(len(irr))
     by_code = {int(c): a for a, c in enumerate(values[:, irr] @ base)}
     mult = q.dense_mult().copy()
@@ -778,7 +794,7 @@ def test_phi_certificate_needs_join_preserving_rows(fq_b2):
     # multiplications break associativity or distributivity.
     q = fq_b2[0].base
     host, values = q.phi
-    irr = host.lattice.join_irreducibles()
+    irr = host.join_irreducibles()
     cubic = ("associativity", "distributes-left", "distributes-right")
     failing = 0
     for a in range(q.n):
@@ -816,7 +832,7 @@ def row_test_carriers(fq_b2):
     """The carriers the lemma is tested on: Boolean, orthomodular, a product,
     a Lin carrier, and a chain and the pentagon, which are not relatively
     complemented."""
-    hosts = [catalog(name).lattice for name in ("boolean:3", "mo:2", "product(boolean:1,mo:2)")]
+    hosts = [catalog(name) for name in ("boolean:3", "mo:2", "product(boolean:1,mo:2)")]
     hosts.append(fq_b2[0].base.carrier)
     hosts.append(build_lattice(list("0ab1"), [["0", "a"], ["a", "b"], ["b", "1"]]))
     hosts.append(build_lattice(list("0abc1"), [["0", "a"], ["a", "b"], ["b", "1"],
@@ -855,13 +871,22 @@ def draw_row(data, lat):
 @given(st.data())
 def test_row_test_decides_join_preservation(fq_b2, data):
     # Rows drawn one to four at a time: the row test names the first row
-    # that fails to preserve binary joins, or none.
+    # that fails to preserve binary joins, or none, and join_law adds the
+    # least witness of the full square of that row, also with blocks of
+    # one row.
     lat = data.draw(st.sampled_from(row_test_carriers(fq_b2)))
     rows = [draw_row(data, lat) for _ in range(data.draw(st.integers(1, 4)))]
     failing = [r for r, f in enumerate(rows) if not preserves_binary_joins(f, lat)]
     irr = lat.join_irreducibles()
-    got = quantale_module.nonadditive_row(np.array(rows), lat, irr)
+    got = lattice_module.nonadditive_row(np.array(rows), lat, irr)
     assert got == (failing[0] if failing else None)
+    want = None
+    if failing:
+        f, j = rows[failing[0]], lat.join_tab
+        want = (failing[0], *map(int, np.argwhere(f[j] != j[f[:, None], f[None, :]])[0]))
+    for cells in (lattice_module._JOIN_CELLS, lat.n):
+        with mock.patch.object(lattice_module, "_JOIN_CELLS", cells):
+            assert lattice_module.join_law("law", np.array(rows), lat).hit == want
 
 
 def test_row_test_reads_every_join_irreducible(fq_b2):
@@ -876,8 +901,8 @@ def test_row_test_reads_every_join_irreducible(fq_b2):
             f = top.copy()
             f[k] = lat.bottom
             assert not preserves_binary_joins(f, lat)
-            assert quantale_module.nonadditive_row(np.array([top, f, f]), lat, irr) == 1
-        assert quantale_module.nonadditive_row(top[None, :], lat, irr) is None
+            assert lattice_module.nonadditive_row(np.array([top, f, f]), lat, irr) == 1
+        assert lattice_module.nonadditive_row(top[None, :], lat, irr) is None
 
 
 def draw_late_mutant(data, q):
@@ -911,13 +936,13 @@ def test_failed_row_test_scans_one_row_per_law(monkeypatch, fq_b3):
     mult[400, 266] = (mult[400, 266] + 1) % q.n
     mutant = FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
     scanned = []
-    real = quantale_module._row_witness
+    real = lattice_module._row_witness
 
-    def counting(act, *args):
-        scanned.append(act)
-        return real(act, *args)
+    def counting(f, lat):
+        scanned.append(f)
+        return real(f, lat)
 
-    monkeypatch.setattr(quantale_module, "_row_witness", counting)
+    monkeypatch.setattr(lattice_module, "_row_witness", counting)
     for workers in (1, 2):
         scanned.clear()
         report = check_quantale(mutant, workers=workers)

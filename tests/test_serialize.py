@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from omlq import (
+    FiniteLattice,
     FiniteOML,
     FormatError,
     build_lattice,
@@ -50,9 +51,8 @@ def test_oml_round_trip():
 
 
 def test_lattice_round_trip(b3):
-    lat = b3.lattice
-    again = parse_lattice(lattice_to_dict(lat))
-    assert again.signature == lat.signature
+    again = parse_lattice(lattice_to_dict(b3))
+    assert again.signature == FiniteLattice.signature.fget(b3)
 
 
 def test_covers_input_equals_full_order_input(b2):
@@ -130,7 +130,7 @@ def test_module_round_trip(fq_b2, b2):
     for mod in (lin_module(b2, q=f.base, view=view), sasaki_module(f)):
         again = parse_module(module_to_dict(mod))
         assert np.array_equal(again.table, mod.table)
-        assert again.lattice.signature == mod.lattice.signature
+        assert again.lattice.signature == FiniteLattice.signature.fget(mod.lattice)
 
 
 def test_structure_dispatch(fq_b2, b2):
@@ -148,7 +148,7 @@ def test_structure_dispatch(fq_b2, b2):
     assert type(obj).__name__ == "LinMap"
     obj = parse_structure(module_to_dict(sasaki_module(f)))
     assert type(obj).__name__ == "ModuleAction"
-    obj = parse_structure(lattice_to_dict(b2.lattice))
+    obj = parse_structure(lattice_to_dict(b2))
     assert type(obj).__name__ == "FiniteLattice"
     with pytest.raises(FormatError):
         parse_structure({"what": 1})
@@ -271,6 +271,18 @@ def test_dot_escapes_quotes():
     oml = FiniteOML(lat, [1, 0])
     dot = to_dot(oml)
     assert '\\"' in dot
+
+
+def test_dot_of_module_draws_no_complements(fq_mo2, mo2):
+    # the canonical actions hold OMLs, a module file may name one
+    f, view = fq_mo2
+    plain = to_dot(parse_lattice(lattice_to_dict(mo2)))
+    lm = lin_module(mo2, q=f.base, view=view)
+    named = parse_module({**module_to_dict(lm), "lattice": "mo:2"})
+    assert isinstance(named.lattice, FiniteOML)
+    for mod in (lm, sasaki_module(f), named):
+        assert "style=dashed" not in to_dot(mod)
+    assert to_dot(lm) == to_dot(named) == plain
 
 
 def test_dot_of_quantale_uses_carrier(fq_b2):

@@ -96,7 +96,7 @@ def lattice_cases(host):
     n = oml.n
     orthos = [oml.ortho] + [one_cell(oml.ortho, s, n) for s in SEEDS]
     for k, ortho in enumerate(orthos):
-        mut = FiniteOML(oml.lattice, ortho)
+        mut = FiniteOML(oml, ortho)
         yield f"oml/{k}", lambda w, m=mut: check_oml(m, workers=w)
         yield f"sasaki-facts/{k}", lambda w, m=mut: sasaki_facts_report(m, workers=w)
     a = n // 2
