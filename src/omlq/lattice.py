@@ -193,7 +193,7 @@ class FiniteLattice:
     def index(self, label) -> int:
         try:
             return self._idx[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise FormatError(f"unknown element {label!r}") from None
 
     def label(self, i) -> str:
@@ -271,11 +271,6 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n}, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
 
 
-# Per byte: popcount and first set bit in np.packbits order (byte 0 gets 0,
-# never accepted: an empty intersection has popcount 0).  A block of rows has
-# about ten times _BLOCK_BYTES of temporaries, kept small for peak memory.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-_FIRST_BIT = np.array([8 - b.bit_length() if b else 0 for b in range(256)])
 _BLOCK_BYTES = 1 << 16
 
 
@@ -283,29 +278,49 @@ def _order_tables(labels, leq, kinds=("join", "meet")):
     """The tables of kinds, join and/or meet, from a validated order matrix.
 
     The join of i and j is the least element of the intersection of their
-    up-sets; the meet is the same on the transposed order.  With columns
-    packed in descending order of up-set size, a linear extension, the
-    first set bit of an intersection is a minimal element k of it, and the
-    intersection (an up-set containing up(k)) has k as least element
-    exactly when both have the same size.  Rows go in blocks; the first
-    pair in row-major order with no join or meet is reported, join first.
+    up-sets; the meet is the same on the transposed order.  Each up-set is
+    a row of bits, columns in descending order of up-set size (a linear
+    extension), packed little-endian into 64-bit words and stored
+    word-major, so that reductions over the words of a pair run plane by
+    plane.  The first set bit of an intersection is a minimal element k of
+    it: the lowest bit w & (~w + 1) of its first nonzero word w, whose index
+    is the exponent of that power of two read as a float64.  The
+    intersection is an up-set containing up(k), so k is its least element
+    exactly when the two are equal word for word.  An empty intersection
+    has no candidate and fails explicitly.
+
+    Rows go in blocks whose word intersections take about _BLOCK_BYTES, one
+    row at least.  With the candidates' up-sets, the masks and the per-pair
+    index arrays, a block holds up to about six times that in temporaries.
+    The first pair in row-major order with no join or meet is reported,
+    join first.
     """
     n = leq.shape[0]
+    words = -(-n // 64)
     tables, packs = [], []
     for up in ({"join": leq, "meet": leq.T}[k] for k in kinds):
-        size = up.sum(axis=1, dtype=np.int32)
-        order = np.argsort(-size, kind="stable")
-        packs.append((size, order, np.packbits(up[:, order], axis=1)))
+        order = np.argsort(-up.sum(axis=1, dtype=np.int32), kind="stable")
+        row_bytes = np.packbits(up[:, order], axis=1, bitorder="little")
+        packed = np.zeros((n, 8 * words), dtype=np.uint8)
+        packed[:, : row_bytes.shape[1]] = row_bytes
+        packs.append((order, np.ascontiguousarray(packed.view("<u8").T)))
         tables.append(np.empty((n, n), dtype=np.int32))
-    step = max(1, _BLOCK_BYTES // (n * packs[0][2].shape[1]))
+    step = max(1, _BLOCK_BYTES // (8 * words * n))
+    rows, cols = np.arange(step)[:, None], np.arange(n)
     for lo in range(0, n, step):
         ok = []
-        for tab, (size, order, packed) in zip(tables, packs):
-            both = np.bitwise_and(packed[lo : lo + step, None], packed[None], order="C")
-            first = (both != 0).argmax(axis=2)
-            byte = np.take_along_axis(both, first[..., None], axis=2)[..., 0]
-            tab[lo : lo + step] = cand = order[first * 8 + _FIRST_BIT[byte]]
-            ok.append(np.take(_POPCOUNT, both).sum(axis=2, dtype=np.int32) == size[cand])
+        for tab, (order, up) in zip(tables, packs):
+            both = up[:, lo : lo + step, None] & up[:, None, :]
+            first = (both != 0).argmax(axis=0)
+            word = both[first, rows[: len(first)], cols]
+            hit = word != 0
+            low = word & (~word + 1)
+            # the float64 2**k has the biased exponent 1023 + k in bits 52-62
+            bit = (low.astype(np.float64).view(np.int64) >> 52) - 1023
+            # an empty intersection has bit -1023: it looks up order[0] and
+            # fails on hit
+            tab[lo : lo + step] = cand = order[np.where(hit, 64 * first + bit, 0)]
+            ok.append(hit & (both == up.take(cand, axis=1)).all(axis=0))
         bad = ~np.logical_and.reduce(ok)
         if bad.any():
             i, j = np.unravel_index(int(bad.argmax()), bad.shape)
@@ -372,12 +387,13 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
     n = len(labels)
     leq = np.eye(n, dtype=bool)
     for pair in leq_pairs:
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"order pair {pair!r} is not a pair")
         x, y = pair
-        if x not in idx or y not in idx:
-            raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements")
-        leq[idx[x], idx[y]] = True
+        try:
+            leq[idx[x], idx[y]] = True
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements") from None
     # the loop ends on a product that adds nothing: leq is transitive
     while True:
         closed = leq | bool_product(leq, leq)

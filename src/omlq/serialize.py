@@ -167,19 +167,29 @@ def _label_array(lat, mapping, what) -> np.ndarray:
     return out
 
 
+def _label_table(lat, rows, height, message) -> np.ndarray:
+    """A height-by-lat.n table of labels as indices, one dict lookup per
+    cell.  A row with an unknown label is decoded again through lat.index,
+    which raises its error for the first such label."""
+    if not isinstance(rows, list) or len(rows) != height:
+        raise FormatError(message)
+    index = {lab: i for i, lab in enumerate(lat.labels)}
+    out = np.empty((height, lat.n), dtype=np.int32)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != lat.n:
+            raise FormatError(message)
+        try:
+            out[i] = np.fromiter(map(index.__getitem__, row), np.int32, lat.n)
+        except (KeyError, TypeError):
+            out[i] = [lat.index(lab) for lab in row]
+    return out
+
+
 def parse_quantale(d: dict):
     """A quantale table file; returns FoulisQuantale when "sai" is present."""
     lat = parse_lattice(d)
-    n = lat.n
-    mult_rows = d.get("mult")
-    if not isinstance(mult_rows, list) or len(mult_rows) != n:
-        raise FormatError('"mult" must be an n-by-n label table')
-    index = {lab: i for i, lab in enumerate(lat.labels)}
-    mult = np.empty((n, n), dtype=np.int32)
-    for i, row in enumerate(mult_rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise FormatError('"mult" must be an n-by-n label table')
-        mult[i] = [index[lab] if lab in index else lat.index(lab) for lab in row]
+    mult = _label_table(lat, d.get("mult"), lat.n,
+                        '"mult" must be an n-by-n label table')
     star = _label_array(lat, d.get("star"), "star")
     if "unit" not in d:
         raise FormatError('missing "unit"')
@@ -197,15 +207,8 @@ def parse_module(d: dict, base_dir=None) -> ModuleAction:
     if isinstance(q, FoulisQuantale):
         q = q.base
     lat = resolve_lattice(d["lattice"], base_dir)
-    rows = d.get("action")
-    if not isinstance(rows, list) or len(rows) != q.n:
-        raise FormatError('"action" must be a |Q|-by-|A| label table')
-    table = np.empty((q.n, lat.n), dtype=np.int32)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != lat.n:
-            raise FormatError('"action" must be a |Q|-by-|A| label table')
-        for j, lab in enumerate(row):
-            table[i, j] = lat.index(lab)
+    table = _label_table(lat, d.get("action"), q.n,
+                         '"action" must be a |Q|-by-|A| label table')
     return ModuleAction(q, lat, table)
 
 

@@ -11,7 +11,15 @@ import sys
 
 import pytest
 
-from omlq import catalog, dump_json, oml_to_dict, parse_oml, parse_quantale
+from omlq import (
+    catalog,
+    dump_json,
+    lin_module,
+    module_to_dict,
+    oml_to_dict,
+    parse_oml,
+    parse_quantale,
+)
 from omlq.cli import main
 from omlq.serialize import linmap_to_dict, quantale_to_dict
 
@@ -299,6 +307,36 @@ def test_check_quantale_detects_broken_mult(capsys, tmp_path):
     code, out, _ = run(capsys, "check-quantale", "--file", str(p))
     assert code == 1
     assert "unit" in out
+
+
+@pytest.mark.parametrize("key", ["mult", "star", "unit", "leq"])
+def test_check_quantale_file_with_a_list_label_is_an_input_error(capsys, tmp_path, key):
+    # A JSON list where a label belongs is unhashable; it is an unknown
+    # element (exit 2), not a crash.
+    d = quantale_to_dict(make_nilpotent_chain_quantale())
+    if key == "mult":
+        d["mult"][1][2] = ["m"]
+    elif key == "star":
+        d["star"]["m"] = ["m"]
+    elif key == "unit":
+        d["unit"] = ["m"]
+    else:
+        d["leq"][0][1] = ["m"]
+    p = tmp_path / "list-label.json"
+    p.write_text(dump_json(d))
+    code, out, err = run(capsys, "check-quantale", "--file", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "['m']" in err
+
+
+def test_check_module_file_with_a_list_action_label_is_an_input_error(capsys, tmp_path, b2):
+    d = module_to_dict(lin_module(b2))
+    d["action"][1][0] = ["a"]
+    p = tmp_path / "list-label.json"
+    p.write_text(dump_json(d))
+    code, out, err = run(capsys, "check-module", "--file", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown element ['a']\n"
 
 
 def test_check_quantale_file_with_a_late_row_mutant(tmp_path, fq_b3):

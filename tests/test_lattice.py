@@ -127,6 +127,11 @@ def test_build_lattice_rejects_unknown_and_duplicate_labels():
         build_lattice(["x", "y"], [("x", "z")])
     with pytest.raises(FormatError):
         build_lattice(["x", "x"], [])
+    with pytest.raises(FormatError, match="names unknown elements"):
+        build_lattice(["x", "y"], [("x", ["y"])])
+    for pair in (5, "xy", ("x", "y", "x")):
+        with pytest.raises(FormatError, match="is not a pair"):
+            build_lattice(["x", "y"], [pair])
 
 
 def test_build_lattice_rejects_missing_bounds():

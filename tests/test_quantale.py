@@ -357,6 +357,104 @@ def test_order_tables_report_the_reference_witness(data):
     assert lattice_from_order_outcome(labels, leq) == lattice_from_order_reference(labels, leq)
 
 
+def stacked_poset(below, middle, pairs, above, perm):
+    """A chain of `below` elements under the poset of the labels in middle,
+    ordered by pairs, under a chain of `above` elements.  Element k of the
+    stack is stored at index perm[k], so the label order need not be a
+    linear extension."""
+    names = [f"l{k}" for k in range(below)] + list(middle) + [f"u{k}" for k in range(above)]
+    n, top_mid = len(names), below + len(middle)
+    edges = [(k, k + 1) for k in range(below - 1)]
+    edges += [(k, k + 1) for k in range(top_mid, n - 1)]
+    lows = [below - 1] if below else []
+    highs = [top_mid] if above else []
+    mid = range(below, top_mid)
+    edges += [(x, y) for x in lows for y in [*mid, *highs]]
+    edges += [(x, y) for x in mid for y in highs]
+    edges += [(names.index(x), names.index(y)) for x, y in pairs]
+    labels = [None] * n
+    for k, name in enumerate(names):
+        labels[perm[k]] = name
+    return labels, closed_order(n, [(perm[x], perm[y]) for x, y in edges])
+
+
+def shuffled(n):
+    return [int(k) for k in np.random.default_rng(n).permutation(n)]
+
+
+def subset_lattice(k):
+    """The subsets of a k-set under inclusion, stored in shuffled order."""
+    perm = shuffled(2 ** k)
+    sets = np.arange(2 ** k)
+    leq = np.empty((2 ** k, 2 ** k), dtype=bool)
+    leq[np.ix_(perm, perm)] = (sets[:, None] & sets[None, :]) == sets[:, None]
+    labels = [None] * 2 ** k
+    for s in sets:
+        labels[perm[s]] = f"s{s}"
+    return labels, leq
+
+
+# 64, 65 and 128 elements: up-sets of exactly one word, of one word and one
+# bit, and of exactly two words.  Each failing pair sits past a long chain:
+# above it for joins, whose columns run from the bottom, and below it for
+# meets, whose columns run from the top.  So its bits lie at the end of the
+# first word, across the word boundary or in the second word.  Without a
+# chain above, c and d have no upper bound; without one below, a and b have
+# no lower bound.
+TWO_MINIMAL_BOUNDS = ("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+WORD_CASES = [
+    (subset_lattice(6), None),
+    (subset_lattice(7), None),
+    (stacked_poset(65, "", [], 0, shuffled(65)), None),
+    (stacked_poset(62, "abcd", [], 62, shuffled(128)), None),
+    *[(stacked_poset(n - 4, *TWO_MINIMAL_BOUNDS, 0, shuffled(n)), "no join")
+      for n in (64, 65, 128)],
+    *[(stacked_poset(n - 5, *TWO_MINIMAL_BOUNDS, 1, shuffled(n)), "no join")
+      for n in (64, 65)],
+    (stacked_poset(123, *TWO_MINIMAL_BOUNDS, 1, shuffled(128)), "no meet"),
+    *[(stacked_poset(0, "ab", [], n - 2, shuffled(n)), "no meet") for n in (64, 65, 128)],
+]
+
+
+def assert_order_tables_match_the_reference(labels, leq):
+    assert order_tables_outcome(_order_tables, labels, leq) == order_tables_outcome(
+        order_tables_reference, labels, leq
+    )
+    assert lattice_from_order_outcome(labels, leq) == lattice_from_order_reference(labels, leq)
+
+
+@pytest.mark.parametrize("case", range(len(WORD_CASES)))
+def test_order_tables_report_the_reference_witness_at_word_boundaries(case):
+    (labels, leq), kind = WORD_CASES[case]
+    want = order_tables_outcome(order_tables_reference, labels, leq)
+    if kind is None:
+        assert not isinstance(want[0], str)
+    else:  # c and d precede a and b in the 128-element meet case
+        assert want[0] == kind and set(want[1]) <= set("abcd")
+    assert_order_tables_match_the_reference(labels, leq)
+
+
+@st.composite
+def stacked_posets(draw):
+    n = draw(st.integers(60, 140))
+    r = draw(st.integers(0, 9))
+    below = draw(st.sampled_from([0, n - r]) | st.integers(0, n - r))
+    upper = [(x, y) for x in range(r) for y in range(x + 1, r)]
+    chosen = draw(st.lists(st.sampled_from(upper), unique=True) if upper else st.just([]))
+    middle = [f"m{k}" for k in range(r)]
+    pairs = [(middle[x], middle[y]) for x, y in chosen]
+    return stacked_poset(below, middle, pairs, n - r - below, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_posets())
+def test_order_tables_report_the_reference_witness_across_words(poset):
+    # Relabelled stacks of 60 to 140 elements: a random poset of up to 9
+    # elements between two chains, either of which may be empty, so that
+    # bottoms, tops and empty intersections come and go.
+    assert_order_tables_match_the_reference(*poset)
+
+
 # ---------------------------------------------------------------------------
 # Defined order and orthogonality.
 # ---------------------------------------------------------------------------

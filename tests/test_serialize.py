@@ -229,6 +229,20 @@ def test_parse_rejects_partial_tables(b2):
         parse_quantale(q)
 
 
+def test_parse_module_rejects_unknown_action_labels(fq_b2, b2):
+    f, view = fq_b2
+    d = module_to_dict(lin_module(b2, q=f.base, view=view))
+    d["action"][3][1] = "nope"
+    with pytest.raises(FormatError, match="unknown element 'nope'"):
+        parse_module(d)
+    d["action"][3][1] = ["a"]
+    with pytest.raises(FormatError, match=r"unknown element \['a'\]"):
+        parse_module(d)
+    d["action"][3] = d["action"][3][:-1]
+    with pytest.raises(FormatError, match="label table"):
+        parse_module(d)
+
+
 def test_dump_json_is_canonical():
     text = dump_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
