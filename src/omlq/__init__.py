@@ -10,6 +10,14 @@ serialization (serialize); theorem pipelines (verify); and the `omlq`
 command-line tool (cli).
 """
 
+import os
+
+# One OpenBLAS thread unless the caller set a count: the boolean closures
+# are small products, and OpenBLAS's worker thread spins while numpy loads
+# and after each call, competing with the main thread.  Set before the
+# first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .catalog import (
     benzene_oml,
     boolean_oml,

@@ -21,10 +21,11 @@ sai(s) = the Sasaki projection at complement(dagger(s)(top)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousSai, NotALattice, NotFoulis, StructureViolation
+from .errors import AmbiguousSai, FormatError, NotALattice, NotFoulis, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
@@ -69,6 +70,41 @@ class FoulisQuantale:
     def members(self) -> list[int]:
         """The projection image, ascending by quantale index."""
         return sorted(int(k) for k in set(self.sai.tolist()))
+
+    @cached_property
+    def certified(self) -> bool:
+        """Whether the base's phi certifies the annihilator laws.
+
+        It needs base.certified_view, sai equal to closed_form_sai of that
+        view and the base's star, and, with S the Sasaki table of the host
+        X of phi and p_k the map S[k], S[k, 1] = k, S[k, y] = y for y <= k
+        and S[k, y] <= k.  Write x(1) for phi(x)(1), 0 for the zero map
+        and k_t for c(phi(star(t))(1)), c the complement of X.
+
+        (1) t * x = 0 iff x(1) <= k_t: phi(t * x) = phi(t) o phi(x), phi is
+            injective and phi(zero) = 0, so t * x = 0 iff phi(t) sends
+            every phi(x)(s) <= x(1) to 0, and by certified_view phi(t)
+            sends y to 0 iff y <= k_t.
+        (2) p_k o x = x iff x(1) <= k: if x(1) <= k then every
+            x(s) <= x(1) <= k is fixed by p_k; (p_k o x)(1) = S[k, x(1)] <= k.
+        (3) The left multiples p_k o y of p_k are exactly the x with
+            x(1) <= k: (p_k o y)(1) <= k, and by (2) such an x is p_k o x.
+        (4) phi(sai(t)) = p_(k_t), by the closed form.
+        (5) perp(r) = sai(star(r)), and star(star(r)) = r by certified_view,
+            so phi(perp(r)) = p_(c(r(1))).
+        """
+        q = self.base
+        view = q.certified_view
+        if view is None:
+            return False
+        x = view.host
+        S, leq, ar = sasaki_table(x), x.leq_mat, np.arange(x.n)
+        if not ((S[:, x.top] == ar).all() and (S == ar)[leq.T].all() and leq[S, ar[:, None]].all()):
+            return False
+        try:
+            return np.array_equal(closed_form_sai(view, q.dense_star()), self.sai)
+        except (FormatError, StructureViolation):  # a projection that is no element
+            return False
 
 
 def derive_sai(q: FinQuantale) -> np.ndarray:
@@ -133,6 +169,12 @@ def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
     The annihilator axioms compare the set {x | s*x = 0} with the set of
     left multiples of the projection; a witness is the offending s paired
     with the least element on which the two sets differ.
+
+    When f.certified holds, both annihilator laws hold and are not scanned:
+    by (1), (3) and (4) of FoulisQuantale.certified, the annihilator of t
+    and the left multiples of sai(t) are both {x : x(1) <= k_t}, for every
+    t, so also for every star(s) that perp-annihilator tests.  The other laws
+    keep their vector comparisons; on a decline both laws are scanned.
     """
     q = f.base
     m = q.dense_mult()
@@ -140,6 +182,7 @@ def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
     sai = f.sai
     perp = sai[s]
     n = q.n
+    certified = f.certified
 
     def annihilator(source):
         # source maps s to the element t whose annihilator {x | t*x = 0}
@@ -150,7 +193,7 @@ def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
             generated[m[sai[t]]] = True
             return (m[t] == q.zero) != generated
 
-        return rows(bad)
+        return None if certified else rows(bad)
 
     return run_laws(subject, q.label, [
         Law("sai-idempotent", hit=least(m[sai, sai] != sai)),
@@ -171,6 +214,17 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
     perp-antitone: t <= r implies perp(r) <= perp(t), with <= the defined
     order, plus perp(perp(k)) = k on the projection image.
     perp-galois: t <= perp(r) iff r <= perp(t), all pairs.
+
+    When f.certified holds, the three pair laws hold and are not scanned;
+    the numbers are those of FoulisQuantale.certified.  fixed-point: with
+    u = star(r), u * t = 0 iff t(1) <= k_u by (1), iff sai(u) * t = t by
+    (4) and (2).  perp-galois: by (5) and (2), t <= perp(r) iff
+    t(1) <= c(r(1)), and r <= perp(t) iff r(1) <= c(t(1)); c is an
+    order-reversing involution, so the two agree.  perp-antitone: t <= r
+    gives t(1) = phi(r)(t(1)) <= r(1), so k = c(r(1)) <= k' = c(t(1)) and
+    p_k(1) = k <= k', so p_k' o p_k = p_k by (2): perp(r) <= perp(t).
+    double-perp keeps its vector comparison; on a decline the three laws
+    are scanned.
     """
     q = f.base
     m = q.dense_mult()  # t <= r iff m[r, t] == t
@@ -181,13 +235,17 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
     ar = np.arange(n)
     members = np.array(f.members(), dtype=np.int32)
     unfixed = members[perp[perp[members]] != members]
+
+    def scan(bad):
+        return None if f.certified else rows(bad)
+
     return run_laws(subject, q.label, [
-        Law("fixed-point", rows(lambda r: (m[s[r]] == q.zero) != (m[sai[s[r]]] == ar)), n),
+        Law("fixed-point", scan(lambda r: (m[s[r]] == q.zero) != (m[sai[s[r]]] == ar)), n),
         # entry r: t <= r but not perp(r) <= perp(t)
-        Law("perp-antitone", rows(lambda t: (m[:, t] == t) & (m[perp[t], perp] != perp)), n),
+        Law("perp-antitone", scan(lambda t: (m[:, t] == t) & (m[perp[t], perp] != perp)), n),
         Law("double-perp", hit=tuple(unfixed[:1].tolist()) or None),
         # entry r: t <= perp(r) against r <= perp(t)
-        Law("perp-galois", rows(lambda t: (m[perp, t] == t) != (m[perp[t]] == ar)), n),
+        Law("perp-galois", scan(lambda t: (m[perp, t] == t) != (m[perp[t]] == ar)), n),
     ], workers)
 
 
@@ -371,6 +429,37 @@ def hom_h(
                      tuple(table.tolist()))
 
 
+def sasaki_embedding(view: QElementView, oml: FiniteOML, sub: SasakiOML) -> np.ndarray:
+    """theta: a -> the Sasaki projection at a, in the local indices of sub."""
+    return np.array([sub.from_host(sasaki_projection_index(view, oml, a)) for a in range(oml.n)])
+
+
+def record_conjugation(h: FoulisHom, theta) -> bool:
+    """Record on the source quantale q that preserved_by(h.target_view,
+    h.table) has no hit, when h(s) o theta = theta o phi(s) for every s.
+
+    theta must be a lattice isomorphism from the host X of q.phi onto the
+    projection lattice h.sub.oml, as a passing roundtrip_iso shows of
+    sasaki_embedding.  It also needs q.certified_view and every h.table
+    entry an element.  Then h(s) = theta o phi(s) o theta^-1, so by
+    represents (ii) h(u * v) = theta phi(u) phi(v) theta^-1 = h(u) o h(v),
+    and by (iii), theta preserving joins, h(u v v) = h(u) v h(v).  The
+    element h.table[w] is target_view.find of row h(w), the dense inverse
+    at the row's code on J; the pass looks up the code of h(u) o h(v) (of
+    h(u) v h(v)) in the same inverse, so at w = u * v (w = u v v) both name
+    one element and the pass has no hit.  Returns whether it recorded.
+    """
+    q = h.source.base
+    view = q.certified_view
+    tb = np.array(h.table, dtype=np.int32)
+    if view is None or (tb < 0).any():
+        return False
+    if not np.array_equal(h.target_view.values[tb][:, theta], theta[view.values]):
+        return False
+    q.record_pass(h.target_view, tb)
+    return True
+
+
 def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     """Structure preservation of the representation.
 
@@ -383,7 +472,8 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     star target_view.adjoints, an involution, and its sai h.target_sai.
     preserves-join and preserves-mult are read from one pass of
     FinQuantale.preserved_by over the image rows, memoized on the source
-    quantale, so the Sasaki module of module_reports reads the same pass.
+    quantale, so the Sasaki module of module_reports reads the same pass;
+    when record_conjugation has recorded the pass, neither makes it.
     perp-closed-form reads closed_form_sai at the star of each image, so it
     compares the closed form with itself when target_sai is closed_form_sai;
     it stays for the payload and for supplied target_sai tables.
@@ -427,7 +517,7 @@ def roundtrip_iso(
     f, view = built
     sub = sasaki_oml(f) if sub is None else sub
     n = oml.n
-    cand = np.array([sub.from_host(sasaki_projection_index(view, oml, a)) for a in range(n)])
+    cand = sasaki_embedding(view, oml, sub)
     seen = {}
     dup = next(((seen[c], a) for a, c in enumerate(cand.tolist()) if seen.setdefault(c, a) != a),
                None)

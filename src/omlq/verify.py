@@ -32,7 +32,9 @@ from .foulis import (
     check_hom,
     foulis_from_lin,
     hom_h,
+    record_conjugation,
     roundtrip_iso,
+    sasaki_embedding,
     sasaki_oml_report,
 )
 from .lattice import FiniteOML, Law, check_oml, make_report, rows, run_laws, sasaki_table
@@ -197,8 +199,21 @@ class _Ctx:
         return sasaki_oml_report(self.foulis[0])
 
     @cached_property
+    def roundtrip(self):
+        return roundtrip_iso(self.oml, cap=self.cap, workers=self.workers, built=self.foulis,
+                             sub=self.sub_report[0])
+
+    @cached_property
     def hom(self):
-        return hom_h(self.foulis[0], cap=self.cap, workers=self.workers, sub=self.sub_report[0])
+        # roundtrip is decided first: its passing report shows that theta is
+        # an isomorphism, so h is phi conjugated by theta when
+        # record_conjugation's row test holds, and no products pass is made
+        f, view = self.foulis
+        sub = self.sub_report[0]
+        h = hom_h(f, cap=self.cap, workers=self.workers, sub=sub)
+        if self.roundtrip.passed:
+            record_conjugation(h, sasaki_embedding(view, self.oml, sub))
+        return h
 
 
 def _run_selector(sel: str, ctx: _Ctx):
@@ -230,8 +245,7 @@ def _run_selector(sel: str, ctx: _Ctx):
         h = ctx.hom
         return [check_hom(h, workers=w)], {"injective": h.injective}
     if sel == "roundtrip":
-        sub, _ = ctx.sub_report
-        return [roundtrip_iso(ctx.oml, cap=ctx.cap, workers=w, built=ctx.foulis, sub=sub)], {}
+        return [ctx.roundtrip], {}
     raise ValueError(f"unknown selector {sel!r}")
 
 

@@ -5,6 +5,7 @@ on well-formed input, 2 unusable input or usage error.
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -530,6 +531,19 @@ def test_console_script_runs():
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "16"
+
+
+@pytest.mark.parametrize("given, kept", [(None, "1"), ("3", "3")])
+def test_import_sets_one_blas_thread_unless_the_caller_chose(given, kept):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, omlq; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == kept
 
 
 def test_installed_entry_point():

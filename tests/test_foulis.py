@@ -21,12 +21,17 @@ from hypothesis import strategies as st
 
 from omlq import (
     AmbiguousSai,
+    FinQuantale,
+    FiniteLattice,
     FoulisQuantale,
+    ModuleAction,
     NotFoulis,
     StructureViolation,
     catalog,
     check_foulis,
     check_hom,
+    check_involutive,
+    check_left_module,
     check_oml,
     check_star_props,
     derive_sai,
@@ -43,6 +48,7 @@ from omlq import (
     sasaki_projection_index,
 )
 import omlq.foulis as foulis_module
+import omlq.quantale as quantale_module
 from omlq.lattice import Law, least, rows, run_laws, sasaki_table
 
 from conftest import make_nilpotent_chain_quantale, make_two_chain_quantale
@@ -405,6 +411,185 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
     mutants(cases[:3], 120)
     mutants(cases[3:], 6)
     assert failed == set(check_hom(cases[0][0]).axioms)
+
+
+# ---------------------------------------------------------------------------
+# The phi certificates of the involution, annihilator and hom laws against
+# their scans.
+# ---------------------------------------------------------------------------
+
+CERTIFIED_ROW_LAWS = {"star-antihomomorphism", "star-join", "sai-annihilator",
+                      "perp-annihilator", "fixed-point", "perp-antitone", "perp-galois"}
+
+
+def phi_copy(q, **parts):
+    """A fresh copy of the Lin quantale q, with nothing memoized; parts
+    replace its carrier, mult, star, unit or phi's values."""
+    p = {"carrier": q.carrier, "mult": q.dense_mult(), "star": q.dense_star(), "unit": q.unit,
+         "values": q.phi[1], **parts}
+    return FinQuantale(p["carrier"], p["mult"], p["star"], p["unit"], phi=(q.phi[0], p["values"]))
+
+
+def without_phi(f):
+    """f over a copy of its base that carries no phi: every law is scanned."""
+    q = f.base
+    return FoulisQuantale(FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit), f.sai)
+
+
+def involution_and_annihilator_reports(f, workers):
+    return [check_involutive(f.base, workers=workers).to_dict(),
+            check_foulis(f, workers=workers).to_dict(),
+            check_star_props(f, workers=workers).to_dict()]
+
+
+def assert_certificates_match_scans(f):
+    """The involutive, foulis and star-props reports of f equal those of
+    the scans at 1 and 2 workers; returns the laws that fail."""
+    for w in (1, 2):
+        want = involution_and_annihilator_reports(without_phi(f), w)
+        assert involution_and_annihilator_reports(f, w) == want
+    return {a for r in want for a, e in r["axioms"].items() if not e["passed"]}
+
+
+def test_lin_quantales_certify_the_involution_and_annihilator_laws(
+        fq_b1, fq_b2, fq_mo2, fq_b3):
+    for f, view in (fq_b1, fq_b2, fq_mo2, fq_b3):
+        assert f.base.certified_view is view and f.certified
+        assert assert_certificates_match_scans(f) == set()
+
+
+def test_annihilator_certificate_needs_the_sasaki_facts(benzene):
+    # Benzene is an ortholattice but no OML: phi certifies the involution
+    # of Lin(benzene), but a Sasaki projection need not fix what lies below
+    # it, and the annihilator and complement laws fail.
+    f, view = foulis_from_lin(benzene)
+    assert f.base.certified_view is view and not f.certified
+    assert CERTIFIED_ROW_LAWS - {"star-antihomomorphism", "star-join"} <= (
+        assert_certificates_match_scans(f))
+
+
+def draw_foulis_mutant(data, f):
+    """One to three overwritten cells of star, sai, mult, the carrier join
+    (a new FiniteLattice over the mutated table) or phi's values, the zero
+    and unit rows drawn often."""
+    q = f.base
+    host, values = q.phi
+    tables = {"star": q.dense_star().copy(), "sai": f.sai.copy(), "mult": q.dense_mult().copy(),
+              "join": q.carrier.join_tab.copy(), "phi": values.copy()}
+    kind = data.draw(st.sampled_from(sorted(tables)))
+    table = tables[kind]
+    size = host.n if kind == "phi" else q.n
+    row = st.sampled_from([q.zero, q.unit]) | st.integers(0, q.n - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        cell = (data.draw(row), *(data.draw(st.integers(0, d - 1)) for d in table.shape[1:]))
+        old = int(table[cell])
+        table[cell] = data.draw(st.integers(0, size - 1).filter(lambda v: v != old))
+    c = q.carrier
+    if kind == "join":
+        c = FiniteLattice(c.labels, c.leq_mat, tables["join"], None, c.bottom, c.top)
+    return FoulisQuantale(phi_copy(q, carrier=c, mult=tables["mult"], star=tables["star"],
+                                   values=tables["phi"]), tables["sai"])
+
+
+def test_involution_and_annihilator_certificates_match_the_scans_on_mutants(
+        fq_b1, fq_b2, fq_mo2, fq_b3):
+    failed = set()
+
+    def mutants(cases, examples):
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            f = data.draw(st.sampled_from(cases))
+            failed.update(assert_certificates_match_scans(draw_foulis_mutant(data, f)))
+
+        check()
+
+    mutants([fq_b1[0], fq_b2[0], fq_mo2[0]], 120)
+    mutants([fq_b3[0]], 4)
+    assert CERTIFIED_ROW_LAWS <= failed
+
+
+def test_certificates_need_phi_of_zero_and_of_unit(fq_b2, fq_mo2):
+    # The carrier's bottom, which is the quantale's zero, or the unit moved
+    # to another element: represents reads neither, so only the row tests
+    # of phi(zero) and phi(unit) decline.  With the zero moved, the
+    # annihilator laws compare products with the wrong element and fail.
+    failed = set()
+    for f, _ in (fq_b2, fq_mo2):
+        q = f.base
+        c = q.carrier
+        for bottom, unit in ((q.unit, q.unit), (c.top, q.unit), (c.bottom, c.top)):
+            carrier = FiniteLattice(c.labels, c.leq_mat, c.join_tab, None, bottom, c.top)
+            base = phi_copy(q, carrier=carrier, unit=unit)
+            assert quantale_module.represents(base) and base.certified_view is None
+            failed |= assert_certificates_match_scans(FoulisQuantale(base, f.sai))
+    assert {"sai-annihilator", "perp-annihilator", "fixed-point"} <= failed
+
+
+def hom_cases(*built):
+    """(f, h, theta) for each (f, view, oml): h as hom_h builds it and
+    theta the round trip's isomorphism, which passes."""
+    cases = []
+    for f, view, oml in built:
+        h = hom_h(f)
+        assert roundtrip_iso(oml, built=(f, view), sub=h.sub).passed
+        cases.append((f, h, foulis_module.sasaki_embedding(view, oml, h.sub)))
+    return cases
+
+
+def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo2, fq_b3,
+                                                            b1, b2, mo2, b3):
+    # Mutants of the sasaki action table: two rows swapped, which keeps
+    # every row an element, or one to three cells overwritten.  On a fresh
+    # copy of the quantale, record_conjugation may record the pass; hom's
+    # report must equal that of the pass made on another copy, and the
+    # sasaki-module's that of the scans of a module without a view.
+    small = hom_cases((*fq_b1, b1), (*fq_b2, b2), (*fq_mo2, mo2))
+    large = hom_cases((*fq_b3, b3))
+    for f, h, theta in small + large:
+        source = FoulisQuantale(phi_copy(f.base), f.sai)
+        assert foulis_module.record_conjugation(replace(h, source=source), theta)
+    failed = set()
+
+    def mutants(cases, examples):
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            f, h, theta = data.draw(st.sampled_from(cases))
+            table = h.target_view.values[np.array(h.table)].copy()
+            lat = h.sub.oml
+            if data.draw(st.booleans()):
+                s, t = data.draw(st.lists(st.integers(0, f.n - 1), min_size=2, max_size=2,
+                                          unique=True))
+                table[[s, t]] = table[[t, s]]
+            else:
+                row = st.sampled_from([f.base.zero, f.base.unit]) | st.integers(0, f.n - 1)
+                for _ in range(data.draw(st.integers(1, 3))):
+                    table[data.draw(row), data.draw(st.integers(0, lat.n - 1))] = data.draw(
+                        st.integers(0, lat.n - 1))
+            idx = h.target_view.find(table)
+            hs = [replace(h, source=FoulisQuantale(phi_copy(f.base), f.sai),
+                          table=tuple(idx.tolist())) for _ in range(2)]
+            recorded = foulis_module.record_conjugation(hs[0], theta)
+            assert recorded == np.array_equal(idx, h.table)
+            for w in (1, 2):
+                modules = [check_left_module(ModuleAction(hs[0].source.base, lat, table,
+                                                          h.target_view), workers=w),
+                           check_left_module(ModuleAction(hs[1].source.base, lat, table),
+                                             workers=w)]
+                assert modules[0].to_dict() == modules[1].to_dict()
+                reports = [modules[1]]
+                if (idx >= 0).all():
+                    homs = [check_hom(hm, workers=w).to_dict() for hm in hs]
+                    assert homs[0] == homs[1]
+                    reports.append(check_hom(hs[1], workers=w))
+            failed.update(v.axiom for r in reports for v in r.violations)
+
+        check()
+
+    mutants(small, 120)
+    mutants(large, 4)
+    assert {"preserves-join", "preserves-mult", "join-act", "assoc-act"} <= failed
 
 
 # ---------------------------------------------------------------------------

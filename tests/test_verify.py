@@ -283,10 +283,12 @@ def test_verify_all_builds_one_quantale(monkeypatch, b2):
     assert calls == [b2]
 
 
-def test_verify_all_makes_two_products_passes_and_one_hom(monkeypatch, mo2):
-    # The passes are the quantale build, which the representation
-    # certificate of check_quantale and the lin-module read, and the
-    # homomorphism h, which the sasaki-module reads; hom_h runs once.
+def test_verify_all_makes_one_products_pass_and_one_hom(monkeypatch, mo2):
+    # The pass is the quantale build, which the representation certificate
+    # of check_quantale and the lin-module read.  The homomorphism h is phi
+    # conjugated by the round trip's isomorphism, so its pass, which hom
+    # and the sasaki-module read, is recorded without being made; hom_h
+    # runs once.
     from omlq import foulis, quantale, verify
 
     passes, homs = [], []
@@ -305,4 +307,36 @@ def test_verify_all_makes_two_products_passes_and_one_hom(monkeypatch, mo2):
     payload, code = run_verify(mo2, ["all"], workers=1)
     assert code == 0
     assert payload["results"]["modules"]["passed"] and payload["results"]["hom"]["passed"]
-    assert len(passes) == 2 and len(homs) == 1
+    assert len(passes) == 1 and len(homs) == 1
+
+
+def certificates_off(monkeypatch):
+    """Make run_verify build every quantale without phi and every module
+    action without a view, so that no certificate decides a law."""
+    from omlq import FinQuantale, FoulisQuantale, qmodule, verify
+
+    real_build, real_action = verify.foulis_from_lin, qmodule.ModuleAction
+
+    def build(*args, **kwargs):
+        f, view = real_build(*args, **kwargs)
+        q = f.base
+        stripped = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit)
+        return FoulisQuantale(stripped, f.sai), view
+
+    monkeypatch.setattr(verify, "foulis_from_lin", build)
+    monkeypatch.setattr(qmodule, "ModuleAction",
+                        lambda quantale, lattice, table, view=None:
+                        real_action(quantale, lattice, table))
+
+
+@pytest.mark.parametrize("spec", ["boolean:1", "boolean:2", "mo:2",
+                                  "horizontal_sum(boolean:1,boolean:1)"])
+def test_verify_all_payload_is_the_same_with_the_certificates_off(monkeypatch, spec):
+    oml = catalog(spec)
+    for workers in (1, 2):
+        payload, code = run_verify(oml, ["all"], workers=workers)
+        with monkeypatch.context() as m:
+            certificates_off(m)
+            scanned, scanned_code = run_verify(oml, ["all"], workers=workers)
+        assert code == scanned_code == 0
+        assert dump_json(payload) == dump_json(scanned)
