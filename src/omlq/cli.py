@@ -93,9 +93,7 @@ def _input_foulis(args):
     the file does not carry one."""
     _need_input(args)
     if args.catalog is not None:
-        f, _ = foulis_from_lin(
-            catalog(args.catalog), cap=args.cap, workers=_workers(args)
-        )
+        f, _ = foulis_from_lin(catalog(args.catalog), cap=args.cap)
         return f, args.catalog
     q = parse_quantale(load_json(args.file))
     if isinstance(q, FoulisQuantale):
@@ -178,9 +176,9 @@ def cmd_lin(args) -> int:
         except UnknownCatalogEntry:
             cod = parse_oml(load_json(args.cod))
     if args.count_only:
-        print(len(lin_values(dom, cod, cap=args.cap, workers=_workers(args))))
+        print(len(lin_values(dom, cod, cap=args.cap)))
         return 0
-    maps = enumerate_lin(dom, cod, cap=args.cap, workers=_workers(args))
+    maps = enumerate_lin(dom, cod, cap=args.cap)
     if args.fmt == "json":
         codl = (cod or dom).labels
         arr = [[codl[v] for v in f.values] for f in maps]
@@ -237,7 +235,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_lin_quantale(args) -> int:
     oml, subject = _input_oml(args)
-    q, _ = lin_quantale(oml, cap=args.cap, workers=_workers(args))
+    q, _ = lin_quantale(oml, cap=args.cap)
     if args.fmt == "dot":
         print(to_dot(q), end="")
     elif args.fmt == "json":
@@ -253,7 +251,7 @@ def cmd_check_quantale(args) -> int:
     _no_dot(args)
     _need_input(args)
     if args.catalog is not None:
-        q, _ = lin_quantale(catalog(args.catalog), cap=args.cap, workers=_workers(args))
+        q, _ = lin_quantale(catalog(args.catalog), cap=args.cap)
     else:
         q = parse_quantale(load_json(args.file))
         if isinstance(q, FoulisQuantale):
@@ -295,8 +293,8 @@ def cmd_check_module(args) -> int:
         ]
         return _emit_reports(args, reports)
     oml = catalog(args.catalog)
-    f, view = foulis_from_lin(oml, cap=args.cap, workers=w)
-    h = hom_h(f, cap=args.cap, workers=w)
+    f, view = foulis_from_lin(oml, cap=args.cap)
+    h = hom_h(f, cap=args.cap)
     return _emit_reports(args, module_reports(oml, f, view, h, workers=w))
 
 

@@ -148,10 +148,10 @@ def closed_form_sai(view: QElementView, star) -> np.ndarray:
     return sai
 
 
-def foulis_from_lin(oml: FiniteOML, cap: int | None = None, workers: int = 1):
+def foulis_from_lin(oml: FiniteOML, cap: int | None = None):
     """Endomorphism quantale with the projection table closed_form_sai;
     derive_sai recovers the same table by annihilator search."""
-    q, view = lin_quantale(oml, cap=cap, workers=workers)
+    q, view = lin_quantale(oml, cap=cap)
     return FoulisQuantale(q, closed_form_sai(view, q.dense_star())), view
 
 
@@ -413,7 +413,6 @@ class FoulisHom:
 def hom_h(
     f: FoulisQuantale,
     cap: int | None = None,
-    workers: int = 1,
     sub: SasakiOML | None = None,
 ) -> FoulisHom:
     """Represent every element by its action on the projection lattice, as an
@@ -421,7 +420,7 @@ def hom_h(
     from the view, star from its adjoints, sai from closed_form_sai."""
     if sub is None:
         sub = sasaki_oml(f)
-    tview = QElementView(sub.oml, lin_values(sub.oml, cap=cap, workers=workers))
+    tview = QElementView(sub.oml, lin_values(sub.oml, cap=cap))
     table = tview.find(sasaki_action_table(f, sub))
     if (table < 0).any():
         raise StructureViolation("action-not-join-preserving", (f.label(int(table.argmin())),))
@@ -513,7 +512,7 @@ def roundtrip_iso(
     QElementView) pair for this lattice and its projection lattice.
     """
     if built is None:
-        built = foulis_from_lin(oml, cap=cap, workers=workers)
+        built = foulis_from_lin(oml, cap=cap)
     f, view = built
     sub = sasaki_oml(f) if sub is None else sub
     n = oml.n

@@ -8,12 +8,19 @@ adjoint given by the closed formula
     dagger(f)(t) = complement of the join of { s | f(s) <= complement(t) }
 
 and the pair satisfies f(x) orthogonal y iff x orthogonal dagger(f)(y).
+
+lin_values enumerates all of them from their values on the
+join-irreducibles J of the domain.  It assigns J one element at a time,
+in a linear extension of the order, to a frontier of partial assignments,
+and drops a partial assignment as soon as one join pair with both sides
+fully assigned cannot hold any more; see its docstring for why that is
+sound.  The brute-force scan over every value table is the oracle in
+goldens.py.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,7 @@ from .lattice import (
     FiniteOML,
     Law,
     SubOML,
+    _JOIN_CELLS,
     breaks_joins,
     downset_oml,
     join_pairs,
@@ -33,9 +41,9 @@ from .lattice import (
 )
 
 DEFAULT_CAP = 100000
-# Desk scale: the most assignments of lin_values and codes of quantale.represents.
+# Desk scale: the most candidate rows one step of lin_values may build, and
+# the most J-codes of quantale.represents.
 BRUTEFORCE_LIMIT = 10_000_000
-_CHUNK = 1 << 16
 
 
 def default_cap() -> int:
@@ -161,84 +169,99 @@ def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1)
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _decode(codes: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Mixed-radix decode into one row per digit, a column per code; the
-    first digit is the most significant, so numeric code order is
-    lexicographic value-vector order."""
-    out = np.empty((n, len(codes)), dtype=np.int32)
-    rest = codes.copy()
-    for x in range(n - 1, -1, -1):
-        out[x] = rest % m
-        rest //= m
-    return out
+def _below_joins(ext: np.ndarray, pairs, cod: FiniteOML) -> np.ndarray:
+    """Per column of ext, a partial extension into cod (entry (x, c)):
+    whether ext[y v k] <= ext[y] v ext[k] at every one of pairs.  Columns
+    are read in blocks of about _JOIN_CELLS gathered cells."""
+    ys, ks, yk = pairs
+    m, j_flat, l_flat = cod.n, cod.join_tab.ravel(), cod.leq_mat.ravel()
+    ok = np.empty(ext.shape[1], dtype=bool)
+    step = max(1, _JOIN_CELLS // len(ys))
+    for lo in range(0, ext.shape[1], step):
+        e = ext[:, lo : lo + step]
+        joined = np.take(j_flat, np.take(e, ys, axis=0) * m + np.take(e, ks, axis=0))
+        ok[lo : lo + step] = np.take(l_flat, np.take(e, yk, axis=0) * m + joined).all(axis=0)
+    return ok
 
 
-def _chunked_codes(total: int, workers: int, work):
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: work(*b), bounds))
-    else:
-        parts = [work(*b) for b in bounds]
-    return np.concatenate(parts)
+def _extend(ext: np.ndarray, allowed: np.ndarray, above, cod: FiniteOML) -> np.ndarray:
+    """Column c of ext once for each v with allowed[c, v], in that order,
+    with v joined in at the elements above."""
+    rows, v = np.nonzero(allowed)
+    v = v.astype(np.int32)
+    ext = np.take(ext, rows, axis=1)
+    for x in above:
+        ext[x] = np.take(cod.join_tab.ravel(), ext[x] * cod.n + v)
+    return ext
 
 
-def lin_values(
-    dom: FiniteOML,
-    cod: FiniteOML | None = None,
-    cap: int | None = None,
-    workers: int = 1,
-) -> np.ndarray:
+def lin_values(dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = None) -> np.ndarray:
     """Value tables of all join-preserving maps dom -> cod, one sorted row
     per map.
 
-    Each assignment g of values to the join-irreducibles J of dom extends
-    to the table x -> join of g over J(x).  Extensions that do not restrict
-    back to g duplicate that of their restriction; the others that pass the
-    join test of join_pairs are the join-preserving maps, each once.
-    Raises CapExceeded, rather than returning a truncated array, beyond
-    BRUTEFORCE_LIMIT assignments or cap maps.
+    A join-preserving map is the extension x -> join of g over J(x) of its
+    assignment g to the join-irreducibles J of dom, and an extension is
+    such a map exactly when it restricts back to g and passes the join
+    test of join_pairs.  J is assigned one element j at a time, in a
+    linear extension of dom's order (by down-set size, then index), to a
+    frontier of partial assignments.  Each row takes every value v above
+    the join of its values on the J strictly below j, which is the
+    restrict-back test.  Rows are then dropped at a pair (y, k) whose y
+    and k have all of J below them assigned, when the partial extension at
+    y v k is not below f(y) v f(k).  That is sound: the partial extension
+    only grows as J is assigned, and f(y) v f(k) <= f(y v k) since the
+    extension is monotone; by the same inequality, once J is assigned the
+    test is the join test.  A pair is tested when it becomes assigned and
+    again whenever j is below y v k; pairs where each J below y v k is
+    below y or k hold by construction and are never tested.  The rows are
+    sorted by lexsort on the columns x with some J below x at an index
+    x or later: any other column is the join of earlier J columns, so it
+    breaks no tie.
+
+    Raises CapExceeded, rather than returning a truncated array, at a step
+    whose candidate rows exceed BRUTEFORCE_LIMIT, before they are built,
+    or beyond cap maps.
     """
     cod = dom if cod is None else cod
     if cap is None:
         cap = default_cap()
-    irr = dom.join_irreducibles()
-    n, m, r = dom.n, cod.n, len(irr)
-    if m**r > BRUTEFORCE_LIMIT:
-        raise CapExceeded(cap, f"{m}^{r} generator assignments is beyond desk scale")
-    above = [np.flatnonzero(dom.leq_mat[j]) for j in irr]
-    jc = cod.join_tab
-    pairs = join_pairs(dom, irr)
-
-    def work(lo, hi):
-        g = _decode(np.arange(lo, hi, dtype=np.int64), r, m)
-        ext = np.full((n, hi - lo), cod.bottom, dtype=np.int32)  # entry (x, c): extension c at x
-        for t in range(r):
-            for x in above[t]:
-                ext[x] = jc[ext[x], g[t]]
-        keep = ~breaks_joins(ext.T, pairs, cod)  # before any copy, for peak memory
-        for t, j in enumerate(irr):
-            keep &= ext[j] == g[t]
-        return ext[:, keep].T
-
-    values = _chunked_codes(m**r, workers, work)
-    values = values[np.lexsort(values.T[::-1])]
-    if len(values) > cap:
-        raise CapExceeded(cap, f"{len(values)} join-preserving maps")
-    return values
+    n, leq = dom.n, dom.leq_mat
+    down = leq.sum(axis=0)
+    irr = sorted(dom.join_irreducibles(), key=lambda j: (down[j], j))
+    ready = np.full(n, -1)  # the step that assigns the last J below x
+    for t, j in enumerate(irr):
+        ready[leq[j]] = t
+    up = leq[irr]  # entry (t, x): irr[t] below x
+    ys, ks, yk = join_pairs(dom, irr)
+    live = (up[:, yk] & ~up[:, ys] & ~up[:, ks]).any(axis=0)
+    pairs = ys[live], ks[live], yk[live]
+    pair_ready = np.maximum(ready[pairs[0]], ready[pairs[1]])
+    ext = np.full((n, 1), cod.bottom, dtype=np.int32)  # entry (x, c): row c at x
+    for t, j in enumerate(irr):
+        allowed = cod.leq_mat[ext[j]]  # entry (c, v): row c may take v at j
+        count = np.count_nonzero(allowed)
+        if count > BRUTEFORCE_LIMIT:
+            raise CapExceeded(BRUTEFORCE_LIMIT, f"step {t + 1} of {len(irr)} has {count} "
+                                                "candidate rows, beyond BRUTEFORCE_LIMIT")
+        ext = _extend(ext, allowed, np.flatnonzero(leq[j]), cod)
+        test = (pair_ready == t) | ((pair_ready < t) & leq[j, pairs[2]])
+        if test.any():
+            ext = np.compress(_below_joins(ext, [p[test] for p in pairs], cod), ext, axis=1)
+    if ext.shape[1] > cap:
+        raise CapExceeded(cap, f"{ext.shape[1]} join-preserving maps")
+    keys = np.flatnonzero((up & (np.array(irr)[:, None] >= np.arange(n))).any(axis=0))
+    if not len(keys):  # the one-point domain, with its one map
+        return ext.T
+    return ext.T[np.lexsort(ext[keys[::-1]])]
 
 
 def enumerate_lin(
-    dom: FiniteOML,
-    cod: FiniteOML | None = None,
-    cap: int | None = None,
-    workers: int = 1,
+    dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = None
 ) -> list[LinMap]:
     """All join-preserving maps dom -> cod, sorted by value vector; the
     rows of lin_values as maps."""
     cod = dom if cod is None else cod
-    values = lin_values(dom, cod, cap=cap, workers=workers)
-    return [LinMap(dom, cod, row) for row in values.tolist()]
+    return [LinMap(dom, cod, row) for row in lin_values(dom, cod, cap=cap).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,10 @@ def lin_module(
     q: FinQuantale | None = None,
     view: QElementView | None = None,
     cap: int | None = None,
-    workers: int = 1,
 ) -> ModuleAction:
     """The endomorphism quantale acting on its lattice by application."""
     if q is None or view is None:
-        q, view = lin_quantale(oml, cap=cap, workers=workers)
+        q, view = lin_quantale(oml, cap=cap)
     return ModuleAction(q, oml, view.values, view)
 
 

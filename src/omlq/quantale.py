@@ -280,7 +280,7 @@ def leq_by_mult_matrix(q: FinQuantale) -> np.ndarray:
     return m.T == np.arange(q.n, dtype=m.dtype)[:, None]
 
 
-def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
+def lin_quantale(oml: FiniteOML, cap: int | None = None):
     """The endomorphism quantale of an OML, with its element view.
 
     Elements are all join-preserving endomaps in canonical (value vector)
@@ -295,7 +295,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None, workers: int = 1):
     values).  Raises TableTooLarge, before any table is allocated, when the
     dense tables would exceed TABLE_BYTE_LIMIT.
     """
-    values = lin_values(oml, oml, cap=cap, workers=workers)
+    values = lin_values(oml, oml, cap=cap)
     k = len(values)
     if k * k * TABLE_CELL_BYTES > TABLE_BYTE_LIMIT:
         raise TableTooLarge(

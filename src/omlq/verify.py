@@ -116,12 +116,13 @@ def dagger_kernel_report(
     ascending order, and report the witnesses of a scan over every map.
     In an OML D_f = Z_f; keying on both keeps this exact for any tables.
 
-    maps, when given, are checked in place of the enumeration.
+    maps, when given, are checked in place of the enumeration.  workers is
+    accepted and unused: the classes are checked in order on one thread.
     """
     from .linmap import _sasaki_split, compose, identity_map
 
     if maps is None:
-        values = lin_values(oml, cap=cap, workers=workers)
+        values = lin_values(oml, cap=cap)
     else:
         values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
     leq = oml.leq_mat
@@ -192,7 +193,7 @@ class _Ctx:
 
     @cached_property
     def foulis(self):
-        return foulis_from_lin(self.oml, cap=self.cap, workers=self.workers)
+        return foulis_from_lin(self.oml, cap=self.cap)
 
     @cached_property
     def sub_report(self):
@@ -210,7 +211,7 @@ class _Ctx:
         # record_conjugation's row test holds, and no products pass is made
         f, view = self.foulis
         sub = self.sub_report[0]
-        h = hom_h(f, cap=self.cap, workers=self.workers, sub=sub)
+        h = hom_h(f, cap=self.cap, sub=sub)
         if self.roundtrip.passed:
             record_conjugation(h, sasaki_embedding(view, self.oml, sub))
         return h

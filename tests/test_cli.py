@@ -189,6 +189,15 @@ def test_lin_cap_exceeded_is_a_math_outcome(capsys):
     assert "cap" in err
 
 
+def test_lin_counts_mo4_under_a_raised_cap(capsys):
+    # 1,441,810 maps: past the default cap, within the enumerator's bound
+    code, out, _ = run(capsys, "lin", "--catalog", "mo:4", "--count-only", "--cap", "2000000")
+    assert (code, out) == (0, "1441810\n")
+    code, out, err = run(capsys, "lin", "--catalog", "mo:4", "--count-only")
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration exceeds cap 100000: 1441810 join-preserving maps\n"
+
+
 def test_lin_has_no_dot_format(capsys):
     code, _, err = run(capsys, "lin", "--catalog", "boolean:1", "--format", "dot")
     assert code == 2

@@ -11,6 +11,7 @@ Oracles used here:
   are predicted independently of the enumerator.
 """
 
+import hashlib
 import itertools
 import os
 
@@ -38,10 +39,13 @@ from omlq import (
     lin_values,
     load_goldens,
     make_map,
+    oml_to_dict,
+    parse_oml,
     sasaki_apply,
     vector_label,
     verify_adjoint_pair,
 )
+from omlq import linmap as linmap_module
 from omlq.cli import main
 from omlq.goldens import bruteforce_lin_values
 from omlq.linmap import BRUTEFORCE_LIMIT
@@ -155,9 +159,19 @@ def test_enumeration_matches_goldens():
         assert len(enumerate_lin(catalog(name))) == count
 
 
+def relabelled(oml, seed):
+    """oml read back from its file with the element list permuted."""
+    d = oml_to_dict(oml)
+    order = np.random.default_rng(seed).permutation(oml.n)
+    d["elements"] = [d["elements"][i] for i in order]
+    return parse_oml(d)
+
+
 def test_strategies_agree(b2):
     # The generator against the brute-force oracle of goldens: every fixed
-    # catalog host within BRUTEFORCE_LIMIT value tables, and mixed pairs.
+    # catalog host within BRUTEFORCE_LIMIT value tables, mixed pairs, and
+    # hosts whose element order is permuted, so that the order in which
+    # the generator assigns J(X) is not the catalog's.
     from omlq import catalog
 
     hosts = [catalog(name) for name in
@@ -166,8 +180,47 @@ def test_strategies_agree(b2):
     pairs = [(dom, dom) for dom in hosts if dom.n**dom.n <= BRUTEFORCE_LIMIT]
     assert len(pairs) == 8
     mo1 = catalog("mo:1")
-    for dom, cod in pairs + [(b2, mo1), (mo1, b2)]:
+    names = ("mo:2", "benzene", "horizontal_sum(boolean:2,boolean:2)")
+    moved = [relabelled(catalog(name), seed) for seed, name in enumerate(names)]
+    assert all(oml.labels != catalog(name).labels for oml, name in zip(moved, names))
+    for dom, cod in pairs + [(b2, mo1), (mo1, b2)] + [(dom, dom) for dom in moved]:
         assert np.array_equal(lin_values(dom, cod), bruteforce_lin_values(dom, cod))
+
+
+# sha256 of the C-contiguous <i4 bytes of lin_values, as produced by the
+# enumerator that decoded every assignment of the join-irreducibles.
+PINNED_ROWS = {
+    "mo:3": "7aa5defe113d0259e522fcb4707504f7ac63baad6b15f6081ab57c46bd08c670",
+    "product(boolean:1,mo:2)":
+        "c5590b8d747945d2eb2ebfeebfcfba833c6e809ffc7b2c7485741c0aab580bb4",
+    "horizontal_sum(boolean:2,boolean:3)":
+        "0f4dc0f17286d00c452956058f8f34b643b4e1d4a7af08c54b7bb9f2f471bd6b",
+    "boolean:4": "37a001b10ac58fa4a04771d683abc6c3232ed1fb57d966976f900509d2ef7e48",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_rows_match_the_decode_all_enumerator(name):
+    from omlq import catalog
+
+    values = lin_values(catalog(name))
+    assert values.dtype == np.int32 and values.flags.c_contiguous
+    digest = hashlib.sha256(values.astype("<i4", copy=False).tobytes()).hexdigest()
+    assert digest == PINNED_ROWS[name]
+
+
+def test_frontier_refuses_beyond_the_limit(monkeypatch):
+    # mo:3 assigns its six atoms in index order; the second step offers each
+    # of the 8 rows every value above the bottom, 64 candidates.
+    from omlq import catalog
+
+    monkeypatch.setattr(linmap_module, "BRUTEFORCE_LIMIT", 63)
+    with pytest.raises(CapExceeded, match=r"^enumeration exceeds cap 63: step 2 of 6 has 64 "
+                                          r"candidate rows, beyond BRUTEFORCE_LIMIT$"):
+        lin_values(catalog("mo:3"))
+    monkeypatch.setattr(linmap_module, "BRUTEFORCE_LIMIT", 64)
+    with pytest.raises(CapExceeded, match="step 3 of 6 has"):
+        lin_values(catalog("mo:3"))
 
 
 def test_boolean_maps_are_free_on_atoms(b3):
@@ -189,10 +242,12 @@ def test_enumeration_order_is_lexicographic(b2):
     assert vecs == sorted(vecs)
 
 
-def test_enumeration_deterministic_across_workers(mo2):
-    one = [f.values for f in enumerate_lin(mo2, workers=1)]
-    four = [f.values for f in enumerate_lin(mo2, workers=4)]
-    assert one == four
+def test_enumeration_deterministic_across_workers(capsys):
+    outs = []
+    for w in ("1", "4"):
+        assert main(["lin", "--catalog", "mo:2", "--format", "json", "--workers", w]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_enumeration_cap(mo2):
