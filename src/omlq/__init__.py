@@ -8,6 +8,12 @@ enumeration (linmap); the endomorphism quantale and quantale law checkers
 representation homomorphism (foulis); module actions (qmodule); JSON/DOT
 serialization (serialize); theorem pipelines (verify); and the `omlq`
 command-line tool (cli).
+
+The package resolves each public name on first access, importing only
+the module that defines it (PEP 562), so a command that needs the lattice
+layers alone does not load or compile the quantale layers.  `catalog` is
+bound at import: it is also the name of a submodule, and importing that
+submodule would otherwise rebind the package attribute to it.
 """
 
 import os
@@ -18,131 +24,71 @@ import os
 # first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .catalog import (
-    benzene_oml,
-    boolean_oml,
-    catalog,
-    catalog_names,
-    horizontal_sum_oml,
-    mo_oml,
-    product_oml,
-    zero_oml,
-)
-from .errors import (
-    AmbiguousSai,
-    CapExceeded,
-    DomainMismatch,
-    FormatError,
-    NotALattice,
-    NotAPoset,
-    NotFoulis,
-    OmlqError,
-    ParamOutOfRange,
-    StructureViolation,
-    TableTooLarge,
-    UnknownCatalogEntry,
-)
-from .foulis import (
-    FoulisHom,
-    FoulisQuantale,
-    SasakiOML,
-    check_foulis,
-    check_hom,
-    check_star_props,
-    derive_sai,
-    foulis_from_lin,
-    hom_h,
-    module_action,
-    roundtrip_iso,
-    sasaki_action,
-    sasaki_oml,
-    sasaki_oml_report,
-    sasaki_projection_index,
-)
-from .goldens import (
-    GOLDEN_ENTRIES,
-    compute_lin_count,
-    golden_lin_count,
-    load_goldens,
-    regen_goldens,
-)
-from .lattice import (
-    CheckReport,
-    FiniteLattice,
-    FiniteOML,
-    SubOML,
-    Violation,
-    build_lattice,
-    check_oml,
-    downset_oml,
-    lattice_from_leq,
-    make_report,
-    ortho_pair,
-    sasaki_apply,
-)
-from .linmap import (
-    KernelData,
-    LinMap,
-    bottom_map,
-    compose,
-    dagger,
-    default_cap,
-    enumerate_lin,
-    factorize_sasaki,
-    identity_map,
-    image,
-    is_dagger_iso,
-    is_dagger_mono,
-    is_linear,
-    join_maps,
-    kernel,
-    lin_values,
-    make_map,
-    vector_label,
-    verify_adjoint_pair,
-)
-from .qmodule import (
-    ModuleAction,
-    check_left_module,
-    check_right_two_module,
-    lin_module,
-    sasaki_module,
-)
-from .quantale import (
-    FinQuantale,
-    QElementView,
-    check_involutive,
-    check_quantale,
-    leq_by_mult,
-    leq_by_mult_matrix,
-    lin_quantale,
-    perp_by_star,
-)
-from .serialize import (
-    dump_json,
-    lattice_to_dict,
-    linmap_to_dict,
-    load_json,
-    module_to_dict,
-    oml_to_dict,
-    parse_lattice,
-    parse_linmap,
-    parse_module,
-    parse_oml,
-    parse_quantale,
-    parse_structure,
-    quantale_to_dict,
-    resolve_oml,
-    resolve_structure,
-    structure_to_dict,
-    to_dot,
-)
-from .verify import (
-    SELECTORS,
-    dagger_kernel_report,
-    run_verify,
-    sasaki_facts_report,
-    verify_text,
-)
+from importlib import import_module as _import_module  # noqa: E402
 
+from .catalog import catalog  # noqa: E402
+
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "catalog": (
+        "benzene_oml", "boolean_oml", "catalog", "catalog_names", "horizontal_sum_oml",
+        "mo_oml", "product_oml", "zero_oml",
+    ),
+    "errors": (
+        "AmbiguousSai", "CapExceeded", "DomainMismatch", "FormatError",
+        "FrontierTooLarge", "NotALattice", "NotAPoset", "NotFoulis", "OmlqError",
+        "ParamOutOfRange", "StructureViolation", "TableTooLarge", "UnknownCatalogEntry",
+    ),
+    "lattice": (
+        "CheckReport", "FiniteLattice", "FiniteOML", "SubOML", "Violation",
+        "build_lattice", "check_oml", "downset_oml", "lattice_from_leq", "make_report",
+        "ortho_pair", "sasaki_apply",
+    ),
+    "linmap": (
+        "KernelData", "LinMap", "bottom_map", "compose", "dagger", "default_cap",
+        "enumerate_lin", "factorize_sasaki", "identity_map", "image", "is_dagger_iso",
+        "is_dagger_mono", "is_linear", "join_maps", "kernel", "lin_count", "lin_values",
+        "make_map", "vector_label", "verify_adjoint_pair",
+    ),
+    "quantale": (
+        "FinQuantale", "QElementView", "check_involutive", "check_quantale",
+        "leq_by_mult", "leq_by_mult_matrix", "lin_quantale", "perp_by_star",
+    ),
+    "foulis": (
+        "FoulisHom", "FoulisQuantale", "SasakiOML", "check_foulis", "check_hom",
+        "check_star_props", "derive_sai", "foulis_from_lin", "hom_h", "module_action",
+        "roundtrip_iso", "sasaki_action", "sasaki_oml", "sasaki_oml_report",
+        "sasaki_projection_index",
+    ),
+    "qmodule": (
+        "ModuleAction", "check_left_module", "check_right_two_module", "lin_module",
+        "sasaki_module",
+    ),
+    "serialize": (
+        "dump_json", "lattice_to_dict", "linmap_to_dict", "load_json", "module_to_dict",
+        "oml_to_dict", "parse_lattice", "parse_linmap", "parse_module", "parse_oml",
+        "parse_quantale", "parse_structure", "quantale_to_dict", "resolve_oml",
+        "resolve_structure", "structure_to_dict", "to_dot",
+    ),
+    "verify": (
+        "SELECTORS", "dagger_kernel_report", "run_verify", "sasaki_facts_report",
+        "verify_text",
+    ),
+    "goldens": (
+        "GOLDEN_ENTRIES", "compute_lin_count", "golden_lin_count", "load_goldens",
+        "regen_goldens",
+    ),
+}
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -4,12 +4,18 @@ Exit codes: 0 every requested check passed; 1 a mathematical law is
 violated (a witness is reported); 2 usage, parse, or input errors, and
 quantales too large for dense tables.  The one nuance is enumeration caps:
 `lin` reports a blown cap as exit 1 (the requested enumeration is the
-result, and it is too large), all other commands treat it as exit 2.
+result, and it is too large), all other commands treat it as exit 2.  A
+step of the enumeration beyond the desk-scale limit (FrontierTooLarge) is
+an input too large, exit 2 in `lin` as well.
 
 Inputs are given as --catalog SPEC (see `omlq catalog`) or --file PATH.
 Reports are printed as text by default; --format json emits the full
 machine-readable payload and --format dot a Hasse diagram where the
 command has one to draw.
+
+Only the catalog and the errors are imported here.  Each command imports
+the layers it runs, and JSON output imports serialize, so `lin` and
+`check-oml` print text without loading the quantale layers.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .errors import (
     CapExceeded,
     DomainMismatch,
     FormatError,
+    FrontierTooLarge,
     NotALattice,
     NotAPoset,
     NotFoulis,
@@ -32,27 +39,7 @@ from .errors import (
     TableTooLarge,
     UnknownCatalogEntry,
 )
-from .foulis import FoulisQuantale, check_foulis, derive_sai, foulis_from_lin, hom_h, sasaki_oml
-from .goldens import golden_path, regen_goldens
-from .lattice import check_oml, sasaki_apply
-from .linmap import dagger, enumerate_lin, is_linear, kernel, lin_values, vector_label
-from .qmodule import check_left_module, check_right_two_module, module_reports
-from .quantale import check_involutive, check_quantale, lin_quantale
-from .serialize import (
-    dump_json,
-    linmap_to_dict,
-    load_json,
-    oml_to_dict,
-    parse_linmap,
-    parse_module,
-    parse_oml,
-    parse_quantale,
-    parse_structure,
-    quantale_to_dict,
-    structure_to_dict,
-    to_dot,
-)
-from .verify import SELECTORS, run_verify, verify_text
+from .selectors import SELECTORS
 
 _MATH_ERRORS = (NotFoulis, AmbiguousSai, StructureViolation)
 _INPUT_ERRORS = (
@@ -84,6 +71,8 @@ def _input_oml(args):
     _need_input(args)
     if args.catalog is not None:
         return catalog(args.catalog), args.catalog
+    from .serialize import load_json, parse_oml
+
     return parse_oml(load_json(args.file)), args.file
 
 
@@ -91,6 +80,9 @@ def _input_foulis(args):
     """The input as a Foulis quantale: catalog entries go through their
     endomorphism quantale; files hold quantale tables, deriving sai when
     the file does not carry one."""
+    from .foulis import FoulisQuantale, derive_sai, foulis_from_lin
+    from .serialize import load_json, parse_quantale
+
     _need_input(args)
     if args.catalog is not None:
         f, _ = foulis_from_lin(catalog(args.catalog), cap=args.cap)
@@ -102,6 +94,8 @@ def _input_foulis(args):
 
 
 def _input_map(args):
+    from .serialize import load_json, parse_linmap
+
     _need_input(args)
     if args.file is None:
         raise FormatError("maps are read from files; use --file PATH")
@@ -111,6 +105,12 @@ def _input_map(args):
 def _no_dot(args):
     if args.fmt == "dot":
         raise FormatError("this command has no DOT rendering")
+
+
+def _print_json(obj):
+    from .serialize import dump_json
+
+    print(dump_json(obj), end="")
 
 
 def _report_text(report) -> str:
@@ -128,7 +128,7 @@ def _emit_reports(args, reports) -> int:
     ok = all(r.passed for r in reports)
     if args.fmt == "json":
         payload = {"passed": ok, "reports": [r.to_dict() for r in reports]}
-        print(dump_json(payload), end="")
+        _print_json(payload)
     else:
         for r in reports:
             print(_report_text(r), end="")
@@ -139,6 +139,8 @@ def _emit_reports(args, reports) -> int:
 # subcommands
 
 def cmd_check_oml(args) -> int:
+    from .lattice import check_oml
+
     _no_dot(args)
     oml, subject = _input_oml(args)
     report = check_oml(oml, subject=subject, workers=_workers(args))
@@ -146,19 +148,21 @@ def cmd_check_oml(args) -> int:
 
 
 def cmd_sasaki(args) -> int:
+    from .lattice import sasaki_apply
+
     _no_dot(args)
     oml, _ = _input_oml(args)
     a = oml.index(args.a)
     if args.y is not None:
         out = oml.label(sasaki_apply(oml, a, oml.index(args.y)))
         if args.fmt == "json":
-            print(dump_json({"result": out}), end="")
+            _print_json({"result": out})
         else:
             print(out)
         return 0
     values = {oml.label(y): oml.label(sasaki_apply(oml, a, y)) for y in range(oml.n)}
     if args.fmt == "json":
-        print(dump_json({"at": args.a, "values": values}), end="")
+        _print_json({"at": args.a, "values": values})
     else:
         for y in range(oml.n):
             lab = oml.label(y)
@@ -167,29 +171,37 @@ def cmd_sasaki(args) -> int:
 
 
 def cmd_lin(args) -> int:
+    """The maps are listed from the sorted value rows of lin_values, with
+    no LinMap built; --count-only counts the frontier unsorted."""
+    from .linmap import lin_count, lin_values
+
     _no_dot(args)
     dom, _ = _input_oml(args)
-    cod = None
+    cod = dom
     if args.cod is not None:
         try:
             cod = catalog(args.cod)
         except UnknownCatalogEntry:
+            from .serialize import load_json, parse_oml
+
             cod = parse_oml(load_json(args.cod))
     if args.count_only:
-        print(len(lin_values(dom, cod, cap=args.cap)))
+        print(lin_count(dom, cod, cap=args.cap))
         return 0
-    maps = enumerate_lin(dom, cod, cap=args.cap)
+    import numpy as np
+
+    rows = np.array(cod.labels, dtype=object)[lin_values(dom, cod, cap=args.cap)].tolist()
     if args.fmt == "json":
-        codl = (cod or dom).labels
-        arr = [[codl[v] for v in f.values] for f in maps]
-        print(dump_json(arr), end="")
+        _print_json(rows)
     else:
-        for f in maps:
-            print(vector_label(f))
+        sys.stdout.write("".join("[" + ",".join(row) + "]\n" for row in rows))
     return 0
 
 
 def cmd_adjoint(args) -> int:
+    from .linmap import dagger, is_linear
+    from .serialize import linmap_to_dict
+
     _no_dot(args)
     f = _input_map(args)
     if not is_linear(f):
@@ -197,7 +209,7 @@ def cmd_adjoint(args) -> int:
         return 1
     h = dagger(f)
     if args.fmt == "json":
-        print(dump_json(linmap_to_dict(h)), end="")
+        _print_json(linmap_to_dict(h))
     else:
         for y in range(h.dom.n):
             print(f"{h.dom.label(y)} -> {h.cod.label(h.values[y])}")
@@ -205,6 +217,8 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .linmap import is_linear, kernel
+
     _no_dot(args)
     f = _input_map(args)
     if not is_linear(f):
@@ -226,7 +240,7 @@ def cmd_kernel(args) -> int:
                 for i, v in enumerate(kd.coembed.values)
             },
         }
-        print(dump_json(payload), end="")
+        _print_json(payload)
     else:
         print(f"k = {dom.label(kd.k)}")
         print(f"kernel members: {', '.join(members)}")
@@ -234,12 +248,15 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_lin_quantale(args) -> int:
+    from .quantale import lin_quantale
+    from .serialize import quantale_to_dict, to_dot
+
     oml, subject = _input_oml(args)
     q, _ = lin_quantale(oml, cap=args.cap)
     if args.fmt == "dot":
         print(to_dot(q), end="")
     elif args.fmt == "json":
-        print(dump_json(quantale_to_dict(q)), end="")
+        _print_json(quantale_to_dict(q))
     else:
         print(f"endomorphism quantale of {subject}: {q.n} elements")
         print(f"unit = {q.label(q.unit)}")
@@ -248,6 +265,10 @@ def cmd_lin_quantale(args) -> int:
 
 
 def cmd_check_quantale(args) -> int:
+    from .foulis import FoulisQuantale
+    from .quantale import check_involutive, check_quantale, lin_quantale
+    from .serialize import load_json, parse_quantale
+
     _no_dot(args)
     _need_input(args)
     if args.catalog is not None:
@@ -263,18 +284,23 @@ def cmd_check_quantale(args) -> int:
 
 
 def cmd_check_foulis(args) -> int:
+    from .foulis import check_foulis
+
     _no_dot(args)
     f, _ = _input_foulis(args)
     return _emit_reports(args, [check_foulis(f, workers=_workers(args))])
 
 
 def cmd_sasaki_lattice(args) -> int:
+    from .foulis import sasaki_oml
+    from .serialize import oml_to_dict, to_dot
+
     f, subject = _input_foulis(args)
     sub = sasaki_oml(f)
     if args.fmt == "dot":
         print(to_dot(sub.oml), end="")
     elif args.fmt == "json":
-        print(dump_json(oml_to_dict(sub.oml)), end="")
+        _print_json(oml_to_dict(sub.oml))
     else:
         print(f"projection lattice of {subject}: {sub.oml.n} elements")
         print("members: " + ", ".join(sub.oml.labels))
@@ -282,6 +308,10 @@ def cmd_sasaki_lattice(args) -> int:
 
 
 def cmd_check_module(args) -> int:
+    from .foulis import foulis_from_lin, hom_h
+    from .qmodule import check_left_module, check_right_two_module, module_reports
+    from .serialize import load_json, parse_module
+
     _no_dot(args)
     _need_input(args)
     w = _workers(args)
@@ -299,6 +329,11 @@ def cmd_check_module(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # serialize is imported before the run: compiled after it, on top of
+    # the run's live tables, it would raise the peak RSS.
+    from .serialize import dump_json
+    from .verify import run_verify, verify_text
+
     _no_dot(args)
     oml, subject = _input_oml(args)
     payload, code = run_verify(
@@ -312,6 +347,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from .serialize import load_json, parse_structure, structure_to_dict, to_dot
+
     _need_input(args)
     if args.catalog is not None:
         obj = catalog(args.catalog)
@@ -322,7 +359,7 @@ def cmd_emit(args) -> int:
     if args.fmt == "dot":
         print(to_dot(obj), end="")
     else:
-        print(dump_json(structure_to_dict(obj)), end="")
+        _print_json(structure_to_dict(obj))
     return 0
 
 
@@ -335,7 +372,7 @@ def cmd_catalog(args) -> int:
                 entries.append({"entry": name, "elements": None})
             else:
                 entries.append({"entry": name, "elements": catalog(name).n})
-        print(dump_json({"entries": entries}), end="")
+        _print_json({"entries": entries})
     else:
         for name in names:
             if "(" in name:
@@ -446,6 +483,8 @@ def main(argv=None) -> int:
         print("error: --cap must be at least 1", file=sys.stderr)
         return 2
     if args.regen_goldens:
+        from .goldens import golden_path, regen_goldens
+
         data = regen_goldens(workers=_workers(args))
         for entry, count in sorted(data["lin_counts"].items()):
             print(f"{entry}: {count}")
@@ -458,7 +497,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1 if args.cmd == "lin" else 2
+        return 1 if args.cmd == "lin" and not isinstance(e, FrontierTooLarge) else 2
     except _MATH_ERRORS as e:
         print(f"violation: {e}", file=sys.stderr)
         return 1
@@ -468,6 +507,14 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def __getattr__(name):
+    """The package's public names, such as load_json, parse_quantale and
+    FoulisQuantale, read through this module on first use."""
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,12 @@ class CapExceeded(OmlqError):
         self.cap = cap
 
 
+class FrontierTooLarge(CapExceeded):
+    """A step of the Lin(X) enumeration would build more candidate rows
+    than the desk-scale limit; refused as an input too large, not as a
+    count beyond the cap."""
+
+
 class TableTooLarge(OmlqError):
     """A quantale's dense tables would not fit in memory; refused unbuilt."""
 

@@ -14,8 +14,10 @@ join-irreducibles J of the domain.  It assigns J one element at a time,
 in a linear extension of the order, to a frontier of partial assignments,
 and drops a partial assignment as soon as one join pair with both sides
 fully assigned cannot hold any more; see its docstring for why that is
-sound.  The brute-force scan over every value table is the oracle in
-goldens.py.
+sound.  The frontier holds element indices of the codomain in the
+narrowest unsigned dtype that fits them, one byte up to 256 elements;
+lin_count counts its rows without sorting them.  The brute-force scan
+over every value table is the oracle in goldens.py.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainMismatch, FormatError, StructureViolation
+from .errors import CapExceeded, DomainMismatch, FormatError, FrontierTooLarge, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
@@ -172,15 +174,19 @@ def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1)
 def _below_joins(ext: np.ndarray, pairs, cod: FiniteOML) -> np.ndarray:
     """Per column of ext, a partial extension into cod (entry (x, c)):
     whether ext[y v k] <= ext[y] v ext[k] at every one of pairs.  Columns
-    are read in blocks of about _JOIN_CELLS gathered cells."""
+    are read in blocks of about _JOIN_CELLS gathered cells; the flat
+    indices x * m + v are formed in intp, as m * m need not fit ext's
+    narrow dtype."""
     ys, ks, yk = pairs
     m, j_flat, l_flat = cod.n, cod.join_tab.ravel(), cod.leq_mat.ravel()
     ok = np.empty(ext.shape[1], dtype=bool)
     step = max(1, _JOIN_CELLS // len(ys))
     for lo in range(0, ext.shape[1], step):
         e = ext[:, lo : lo + step]
-        joined = np.take(j_flat, np.take(e, ys, axis=0) * m + np.take(e, ks, axis=0))
-        ok[lo : lo + step] = np.take(l_flat, np.take(e, yk, axis=0) * m + joined).all(axis=0)
+        at = np.take(e, ys, axis=0).astype(np.intp) * m
+        joined = np.take(j_flat, at + np.take(e, ks, axis=0))
+        at = np.take(e, yk, axis=0).astype(np.intp) * m
+        ok[lo : lo + step] = np.take(l_flat, at + joined).all(axis=0)
     return ok
 
 
@@ -188,16 +194,56 @@ def _extend(ext: np.ndarray, allowed: np.ndarray, above, cod: FiniteOML) -> np.n
     """Column c of ext once for each v with allowed[c, v], in that order,
     with v joined in at the elements above."""
     rows, v = np.nonzero(allowed)
-    v = v.astype(np.int32)
     ext = np.take(ext, rows, axis=1)
+    del rows
+    j_flat = cod.join_tab.ravel()
+    # The intp indices are a step's largest arrays: one at a time, built
+    # in place and freed before the next, keeps the peak low.
     for x in above:
-        ext[x] = np.take(cod.join_tab.ravel(), ext[x] * cod.n + v)
+        at = np.multiply(ext[x], cod.n, dtype=np.intp)
+        at += v
+        ext[x] = np.take(j_flat, at)
+        del at
     return ext
+
+
+def _frontier(dom: FiniteOML, cod: FiniteOML, cap: int | None):
+    """The body of lin_values and lin_count: the frontier after its last
+    step, unsorted, entry (x, c) the value at x of map c in the narrowest
+    unsigned dtype that holds cod's indices; with J(dom) in assignment
+    order and their rows of dom's order, from which the sort keys come."""
+    if cap is None:
+        cap = default_cap()
+    n, leq = dom.n, dom.leq_mat
+    down = leq.sum(axis=0)
+    irr = sorted(dom.join_irreducibles(), key=lambda j: (down[j], j))
+    ready = np.full(n, -1)  # the step that assigns the last J below x
+    for t, j in enumerate(irr):
+        ready[leq[j]] = t
+    up = leq[irr]  # entry (t, x): irr[t] below x
+    ys, ks, yk = join_pairs(dom, irr)
+    live = (up[:, yk] & ~up[:, ys] & ~up[:, ks]).any(axis=0)
+    pairs = ys[live], ks[live], yk[live]
+    pair_ready = np.maximum(ready[pairs[0]], ready[pairs[1]])
+    ext = np.full((n, 1), cod.bottom, dtype=np.min_scalar_type(cod.n - 1))
+    for t, j in enumerate(irr):
+        allowed = cod.leq_mat[ext[j]]  # entry (c, v): row c may take v at j
+        count = np.count_nonzero(allowed)
+        if count > BRUTEFORCE_LIMIT:
+            raise FrontierTooLarge(BRUTEFORCE_LIMIT, f"step {t + 1} of {len(irr)} has {count} "
+                                                     "candidate rows, beyond BRUTEFORCE_LIMIT")
+        ext = _extend(ext, allowed, np.flatnonzero(leq[j]), cod)
+        test = (pair_ready == t) | ((pair_ready < t) & leq[j, pairs[2]])
+        if test.any():
+            ext = np.compress(_below_joins(ext, [p[test] for p in pairs], cod), ext, axis=1)
+    if ext.shape[1] > cap:
+        raise CapExceeded(cap, f"{ext.shape[1]} join-preserving maps")
+    return ext, irr, up
 
 
 def lin_values(dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = None) -> np.ndarray:
     """Value tables of all join-preserving maps dom -> cod, one sorted row
-    per map.
+    per map, as a C-contiguous int32 array.
 
     A join-preserving map is the extension x -> join of g over J(x) of its
     assignment g to the join-irreducibles J of dom, and an extension is
@@ -213,46 +259,34 @@ def lin_values(dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = N
     extension is monotone; by the same inequality, once J is assigned the
     test is the join test.  A pair is tested when it becomes assigned and
     again whenever j is below y v k; pairs where each J below y v k is
-    below y or k hold by construction and are never tested.  The rows are
-    sorted by lexsort on the columns x with some J below x at an index
-    x or later: any other column is the join of earlier J columns, so it
-    breaks no tie.
+    below y or k hold by construction and are never tested.
 
-    Raises CapExceeded, rather than returning a truncated array, at a step
-    whose candidate rows exceed BRUTEFORCE_LIMIT, before they are built,
-    or beyond cap maps.
+    The frontier holds values in np.min_scalar_type(cod.n - 1), one byte
+    up to 256 elements and two up to 65,536: every entry is an element
+    index of cod, and the joins written into it are read from cod's join
+    table, so they are indices too.  The gathers form their flat indices
+    x * cod.n + v in intp, which the narrow dtype would overflow.  The
+    rows are sorted by lexsort on the narrow columns x with some J below
+    x at an index x or later: any other column is the join of earlier J
+    columns, so it breaks no tie.  They are widened to int32 once, after
+    the gather.
+
+    Raises FrontierTooLarge, a CapExceeded, at a step whose candidate rows
+    exceed BRUTEFORCE_LIMIT, before they are built; and CapExceeded,
+    rather than returning a truncated array, beyond cap maps.
     """
     cod = dom if cod is None else cod
-    if cap is None:
-        cap = default_cap()
-    n, leq = dom.n, dom.leq_mat
-    down = leq.sum(axis=0)
-    irr = sorted(dom.join_irreducibles(), key=lambda j: (down[j], j))
-    ready = np.full(n, -1)  # the step that assigns the last J below x
-    for t, j in enumerate(irr):
-        ready[leq[j]] = t
-    up = leq[irr]  # entry (t, x): irr[t] below x
-    ys, ks, yk = join_pairs(dom, irr)
-    live = (up[:, yk] & ~up[:, ys] & ~up[:, ks]).any(axis=0)
-    pairs = ys[live], ks[live], yk[live]
-    pair_ready = np.maximum(ready[pairs[0]], ready[pairs[1]])
-    ext = np.full((n, 1), cod.bottom, dtype=np.int32)  # entry (x, c): row c at x
-    for t, j in enumerate(irr):
-        allowed = cod.leq_mat[ext[j]]  # entry (c, v): row c may take v at j
-        count = np.count_nonzero(allowed)
-        if count > BRUTEFORCE_LIMIT:
-            raise CapExceeded(BRUTEFORCE_LIMIT, f"step {t + 1} of {len(irr)} has {count} "
-                                                "candidate rows, beyond BRUTEFORCE_LIMIT")
-        ext = _extend(ext, allowed, np.flatnonzero(leq[j]), cod)
-        test = (pair_ready == t) | ((pair_ready < t) & leq[j, pairs[2]])
-        if test.any():
-            ext = np.compress(_below_joins(ext, [p[test] for p in pairs], cod), ext, axis=1)
-    if ext.shape[1] > cap:
-        raise CapExceeded(cap, f"{ext.shape[1]} join-preserving maps")
-    keys = np.flatnonzero((up & (np.array(irr)[:, None] >= np.arange(n))).any(axis=0))
-    if not len(keys):  # the one-point domain, with its one map
-        return ext.T
-    return ext.T[np.lexsort(ext[keys[::-1]])]
+    ext, irr, up = _frontier(dom, cod, cap)
+    keys = np.flatnonzero((up & (np.array(irr)[:, None] >= np.arange(dom.n))).any(axis=0))
+    table = ext.T[np.lexsort(ext[keys[::-1]])] if len(keys) else ext.T  # one point: one map
+    return np.ascontiguousarray(table, dtype=np.int32)
+
+
+def lin_count(dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = None) -> int:
+    """The number of join-preserving maps dom -> cod: the rows of
+    lin_values, counted on the frontier without sorting or widening them.
+    Refuses as lin_values does."""
+    return _frontier(dom, dom if cod is None else cod, cap)[0].shape[1]
 
 
 def enumerate_lin(

@@ -10,7 +10,6 @@ the lexicographically smallest one regardless of the partitioning.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 # Chunks per worker: a hit in an early chunk stops the scan after the
 # chunks already running, not after the rest of a whole stripe.
@@ -45,6 +44,8 @@ def first_hit(scan, total, workers=1):
     bounds = stripe_bounds(total, 1 if workers == 1 else workers * CHUNKS_PER_WORKER)
     if len(bounds) == 1:
         return scan(*bounds[0])
+    from concurrent.futures import ThreadPoolExecutor  # only threaded scans pay its import
+
     hits = {}
     order = iter(range(len(bounds)))
     lock = threading.Lock()

@@ -41,32 +41,7 @@ from .lattice import FiniteOML, Law, check_oml, make_report, rows, run_laws, sas
 from .linmap import LinMap, dagger, lin_values, vector_label
 from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
-
-SELECTORS = (
-    "sasaki-facts",
-    "dagger-kernel",
-    "quantale",
-    "involutive",
-    "foulis",
-    "star-props",
-    "sasaki-oml",
-    "modules",
-    "hom",
-    "roundtrip",
-)
-
-_PREREQS = {
-    "sasaki-facts": (),
-    "dagger-kernel": (),
-    "quantale": (),
-    "involutive": (),
-    "foulis": ("quantale", "involutive"),
-    "star-props": ("foulis",),
-    "sasaki-oml": ("foulis",),
-    "modules": ("foulis", "sasaki-oml"),
-    "hom": ("foulis", "sasaki-oml"),
-    "roundtrip": ("foulis", "sasaki-oml"),
-}
+from .selectors import PREREQS, SELECTORS
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +269,7 @@ def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
     def ensure(sel):
         if sel in status:
             return status[sel]
-        for pre in _PREREQS[sel]:
+        for pre in PREREQS[sel]:
             if not ensure(pre):
                 status[sel] = False
                 outputs[sel] = ("blocked", pre)

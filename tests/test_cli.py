@@ -198,6 +198,32 @@ def test_lin_counts_mo4_under_a_raised_cap(capsys):
     assert err == "error: enumeration exceeds cap 100000: 1441810 join-preserving maps\n"
 
 
+@pytest.mark.parametrize("argv", [["boolean:2"], ["mo:2"], ["benzene"],
+                                  ["boolean:2", "--cod", "mo:2"]])
+def test_lin_listing_matches_the_map_rendering(capsys, argv):
+    from omlq import enumerate_lin, vector_label
+
+    dom = catalog(argv[0])
+    cod = catalog(argv[2]) if len(argv) > 1 else dom
+    maps = enumerate_lin(dom, cod)
+    code, out, _ = run(capsys, "lin", "--catalog", *argv, "--format", "json")
+    assert (code, out) == (0, dump_json([[cod.labels[v] for v in f.values] for f in maps]))
+    code, out, _ = run(capsys, "lin", "--catalog", *argv)
+    assert (code, out) == (0, "".join(vector_label(f) + "\n" for f in maps))
+
+
+def test_lin_step_refusal_is_an_input_error(capsys, monkeypatch):
+    # Desk scale, not a count: a frontier step beyond BRUTEFORCE_LIMIT exits
+    # 2, where a count beyond the cap exits 1.
+    import omlq.linmap
+
+    monkeypatch.setattr(omlq.linmap, "BRUTEFORCE_LIMIT", 63)
+    code, out, err = run(capsys, "lin", "--catalog", "mo:3", "--count-only")
+    assert (code, out) == (2, "")
+    assert err == ("error: enumeration exceeds cap 63: step 2 of 6 has 64 candidate rows, "
+                   "beyond BRUTEFORCE_LIMIT\n")
+
+
 def test_lin_has_no_dot_format(capsys):
     code, _, err = run(capsys, "lin", "--catalog", "boolean:1", "--format", "dot")
     assert code == 2
@@ -553,6 +579,67 @@ def test_import_sets_one_blas_thread_unless_the_caller_chose(given, kept):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == kept
+
+
+def test_lin_count_loads_no_quantale_layer():
+    # The start-up guard: the light commands import only what they run.
+    heavy = ["omlq.quantale", "omlq.foulis", "omlq.qmodule", "omlq.verify",
+             "omlq.serialize", "omlq.goldens", "concurrent.futures"]
+    script = (
+        "import sys\n"
+        "from omlq import cli\n"
+        "assert cli.main(['lin', '--catalog', 'mo:2', '--count-only']) == 0\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        "import omlq, omlq.catalog\n"
+        "print(omlq.catalog is sys.modules['omlq.catalog'].catalog)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "234\n[]\nTrue\n"
+
+
+def test_package_names_resolve_to_their_modules():
+    import importlib
+
+    import omlq
+    import omlq.cli as cli
+
+    exports = {
+        "catalog": "benzene_oml boolean_oml catalog catalog_names horizontal_sum_oml mo_oml "
+                   "product_oml zero_oml",
+        "errors": "AmbiguousSai CapExceeded DomainMismatch FormatError FrontierTooLarge "
+                  "NotALattice NotAPoset NotFoulis OmlqError ParamOutOfRange "
+                  "StructureViolation TableTooLarge UnknownCatalogEntry",
+        "foulis": "FoulisHom FoulisQuantale SasakiOML check_foulis check_hom check_star_props "
+                  "derive_sai foulis_from_lin hom_h module_action roundtrip_iso "
+                  "sasaki_action sasaki_oml sasaki_oml_report sasaki_projection_index",
+        "goldens": "GOLDEN_ENTRIES compute_lin_count golden_lin_count load_goldens "
+                   "regen_goldens",
+        "lattice": "CheckReport FiniteLattice FiniteOML SubOML Violation build_lattice "
+                   "check_oml downset_oml lattice_from_leq make_report ortho_pair "
+                   "sasaki_apply",
+        "linmap": "KernelData LinMap bottom_map compose dagger default_cap enumerate_lin "
+                  "factorize_sasaki identity_map image is_dagger_iso is_dagger_mono "
+                  "is_linear join_maps kernel lin_count lin_values make_map vector_label "
+                  "verify_adjoint_pair",
+        "qmodule": "ModuleAction check_left_module check_right_two_module lin_module "
+                   "sasaki_module",
+        "quantale": "FinQuantale QElementView check_involutive check_quantale leq_by_mult "
+                    "leq_by_mult_matrix lin_quantale perp_by_star",
+        "serialize": "dump_json lattice_to_dict linmap_to_dict load_json module_to_dict "
+                     "oml_to_dict parse_lattice parse_linmap parse_module parse_oml "
+                     "parse_quantale parse_structure quantale_to_dict resolve_oml "
+                     "resolve_structure structure_to_dict to_dot",
+        "verify": "SELECTORS dagger_kernel_report run_verify sasaki_facts_report verify_text",
+    }
+    for module, names in exports.items():
+        mod = importlib.import_module(f"omlq.{module}")
+        for name in names.split():
+            assert getattr(omlq, name) is getattr(mod, name), (module, name)
+    assert cli.catalog is omlq.catalog
+    assert cli.load_json is omlq.load_json
+    assert cli.parse_quantale is omlq.parse_quantale
+    assert cli.FoulisQuantale is omlq.FoulisQuantale
 
 
 def test_installed_entry_point():

@@ -14,6 +14,7 @@ Oracles used here:
 import hashlib
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from omlq import (
     CapExceeded,
     DomainMismatch,
     FormatError,
+    FrontierTooLarge,
     LinMap,
     bottom_map,
     compose,
@@ -36,6 +38,7 @@ from omlq import (
     is_linear,
     join_maps,
     kernel,
+    lin_count,
     lin_values,
     load_goldens,
     make_map,
@@ -221,6 +224,54 @@ def test_frontier_refuses_beyond_the_limit(monkeypatch):
     monkeypatch.setattr(linmap_module, "BRUTEFORCE_LIMIT", 64)
     with pytest.raises(CapExceeded, match="step 3 of 6 has"):
         lin_values(catalog("mo:3"))
+
+
+def test_step_refusal_is_a_frontier_refusal(monkeypatch):
+    from omlq import catalog
+
+    monkeypatch.setattr(linmap_module, "BRUTEFORCE_LIMIT", 63)
+    for count in (lin_values, lin_count):
+        with pytest.raises(FrontierTooLarge, match="step 2 of 6 has 64 candidate rows"):
+            count(catalog("mo:3"))
+
+
+# Hosts of 256 and 512 elements: the largest whose frontier is one byte
+# wide, and one whose frontier is two.
+HOST_256 = "product(boolean:4,boolean:4)"
+HOST_512 = "product(boolean:4,product(boolean:4,boolean:1))"
+
+
+@pytest.mark.parametrize("name, dtype", [(HOST_256, np.uint8), (HOST_512, np.uint16)])
+def test_rows_at_the_frontier_dtype_boundaries(b1, name, dtype):
+    from omlq import catalog
+
+    cod = catalog(name)
+    assert linmap_module._frontier(b1, cod, None)[0].dtype == dtype
+    values = lin_values(b1, cod)
+    assert values.dtype == np.int32 and values.flags.c_contiguous
+    assert np.array_equal(values, bruteforce_lin_values(b1, cod))
+
+
+def test_count_of_boolean_domain_maps_is_the_power(b2):
+    # |Lin(2^n, L)| = |L|^n: a map from 2^n is free on its n atoms.
+    from omlq import catalog
+
+    assert lin_count(b2, catalog(HOST_512), cap=300_000) == 512**2
+
+
+def test_count_equals_the_number_of_rows(b2):
+    from omlq import catalog, catalog_names
+
+    mo1 = catalog("mo:1")
+    fixed = [catalog(name) for name in catalog_names() if "(" not in name]
+    for dom, cod in [(dom, dom) for dom in fixed] + [(b2, mo1), (mo1, b2)]:
+        try:
+            rows = len(lin_values(dom, cod))
+        except CapExceeded as e:
+            with pytest.raises(CapExceeded, match=f"^{re.escape(str(e))}$"):
+                lin_count(dom, cod)
+        else:
+            assert lin_count(dom, cod) == rows
 
 
 def test_boolean_maps_are_free_on_atoms(b3):
