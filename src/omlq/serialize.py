@@ -17,22 +17,32 @@ may be supplied.  Emission writes elements in index order and the full
 strict order under "leq", so parse(emit(x)) reproduces x exactly.
 
 String specifications resolve catalog-first, then as file paths.
+
+Only the lattice layers are imported here.  A parse function imports the
+quantale, Foulis, module or map layer when it builds one of those
+structures, and the type dispatch of structure_to_dict and to_dot when
+the object is not a lattice.  So JSON output of the lattice commands, and
+a quantale file without "sai", load neither the Foulis nor the module
+layer.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .catalog import catalog
 from .errors import FormatError, UnknownCatalogEntry
-from .foulis import FoulisQuantale
 from .lattice import FiniteLattice, FiniteOML, build_lattice
-from .linmap import LinMap
-from .qmodule import ModuleAction
-from .quantale import FinQuantale
+
+if TYPE_CHECKING:
+    from .foulis import FoulisQuantale
+    from .linmap import LinMap
+    from .qmodule import ModuleAction
+    from .quantale import FinQuantale
 
 
 def dump_json(obj) -> str:
@@ -97,6 +107,15 @@ def module_to_dict(m: ModuleAction) -> dict:
 
 
 def structure_to_dict(obj) -> dict:
+    if isinstance(obj, FiniteOML):
+        return oml_to_dict(obj)
+    if isinstance(obj, FiniteLattice):
+        return lattice_to_dict(obj)
+    from .foulis import FoulisQuantale
+    from .linmap import LinMap
+    from .qmodule import ModuleAction
+    from .quantale import FinQuantale
+
     if isinstance(obj, FoulisQuantale):
         return foulis_to_dict(obj)
     if isinstance(obj, FinQuantale):
@@ -105,10 +124,6 @@ def structure_to_dict(obj) -> dict:
         return module_to_dict(obj)
     if isinstance(obj, LinMap):
         return linmap_to_dict(obj)
-    if isinstance(obj, FiniteOML):
-        return oml_to_dict(obj)
-    if isinstance(obj, FiniteLattice):
-        return lattice_to_dict(obj)
     raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -187,6 +202,8 @@ def _label_table(lat, rows, height, message) -> np.ndarray:
 
 def parse_quantale(d: dict):
     """A quantale table file; returns FoulisQuantale when "sai" is present."""
+    from .quantale import FinQuantale
+
     lat = parse_lattice(d)
     mult = _label_table(lat, d.get("mult"), lat.n,
                         '"mult" must be an n-by-n label table')
@@ -196,6 +213,8 @@ def parse_quantale(d: dict):
     unit = lat.index(d["unit"])
     base = FinQuantale(lat, mult, star, unit)
     if "sai" in d:
+        from .foulis import FoulisQuantale
+
         return FoulisQuantale(base, _label_array(lat, d["sai"], "sai"))
     return base
 
@@ -203,6 +222,9 @@ def parse_quantale(d: dict):
 def parse_module(d: dict, base_dir=None) -> ModuleAction:
     if not isinstance(d, dict) or "quantale" not in d or "lattice" not in d:
         raise FormatError('module files need "quantale", "lattice", "action"')
+    from .foulis import FoulisQuantale
+    from .qmodule import ModuleAction
+
     q = resolve_quantale(d["quantale"], base_dir)
     if isinstance(q, FoulisQuantale):
         q = q.base
@@ -232,6 +254,8 @@ def parse_structure(d: dict, base_dir=None):
 def parse_linmap(d: dict, base_dir=None) -> LinMap:
     if "dom" not in d:
         raise FormatError('map files need "dom" and "values"')
+    from .linmap import LinMap
+
     dom = resolve_oml(d["dom"], base_dir)
     cod = resolve_oml(d["cod"], base_dir) if "cod" in d else dom
     values_map = d.get("values")
@@ -311,15 +335,22 @@ def to_dot(obj) -> str:
     Complement links never constrain the layout; a same-rank group is
     added for pairs the order leaves incomparable.
     """
-    if isinstance(obj, FoulisQuantale):
-        obj = obj.base
-    if isinstance(obj, FinQuantale):
-        obj = obj.carrier
-    if isinstance(obj, LinMap):
-        obj = obj.dom
-    # a module's lattice is drawn without complements, as module_to_dict
-    # writes it
-    lat = obj.lattice if isinstance(obj, ModuleAction) else obj
+    lat = obj
+    if not isinstance(obj, FiniteLattice):
+        from .foulis import FoulisQuantale
+        from .linmap import LinMap
+        from .qmodule import ModuleAction
+        from .quantale import FinQuantale
+
+        if isinstance(obj, FoulisQuantale):
+            obj = obj.base
+        if isinstance(obj, FinQuantale):
+            obj = obj.carrier
+        if isinstance(obj, LinMap):
+            obj = obj.dom
+        # a module's lattice is drawn without complements, as
+        # module_to_dict writes it
+        lat = obj.lattice if isinstance(obj, ModuleAction) else obj
     if not isinstance(lat, FiniteLattice):
         raise FormatError(f"cannot draw {type(obj).__name__}")
     ortho = obj.ortho if isinstance(obj, FiniteOML) else None

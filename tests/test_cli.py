@@ -22,7 +22,7 @@ from omlq import (
     parse_quantale,
 )
 from omlq.cli import main
-from omlq.serialize import linmap_to_dict, quantale_to_dict
+from omlq.serialize import foulis_to_dict, linmap_to_dict, quantale_to_dict
 
 from conftest import make_nilpotent_chain_quantale
 from test_quantale import check_quantale_reference
@@ -375,6 +375,26 @@ def test_check_module_file_with_a_list_action_label_is_an_input_error(capsys, tm
     assert err == "error: unknown element ['a']\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_quantale_file_reads_the_same_with_or_without_sai(capsys, tmp_path, fq_b2, fmt):
+    # A file carrying "sai" parses to a FoulisQuantale; check-quantale
+    # checks its quantale alone, as on the same file without "sai".  One
+    # cell of the Lin(boolean:2) table is changed, so witnesses are reported.
+    d = foulis_to_dict(fq_b2[0])
+    old = d["mult"][5][9]
+    d["mult"][5][9] = next(lab for lab in d["elements"] if lab != old)
+    without = {k: v for k, v in d.items() if k != "sai"}
+    results = []
+    for name, body in (("with-sai.json", d), ("without-sai.json", without)):
+        p = tmp_path / name
+        p.write_text(dump_json(body))
+        results.append(run(capsys, "check-quantale", "--file", str(p), "--format", fmt))
+    assert results[0] == results[1]
+    code, out, _ = results[0]
+    assert code == 1
+    assert ("FAIL at (" if fmt == "text" else '"witness"') in out
+
+
 def test_check_quantale_file_with_a_late_row_mutant(tmp_path, fq_b3):
     # One cell in row 450 of the boolean:3 quantale file: the distributive
     # laws fail in row 450 and in column 300, far from the rows of the
@@ -549,9 +569,9 @@ def test_flags_accepted_before_and_after_subcommand(capsys):
 
 def test_workers_flag_does_not_change_output(capsys):
     outs = set()
-    for w in ("1", "2", "8"):
+    for flag in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "8"]):
         code, out, _ = run(capsys, "verify", "--catalog", "boolean:2", "all",
-                           "--format", "json", "--workers", w)
+                           "--format", "json", *flag)
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
@@ -596,6 +616,42 @@ def test_lin_count_loads_no_quantale_layer():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "234\n[]\nTrue\n"
+
+
+def modules_loaded_by(argv, modules):
+    """Exit code of cli.main(argv) in a fresh interpreter, and which of
+    modules it left loaded."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from omlq import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, [m for m in {modules!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_check_quantale_file_loads_no_foulis_module_or_thread_pool(tmp_path, fq_b2):
+    p = tmp_path / "lin-boolean2.json"
+    p.write_text(dump_json(quantale_to_dict(fq_b2[0].base)))
+    heavy = ["omlq.foulis", "omlq.qmodule", "omlq.verify", "omlq.goldens",
+             "concurrent.futures"]
+    argv = ["check-quantale", "--file", str(p), "--format", "json"]
+    assert modules_loaded_by(argv, heavy) == "0 []\n"
+
+
+def test_check_oml_json_loads_no_quantale_layer():
+    heavy = ["omlq.quantale", "omlq.foulis", "omlq.qmodule", "omlq.linmap", "omlq.verify"]
+    argv = ["check-oml", "--catalog", "mo:2", "--format", "json"]
+    assert modules_loaded_by(argv, heavy) == "0 []\n"
+
+
+@pytest.mark.parametrize("flag, loaded", [([], "[]"), (["--workers", "2"], "['concurrent.futures']")])
+def test_verify_starts_a_thread_pool_only_when_workers_ask(flag, loaded):
+    argv = ["verify", "--catalog", "boolean:2", "all", *flag]
+    assert modules_loaded_by(argv, ["concurrent.futures"]) == f"0 {loaded}\n"
 
 
 def test_package_names_resolve_to_their_modules():

@@ -3,9 +3,10 @@
 perfbench/ref/ holds the stdout of every benchmark job whose bytes are
 pinned: verify boolean:3 all, verify mo:2 all, the mo:3 kernels and the
 three seed-0 mutants of the boolean:3 quantale file.  Each job runs here
-through omlq.cli.main at 1 and 2 workers, and its exit code and stdout
-must pass the job's own check in perfbench/workloads.py, which compares
-the bytes with the reference.  The files are only read.
+through omlq.cli.main without --workers, as the benchmark runs it, and at
+1 and 2 workers.  Its exit code and stdout must pass the job's own check
+in perfbench/workloads.py, which compares the bytes with the reference.
+The files are only read.
 """
 
 import contextlib
@@ -31,8 +32,10 @@ def run_cli(argv):
 
 
 def cli_args(job, workers):
+    """The job's CLI arguments; workers None leaves the default."""
     assert job.argv[:2] == ["-m", "omlq.cli"]
-    return [*job.argv[2:], "--workers", str(workers)]
+    flag = [] if workers is None else ["--workers", str(workers)]
+    return [*job.argv[2:], *flag]
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +46,7 @@ def mutant_base():
     return out
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [None, 1, 2])
 @pytest.mark.parametrize("name", ["verify-b3", "verify-mo2", "kernels-mo3", "mutants-b3"])
 def test_jobs_reproduce_the_reference_bytes(name, workers, mutant_base, tmp_path):
     workload = wl.WORKLOADS[name](wl.DEFAULT_SEED, tmp_path, mutant_base)
