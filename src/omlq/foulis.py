@@ -156,8 +156,8 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None):
 
 
 def sasaki_projection_index(view: QElementView, oml: FiniteOML, a: int) -> int:
-    """Quantale index of the Sasaki projection at a."""
-    return view.index_of(oml.meet_tab[a, oml.join_tab[oml.ortho[a]]])
+    """Quantale index of the Sasaki projection at a, row a of sasaki_table."""
+    return view.index_of(sasaki_table(oml)[a])
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +385,11 @@ def sasaki_action_table(f: FoulisQuantale, sub: SasakiOML) -> np.ndarray:
 
 
 def sasaki_action(f: FoulisQuantale, u: int, sub: SasakiOML | None = None) -> LinMap:
-    """The action of u on the projection lattice, as a value table."""
+    """The action of u on the projection lattice, as a value table: row u
+    of sasaki_action_table."""
     if sub is None:
         sub = sasaki_oml(f)
-    return LinMap(sub.oml, sub.oml, [sub.from_host(module_action(f, u, k)) for k in sub.members])
+    return LinMap(sub.oml, sub.oml, sasaki_action_table(f, sub)[u])
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,7 @@ def hom_h(
 
 def sasaki_embedding(view: QElementView, oml: FiniteOML, sub: SasakiOML) -> np.ndarray:
     """theta: a -> the Sasaki projection at a, in the local indices of sub."""
-    return np.array([sub.from_host(sasaki_projection_index(view, oml, a)) for a in range(oml.n)])
+    return np.array([sub.from_host(k) for k in view.indices(sasaki_table(oml)).tolist()])
 
 
 def record_conjugation(h: FoulisHom, theta) -> bool:

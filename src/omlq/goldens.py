@@ -12,7 +12,6 @@ the file.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from math import comb, perm
 from pathlib import Path
 
@@ -58,6 +57,8 @@ def _decode(codes: np.ndarray, n: int, m: int) -> np.ndarray:
 def _chunked_codes(total: int, workers: int, work):
     bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
     if workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda b: work(*b), bounds))
     else:

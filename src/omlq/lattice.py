@@ -606,37 +606,34 @@ class SubOML:
     """Principal downset of an OML with the relative complement y -> a meet y'.
 
     Local elements are indexed 0..m-1 in ascending parent order; members
-    maps local indices back to the parent.
+    maps local indices back to the parent, and the array local maps parent
+    indices to local ones, -1 off the downset.  The tables are gathered
+    from the parent's through local.
     """
 
     def __init__(self, parent: FiniteOML, a: int):
         self.parent = parent
         self.a = int(a)
-        members = tuple(parent.downset(a))
-        self.members = members
-        local = {p: i for i, p in enumerate(members)}
-        self._local = local
-        m = len(members)
-        sel = np.array(members, dtype=np.int32)
-        leq = parent.leq_mat[np.ix_(sel, sel)].copy()
-        join_tab = np.empty((m, m), dtype=np.int32)
-        meet_tab = np.empty((m, m), dtype=np.int32)
-        for i, p in enumerate(members):
-            for j, q in enumerate(members):
-                join_tab[i, j] = local[parent.join(p, q)]
-                meet_tab[i, j] = local[parent.meet(p, q)]
-        labels = tuple(parent.label(p) for p in members)
+        sel = np.flatnonzero(parent.leq_mat[:, a])
+        self.members = tuple(sel.tolist())
+        self.local = local = np.full(parent.n, -1, dtype=np.int32)
+        local[sel] = np.arange(len(sel), dtype=np.int32)
+        block = np.ix_(sel, sel)
         lat = FiniteLattice(
-            labels, leq, join_tab, meet_tab, local[parent.bottom], local[self.a]
+            [parent.label(p) for p in self.members], parent.leq_mat[block],
+            local[parent.join_tab[block]], local[parent.meet_tab[block]],
+            local[parent.bottom], local[self.a],
         )
-        rel = [local[parent.meet(self.a, parent.orthoc(p))] for p in members]
-        self.oml = FiniteOML(lat, rel)
+        self.oml = FiniteOML(lat, local[parent.meet_tab[self.a, parent.ortho[sel]]])
 
     def to_parent(self, i: int) -> int:
         return self.members[i]
 
     def from_parent(self, p: int) -> int:
-        return self._local[p]
+        i = int(self.local[p])
+        if i < 0:
+            raise KeyError(p)
+        return i
 
 
 def downset_oml(oml: FiniteOML, a: int) -> SubOML:

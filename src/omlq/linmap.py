@@ -143,16 +143,23 @@ def join_maps(f: LinMap, g: LinMap) -> LinMap:
     return LinMap(f.dom, f.cod, tuple(int(jc[a, b]) for a, b in zip(f.values, g.values)))
 
 
+def adjoint_rows(values, dom: FiniteOML, cod: FiniteOML) -> np.ndarray:
+    """The adjoint of every row of values, each a value table dom -> cod:
+    row r of the result is t -> c(V{s : values[r, s] <= c(t)}), a table
+    cod -> dom, with c the complement of cod inside and of dom outside.
+    The joins are folded over s in ascending order, from dom's bottom."""
+    values = np.asarray(values)
+    below = cod.leq_mat[:, cod.ortho]  # entry (v, t): v <= complement(t)
+    adjoint = np.full((len(values), cod.n), dom.bottom, dtype=np.int32)
+    for s in range(dom.n):
+        hit = below[values[:, s]]
+        adjoint[hit] = dom.join_tab[adjoint[hit], s]
+    return dom.ortho[adjoint]
+
+
 def dagger(f: LinMap) -> LinMap:
     """The unique adjoint, by the closed formula."""
-    dom, cod = f.dom, f.cod
-    leq = cod.leq_mat
-    vals = []
-    for t in range(cod.n):
-        tp = cod.orthoc(t)
-        below = [s for s in range(dom.n) if leq[f.values[s], tp]]
-        vals.append(dom.orthoc(dom.join_set(below)))
-    return LinMap(cod, dom, vals)
+    return LinMap(f.cod, f.dom, adjoint_rows([f.values], f.dom, f.cod)[0])
 
 
 def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1) -> CheckReport:

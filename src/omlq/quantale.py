@@ -37,7 +37,7 @@ from .lattice import (
     rows,
     run_laws,
 )
-from .linmap import BRUTEFORCE_LIMIT, LinMap, lin_values
+from .linmap import BRUTEFORCE_LIMIT, LinMap, adjoint_rows, lin_values
 
 # Bytes per element pair of a quantale's dense tables: a bool order plus
 # int32 join and multiplication.  The reference machine has 7 GiB; a run
@@ -216,13 +216,7 @@ class QElementView:
 
     def adjoints(self) -> np.ndarray:
         """Element index of each row's adjoint: dagger(f)(t) = (V{s : f(s) <= t'})'."""
-        x = self.host
-        below = x.leq_mat[:, x.ortho]  # entry (s, t): s <= complement(t)
-        adjoint = np.full((self.n, x.n), x.bottom, dtype=np.int32)
-        for s in range(x.n):
-            hit = below[self.values[:, s]]
-            adjoint[hit] = x.join_tab[adjoint[hit], s]
-        return self.indices(x.ortho[adjoint])
+        return self.indices(adjoint_rows(self.values, self.host, self.host))
 
     def find(self, rows) -> np.ndarray:
         """The element index of each value row, -1 for a row that is none."""

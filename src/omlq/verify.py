@@ -37,8 +37,8 @@ from .foulis import (
     sasaki_embedding,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, Law, check_oml, make_report, rows, run_laws, sasaki_table
-from .linmap import LinMap, dagger, lin_values, vector_label
+from .lattice import FiniteOML, Law, check_oml, downset_oml, least, rows, run_laws, sasaki_table
+from .linmap import adjoint_rows, lin_values
 from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
 from .selectors import PREREQS, SELECTORS
@@ -90,69 +90,57 @@ def dagger_kernel_report(
     itself, so the checks run once on the least map of each class, in
     ascending order, and report the witnesses of a scan over every map.
     In an OML D_f = Z_f; keying on both keeps this exact for any tables.
+    The four splitting axioms depend on k alone and are decided once per
+    distinct k; kernel-downset and weak-kernel are row scans over the
+    classes, which workers share.
 
-    maps, when given, are checked in place of the enumeration.  workers is
-    accepted and unused: the classes are checked in order on one thread.
+    maps, when given, are checked in place of the enumeration.
     """
-    from .linmap import _sasaki_split, compose, identity_map
-
     if maps is None:
         values = lin_values(oml, cap=cap)
     else:
         values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
-    leq = oml.leq_mat
+    leq, bottom = oml.leq_mat, oml.bottom
     S = sasaki_table(oml)
-
-    def per_map(fi):
-        f = LinMap(oml, oml, values[fi].tolist())
-        fstar = dagger(f)
-        k = oml.orthoc(fstar.values[oml.top])
-        sub, coembed, embed = _sasaki_split(oml, k)
-        issues = {}
-        zero_set = values[fi] == oml.bottom
-        bad = np.nonzero(zero_set != leq[:, k])[0]
-        if bad.size:
-            issues["kernel-downset"] = (vector_label(f), oml.label(int(bad[0])))
-        killed = compose(f, embed)
-        if any(v != oml.bottom for v in killed.values):
-            issues["kills-kernel"] = (vector_label(f),)
-        split = compose(embed, coembed)
-        if split.values != tuple(int(v) for v in S[k]):
-            issues["splits-projection"] = (vector_label(f),)
-        normalized = compose(coembed, embed)
-        if normalized != identity_map(sub.oml):
-            issues["normalized"] = (vector_label(f),)
-        if dagger(embed) != coembed:
-            issues["embed-dagger-of-coembed"] = (vector_label(f),)
-        if compose(dagger(embed), embed) != identity_map(sub.oml):
-            issues["embed-dagger-mono"] = (vector_label(f),)
-        ann = np.nonzero((values[fi][values] == oml.bottom).all(axis=1))[0]
-        if ann.size:
-            mv = values[ann]
-            bad = np.nonzero((S[k][mv] != mv).any(axis=1))[0]
-            if bad.size:
-                issues["weak-kernel"] = (
-                    vector_label(f),
-                    vector_label(LinMap(oml, oml, values[ann[bad[0]]].tolist())),
-                )
-        return issues
-
-    axioms = (
-        "kernel-downset",
-        "kills-kernel",
-        "splits-projection",
-        "normalized",
-        "embed-dagger-of-coembed",
-        "embed-dagger-mono",
-        "weak-kernel",
-    )
-    key = np.concatenate([values == oml.bottom, leq[values, oml.orthoc(oml.top)]], 1)
+    key = np.concatenate([values == bottom, leq[values, oml.orthoc(oml.top)]], 1)
     _, reps = np.unique(np.packbits(key, axis=1), axis=0, return_index=True)
-    found = {}
-    for fi in np.sort(reps).tolist():
-        for axiom, witness in per_map(fi).items():
-            found.setdefault(axiom, witness)
-    return make_report(subject, [(axiom, found.get(axiom)) for axiom in axioms])
+    fs = values[np.sort(reps)]
+    ks = oml.ortho[adjoint_rows(fs, oml, oml)[:, oml.top]]
+    distinct, at = np.unique(ks, return_inverse=True)
+    fails = [_splitting_fails(oml, S, k) for k in distinct.tolist()]
+    splits = np.array(fails, dtype=bool).reshape(-1, 4)[at]
+
+    def weak(r):
+        # entry m: f o m = 0 but the projection at k moves m
+        ann = np.flatnonzero((fs[r][values] == bottom).all(axis=1))
+        mv, bad = values[ann], np.zeros(len(values), dtype=bool)
+        bad[ann] = (S[ks[r]][mv] != mv).any(axis=1)
+        return bad
+
+    def vector(row):
+        return "[" + ",".join(oml.labels[v] for v in row) + "]"
+
+    label = {"f": lambda r: vector(fs[r]), "m": lambda m: vector(values[m]), "x": oml.label}
+    return run_laws(subject, label, [
+        Law("kernel-downset", rows(lambda r: (fs[r] == bottom) != leq[:, ks[r]]), len(fs),
+            kinds="fx"),
+        Law("kills-kernel", hit=least(((fs != bottom) & leq[:, ks].T).any(axis=1)), kinds="f"),
+        *(Law(name, hit=least(splits[:, i]), kinds="f") for i, name in enumerate(
+            ("splits-projection", "normalized", "embed-dagger-of-coembed", "embed-dagger-mono"))),
+        Law("weak-kernel", rows(weak), len(fs), kinds="fm"),
+    ], workers)
+
+
+def _splitting_fails(oml: FiniteOML, S, k: int):
+    """Whether the splitting at k of the downset embedding e and the
+    coembedding p (the projection at k, corestricted) breaks e o p = S[k],
+    p o e = 1, dagger(e) = p and dagger(e) o e = 1, in that order."""
+    sub = downset_oml(oml, k)
+    embed, ar = np.array(sub.members), np.arange(len(sub.members))
+    coembed = sub.local[S[k]]
+    dagger_embed = adjoint_rows([embed], sub.oml, oml)[0]
+    return [(embed[coembed] != S[k]).any(), (coembed[embed] != ar).any(),
+            (dagger_embed != coembed).any(), (dagger_embed[embed] != ar).any()]
 
 
 # ---------------------------------------------------------------------------

@@ -618,6 +618,14 @@ def test_lin_count_loads_no_quantale_layer():
     assert proc.stdout == "234\n[]\nTrue\n"
 
 
+def test_goldens_import_loads_no_thread_pool():
+    # goldens imports concurrent.futures only for a threaded oracle run.
+    script = "import sys, omlq.goldens\nprint('concurrent.futures' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def modules_loaded_by(argv, modules):
     """Exit code of cli.main(argv) in a fresh interpreter, and which of
     modules it left loaded."""

@@ -326,9 +326,11 @@ def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
 
 
 def hom_table_reference(f, sub, tview):
-    """One sasaki_action per element, looked up by its whole value row."""
+    """The action of each element, one module_action cell at a time, looked
+    up by its whole value row."""
     index = {tuple(row): i for i, row in enumerate(tview.values.tolist())}
-    return tuple(index[sasaki_action(f, u, sub).values] for u in range(f.n))
+    return tuple(index[tuple(sub.from_host(module_action(f, u, k)) for k in sub.members)]
+                 for u in range(f.n))
 
 
 def test_hom_table_matches_a_per_element_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
@@ -620,12 +622,11 @@ def test_roundtrip_reports_the_least_witness_of_a_rewired_candidate(
     # A mutated quantale fails inside sasaki_oml before any round-trip law
     # runs, so the laws are reached by sending a to the projection of
     # perm[a] instead.
-    real = foulis_module.sasaki_projection_index
+    real = foulis_module.sasaki_embedding
 
     def rewired(oml, built, perm, workers):
-        idx = [real(built[1], oml, a) for a in range(oml.n)]
-        monkeypatch.setattr(foulis_module, "sasaki_projection_index",
-                            lambda view, host, a: idx[perm[a]])
+        monkeypatch.setattr(foulis_module, "sasaki_embedding",
+                            lambda view, host, sub: real(view, host, sub)[perm])
         return roundtrip_iso(oml, workers=workers, built=built).to_dict()["violations"]
 
     for workers in (1, 2):

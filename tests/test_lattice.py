@@ -328,6 +328,30 @@ def test_downset_oml_relative_complement(b3):
     assert sub.to_parent(sub.from_parent(b3.index("b"))) == b3.index("b")
 
 
+def test_suboml_tables_are_the_parents_restricted_to_the_downset(b2, b3, mo2, benzene):
+    # The reference reads every cell of the parent one at a time.
+    twisted = FiniteOML(b2, {"0": "a", "a": "0", "b": "1", "1": "b"})
+    for oml in (b3, mo2, benzene, twisted):
+        for a in range(oml.n):
+            sub = downset_oml(oml, a)
+            members = [p for p in range(oml.n) if oml.le(p, a)]
+            local = {p: i for i, p in enumerate(members)}
+            lat = sub.oml
+            assert list(sub.members) == members
+            assert lat.labels == tuple(oml.label(p) for p in members)
+            assert (lat.bottom, lat.top) == (local[oml.bottom], local[a])
+            for i, p in enumerate(members):
+                assert sub.from_parent(p) == i and sub.to_parent(i) == p
+                assert lat.orthoc(i) == local[oml.meet(a, oml.orthoc(p))]
+                for j, q in enumerate(members):
+                    assert lat.le(i, j) == oml.le(p, q)
+                    assert lat.join(i, j) == local[oml.join(p, q)]
+                    assert lat.meet(i, j) == local[oml.meet(p, q)]
+            for p in set(range(oml.n)) - set(members):
+                with pytest.raises(KeyError):
+                    sub.from_parent(p)
+
+
 def test_suboml_membership_and_maps(mo2):
     a = mo2.index("a")
     sub = downset_oml(mo2, a)

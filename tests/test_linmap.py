@@ -18,17 +18,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlq import (
     CapExceeded,
     DomainMismatch,
     FormatError,
+    FiniteOML,
     FrontierTooLarge,
     LinMap,
     bottom_map,
     compose,
     dagger,
     default_cap,
+    downset_oml,
     enumerate_lin,
     factorize_sasaki,
     identity_map,
@@ -51,7 +55,7 @@ from omlq import (
 from omlq import linmap as linmap_module
 from omlq.cli import main
 from omlq.goldens import bruteforce_lin_values
-from omlq.linmap import BRUTEFORCE_LIMIT
+from omlq.linmap import BRUTEFORCE_LIMIT, adjoint_rows
 
 
 def brute_force_linear_tables(dom, cod):
@@ -69,6 +73,19 @@ def brute_force_linear_tables(dom, cod):
         if ok:
             out.append(values)
     return sorted(out)
+
+
+def dagger_reference(f):
+    """The closed formula of the adjoint, one cell at a time: t goes to the
+    complement of the join of {s : f(s) <= complement(t)}."""
+    dom, cod = f.dom, f.cod
+    leq = cod.leq_mat
+    vals = []
+    for t in range(cod.n):
+        tp = cod.orthoc(t)
+        below = [s for s in range(dom.n) if leq[f.values[s], tp]]
+        vals.append(dom.orthoc(dom.join_set(below)))
+    return LinMap(cod, dom, vals)
 
 
 def adjoint_partner_tables(oml):
@@ -344,6 +361,42 @@ def test_dagger_matches_pairing_oracle(b2):
             )
         ]
         assert partners == [fd.values]
+
+
+def test_adjoint_rows_match_the_reference(b1, b2, mo2, benzene):
+    # Tables start from join-preserving maps, including every downset
+    # embedding of benzene and mo:2 into its host, and have cells
+    # overwritten, so most of them preserve no joins.  The domain differs
+    # from the codomain for boolean:1 -> boolean:2 and the embeddings;
+    # benzene and twisted boolean:2 carry complements that break the OML
+    # laws.
+    twisted = FiniteOML(b2, {"0": "a", "a": "0", "b": "1", "1": "b"})
+    cases = [(dom, cod, lin_values(dom, cod).tolist())
+             for dom, cod in ((b2, b2), (mo2, mo2), (b1, b2), (benzene, benzene))]
+    cases.append((twisted, twisted, cases[0][2]))
+    for oml in (benzene, mo2):
+        for a in range(oml.n):
+            sub = downset_oml(oml, a)
+            cases.append((sub.oml, oml, [list(sub.members)]))
+    moved = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        dom, cod, tables = data.draw(st.sampled_from(cases))
+        rows = [list(t) for t in data.draw(st.lists(st.sampled_from(tables), min_size=1,
+                                                     max_size=4))]
+        for _ in range(data.draw(st.integers(0, 3))):
+            r = data.draw(st.integers(0, len(rows) - 1))
+            rows[r][data.draw(st.integers(0, dom.n - 1))] = data.draw(st.integers(0, cod.n - 1))
+        got = adjoint_rows(np.array(rows), dom, cod)
+        assert got.shape == (len(rows), cod.n)
+        for row, adj in zip(rows, got.tolist()):
+            assert adj == list(dagger_reference(LinMap(dom, cod, row)).values)
+            moved.append(not is_linear(LinMap(dom, cod, row)))
+
+    check()
+    assert any(moved) and not all(moved)
 
 
 def test_dagger_is_an_involution(b2, mo2):

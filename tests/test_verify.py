@@ -12,7 +12,6 @@ from omlq import (
     LinMap,
     catalog,
     compose,
-    dagger,
     dagger_kernel_report,
     dump_json,
     enumerate_lin,
@@ -25,6 +24,7 @@ from omlq import (
 )
 from omlq.linmap import _sasaki_split
 from omlq.lattice import sasaki_table
+from test_linmap import dagger_reference
 
 
 def test_selector_listing_is_stable():
@@ -70,6 +70,7 @@ def test_dagger_kernel_report(b2, mo2):
             "normalized", "embed-dagger-of-coembed", "embed-dagger-mono",
             "weak-kernel",
         }
+    assert dagger_kernel_report(b2, maps=[]).passed
 
 
 DAGGER_KERNEL_AXIOMS = (
@@ -84,14 +85,15 @@ DAGGER_KERNEL_AXIOMS = (
 
 
 def dagger_kernel_reference(oml, maps):
-    """The kernel checks run on every map; each axiom reports its least
-    failing map."""
+    """The kernel checks run on every map, with LinMap objects and the
+    one-cell adjoint dagger_reference; each axiom reports its least failing
+    map."""
     values = np.array([f.values for f in maps], dtype=np.int32)
     leq = oml.leq_mat
     S = sasaki_table(oml)
 
     def per_map(f, row):
-        k = oml.orthoc(dagger(f).values[oml.top])
+        k = oml.orthoc(dagger_reference(f).values[oml.top])
         sub, coembed, embed = _sasaki_split(oml, k)
         issues = {}
         bad = np.nonzero((row == oml.bottom) != leq[:, k])[0]
@@ -103,9 +105,9 @@ def dagger_kernel_reference(oml, maps):
             issues["splits-projection"] = (vector_label(f),)
         if compose(coembed, embed) != identity_map(sub.oml):
             issues["normalized"] = (vector_label(f),)
-        if dagger(embed) != coembed:
+        if dagger_reference(embed) != coembed:
             issues["embed-dagger-of-coembed"] = (vector_label(f),)
-        if compose(dagger(embed), embed) != identity_map(sub.oml):
+        if compose(dagger_reference(embed), embed) != identity_map(sub.oml):
             issues["embed-dagger-mono"] = (vector_label(f),)
         for m, mv in zip(maps, values):
             if (row[mv] == oml.bottom).all() and (S[k][mv] != mv).any():
@@ -308,6 +310,24 @@ def test_verify_all_makes_one_products_pass_and_one_hom(monkeypatch, mo2):
     assert code == 0
     assert payload["results"]["modules"]["passed"] and payload["results"]["hom"]["passed"]
     assert len(passes) == 1 and len(homs) == 1
+
+
+def test_verify_all_builds_no_linmap(monkeypatch):
+    # dagger-kernel and every other selector read value rows and element
+    # indices; no map object is made.
+    from omlq import linmap
+
+    calls = []
+    real = linmap.LinMap.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linmap.LinMap, "__init__", counting)
+    payload, code = run_verify(catalog("mo:3"), ["all"])
+    assert code == 0 and payload["results"]["dagger-kernel"]["passed"]
+    assert calls == []
 
 
 def certificates_off(monkeypatch):
