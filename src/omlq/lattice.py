@@ -3,9 +3,11 @@
 Elements are indexed 0..n-1 in input order.  The order relation is kept as
 a dense boolean matrix, the binary join table is precomputed at
 construction and the meet table is derived from the order on first use, so
-law checking and Sasaki arithmetic reduce to table lookups.  Input
-relations may list covering pairs or the full order; the
-reflexive-transitive closure is always recomputed.
+law checking and Sasaki arithmetic reduce to table lookups.  Every dense
+table of element indices, here and in the quantale, module and file
+layers, has cells of cell_dtype(n).  Input relations may list covering
+pairs or the full order; the reflexive-transitive closure is always
+recomputed.
 
 Every exhaustive checker states its laws as Law values and hands them to
 run_laws, which decides them in order and labels each least witness.  A
@@ -24,6 +26,14 @@ import numpy as np
 
 from .errors import FormatError, NotALattice, NotAPoset
 from .scan import first_hit
+
+
+def cell_dtype(n) -> np.dtype:
+    """The cell type of a dense table of indices into n elements: int16
+    while n <= 2**15, so every index and the -1 of a missing one fit, and
+    int32 beyond.  Arithmetic on cells, such as a flat index x * n + y,
+    must widen them first."""
+    return np.dtype(np.int16 if n <= 1 << 15 else np.int32)
 
 
 def bool_product(a, b) -> np.ndarray:
@@ -289,9 +299,10 @@ def _order_tables(labels, leq, kinds=("join", "meet")):
     exactly when the two are equal word for word.  An empty intersection
     has no candidate and fails explicitly.
 
-    Rows go in blocks whose word intersections take about _BLOCK_BYTES, one
-    row at least.  With the candidates' up-sets, the masks and the per-pair
-    index arrays, a block holds up to about six times that in temporaries.
+    The tables have cells of cell_dtype(n).  Rows go in blocks whose word
+    intersections take about _BLOCK_BYTES, one row at least.  With the
+    candidates' up-sets, the masks and the per-pair index arrays, a block
+    holds up to about six times that in temporaries.
     The first pair in row-major order with no join or meet is reported,
     join first.
     """
@@ -304,7 +315,7 @@ def _order_tables(labels, leq, kinds=("join", "meet")):
         packed = np.zeros((n, 8 * words), dtype=np.uint8)
         packed[:, : row_bytes.shape[1]] = row_bytes
         packs.append((order, np.ascontiguousarray(packed.view("<u8").T)))
-        tables.append(np.empty((n, n), dtype=np.int32))
+        tables.append(np.empty((n, n), dtype=cell_dtype(n)))
     step = max(1, _BLOCK_BYTES // (8 * words * n))
     rows, cols = np.arange(step)[:, None], np.arange(n)
     for lo in range(0, n, step):
@@ -434,7 +445,8 @@ def breaks_joins(tables, pairs, cod: FiniteLattice) -> np.ndarray:
     t[y v k] = t[y] v t[k] fails at one of pairs, join_pairs of the maps'
     domain.  The tables are read transposed, one contiguous row per
     element, in slices of at most _JOIN_CELLS cells: one pair at a time
-    when there are more maps than that."""
+    when there are more maps than that.  The flat indices f[y] * m + f[k]
+    are formed in intp, as m * m need not fit the tables' cell type."""
     ys, ks, yk = pairs
     cols = np.ascontiguousarray(np.asarray(tables).T)  # entry (x, f): f at x
     j_flat, m = cod.join_tab.ravel(), cod.n
@@ -442,7 +454,8 @@ def breaks_joins(tables, pairs, cod: FiniteLattice) -> np.ndarray:
     step = max(1, _JOIN_CELLS // max(1, cols.shape[1]))
     for lo in range(0, len(ys), step):
         s = slice(lo, lo + step)
-        joined = np.take(j_flat, np.take(cols, ys[s], axis=0) * m + np.take(cols, ks[s], axis=0))
+        at = np.take(cols, ys[s], axis=0).astype(np.intp) * m
+        joined = np.take(j_flat, at + np.take(cols, ks[s], axis=0))
         bad |= (np.take(cols, yk[s], axis=0) != joined).any(axis=0)
     return bad
 
@@ -608,7 +621,7 @@ class SubOML:
     Local elements are indexed 0..m-1 in ascending parent order; members
     maps local indices back to the parent, and the array local maps parent
     indices to local ones, -1 off the downset.  The tables are gathered
-    from the parent's through local.
+    from the parent's through local, whose cells are cell_dtype(m).
     """
 
     def __init__(self, parent: FiniteOML, a: int):
@@ -616,8 +629,8 @@ class SubOML:
         self.a = int(a)
         sel = np.flatnonzero(parent.leq_mat[:, a])
         self.members = tuple(sel.tolist())
-        self.local = local = np.full(parent.n, -1, dtype=np.int32)
-        local[sel] = np.arange(len(sel), dtype=np.int32)
+        self.local = local = np.full(parent.n, -1, dtype=cell_dtype(len(sel)))
+        local[sel] = np.arange(len(sel))
         block = np.ix_(sel, sel)
         lat = FiniteLattice(
             [parent.label(p) for p in self.members], parent.leq_mat[block],

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import StructureViolation
 from .foulis import FoulisHom, FoulisQuantale, SasakiOML, sasaki_action_table, sasaki_oml
-from .lattice import CheckReport, FiniteLattice, FiniteOML, Law, join_law, least, rows, run_laws
+from .lattice import (CheckReport, FiniteLattice, FiniteOML, Law, cell_dtype, join_law, least,
+                      rows, run_laws)
 from .quantale import FinQuantale, QElementView, lin_quantale
 
 
@@ -30,8 +31,9 @@ class ModuleAction:
 
     table[s, a] is the index of s acting on a; rows are indexed by
     quantale elements, columns by lattice elements, and every entry is a
-    lattice element.  view, when given, is an element view on the lattice
-    in which check_left_module finds rows.
+    lattice element, kept in cells of cell_dtype(lattice.n).  view, when
+    given, is an element view on the lattice in which check_left_module
+    finds rows.
     """
 
     quantale: FinQuantale
@@ -40,11 +42,12 @@ class ModuleAction:
     view: QElementView | None = None
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int32)
+        table = np.asarray(self.table)
         if table.shape != (self.quantale.n, self.lattice.n):
             raise StructureViolation("action-table-shape")
         if table.min(initial=0) < 0 or table.max(initial=0) >= self.lattice.n:
             raise StructureViolation("action-table-range")
+        table = table.astype(cell_dtype(self.lattice.n), copy=False)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 

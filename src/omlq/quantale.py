@@ -31,6 +31,7 @@ from .lattice import (
     FiniteLattice,
     FiniteOML,
     Law,
+    cell_dtype,
     join_law,
     least,
     nonadditive_row,
@@ -39,15 +40,19 @@ from .lattice import (
 )
 from .linmap import BRUTEFORCE_LIMIT, LinMap, adjoint_rows, lin_values
 
-# Bytes per element pair of a quantale's dense tables: a bool order plus
-# int32 join and multiplication.  The reference machine has 7 GiB; a run
-# builds one dense quantale and the checkers add row temporaries, so it may
-# take 3 GiB: Lin(mo:3) (13,376 elements, 1.61 GB) and Lin(product(boolean:1,
-# mo:2)) (16,848 elements, 2.55 GB) fit, Lin(boolean:4) (65,536 elements,
-# 38.7 GB) is refused.
-TABLE_CELL_BYTES = 1 + 2 * 4
+# The reference machine has 7 GiB; a run builds one dense quantale and the
+# checkers add row temporaries, so its tables may take 3 GiB:
+# Lin(mo:3) (13,376 elements, 0.89 GB) and Lin(product(boolean:1, mo:2))
+# (16,848 elements, 1.42 GB) fit, and so does any quantale of up to 25,381
+# elements; Lin(boolean:4) (65,536 elements, 38.7 GB) is refused.
 TABLE_BYTE_LIMIT = 3 << 30
 _PAIR_CHUNK = 1 << 15
+
+
+def table_cell_bytes(k) -> int:
+    """Bytes per element pair of a k-element quantale's dense tables: a
+    bool order plus join and multiplication cells of cell_dtype(k)."""
+    return 1 + 2 * cell_dtype(k).itemsize
 
 
 class FinQuantale:
@@ -285,15 +290,17 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     names (QElementView.products); i <= j exactly when i v j is j.  The
     unit, zero and top maps and every adjoint are found as whole rows.  A
     code or row that is no element raises FormatError.  No LinMap is built,
-    and the carrier keeps no meet table.  The quantale carries phi = (oml,
-    values).  Raises TableTooLarge, before any table is allocated, when the
-    dense tables would exceed TABLE_BYTE_LIMIT.
+    and the carrier keeps no meet table.  mult and the carrier join have
+    cells of cell_dtype(k).  The quantale carries phi = (oml, values).
+    Raises TableTooLarge, before any table is allocated, when the dense
+    tables would exceed TABLE_BYTE_LIMIT.
     """
     values = lin_values(oml, oml, cap=cap)
     k = len(values)
-    if k * k * TABLE_CELL_BYTES > TABLE_BYTE_LIMIT:
+    need = k * k * table_cell_bytes(k)
+    if need > TABLE_BYTE_LIMIT:
         raise TableTooLarge(
-            f"a quantale of {k} elements needs {k * k * TABLE_CELL_BYTES} bytes "
+            f"a quantale of {k} elements needs {need} bytes "
             f"of dense tables, above the limit of {TABLE_BYTE_LIMIT} bytes"
         )
     values.setflags(write=False)
@@ -303,13 +310,13 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     ar = np.arange(oml.n)
     top_map = np.where(ar == oml.bottom, oml.bottom, oml.top)
     unit, zero, top = view.indices([ar, np.full_like(ar, oml.bottom), top_map])
-    mult = np.empty((k, k), dtype=np.int32)
-    join = np.empty((k, k), dtype=np.int32)
+    mult = np.empty((k, k), dtype=cell_dtype(k))
+    join = np.empty((k, k), dtype=cell_dtype(k))
     for a, applied, joined in view.products():
         if (applied < 0).any() or (joined < 0).any():
             raise FormatError("a composite or join is not enumerated")
         mult[a], join[a] = applied, joined
-    leq = join == np.arange(k, dtype=np.int32)
+    leq = join == np.arange(k, dtype=join.dtype)
     carrier = FiniteLattice(labels, leq, join, None, int(zero), int(top))
     mult.setflags(write=False)
     star = view.adjoints()

@@ -36,7 +36,7 @@ import numpy as np
 
 from .catalog import catalog
 from .errors import FormatError, UnknownCatalogEntry
-from .lattice import FiniteLattice, FiniteOML, build_lattice
+from .lattice import FiniteLattice, FiniteOML, build_lattice, cell_dtype
 
 if TYPE_CHECKING:
     from .foulis import FoulisQuantale
@@ -183,18 +183,19 @@ def _label_array(lat, mapping, what) -> np.ndarray:
 
 
 def _label_table(lat, rows, height, message) -> np.ndarray:
-    """A height-by-lat.n table of labels as indices, one dict lookup per
-    cell.  A row with an unknown label is decoded again through lat.index,
-    which raises its error for the first such label."""
+    """A height-by-lat.n table of labels as indices of cell_dtype(lat.n),
+    one dict lookup per cell.  A row with an unknown label is decoded again
+    through lat.index, which raises its error for the first such label."""
     if not isinstance(rows, list) or len(rows) != height:
         raise FormatError(message)
     index = {lab: i for i, lab in enumerate(lat.labels)}
-    out = np.empty((height, lat.n), dtype=np.int32)
+    cell = cell_dtype(lat.n)
+    out = np.empty((height, lat.n), dtype=cell)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != lat.n:
             raise FormatError(message)
         try:
-            out[i] = np.fromiter(map(index.__getitem__, row), np.int32, lat.n)
+            out[i] = np.fromiter(map(index.__getitem__, row), cell, lat.n)
         except (KeyError, TypeError):
             out[i] = [lat.index(lab) for lab in row]
     return out

@@ -39,7 +39,10 @@ import omlq.foulis as foulis_module
 import omlq.lattice as lattice_module
 import omlq.linmap as linmap_module
 import omlq.quantale as quantale_module
-from omlq.lattice import _order_tables, lattice_from_order
+from omlq.lattice import _order_tables, cell_dtype, downset_oml, lattice_from_order
+from omlq.qmodule import lin_module
+from omlq.serialize import (dump_json, module_to_dict, parse_module, parse_quantale,
+                            quantale_to_dict)
 
 from conftest import make_two_chain_quantale
 
@@ -106,6 +109,33 @@ def test_lin_quantale_refuses_before_building_map_objects(monkeypatch, b2):
     monkeypatch.setattr(linmap_module, "LinMap", no_maps)
     with pytest.raises(TableTooLarge, match="16 elements"):
         lin_quantale(b2)
+
+
+@pytest.mark.parametrize("k, admitted", [(18919, True), (25381, True), (25382, False)])
+def test_size_guard_follows_the_cell_rule(monkeypatch, b2, k, admitted):
+    # k value rows with no columns allocate nothing, and a view that
+    # raises stops an admitted build before its first table.  At the 3 GiB limit the
+    # five bytes of an int16 pair admit up to 25,381 elements, where nine
+    # bytes of int32 stopped at 18,918.
+    class Admitted(Exception):
+        pass
+
+    def admitted_view(*args):
+        raise Admitted
+
+    monkeypatch.setattr(quantale_module, "lin_values",
+                        lambda *args, **kwargs: np.empty((k, 0), dtype=np.int32))
+    monkeypatch.setattr(quantale_module, "QElementView", admitted_view)
+    assert quantale_module.TABLE_BYTE_LIMIT == 3 << 30
+    assert quantale_module.table_cell_bytes(k) == 5
+    if admitted:
+        with pytest.raises(Admitted):
+            lin_quantale(b2)
+    else:
+        with pytest.raises(TableTooLarge) as err:
+            lin_quantale(b2)
+        assert str(err.value) == (f"a quantale of {k} elements needs {k * k * 5} bytes of dense "
+                                  f"tables, above the limit of {3 << 30} bytes")
 
 
 LOOKUP_HOSTS = ("boolean:1", "boolean:2", "boolean:3", "mo:2")
@@ -1049,3 +1079,50 @@ def test_failed_row_test_scans_one_row_per_law(monkeypatch, fq_b3):
         assert len(scanned) == 2
         assert np.array_equal(scanned[0], mult[400])
         assert np.array_equal(scanned[1], mult[:, 266])
+
+
+def test_join_test_on_int16_tables_matches_int32(fq_b3):
+    # boolean:3 has k = 512 elements, so a flat join index y * k + z
+    # overflows int16: the row test must widen it.  The same quantale,
+    # without phi and with one planted cell, gives byte-equal row tests
+    # and reports as int16 and as int32 tables.
+    q = fq_b3[0].base
+    assert q.dense_mult().dtype == q.carrier.join_tab.dtype == np.int16
+    mult = q.dense_mult().copy()
+    mult[300, 400] = (mult[300, 400] + 1) % q.n
+    got = []
+    for dtype in (np.int16, np.int32):
+        c = q.carrier
+        carrier = FiniteLattice(c.labels, c.leq_mat, c.join_tab.astype(dtype), None,
+                                c.bottom, c.top)
+        m = mult.astype(dtype)
+        irr = carrier.join_irreducibles()
+        mutant = FinQuantale(carrier, m, q.dense_star(), q.unit)
+        got.append((lattice_module.nonadditive_row(m, carrier, irr),
+                     lattice_module.nonadditive_row(m.T, carrier, irr),
+                     dump_json(check_quantale(mutant).to_dict())))
+    assert got[0] == got[1]
+    assert got[1][:2] == (300, 400)
+
+
+def test_every_dense_element_table_follows_the_cell_rule(fq_b2, fq_mo2):
+    assert cell_dtype(1 << 15) == np.int16
+    assert cell_dtype((1 << 15) + 1) == np.int32
+    assert quantale_module.table_cell_bytes(1 << 15) == 5
+    assert quantale_module.table_cell_bytes((1 << 15) + 1) == 9
+    for name in ("boolean:3", "mo:2", "benzene", "product(boolean:1,mo:2)"):
+        lat = catalog(name)
+        assert lat.join_tab.dtype == lat.meet_tab.dtype == cell_dtype(lat.n)
+        sub = downset_oml(lat, lat.top).oml
+        assert sub.join_tab.dtype == sub.meet_tab.dtype == cell_dtype(sub.n)
+    for f, view in (fq_b2, fq_mo2):
+        q = f.base
+        assert q.dense_mult().dtype == q.carrier.join_tab.dtype == cell_dtype(q.n)
+        back = parse_quantale(quantale_to_dict(q))
+        for got, want in ((back.dense_mult(), q.dense_mult()),
+                          (back.carrier.join_tab, q.carrier.join_tab)):
+            assert got.dtype == cell_dtype(q.n)
+            assert got.tobytes() == want.tobytes()
+        module = lin_module(view.host, q, view)
+        assert module.table.dtype == cell_dtype(view.host.n)
+        assert parse_module(module_to_dict(module)).table.tobytes() == module.table.tobytes()
