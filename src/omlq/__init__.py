@@ -45,10 +45,8 @@ _EXPORTS = {
         "ortho_pair", "sasaki_apply",
     ),
     "linmap": (
-        "KernelData", "LinMap", "bottom_map", "compose", "dagger", "default_cap",
-        "enumerate_lin", "factorize_sasaki", "identity_map", "image", "is_dagger_iso",
-        "is_dagger_mono", "is_linear", "join_maps", "kernel", "lin_count", "lin_values",
-        "make_map", "vector_label", "verify_adjoint_pair",
+        "KernelData", "LinMap", "dagger", "default_cap", "is_linear", "kernel", "lin_count",
+        "lin_values", "vector_label", "verify_adjoint_pair",
     ),
     "quantale": (
         "FinQuantale", "QElementView", "check_involutive", "check_quantale",
@@ -56,9 +54,8 @@ _EXPORTS = {
     ),
     "foulis": (
         "FoulisHom", "FoulisQuantale", "SasakiOML", "check_foulis", "check_hom",
-        "check_star_props", "derive_sai", "foulis_from_lin", "hom_h", "module_action",
-        "roundtrip_iso", "sasaki_action", "sasaki_oml", "sasaki_oml_report",
-        "sasaki_projection_index",
+        "check_star_props", "derive_sai", "foulis_from_lin", "hom_h", "roundtrip_iso",
+        "sasaki_oml", "sasaki_oml_report",
     ),
     "qmodule": (
         "ModuleAction", "check_left_module", "check_right_two_module", "lin_module",

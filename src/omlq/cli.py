@@ -59,9 +59,7 @@ def _workers(args) -> int:
     """One scan thread unless --workers asks for more.  Since the
     certificates decide most laws, a second thread no longer pays on the
     measured hosts, and only a count above 1 starts the thread pool."""
-    if args.workers is not None:
-        return max(1, args.workers)
-    return 1
+    return 1 if args.workers is None else args.workers
 
 
 def _need_input(args):
@@ -238,11 +236,11 @@ def cmd_kernel(args) -> int:
             "members": members,
             "embed": {
                 kd.sub.oml.label(i): dom.label(v)
-                for i, v in enumerate(kd.embed.values)
+                for i, v in enumerate(kd.sub.members)
             },
             "coembed": {
                 dom.label(i): kd.sub.oml.label(v)
-                for i, v in enumerate(kd.coembed.values)
+                for i, v in enumerate(kd.coembed.tolist())
             },
         }
         _print_json(payload)
@@ -486,6 +484,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cap is not None and args.cap < 1:
         print("error: --cap must be at least 1", file=sys.stderr)
+        return 2
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     if args.regen_goldens:
         from .goldens import golden_path, regen_goldens

@@ -31,6 +31,7 @@ from .lattice import (
     FiniteOML,
     Law,
     bool_product,
+    cell_dtype,
     check_oml,
     lattice_from_order,
     least,
@@ -39,7 +40,7 @@ from .lattice import (
     run_laws,
     sasaki_table,
 )
-from .linmap import LinMap, lin_values
+from .linmap import lin_values
 from .quantale import FinQuantale, QElementView, lin_quantale
 
 
@@ -155,11 +156,6 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None):
     return FoulisQuantale(q, closed_form_sai(view, q.dense_star())), view
 
 
-def sasaki_projection_index(view: QElementView, oml: FiniteOML, a: int) -> int:
-    """Quantale index of the Sasaki projection at a, row a of sasaki_table."""
-    return view.index_of(sasaki_table(oml)[a])
-
-
 # ---------------------------------------------------------------------------
 # law checking
 
@@ -255,23 +251,27 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
 class SasakiOML:
     """The projection image as an OML under the defined order.
 
-    members are quantale indices ascending; oml is the local structure
-    with complement k -> sai(k) and top sai(0); report is its passing
-    check_oml report.
+    local maps quantale indices to local ones, -1 off the image, and
+    members, the quantale indices of the image ascending, maps local
+    indices back; oml is the local structure with complement k -> sai(k)
+    and top sai(0); report is its passing check_oml report.
     """
 
-    def __init__(self, host: FoulisQuantale, members, oml: FiniteOML, report: CheckReport):
+    def __init__(self, host: FoulisQuantale, local, oml: FiniteOML, report: CheckReport):
         self.host = host
-        self.members = tuple(int(k) for k in members)
+        self.local = local
+        self.members = tuple(np.flatnonzero(local >= 0).tolist())
         self.oml = oml
         self.report = report
-        self._local = {k: i for i, k in enumerate(self.members)}
 
     def to_host(self, i: int) -> int:
         return self.members[i]
 
     def from_host(self, k: int) -> int:
-        return self._local[k]
+        i = int(self.local[k])
+        if i < 0:
+            raise KeyError(k)
+        return i
 
 
 def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
@@ -293,6 +293,8 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     zero = q.zero
     members = f.members()
     sel = np.array(members, dtype=np.int32)
+    local = np.full(q.n, -1, dtype=cell_dtype(len(sel)))
+    local[sel] = np.arange(len(sel))
     local_labels = tuple(q.label(k) for k in members)
     order = m[np.ix_(sel, sel)].T == sel[:, None]  # entry (i, j): sel[j] * sel[i] = sel[i]
 
@@ -316,11 +318,9 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     except NotALattice as e:
         raise StructureViolation(f"projection-{e.kind}-exists", e.witness) from None
 
-    local = {q_idx: i for i, q_idx in enumerate(members)}
-    if lat.top != local[int(sai[zero])]:
+    if lat.top != local[sai[zero]]:
         raise StructureViolation("top-is-sai-of-zero", (lab(lat.top),))
-    ortho = [local[int(sai[q_idx])] for q_idx in members]
-    oml = FiniteOML(lat, ortho)
+    oml = FiniteOML(lat, local[sai[sel]])
 
     report = check_oml(oml, subject="projection-lattice")
     if not report.passed:
@@ -340,9 +340,9 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
             formula_join = int(sai[sai[jq[k1, k2]]])
             if local[formula_join] != lat.join(i, j):
                 raise StructureViolation("join-formula", (lab(i), lab(j)))
-    if local[int(sai[sai[zero]])] != lat.bottom:
+    if local[sai[sai[zero]]] != lat.bottom:
         raise StructureViolation("empty-join-formula", (lab(lat.bottom),))
-    return SasakiOML(f, members, oml, report)
+    return SasakiOML(f, local, oml, report)
 
 
 def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml"):
@@ -363,33 +363,17 @@ def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml"):
 # ---------------------------------------------------------------------------
 # module action and the representation homomorphism
 
-def module_action(f: FoulisQuantale, u: int, k: int) -> int:
-    """u . k = perp(perp(u * k)); lands in the projection image."""
-    return f.perp(f.perp(f.base.times(u, k)))
-
-
 def sasaki_action_table(f: FoulisQuantale, sub: SasakiOML) -> np.ndarray:
     """Row u: the action of u on the projection lattice sub, in local
     indices; an action that leaves the projections raises StructureViolation."""
     q = f.base
     perp = f.sai[q.dense_star()]
     sel = np.array(sub.members, dtype=np.int32)
-    acted = perp[perp[q.dense_mult()[:, sel]]]
-    local_of = np.full(q.n, -1, dtype=np.int32)
-    local_of[sel] = np.arange(len(sel), dtype=np.int32)
-    table = local_of[acted]
+    table = sub.local[perp[perp[q.dense_mult()[:, sel]]]]
     if (table < 0).any():
         u, i = map(int, np.argwhere(table < 0)[0])
         raise StructureViolation("action-escapes-projections", (q.label(u), q.label(int(sel[i]))))
     return table
-
-
-def sasaki_action(f: FoulisQuantale, u: int, sub: SasakiOML | None = None) -> LinMap:
-    """The action of u on the projection lattice, as a value table: row u
-    of sasaki_action_table."""
-    if sub is None:
-        sub = sasaki_oml(f)
-    return LinMap(sub.oml, sub.oml, sasaki_action_table(f, sub)[u])
 
 
 @dataclass(frozen=True)
@@ -430,8 +414,13 @@ def hom_h(
 
 
 def sasaki_embedding(view: QElementView, oml: FiniteOML, sub: SasakiOML) -> np.ndarray:
-    """theta: a -> the Sasaki projection at a, in the local indices of sub."""
-    return np.array([sub.from_host(k) for k in view.indices(sasaki_table(oml)).tolist()])
+    """theta: a -> the Sasaki projection at a, in the local indices of sub;
+    KeyError at a projection off sub."""
+    proj = view.indices(sasaki_table(oml))
+    theta = sub.local[proj]
+    if (theta < 0).any():
+        raise KeyError(int(proj[theta.argmin()]))
+    return theta
 
 
 def record_conjugation(h: FoulisHom, theta) -> bool:

@@ -1,6 +1,9 @@
 """Join-preserving maps between finite orthomodular lattices.
 
-A map is stored as a plain value table.  Linearity here means the table
+A map is a value row: entry x is the index of its value at x.  The
+enumeration, the adjoint and the kernel splitting work on arrays of such
+rows; LinMap wraps one row with its lattices for the single-map adjoint
+and kernel commands and for map files.  Linearity here means the table
 preserves the bottom element and binary joins, which over a finite lattice
 is the same as preserving arbitrary joins.  Every such map has a unique
 adjoint given by the closed formula
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainMismatch, FormatError, FrontierTooLarge, StructureViolation
+from .errors import CapExceeded, DomainMismatch, FormatError, FrontierTooLarge
 from .lattice import (
     CheckReport,
     FiniteOML,
@@ -39,7 +42,7 @@ from .lattice import (
     join_pairs,
     rows,
     run_laws,
-    sasaki_apply,
+    sasaki_table,
 )
 
 DEFAULT_CAP = 100000
@@ -63,13 +66,10 @@ def default_cap() -> int:
 
 
 class LinMap:
-    """Value table between two OMLs.
+    """Value table between two OMLs, for the single-map commands and map
+    files.  Construction does not check linearity; is_linear does."""
 
-    Construction does not validate linearity (checkers need to hold
-    arbitrary tables); use make_map for a validated constructor.
-    """
-
-    __slots__ = ("dom", "cod", "values", "_hash")
+    __slots__ = ("dom", "cod", "values")
 
     def __init__(self, dom: FiniteOML, cod: FiniteOML, values):
         self.dom = dom
@@ -79,24 +79,9 @@ class LinMap:
             raise DomainMismatch("value table length does not match the domain")
         if self.values and not all(0 <= v < cod.n for v in self.values):
             raise DomainMismatch("value table points outside the codomain")
-        self._hash = None
 
     def __call__(self, i: int) -> int:
         return self.values[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, LinMap):
-            return NotImplemented
-        return (
-            self.values == other.values
-            and self.dom.signature == other.dom.signature
-            and self.cod.signature == other.cod.signature
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.values, self.dom.signature[0], self.cod.signature[0]))
-        return self._hash
 
     def __repr__(self):
         return f"LinMap{vector_label(self)}"
@@ -107,40 +92,10 @@ def vector_label(f: LinMap) -> str:
     return "[" + ",".join(f.cod.label(v) for v in f.values) + "]"
 
 
-def identity_map(oml: FiniteOML) -> LinMap:
-    return LinMap(oml, oml, range(oml.n))
-
-
-def bottom_map(dom: FiniteOML, cod: FiniteOML | None = None) -> LinMap:
-    cod = dom if cod is None else cod
-    return LinMap(dom, cod, [cod.bottom] * dom.n)
-
-
 def is_linear(f: LinMap) -> bool:
     """Bottom preservation plus the binary join test of join_pairs."""
     dom, cod, v = f.dom, f.cod, f.values
     return v[dom.bottom] == cod.bottom and not breaks_joins([v], join_pairs(dom), cod)[0]
-
-
-def make_map(dom: FiniteOML, cod: FiniteOML, values) -> LinMap:
-    f = LinMap(dom, cod, values)
-    if not is_linear(f):
-        raise StructureViolation("join-preserving", (vector_label(f),))
-    return f
-
-
-def compose(g: LinMap, f: LinMap) -> LinMap:
-    """g after f."""
-    if f.cod != g.dom:
-        raise DomainMismatch("compose: inner codomain differs from outer domain")
-    return LinMap(f.dom, g.cod, tuple(g.values[v] for v in f.values))
-
-
-def join_maps(f: LinMap, g: LinMap) -> LinMap:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise DomainMismatch("join_maps: maps live between different lattices")
-    jc = f.cod.join_tab
-    return LinMap(f.dom, f.cod, tuple(int(jc[a, b]) for a, b in zip(f.values, g.values)))
 
 
 def adjoint_rows(values, dom: FiniteOML, cod: FiniteOML) -> np.ndarray:
@@ -296,63 +251,28 @@ def lin_count(dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = No
     return _frontier(dom, dom if cod is None else cod, cap)[0].shape[1]
 
 
-def enumerate_lin(
-    dom: FiniteOML, cod: FiniteOML | None = None, cap: int | None = None
-) -> list[LinMap]:
-    """All join-preserving maps dom -> cod, sorted by value vector; the
-    rows of lin_values as maps."""
-    cod = dom if cod is None else cod
-    return [LinMap(dom, cod, row) for row in lin_values(dom, cod, cap=cap).tolist()]
-
-
 # ---------------------------------------------------------------------------
-# kernels and Sasaki factorization
+# kernels
 
 @dataclass(frozen=True)
 class KernelData:
-    """Kernel of a map: the largest element killed by it, its downset, and
-    the splitting of the Sasaki projection through that downset."""
+    """Kernel of a map: the largest element k it kills, the downset sub of
+    k, whose members embed it, and the coembedding, the Sasaki projection
+    at k as a row of sub's indices."""
 
     k: int
     sub: SubOML
-    embed: LinMap     # downset -> ambient, the inclusion
-    coembed: LinMap   # ambient -> downset, the corestricted projection
+    coembed: np.ndarray
 
 
-def _sasaki_split(oml: FiniteOML, a: int):
-    sub = downset_oml(oml, a)
-    embed = LinMap(sub.oml, oml, sub.members)
-    coembed = LinMap(
-        oml, sub.oml, [sub.from_parent(sasaki_apply(oml, a, x)) for x in range(oml.n)]
-    )
-    return sub, coembed, embed
-
-
-def factorize_sasaki(oml: FiniteOML, a: int):
-    """Split the Sasaki projection at a through its image downset.
-
-    Returns (coembed, embed) with embed after coembed the projection on the
-    ambient lattice and coembed after embed the identity on the downset.
-    """
-    _, coembed, embed = _sasaki_split(oml, a)
-    return coembed, embed
+def kernel_split(oml: FiniteOML, k: int):
+    """The downset of k and the Sasaki projection at k corestricted to it:
+    (sub, row) with row[x] the local index of the projection of x."""
+    sub = downset_oml(oml, k)
+    return sub, sub.local[sasaki_table(oml)[k]]
 
 
 def kernel(f: LinMap) -> KernelData:
     """Kernel as the downset of the complement of dagger(f) at the top."""
-    X = f.dom
-    k = X.orthoc(dagger(f).values[f.cod.top])
-    sub, coembed, embed = _sasaki_split(X, k)
-    return KernelData(k=k, sub=sub, embed=embed, coembed=coembed)
-
-
-def image(f: LinMap) -> tuple[int, ...]:
-    return tuple(sorted(set(f.values)))
-
-
-def is_dagger_mono(f: LinMap) -> bool:
-    return compose(dagger(f), f) == identity_map(f.dom)
-
-
-def is_dagger_iso(f: LinMap) -> bool:
-    return is_dagger_mono(f) and compose(f, dagger(f)) == identity_map(f.cod)
+    k = f.dom.orthoc(dagger(f).values[f.cod.top])
+    return KernelData(k, *kernel_split(f.dom, k))

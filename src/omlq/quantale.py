@@ -38,7 +38,7 @@ from .lattice import (
     rows,
     run_laws,
 )
-from .linmap import BRUTEFORCE_LIMIT, LinMap, adjoint_rows, lin_values
+from .linmap import BRUTEFORCE_LIMIT, adjoint_rows, lin_values
 
 # The reference machine has 7 GiB; a run builds one dense quantale and the
 # checkers add row temporaries, so its tables may take 3 GiB:
@@ -174,6 +174,8 @@ class QElementView:
     values on J(X) as a base-|X| number, in a high and a low half code.
     The codes' dense inverse (|X|^|J(X)| <= BRUTEFORCE_LIMIT entries) is
     -1 where no row has the code; find confirms each row on all of X.
+    Elements are value rows only: products gives composites and joins,
+    adjoints the star, find and indices the element of a row.
     """
 
     def __init__(self, host: FiniteOML, values: np.ndarray):
@@ -243,25 +245,6 @@ class QElementView:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def maps(self) -> tuple[LinMap, ...]:
-        return tuple(self.map_at(i) for i in range(self.n))
-
-    def map_at(self, i) -> LinMap:
-        return LinMap(self.host, self.host, self.values[i].tolist())
-
-    def index_of(self, values) -> int:
-        row = np.asarray(values.values if isinstance(values, LinMap) else values)
-        if row.shape != (self.host.n,):
-            raise FormatError(f"value table {values!r} is not a quantale element")
-        return int(self.indices(row[None])[0])
-
-    def __contains__(self, values) -> bool:
-        try:
-            return self.index_of(values) >= 0
-        except FormatError:
-            return False
-
 
 def leq_by_mult(q: FinQuantale, s: int, t: int) -> bool:
     """The defined order: s below t iff t * s = s."""
@@ -289,9 +272,9 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     join-preserving maps preserve joins, so each is the element its code
     names (QElementView.products); i <= j exactly when i v j is j.  The
     unit, zero and top maps and every adjoint are found as whole rows.  A
-    code or row that is no element raises FormatError.  No LinMap is built,
-    and the carrier keeps no meet table.  mult and the carrier join have
-    cells of cell_dtype(k).  The quantale carries phi = (oml, values).
+    code or row that is no element raises FormatError.  No map object is
+    built, and the carrier keeps no meet table.  mult and the carrier join
+    have cells of cell_dtype(k).  The quantale carries phi = (oml, values).
     Raises TableTooLarge, before any table is allocated, when the dense
     tables would exceed TABLE_BYTE_LIMIT.
     """

@@ -253,7 +253,7 @@ def parse_structure(d: dict, base_dir=None):
 
 
 def parse_linmap(d: dict, base_dir=None) -> LinMap:
-    if "dom" not in d:
+    if not isinstance(d, dict) or "dom" not in d:
         raise FormatError('map files need "dom" and "values"')
     from .linmap import LinMap
 

@@ -37,8 +37,8 @@ from .foulis import (
     sasaki_embedding,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, Law, check_oml, downset_oml, least, rows, run_laws, sasaki_table
-from .linmap import adjoint_rows, lin_values
+from .lattice import FiniteOML, Law, check_oml, least, rows, run_laws, sasaki_table
+from .linmap import adjoint_rows, kernel_split, lin_values
 from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
 from .selectors import PREREQS, SELECTORS
@@ -135,9 +135,8 @@ def _splitting_fails(oml: FiniteOML, S, k: int):
     """Whether the splitting at k of the downset embedding e and the
     coembedding p (the projection at k, corestricted) breaks e o p = S[k],
     p o e = 1, dagger(e) = p and dagger(e) o e = 1, in that order."""
-    sub = downset_oml(oml, k)
+    sub, coembed = kernel_split(oml, k)
     embed, ar = np.array(sub.members), np.arange(len(sub.members))
-    coembed = sub.local[S[k]]
     dagger_embed = adjoint_rows([embed], sub.oml, oml)[0]
     return [(embed[coembed] != S[k]).any(), (coembed[embed] != ar).any(),
             (dagger_embed != coembed).any(), (dagger_embed[embed] != ar).any()]

@@ -115,6 +115,13 @@ def test_bad_cap_value(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(capsys, workers):
+    for argv in (["lin", "--catalog", "boolean:1"], ["verify", "--catalog", "boolean:1", "all"]):
+        assert run(capsys, *argv, "--workers", workers) == (
+            2, "", "error: --workers must be at least 1\n")
+
+
 # ---------------------------------------------------------------------------
 # sasaki
 # ---------------------------------------------------------------------------
@@ -201,11 +208,11 @@ def test_lin_counts_mo4_under_a_raised_cap(capsys):
 @pytest.mark.parametrize("argv", [["boolean:2"], ["mo:2"], ["benzene"],
                                   ["boolean:2", "--cod", "mo:2"]])
 def test_lin_listing_matches_the_map_rendering(capsys, argv):
-    from omlq import enumerate_lin, vector_label
+    from omlq import LinMap, lin_values, vector_label
 
     dom = catalog(argv[0])
     cod = catalog(argv[2]) if len(argv) > 1 else dom
-    maps = enumerate_lin(dom, cod)
+    maps = [LinMap(dom, cod, row) for row in lin_values(dom, cod)]
     code, out, _ = run(capsys, "lin", "--catalog", *argv, "--format", "json")
     assert (code, out) == (0, dump_json([[cod.labels[v] for v in f.values] for f in maps]))
     code, out, _ = run(capsys, "lin", "--catalog", *argv)
@@ -267,6 +274,15 @@ def test_adjoint_json_round_trip(capsys, proj_map_file):
     assert d["values"] == {"0": "0", "a": "a", "b": "0", "1": "a"}
 
 
+@pytest.mark.parametrize("cmd", ["adjoint", "kernel"])
+@pytest.mark.parametrize("content", ['"random dom"', '["dom"]', "3"])
+def test_map_file_that_is_no_json_object_is_an_input_error(capsys, tmp_path, cmd, content):
+    p = tmp_path / "map.json"
+    p.write_text(content)
+    assert run(capsys, cmd, "--file", str(p)) == (
+        2, "", 'error: map files need "dom" and "values"\n')
+
+
 def test_adjoint_rejects_non_linear_table(capsys, non_linear_map_file):
     code, _, err = run(capsys, "adjoint", "--file", non_linear_map_file)
     assert code == 1
@@ -287,6 +303,46 @@ def test_kernel_json(capsys, proj_map_file):
     d = json.loads(out)
     assert d["k"] == "b"
     assert d["members"] == ["0", "b"]
+
+
+KERNEL_B3_TEXT = "k = ab\nkernel members: 0, a, b, ab\n"
+KERNEL_B3_JSON = """{
+  "coembed": {
+    "0": "0",
+    "1": "ab",
+    "a": "a",
+    "ab": "ab",
+    "ac": "a",
+    "b": "b",
+    "bc": "b",
+    "c": "0"
+  },
+  "embed": {
+    "0": "0",
+    "a": "a",
+    "ab": "ab",
+    "b": "b"
+  },
+  "k": "ab",
+  "members": [
+    "0",
+    "a",
+    "b",
+    "ab"
+  ]
+}
+"""
+
+
+def test_kernel_output_of_a_map_that_is_no_projection(capsys, tmp_path):
+    # c -> ab and the other atoms to 0: the kernel is the downset of ab,
+    # and the coembedding is the projection at ab corestricted to it.
+    p = tmp_path / "b3_map.json"
+    p.write_text(dump_json({"dom": "boolean:3", "values": {
+        "0": "0", "a": "0", "b": "0", "c": "ab", "ab": "0", "ac": "ab", "bc": "ab",
+        "1": "ab"}}))
+    assert run(capsys, "kernel", "--file", str(p)) == (0, KERNEL_B3_TEXT, "")
+    assert run(capsys, "kernel", "--file", str(p), "--format", "json") == (0, KERNEL_B3_JSON, "")
 
 
 def test_kernel_rejects_non_linear_table(capsys, non_linear_map_file):
@@ -532,9 +588,10 @@ def test_emit_dot(capsys):
 
 def test_emit_reads_structure_files(capsys, tmp_path, fq_b2):
     p = tmp_path / "m.json"
-    from omlq import identity_map
+    from omlq import LinMap
 
-    p.write_text(dump_json(linmap_to_dict(identity_map(catalog("boolean:2")))))
+    b2 = catalog("boolean:2")
+    p.write_text(dump_json(linmap_to_dict(LinMap(b2, b2, range(b2.n)))))
     code, out, _ = run(capsys, "emit", "--file", str(p), "--format", "json")
     assert code == 0
     assert json.loads(out)["values"]["a"] == "a"
@@ -675,17 +732,15 @@ def test_package_names_resolve_to_their_modules():
                   "NotALattice NotAPoset NotFoulis OmlqError ParamOutOfRange "
                   "StructureViolation TableTooLarge UnknownCatalogEntry",
         "foulis": "FoulisHom FoulisQuantale SasakiOML check_foulis check_hom check_star_props "
-                  "derive_sai foulis_from_lin hom_h module_action roundtrip_iso "
-                  "sasaki_action sasaki_oml sasaki_oml_report sasaki_projection_index",
+                  "derive_sai foulis_from_lin hom_h roundtrip_iso sasaki_oml "
+                  "sasaki_oml_report",
         "goldens": "GOLDEN_ENTRIES compute_lin_count golden_lin_count load_goldens "
                    "regen_goldens",
         "lattice": "CheckReport FiniteLattice FiniteOML SubOML Violation build_lattice "
                    "check_oml downset_oml lattice_from_leq make_report ortho_pair "
                    "sasaki_apply",
-        "linmap": "KernelData LinMap bottom_map compose dagger default_cap enumerate_lin "
-                  "factorize_sasaki identity_map image is_dagger_iso is_dagger_mono "
-                  "is_linear join_maps kernel lin_count lin_values make_map vector_label "
-                  "verify_adjoint_pair",
+        "linmap": "KernelData LinMap dagger default_cap is_linear kernel lin_count "
+                  "lin_values vector_label verify_adjoint_pair",
         "qmodule": "ModuleAction check_left_module check_right_two_module lin_module "
                    "sasaki_module",
         "quantale": "FinQuantale QElementView check_involutive check_quantale leq_by_mult "

@@ -37,21 +37,29 @@ from omlq import (
     derive_sai,
     foulis_from_lin,
     hom_h,
-    identity_map,
     leq_by_mult,
-    module_action,
     roundtrip_iso,
-    sasaki_action,
     sasaki_apply,
     sasaki_oml,
     sasaki_oml_report,
-    sasaki_projection_index,
 )
 import omlq.foulis as foulis_module
 import omlq.quantale as quantale_module
 from omlq.lattice import Law, least, rows, run_laws, sasaki_table
 
 from conftest import make_nilpotent_chain_quantale, make_two_chain_quantale
+
+
+def projection_indices(view, oml):
+    """Entry a: the element of the Sasaki projection at a, its value row
+    computed one sasaki_apply call per element."""
+    return view.indices([[sasaki_apply(oml, a, y) for y in range(oml.n)]
+                         for a in range(oml.n)]).tolist()
+
+
+def action_rows(f, sub):
+    """Row u of sasaki_action_table, in quantale indices."""
+    return np.array(sub.members)[foulis_module.sasaki_action_table(f, sub)]
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +93,14 @@ def test_identity_and_bottom_projections(fq_b2):
 
 def test_projection_of_projection_is_complement(fq_b2, b2, fq_mo2, mo2):
     for (f, view), oml in ((fq_b2, b2), (fq_mo2, mo2)):
+        proj = projection_indices(view, oml)
         for a in range(oml.n):
-            pa = sasaki_projection_index(view, oml, a)
-            pa_perp = sasaki_projection_index(view, oml, oml.orthoc(a))
-            assert f.sai_of(pa) == pa_perp
+            assert f.sai_of(proj[a]) == proj[oml.orthoc(a)]
 
 
 def test_members_are_exactly_the_projections(fq_mo2, mo2):
     f, view = fq_mo2
-    projections = {
-        sasaki_projection_index(view, mo2, a) for a in range(mo2.n)
-    }
-    assert set(f.members()) == projections
+    assert set(f.members()) == set(projection_indices(view, mo2))
 
 
 def test_nilpotent_chain_has_no_projection_table():
@@ -252,39 +256,57 @@ def test_corrupted_table_fails_construction(fq_b2):
 def test_action_of_unit_and_zero(fq_b2):
     f, _ = fq_b2
     q = f.base
-    for k in f.members():
-        assert module_action(f, q.unit, k) == k
-        assert module_action(f, q.zero, k) == q.zero
+    acted = action_rows(f, sasaki_oml(f))
+    assert acted[q.unit].tolist() == f.members()
+    assert (acted[q.zero] == q.zero).all()
 
 
 def test_action_restricted_to_projections_is_sasaki(fq_b2, b2):
     f, view = fq_b2
-    proj = {a: sasaki_projection_index(view, b2, a) for a in range(b2.n)}
+    sub = sasaki_oml(f)
+    acted = action_rows(f, sub)
+    proj = projection_indices(view, b2)
     for a in range(b2.n):
         for y in range(b2.n):
-            acted = module_action(f, proj[a], proj[y])
-            assert acted == proj[sasaki_apply(b2, a, y)]
+            assert acted[proj[a], sub.from_host(proj[y])] == proj[sasaki_apply(b2, a, y)]
 
 
 def test_sasaki_action_maps(fq_b2, fq_mo2):
     for f, _ in (fq_b2, fq_mo2):
         q = f.base
         sub = sasaki_oml(f)
-        assert sasaki_action(f, q.unit, sub) == identity_map(sub.oml)
-        zero_act = sasaki_action(f, q.zero, sub)
-        assert all(v == sub.oml.bottom for v in zero_act.values)
+        table = foulis_module.sasaki_action_table(f, sub)
+        assert table[q.unit].tolist() == list(range(sub.oml.n))
+        assert (table[q.zero] == sub.oml.bottom).all()
 
 
 def test_sasaki_action_of_projection_is_local_projection(fq_b2):
     f, _ = fq_b2
     sub = sasaki_oml(f)
+    table = foulis_module.sasaki_action_table(f, sub)
     for k in sub.members:
-        act = sasaki_action(f, k, sub)
+        act = table[k]
         i = sub.from_host(k)
         expected = [
             sasaki_apply(sub.oml, i, y) for y in range(sub.oml.n)
         ]
-        assert list(act.values) == expected
+        assert act.tolist() == expected
+
+
+def test_projection_lattice_local_indices(fq_b2, fq_mo2, b2, mo2):
+    # local is -1 off the projection image; from_host raises there, and
+    # sasaki_embedding reads the local index of each Sasaki projection.
+    for (f, view), oml in ((fq_b2, b2), (fq_mo2, mo2)):
+        sub = sasaki_oml(f)
+        members = list(sub.members)
+        assert members == f.members()
+        assert sub.local[members].tolist() == list(range(len(members)))
+        off = [k for k in range(f.n) if k not in members]
+        assert off and (sub.local[off] == -1).all()
+        with pytest.raises(KeyError):
+            sub.from_host(off[0])
+        theta = foulis_module.sasaki_embedding(view, oml, sub)
+        assert theta.tolist() == [sub.from_host(k) for k in projection_indices(view, oml)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +348,11 @@ def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
 
 
 def hom_table_reference(f, sub, tview):
-    """The action of each element, one module_action cell at a time, looked
-    up by its whole value row."""
+    """The action u . k = perp(perp(u * k)) of each element, one cell at a
+    time from the scalar accessors, looked up by its whole value row."""
     index = {tuple(row): i for i, row in enumerate(tview.values.tolist())}
-    return tuple(index[tuple(sub.from_host(module_action(f, u, k)) for k in sub.members)]
+    return tuple(index[tuple(sub.from_host(f.perp(f.perp(f.base.times(u, k))))
+                             for k in sub.members)]
                  for u in range(f.n))
 
 

@@ -10,7 +10,6 @@ from omlq import (
     GOLDEN_ENTRIES,
     catalog,
     compute_lin_count,
-    enumerate_lin,
     golden_lin_count,
     lin_values,
     load_goldens,
@@ -40,7 +39,7 @@ def test_recomputation_matches_shipped_values():
 
 def test_enumerator_agrees_with_goldens():
     for entry, count in EXPECTED.items():
-        assert len(enumerate_lin(catalog(entry))) == count
+        assert len(lin_values(catalog(entry))) == count
 
 
 def test_regen_writes_identical_content(tmp_path):

@@ -28,24 +28,14 @@ from omlq import (
     FiniteOML,
     FrontierTooLarge,
     LinMap,
-    bottom_map,
-    compose,
     dagger,
     default_cap,
     downset_oml,
-    enumerate_lin,
-    factorize_sasaki,
-    identity_map,
-    image,
-    is_dagger_iso,
-    is_dagger_mono,
     is_linear,
-    join_maps,
     kernel,
     lin_count,
     lin_values,
     load_goldens,
-    make_map,
     oml_to_dict,
     parse_oml,
     sasaki_apply,
@@ -55,7 +45,7 @@ from omlq import (
 from omlq import linmap as linmap_module
 from omlq.cli import main
 from omlq.goldens import bruteforce_lin_values
-from omlq.linmap import BRUTEFORCE_LIMIT, adjoint_rows
+from omlq.linmap import BRUTEFORCE_LIMIT, adjoint_rows, kernel_split
 
 
 def brute_force_linear_tables(dom, cod):
@@ -88,6 +78,16 @@ def dagger_reference(f):
     return LinMap(cod, dom, vals)
 
 
+def projection_row(oml, a):
+    """The Sasaki projection at a, one sasaki_apply call per element."""
+    return np.array([sasaki_apply(oml, a, y) for y in range(oml.n)])
+
+
+def row_maps(oml):
+    """Every join-preserving endomap of oml, one LinMap per row of lin_values."""
+    return [LinMap(oml, oml, row) for row in lin_values(oml)]
+
+
 def adjoint_partner_tables(oml):
     """Tables admitting some adjoint partner, by exhaustive pairing."""
     n = oml.n
@@ -108,8 +108,8 @@ def adjoint_partner_tables(oml):
 
 
 def test_identity_and_bottom_are_linear(mo2):
-    assert is_linear(identity_map(mo2))
-    assert is_linear(bottom_map(mo2, mo2))
+    assert is_linear(LinMap(mo2, mo2, range(mo2.n)))
+    assert is_linear(LinMap(mo2, mo2, [mo2.bottom] * mo2.n))
 
 
 def test_constant_top_is_not_linear(b2):
@@ -123,35 +123,18 @@ def test_sasaki_projections_are_linear(mo2):
         assert is_linear(LinMap(mo2, mo2, values))
 
 
-def test_make_map_rejects_non_linear(b2):
-    from omlq import StructureViolation
-
-    with pytest.raises(StructureViolation):
-        make_map(b2, b2, [b2.top] * b2.n)
-
-
 def test_linmap_validation(b2, mo2):
     with pytest.raises(DomainMismatch):
         LinMap(b2, b2, [0, 1, 2])  # wrong length
     with pytest.raises(DomainMismatch):
         LinMap(b2, b2, [0, 1, 2, 9])  # out of range
-    f = identity_map(b2)
-    g = identity_map(mo2)
     with pytest.raises(DomainMismatch):
-        compose(f, g)
-    with pytest.raises(DomainMismatch):
-        join_maps(f, g)
-
-
-def test_join_maps_is_pointwise(b2):
-    a = make_map(b2, b2, [0, 1, 0, 1])
-    b = make_map(b2, b2, [0, 0, 2, 2])
-    j = join_maps(a, b)
-    assert list(j.values) == [0, 1, 2, 3]
+        LinMap(b2, mo2, [0, 1, 2, 6])  # outside the codomain
+    assert LinMap(b2, mo2, [0, 1, 2, 5]).values == (0, 1, 2, 5)
 
 
 def test_vector_label_format(b2):
-    assert vector_label(identity_map(b2)) == "[0,a,b,1]"
+    assert vector_label(LinMap(b2, b2, range(b2.n))) == "[0,a,b,1]"
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +146,11 @@ def test_enumeration_matches_brute_force_on_small_domains(b1, b2, mo2):
     mo1 = __import__("omlq").catalog("mo:1")
     for dom in (b1, b2, mo1):
         expected = brute_force_linear_tables(dom, dom)
-        got = sorted(f.values for f in enumerate_lin(dom))
+        got = sorted(map(tuple, lin_values(dom).tolist()))
         assert got == expected
     # mixed domain/codomain
     expected = brute_force_linear_tables(b2, mo1)
-    got = sorted(f.values for f in enumerate_lin(b2, cod=mo1))
+    got = sorted(map(tuple, lin_values(b2, cod=mo1).tolist()))
     assert got == expected
 
 
@@ -176,7 +159,7 @@ def test_enumeration_matches_goldens():
     from omlq import catalog
 
     for name, count in goldens.items():
-        assert len(enumerate_lin(catalog(name))) == count
+        assert len(lin_values(catalog(name))) == count
 
 
 def relabelled(oml, seed):
@@ -301,12 +284,12 @@ def test_boolean_maps_are_free_on_atoms(b3):
         )
         expected.add(values)
     assert len(expected) == b3.n ** len(atoms) == 512
-    got = {f.values for f in enumerate_lin(b3)}
+    got = set(map(tuple, lin_values(b3).tolist()))
     assert got == expected
 
 
 def test_enumeration_order_is_lexicographic(b2):
-    vecs = [f.values for f in enumerate_lin(b2)]
+    vecs = lin_values(b2).tolist()
     assert vecs == sorted(vecs)
 
 
@@ -320,8 +303,8 @@ def test_enumeration_deterministic_across_workers(capsys):
 
 def test_enumeration_cap(mo2):
     with pytest.raises(CapExceeded):
-        enumerate_lin(mo2, cap=100)
-    assert len(enumerate_lin(mo2, cap=234)) == 234
+        lin_values(mo2, cap=100)
+    assert len(lin_values(mo2, cap=234)) == 234
 
 
 def test_default_cap_env(monkeypatch, capsys):
@@ -343,7 +326,7 @@ def test_default_cap_env(monkeypatch, capsys):
 
 
 def test_dagger_matches_pairing_oracle(b2):
-    linear = {f.values: f for f in enumerate_lin(b2)}
+    linear = {f.values: f for f in row_maps(b2)}
     admits = adjoint_partner_tables(b2)
     assert sorted(linear) == admits
     n = b2.n
@@ -401,33 +384,38 @@ def test_adjoint_rows_match_the_reference(b1, b2, mo2, benzene):
 
 def test_dagger_is_an_involution(b2, mo2):
     for dom in (b2, mo2):
-        for f in enumerate_lin(dom):
-            assert dagger(dagger(f)) == f
+        for f in row_maps(dom):
+            assert dagger(dagger(f)).values == f.values
 
 
 def test_dagger_fixes_sasaki_projections(b2, mo2, b3):
     for oml in (b2, mo2, b3):
         for a in range(oml.n):
-            p = make_map(oml, oml, [sasaki_apply(oml, a, y) for y in range(oml.n)])
-            assert dagger(p) == p
+            p = LinMap(oml, oml, projection_row(oml, a))
+            assert is_linear(p)
+            assert dagger(p).values == p.values
 
 
 def test_dagger_of_identity_and_bottom(mo2):
-    assert dagger(identity_map(mo2)) == identity_map(mo2)
-    assert dagger(bottom_map(mo2, mo2)) == bottom_map(mo2, mo2)
+    identity, bottom = tuple(range(mo2.n)), (mo2.bottom,) * mo2.n
+    assert dagger(LinMap(mo2, mo2, identity)).values == identity
+    assert dagger(LinMap(mo2, mo2, bottom)).values == bottom
 
 
 def test_dagger_reverses_composition(b2):
-    maps = enumerate_lin(b2)
+    # g after f is the gather g[f]
+    maps = [f.values for f in row_maps(b2)]
     for f in maps:
         for g in maps:
-            assert dagger(compose(g, f)) == compose(dagger(f), dagger(g))
+            gf = [g[v] for v in f]
+            df, dg = dagger(LinMap(b2, b2, f)).values, dagger(LinMap(b2, b2, g)).values
+            assert dagger(LinMap(b2, b2, gf)).values == tuple(df[v] for v in dg)
 
 
 def test_verify_adjoint_pair(b2):
-    f = make_map(b2, b2, [0, 1, 0, 1])
+    f = LinMap(b2, b2, [0, 1, 0, 1])
     assert verify_adjoint_pair(f, dagger(f)).passed
-    g = make_map(b2, b2, [0, 0, 2, 2])
+    g = LinMap(b2, b2, [0, 0, 2, 2])
     report = verify_adjoint_pair(f, g)
     assert not report.passed
     assert report.violations[0].witness
@@ -440,7 +428,7 @@ def test_verify_adjoint_pair(b2):
 
 def test_kernel_element_is_largest_killed(b2, mo2):
     for oml in (b2, mo2):
-        for f in enumerate_lin(oml):
+        for f in row_maps(oml):
             data = kernel(f)
             killed = {x for x in range(oml.n) if f.values[x] == oml.bottom}
             assert killed == set(oml.downset(data.k))
@@ -448,47 +436,41 @@ def test_kernel_element_is_largest_killed(b2, mo2):
 
 def test_kernel_of_projection(b2):
     a = b2.index("a")
-    p = make_map(b2, b2, [sasaki_apply(b2, a, y) for y in range(b2.n)])
-    data = kernel(p)
+    data = kernel(LinMap(b2, b2, projection_row(b2, a)))
     assert b2.label(data.k) == "b"
     assert sorted(b2.label(m) for m in data.sub.members) == ["0", "b"]
 
 
 def test_kernel_of_identity_and_bottom(mo2):
-    assert kernel(identity_map(mo2)).k == mo2.bottom
-    assert kernel(bottom_map(mo2, mo2)).k == mo2.top
+    assert kernel(LinMap(mo2, mo2, range(mo2.n))).k == mo2.bottom
+    assert kernel(LinMap(mo2, mo2, [mo2.bottom] * mo2.n)).k == mo2.top
 
 
 def test_factorization_splits_projection(b2, mo2):
+    # The downset embedding e (sub.members) and the corestricted projection
+    # p (a row of local indices): e after p is the projection, p after e
+    # the identity, and e is a dagger mono whose dagger is p.
     for oml in (b2, mo2):
         for a in range(oml.n):
-            coembed, embed = factorize_sasaki(oml, a)
-            p = make_map(oml, oml, [sasaki_apply(oml, a, y) for y in range(oml.n)])
-            assert compose(embed, coembed) == p
-            assert compose(coembed, embed) == identity_map(embed.dom)
-            assert dagger(embed) == coembed
-            assert is_dagger_mono(embed)
+            sub, coembed = kernel_split(oml, a)
+            embed, local_id = np.array(sub.members), np.arange(len(sub.members))
+            assert np.array_equal(embed[coembed], projection_row(oml, a))
+            assert np.array_equal(coembed[embed], local_id)
+            dagger_embed = dagger(LinMap(sub.oml, oml, embed)).values
+            assert dagger_embed == tuple(coembed.tolist())
+            assert np.array_equal(np.array(dagger_embed)[embed], local_id)
 
 
 def test_kernel_embedding_members(b2, mo2):
     for oml in (b2, mo2):
-        for f in enumerate_lin(oml):
+        for f in row_maps(oml):
             data = kernel(f)
             # embedding lands exactly on the downset of k
-            assert [int(v) for v in data.embed.values] == list(oml.downset(data.k))
+            assert list(data.sub.members) == list(oml.downset(data.k))
             # f kills everything the embedding produces
-            comp = compose(f, data.embed)
-            assert all(v == oml.bottom for v in comp.values)
+            assert all(f.values[v] == oml.bottom for v in data.sub.members)
 
 
 def test_image_of_projection_is_downset(mo2):
     for a in range(mo2.n):
-        p = make_map(mo2, mo2, [sasaki_apply(mo2, a, y) for y in range(mo2.n)])
-        assert image(p) == tuple(mo2.downset(a))
-
-
-def test_dagger_iso_detection(mo2):
-    assert is_dagger_iso(identity_map(mo2))
-    a = mo2.index("a")
-    p = make_map(mo2, mo2, [sasaki_apply(mo2, a, y) for y in range(mo2.n)])
-    assert not is_dagger_iso(p)
+        assert tuple(np.unique(projection_row(mo2, a)).tolist()) == tuple(mo2.downset(a))

@@ -17,9 +17,7 @@ from omlq import (
     check_right_two_module,
     hom_h,
     lin_module,
-    module_action,
     run_verify,
-    sasaki_action,
     sasaki_apply,
     sasaki_module,
     sasaki_oml,
@@ -35,9 +33,9 @@ def test_lin_module_rows_are_value_tables(fq_b2, b2):
     f, view = fq_b2
     mod = lin_module(b2, q=f.base, view=view)
     for s in range(f.n):
-        assert tuple(mod.table[s]) == view.map_at(s).values
+        assert mod.table[s].tolist() == view.values[s].tolist()
         for a in range(b2.n):
-            assert mod.act(s, a) == view.map_at(s)(a)
+            assert mod.act(s, a) == view.values[s, a]
 
 
 def test_lin_module_laws(fq_b1, fq_b2, fq_mo2, b1, b2, mo2):
@@ -67,7 +65,7 @@ def test_projection_rows_are_sasaki_application(fq_mo2, mo2):
     f, view = fq_mo2
     mod = lin_module(mo2, q=f.base, view=view)
     for a in range(mo2.n):
-        s = view.index_of([sasaki_apply(mo2, a, y) for y in range(mo2.n)])
+        s = view.indices([[sasaki_apply(mo2, a, y) for y in range(mo2.n)]])[0]
         assert list(mod.table[s]) == [
             sasaki_apply(mo2, a, y) for y in range(mo2.n)
         ]
@@ -84,22 +82,14 @@ def test_sasaki_module_laws(fq_b1, fq_b2, fq_b3, fq_mo2):
         assert report.passed, str(report)
 
 
-def test_sasaki_module_rows_match_action_maps(fq_b2):
-    f, _ = fq_b2
-    sub = sasaki_oml(f)
-    mod = sasaki_module(f, sub)
-    for u in range(f.n):
-        act = sasaki_action(f, u, sub)
-        assert tuple(mod.table[u]) == act.values
-
-
 def test_sasaki_module_agrees_with_elementwise_action(fq_b2):
     f, _ = fq_b2
     sub = sasaki_oml(f)
     mod = sasaki_module(f, sub)
     for u in range(f.n):
         for i, k in enumerate(sub.members):
-            assert sub.to_host(mod.act(u, i)) == module_action(f, u, k)
+            # u . k = perp(perp(u * k)), from the scalar accessors
+            assert sub.to_host(mod.act(u, i)) == f.perp(f.perp(f.base.times(u, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def test_module_certificate_needs_zero_preserving_and_additive_rows(fq_b2, fq_mo
     # lawful action; only act-bottom and the row test reject it.
     for (f, view), oml in ((fq_b2, b2), (fq_mo2, mo2)):
         lat = oml
-        top_map = view.index_of(np.where(np.arange(lat.n) == lat.bottom, lat.bottom, lat.top))
+        top_map = view.indices([np.where(np.arange(lat.n) == lat.bottom, lat.bottom, lat.top)])[0]
         off_j = next(x for x in range(lat.n)
                      if x != lat.bottom and x not in lat.join_irreducibles())
         bent = np.arange(lat.n)

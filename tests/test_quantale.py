@@ -13,6 +13,7 @@ from omlq import (
     FinQuantale,
     FiniteLattice,
     FormatError,
+    LinMap,
     NotALattice,
     TableTooLarge,
     build_lattice,
@@ -20,16 +21,12 @@ from omlq import (
     catalog_names,
     check_involutive,
     check_quantale,
-    compose,
     dagger,
-    enumerate_lin,
     foulis_from_lin,
-    identity_map,
     lattice_from_leq,
     leq_by_mult,
     leq_by_mult_matrix,
     lin_quantale,
-    make_map,
     make_report,
     perp_by_star,
     sasaki_apply,
@@ -48,7 +45,12 @@ from conftest import make_two_chain_quantale
 
 
 def proj_index(view, oml, a):
-    return view.index_of([sasaki_apply(oml, a, y) for y in range(oml.n)])
+    return int(view.indices([[sasaki_apply(oml, a, y) for y in range(oml.n)]])[0])
+
+
+def dagger_index(view, row):
+    """The element of the adjoint of one value row, by dagger on the row."""
+    return int(view.indices([dagger(LinMap(view.host, view.host, row)).values])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -62,36 +64,35 @@ def test_lin_quantale_carrier_is_pointwise_order(fq_b2):
     assert q.n == 16
     for s in range(q.n):
         for t in range(q.n):
-            vs, vt = view.map_at(s).values, view.map_at(t).values
-            pointwise = all(
-                view.map_at(s).cod.le(a, b) for a, b in zip(vs, vt)
-            )
+            vs, vt = view.values[s], view.values[t]
+            pointwise = all(view.host.le(a, b) for a, b in zip(vs, vt))
             assert q.le(s, t) == pointwise
 
 
 def test_lin_quantale_mult_is_composition(fq_b2):
     f, view = fq_b2
     q = f.base
+    # map i after map j is the gather values[i][values[j]]
     for i in range(q.n):
+        expected = view.indices(view.values[i][view.values])
         for j in range(q.n):
-            expected = compose(view.map_at(i), view.map_at(j))
-            assert q.times(i, j) == view.index_of(expected)
+            assert q.times(i, j) == expected[j]
 
 
 def test_lin_quantale_star_is_dagger(fq_mo2):
     f, view = fq_mo2
     q = f.base
     for i in range(q.n):
-        assert q.star_of(i) == view.index_of(dagger(view.map_at(i)))
+        assert q.star_of(i) == dagger_index(view, view.values[i])
 
 
 def test_lin_quantale_unit_and_zero(fq_b2):
     f, view = fq_b2
     q = f.base
-    oml = view.map_at(0).dom
-    assert view.map_at(q.unit) == identity_map(oml)
+    oml = view.host
+    assert view.values[q.unit].tolist() == list(range(oml.n))
     assert q.zero == q.carrier.bottom
-    assert all(v == oml.bottom for v in view.map_at(q.zero).values)
+    assert all(v == oml.bottom for v in view.values[q.zero])
 
 
 def test_lin_quantale_cap():
@@ -105,7 +106,6 @@ def test_lin_quantale_refuses_before_building_map_objects(monkeypatch, b2):
         raise AssertionError("a LinMap was built before the size guard")
 
     monkeypatch.setattr(quantale_module, "TABLE_BYTE_LIMIT", 0)
-    monkeypatch.setattr(quantale_module, "LinMap", no_maps)
     monkeypatch.setattr(linmap_module, "LinMap", no_maps)
     with pytest.raises(TableTooLarge, match="16 elements"):
         lin_quantale(b2)
@@ -175,8 +175,8 @@ def test_lin_star_by_code_lookup_is_dagger():
     for name in LOOKUP_HOSTS:
         q, view = lin_quantale(catalog(name))
         star = q.dense_star()
-        for i, f in enumerate(view.maps):
-            assert star[i] == view.index_of(dagger(f))
+        for i, row in enumerate(view.values):
+            assert star[i] == dagger_index(view, row)
 
 
 def test_lin_quantale_with_a_missing_map_is_refused(monkeypatch, b2, mo2):
@@ -201,12 +201,11 @@ def test_lin_quantale_with_a_missing_map_is_refused(monkeypatch, b2, mo2):
 
 def test_view_round_trip(fq_b2):
     f, view = fq_b2
+    assert view.indices(view.values).tolist() == list(range(view.n))
     for i in range(view.n):
-        assert view.index_of(view.map_at(i)) == i
-        assert f.base.label(i) == vector_label(view.map_at(i))
-    assert view.map_at(0).values in view
+        assert f.base.label(i) == vector_label(LinMap(view.host, view.host, view.values[i]))
     with pytest.raises(FormatError):
-        view.index_of((3, 3, 3, 3))  # not join-preserving, not a member
+        view.indices([(3, 3, 3, 3)])  # not join-preserving, not a member
 
 
 def test_view_find_confirms_the_whole_row(fq_b2, fq_mo2, b2):
@@ -218,18 +217,18 @@ def test_view_find_confirms_the_whole_row(fq_b2, fq_mo2, b2):
     twin = identity[:b2.top] + [b2.index("a")] + identity[b2.top + 1:]
     out_of_range = [b2.n] + identity[1:]
     found = view.find([twin, out_of_range, identity])
-    assert found.tolist() == [-1, -1, view.index_of(identity)]
-    assert twin not in view and out_of_range not in view
-    with pytest.raises(FormatError):
-        view.index_of(identity[:-1])
+    assert found.tolist() == [-1, -1, view.indices([identity])[0]]
+    with pytest.raises(FormatError, match=r"value table \[0, 1, 2, 1\] is not"):
+        view.indices([twin])
 
 
 def test_lin_builds_make_no_map_objects(monkeypatch, b2, mo2, fq_b2, fq_mo2):
     def no_maps(*args):
         raise AssertionError("a LinMap was built")
 
-    for module in (quantale_module, linmap_module, foulis_module):
-        monkeypatch.setattr(module, "LinMap", no_maps)
+    # linmap is the one module that names LinMap; it builds one in dagger
+    assert not hasattr(quantale_module, "LinMap") and not hasattr(foulis_module, "LinMap")
+    monkeypatch.setattr(linmap_module, "LinMap", no_maps)
     for oml, (want, _) in ((b2, fq_b2), (mo2, fq_mo2)):
         q, _ = lin_quantale(oml)
         f, _ = foulis_from_lin(oml)
@@ -319,10 +318,10 @@ def closed_order(n, pairs):
 def test_mult_table_matches_composition(fq_b2, fq_mo2, fq_b3):
     for f, view in (fq_b2, fq_mo2, fq_b3):
         mult = f.base.dense_mult()
-        maps = view.maps
+        maps = view.values
         for i, g in enumerate(maps):
-            expected = [view.index_of(compose(g, h)) for h in maps]
-            assert mult[i].tolist() == expected
+            # row h of g[maps] is g after h
+            assert mult[i].tolist() == view.indices(g[maps]).tolist()
 
 
 def test_order_tables_match_dictionary_reference(fq_b2, fq_mo2):

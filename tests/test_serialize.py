@@ -13,8 +13,8 @@ from omlq import (
     build_lattice,
     catalog,
     dump_json,
+    LinMap,
     foulis_from_lin,
-    identity_map,
     lattice_to_dict,
     lin_module,
     linmap_to_dict,
@@ -77,15 +77,14 @@ def test_missing_order_keys_rejected():
         parse_oml({"elements": ["0"], "ortho": {"0": "0"}})
 
 
-def test_linmap_round_trip(b2):
-    from omlq import make_map
-
+def test_linmap_round_trip(b2, mo2):
     a = b2.index("a")
-    f = identity_map(b2)
-    g = make_map(b2, b2, [sasaki_apply(b2, a, y) for y in range(b2.n)])
-    for m in (f, g):
+    f = LinMap(b2, b2, range(b2.n))
+    g = LinMap(b2, b2, [sasaki_apply(b2, a, y) for y in range(b2.n)])
+    h = LinMap(b2, mo2, [0, 1, 2, 5])
+    for m in (f, g, h):
         again = parse_linmap(linmap_to_dict(m))
-        assert again == m
+        assert (again.dom, again.cod, again.values) == (m.dom, m.cod, m.values)
 
 
 def test_linmap_catalog_domain_reference():
@@ -144,7 +143,7 @@ def test_structure_dispatch(fq_b2, b2):
     assert type(obj).__name__ == "FinQuantale"
     obj = parse_structure(foulis_to_dict(f))
     assert type(obj).__name__ == "FoulisQuantale"
-    obj = parse_structure(linmap_to_dict(identity_map(b2)))
+    obj = parse_structure(linmap_to_dict(LinMap(b2, b2, range(b2.n))))
     assert type(obj).__name__ == "LinMap"
     obj = parse_structure(module_to_dict(sasaki_module(f)))
     assert type(obj).__name__ == "ModuleAction"
@@ -161,7 +160,7 @@ def test_structure_to_dict_rejects_unknown():
 
 def test_emitted_structures_reparse_identically(fq_b2, b2):
     # dict -> text -> dict -> structure -> dict is a fixed point
-    for obj in (b2, fq_b2[0], identity_map(b2)):
+    for obj in (b2, fq_b2[0], LinMap(b2, b2, range(b2.n))):
         d1 = structure_to_dict(obj)
         text = dump_json(d1)
         d2 = json.loads(text)

@@ -11,18 +11,17 @@ from omlq import (
     FiniteOML,
     LinMap,
     catalog,
-    compose,
     dagger_kernel_report,
+    downset_oml,
     dump_json,
-    enumerate_lin,
-    identity_map,
+    lin_values,
     make_report,
     run_verify,
+    sasaki_apply,
     sasaki_facts_report,
     vector_label,
     verify_text,
 )
-from omlq.linmap import _sasaki_split
 from omlq.lattice import sasaki_table
 from test_linmap import dagger_reference
 
@@ -63,7 +62,7 @@ def test_sasaki_facts_fail_on_benzene(benzene):
 
 def test_dagger_kernel_report(b2, mo2):
     for oml in (b2, mo2):
-        report = dagger_kernel_report(oml, maps=enumerate_lin(oml))
+        report = dagger_kernel_report(oml, maps=[LinMap(oml, oml, r) for r in lin_values(oml)])
         assert report.passed, str(report)
         assert set(report.axioms) == {
             "kernel-downset", "kills-kernel", "splits-projection",
@@ -85,29 +84,33 @@ DAGGER_KERNEL_AXIOMS = (
 
 
 def dagger_kernel_reference(oml, maps):
-    """The kernel checks run on every map, with LinMap objects and the
-    one-cell adjoint dagger_reference; each axiom reports its least failing
-    map."""
+    """The kernel checks run on every map, with the one-cell adjoint
+    dagger_reference and the splitting built one sasaki_apply call per
+    element; each axiom reports its least failing map."""
     values = np.array([f.values for f in maps], dtype=np.int32)
     leq = oml.leq_mat
     S = sasaki_table(oml)
 
     def per_map(f, row):
         k = oml.orthoc(dagger_reference(f).values[oml.top])
-        sub, coembed, embed = _sasaki_split(oml, k)
+        sub = downset_oml(oml, k)
+        embed = sub.members
+        coembed = tuple(sub.from_parent(sasaki_apply(oml, k, x)) for x in range(oml.n))
+        dagger_embed = dagger_reference(LinMap(sub.oml, oml, embed)).values
+        identity = tuple(range(len(embed)))
         issues = {}
         bad = np.nonzero((row == oml.bottom) != leq[:, k])[0]
         if bad.size:
             issues["kernel-downset"] = (vector_label(f), oml.label(int(bad[0])))
-        if any(v != oml.bottom for v in compose(f, embed).values):
+        if any(f.values[e] != oml.bottom for e in embed):
             issues["kills-kernel"] = (vector_label(f),)
-        if compose(embed, coembed).values != tuple(int(v) for v in S[k]):
+        if tuple(embed[c] for c in coembed) != tuple(int(v) for v in S[k]):
             issues["splits-projection"] = (vector_label(f),)
-        if compose(coembed, embed) != identity_map(sub.oml):
+        if tuple(coembed[e] for e in embed) != identity:
             issues["normalized"] = (vector_label(f),)
-        if dagger_reference(embed) != coembed:
+        if dagger_embed != coembed:
             issues["embed-dagger-of-coembed"] = (vector_label(f),)
-        if compose(dagger_reference(embed), embed) != identity_map(sub.oml):
+        if tuple(dagger_embed[e] for e in embed) != identity:
             issues["embed-dagger-mono"] = (vector_label(f),)
         for m, mv in zip(maps, values):
             if (row[mv] == oml.bottom).all() and (S[k][mv] != mv).any():
@@ -133,7 +136,7 @@ def test_dagger_kernel_report_matches_per_map_reference(b1, b2, mo2, benzene):
     # complement of the top is b, so {s : f(s) <= complement(top)} is not
     # the zero set and the report must key on both.
     twisted = FiniteOML(b2, {"0": "a", "a": "0", "b": "1", "1": "b"})
-    hosts = [(oml, [list(f.values) for f in enumerate_lin(oml)])
+    hosts = [(oml, lin_values(oml).tolist())
              for oml in (b1, b2, mo2, benzene)]
     hosts.append((twisted, hosts[1][1]))
     failed = set()
