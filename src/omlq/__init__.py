@@ -45,8 +45,8 @@ _EXPORTS = {
         "ortho_pair", "sasaki_apply",
     ),
     "linmap": (
-        "KernelData", "LinMap", "dagger", "default_cap", "is_linear", "kernel", "lin_count",
-        "lin_values", "vector_label", "verify_adjoint_pair",
+        "KernelData", "LinMap", "dagger", "is_linear", "kernel", "lin_count", "lin_values",
+        "vector_label", "verify_adjoint_pair",
     ),
     "quantale": (
         "FinQuantale", "QElementView", "check_involutive", "check_quantale",

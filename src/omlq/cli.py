@@ -311,8 +311,7 @@ def cmd_sasaki_lattice(args) -> int:
 
 
 def cmd_check_module(args) -> int:
-    from .foulis import foulis_from_lin, hom_h
-    from .qmodule import check_left_module, check_right_two_module, module_reports
+    from .qmodule import check_left_module, check_right_two_module
     from .serialize import load_json, parse_module
 
     _no_dot(args)
@@ -325,10 +324,10 @@ def cmd_check_module(args) -> int:
             check_right_two_module(m.lattice, left=m, workers=w),
         ]
         return _emit_reports(args, reports)
-    oml = catalog(args.catalog)
-    f, view = foulis_from_lin(oml, cap=args.cap)
-    h = hom_h(f, cap=args.cap)
-    return _emit_reports(args, module_reports(oml, f, view, h, workers=w))
+    from .verify import SELECTOR_REPORTS, VerifyContext
+
+    ctx = VerifyContext(catalog(args.catalog), args.cap, w)
+    return _emit_reports(args, SELECTOR_REPORTS["modules"](ctx))
 
 
 def cmd_verify(args) -> int:
@@ -367,6 +366,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    _no_dot(args)
     names = catalog_names()
     if args.fmt == "json":
         entries = []

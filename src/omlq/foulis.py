@@ -364,16 +364,14 @@ def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml"):
 # module action and the representation homomorphism
 
 def sasaki_action_table(f: FoulisQuantale, sub: SasakiOML) -> np.ndarray:
-    """Row u: the action of u on the projection lattice sub, in local
-    indices; an action that leaves the projections raises StructureViolation."""
+    """Row u: the action u . k = perp(perp(u * k)) on sub, the projection
+    lattice of f, in local indices.  perp = sai o star takes values in the
+    image of sai, which is sub.members, so the gather through sub.local
+    never leaves the projections."""
     q = f.base
     perp = f.sai[q.dense_star()]
     sel = np.array(sub.members, dtype=np.int32)
-    table = sub.local[perp[perp[q.dense_mult()[:, sel]]]]
-    if (table < 0).any():
-        u, i = map(int, np.argwhere(table < 0)[0])
-        raise StructureViolation("action-escapes-projections", (q.label(u), q.label(int(sel[i]))))
-    return table
+    return sub.local[perp[perp[q.dense_mult()[:, sel]]]]
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,11 @@ over every value table is the oracle in goldens.py.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainMismatch, FormatError, FrontierTooLarge
+from .errors import CapExceeded, DomainMismatch, FrontierTooLarge
 from .lattice import (
     CheckReport,
     FiniteOML,
@@ -49,20 +48,6 @@ DEFAULT_CAP = 100000
 # Desk scale: the most candidate rows one step of lin_values may build, and
 # the most J-codes of quantale.represents.
 BRUTEFORCE_LIMIT = 10_000_000
-
-
-def default_cap() -> int:
-    """Enumeration cap; OMLQ_CAP, a positive integer, overrides it."""
-    raw = os.environ.get("OMLQ_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise FormatError(f"OMLQ_CAP must be a positive integer, got {raw!r}")
-    return cap
 
 
 class LinMap:
@@ -175,7 +160,7 @@ def _frontier(dom: FiniteOML, cod: FiniteOML, cap: int | None):
     unsigned dtype that holds cod's indices; with J(dom) in assignment
     order and their rows of dom's order, from which the sort keys come."""
     if cap is None:
-        cap = default_cap()
+        cap = DEFAULT_CAP
     n, leq = dom.n, dom.leq_mat
     down = leq.sum(axis=0)
     irr = sorted(dom.join_irreducibles(), key=lambda j: (down[j], j))

@@ -1,22 +1,9 @@
 """The selectors of `omlq verify` and the prerequisites of each.
 
 The table imports nothing, so the command line can offer the selectors
-without loading the pipelines; verify re-exports SELECTORS and runs
-PREREQS.
+without loading the pipelines.  Its order is the order of SELECTORS, which
+verify re-exports and runs through PREREQS.
 """
-
-SELECTORS = (
-    "sasaki-facts",
-    "dagger-kernel",
-    "quantale",
-    "involutive",
-    "foulis",
-    "star-props",
-    "sasaki-oml",
-    "modules",
-    "hom",
-    "roundtrip",
-)
 
 PREREQS = {
     "sasaki-facts": (),
@@ -30,3 +17,5 @@ PREREQS = {
     "hom": ("foulis", "sasaki-oml"),
     "roundtrip": ("foulis", "sasaki-oml"),
 }
+
+SELECTORS = tuple(PREREQS)

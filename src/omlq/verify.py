@@ -13,11 +13,15 @@ Each selector names one battery of checks:
   hom            the representation homomorphism onto the projection lattice
   roundtrip      the isomorphism between the input and its projection lattice
 
-Every pipeline is gated on the input passing the OML laws; selectors with
-failing prerequisites are refused (when the prerequisite was not itself
-selected) or marked skipped (when it was selected and its failure is
-already in the payload).  Payloads contain no machine-dependent data, so
-reports are byte-identical across worker counts.
+SELECTOR_REPORTS gives each selector's reports over a VerifyContext, which
+builds the endomorphism quantale, the projection lattice, the round trip
+and h at most once per run; `check-module --catalog` reads the modules row
+over the same context.  run_verify gates every pipeline on the input
+passing the OML laws.  A selector runs once its prerequisites (PREREQS, in
+order) pass; otherwise it is skipped, naming the first that failed, and
+the run is refused (exit 2) when that prerequisite was not itself
+selected.  Payloads contain no machine-dependent data, so reports are
+byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -145,7 +149,7 @@ def _splitting_fails(oml: FiniteOML, S, k: int):
 # ---------------------------------------------------------------------------
 # the pipeline
 
-class _Ctx:
+class VerifyContext:
     """Lazily built shared structures for one verification run."""
 
     def __init__(self, oml: FiniteOML, cap, workers):
@@ -179,37 +183,19 @@ class _Ctx:
         return h
 
 
-def _run_selector(sel: str, ctx: _Ctx):
-    """Evaluate one selector; returns (reports, extra-dict)."""
-    w = ctx.workers
-    if sel == "sasaki-facts":
-        return [sasaki_facts_report(ctx.oml, workers=w)], {}
-    if sel == "dagger-kernel":
-        return [dagger_kernel_report(ctx.oml, cap=ctx.cap, workers=w)], {}
-    if sel == "quantale":
-        f, _ = ctx.foulis
-        return [check_quantale(f.base, workers=w)], {}
-    if sel == "involutive":
-        f, _ = ctx.foulis
-        return [check_involutive(f.base, workers=w)], {}
-    if sel == "foulis":
-        f, _ = ctx.foulis
-        return [check_foulis(f, workers=w)], {}
-    if sel == "star-props":
-        f, _ = ctx.foulis
-        return [check_star_props(f, workers=w)], {}
-    if sel == "sasaki-oml":
-        _, report = ctx.sub_report
-        return [report], {}
-    if sel == "modules":
-        f, view = ctx.foulis
-        return module_reports(ctx.oml, f, view, ctx.hom, workers=w), {}
-    if sel == "hom":
-        h = ctx.hom
-        return [check_hom(h, workers=w)], {"injective": h.injective}
-    if sel == "roundtrip":
-        return [ctx.roundtrip], {}
-    raise ValueError(f"unknown selector {sel!r}")
+# The reports of each selector over a run's context.
+SELECTOR_REPORTS = {
+    "sasaki-facts": lambda c: [sasaki_facts_report(c.oml, workers=c.workers)],
+    "dagger-kernel": lambda c: [dagger_kernel_report(c.oml, cap=c.cap, workers=c.workers)],
+    "quantale": lambda c: [check_quantale(c.foulis[0].base, workers=c.workers)],
+    "involutive": lambda c: [check_involutive(c.foulis[0].base, workers=c.workers)],
+    "foulis": lambda c: [check_foulis(c.foulis[0], workers=c.workers)],
+    "star-props": lambda c: [check_star_props(c.foulis[0], workers=c.workers)],
+    "sasaki-oml": lambda c: [c.sub_report[1]],
+    "modules": lambda c: module_reports(c.oml, *c.foulis, c.hom, workers=c.workers),
+    "hom": lambda c: [check_hom(c.hom, workers=c.workers)],
+    "roundtrip": lambda c: [c.roundtrip],
+}
 
 
 def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
@@ -220,13 +206,11 @@ def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
     2 when the pipeline refused because the input fails the OML laws or an
     unselected prerequisite fails.
     """
-    if any(s not in SELECTORS and s != "all" for s in selectors):
-        bad = [s for s in selectors if s not in SELECTORS and s != "all"]
+    bad = [s for s in selectors if s not in SELECTORS and s != "all"]
+    if bad:
         raise ValueError(f"unknown selector {bad[0]!r}")
     run_all = "all" in selectors
-    requested = list(SELECTORS) if run_all else [
-        s for s in SELECTORS if s in set(selectors)
-    ]
+    requested = [s for s in SELECTORS if run_all or s in selectors]
     gate = check_oml(oml, subject="check-oml", workers=workers)
     payload = {
         "input": subject,
@@ -249,55 +233,33 @@ def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
         payload["passed"] = False
         return payload, 1
 
-    ctx = _Ctx(oml, cap, workers)
-    status: dict[str, bool] = {}
-    outputs: dict[str, tuple] = {}
+    ctx = VerifyContext(oml, cap, workers)
+    entries: dict[str, dict] = {}
+    blocker: dict[str, str] = {}  # a skipped selector's first failing prerequisite
 
-    def ensure(sel):
-        if sel in status:
-            return status[sel]
-        for pre in PREREQS[sel]:
-            if not ensure(pre):
-                status[sel] = False
-                outputs[sel] = ("blocked", pre)
-                return False
-        reports, extra = _run_selector(sel, ctx)
-        ok = all(r.passed for r in reports)
-        status[sel] = ok
-        outputs[sel] = ("ran", reports, extra)
-        return ok
+    def passes(sel):
+        """Decide sel's prerequisites in order, stopping at the first that
+        fails; then run sel's reports, or record it as skipped."""
+        if sel not in entries:
+            pre = next((p for p in PREREQS[sel] if not passes(p)), None)
+            if pre is not None:
+                blocker[sel] = pre
+                entries[sel] = {"skipped": True, "reason": f"prerequisite '{pre}' failed",
+                                "passed": None}
+            else:
+                reports = SELECTOR_REPORTS[sel](ctx)
+                entries[sel] = {"skipped": False, "passed": all(r.passed for r in reports),
+                                "reports": [r.to_dict() for r in reports]}
+                if sel == "hom":
+                    entries[sel]["injective"] = ctx.hom.injective
+        return entries[sel]["passed"] is True
 
-    refused = False
-    for sel in requested:
-        ensure(sel)
-        out = outputs[sel]
-        if out[0] == "blocked":
-            pre = out[1]
-            entry = {
-                "skipped": True,
-                "reason": f"prerequisite '{pre}' failed",
-                "passed": None,
-            }
-            if pre not in requested:
-                refused = True
-        else:
-            _, reports, extra = out
-            entry = {
-                "skipped": False,
-                "passed": all(r.passed for r in reports),
-                "reports": [r.to_dict() for r in reports],
-            }
-            entry.update(extra)
-        payload["results"][sel] = entry
-
-    all_pass = all(
-        payload["results"][s].get("passed") is True for s in requested
-    )
-    payload["passed"] = all_pass
-    if refused:
+    payload["passed"] = all([passes(sel) for sel in requested])
+    payload["results"] = {sel: entries[sel] for sel in requested}
+    if any(blocker[sel] not in requested for sel in requested if sel in blocker):
         payload["refused"] = True
         return payload, 2
-    return payload, 0 if all_pass else 1
+    return payload, 0 if payload["passed"] else 1
 
 
 def verify_text(payload: dict) -> str:

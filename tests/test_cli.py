@@ -512,6 +512,25 @@ def test_check_module_on_catalog(capsys):
     assert code == 0
 
 
+def test_check_module_makes_one_products_pass(monkeypatch, capsys):
+    # The catalog branch reads verify's builds: h is phi conjugated by the
+    # round trip's isomorphism, so its pass is recorded and the quantale
+    # build is the only products pass.
+    from omlq import quantale
+
+    passes = []
+    real = quantale.QElementView.products
+
+    def products(view, idx=None):
+        passes.append(view)
+        return real(view, idx)
+
+    monkeypatch.setattr(quantale.QElementView, "products", products)
+    code, out, _ = run(capsys, "check-module", "--catalog", "mo:2")
+    assert code == 0 and "sasaki-module: PASS" in out
+    assert len(passes) == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -608,6 +627,12 @@ def test_catalog_json(capsys):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert {"entry": "mo:4", "elements": 10} in entries
+
+
+def test_catalog_has_no_dot_format(capsys):
+    code, out, err = run(capsys, "catalog", "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err == "error: this command has no DOT rendering\n"
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +764,8 @@ def test_package_names_resolve_to_their_modules():
         "lattice": "CheckReport FiniteLattice FiniteOML SubOML Violation build_lattice "
                    "check_oml downset_oml lattice_from_leq make_report ortho_pair "
                    "sasaki_apply",
-        "linmap": "KernelData LinMap dagger default_cap is_linear kernel lin_count "
-                  "lin_values vector_label verify_adjoint_pair",
+        "linmap": "KernelData LinMap dagger is_linear kernel lin_count lin_values "
+                  "vector_label verify_adjoint_pair",
         "qmodule": "ModuleAction check_left_module check_right_two_module lin_module "
                    "sasaki_module",
         "quantale": "FinQuantale QElementView check_involutive check_quantale leq_by_mult "

@@ -24,12 +24,10 @@ from hypothesis import strategies as st
 from omlq import (
     CapExceeded,
     DomainMismatch,
-    FormatError,
     FiniteOML,
     FrontierTooLarge,
     LinMap,
     dagger,
-    default_cap,
     downset_oml,
     is_linear,
     kernel,
@@ -305,19 +303,6 @@ def test_enumeration_cap(mo2):
     with pytest.raises(CapExceeded):
         lin_values(mo2, cap=100)
     assert len(lin_values(mo2, cap=234)) == 234
-
-
-def test_default_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("OMLQ_CAP", "777")
-    assert default_cap() == 777
-    for bad in ("abc", "0", "-3"):
-        monkeypatch.setenv("OMLQ_CAP", bad)
-        with pytest.raises(FormatError, match="OMLQ_CAP"):
-            default_cap()
-        assert main(["lin", "--catalog", "boolean:1", "--count-only"]) == 2
-        assert "OMLQ_CAP" in capsys.readouterr().err
-    monkeypatch.delenv("OMLQ_CAP")
-    assert default_cap() > 0
 
 
 # ---------------------------------------------------------------------------

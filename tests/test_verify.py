@@ -228,6 +228,46 @@ def test_run_verify_gate_failure_under_all_reports_and_skips(benzene):
         assert entry.get("skipped") is True, name
 
 
+def test_run_verify_blocked_selectors_skip_refuse_and_short_circuit(monkeypatch, b2):
+    # A failing quantale report blocks foulis and everything behind it.  A
+    # blocked selector names the first failing prerequisite; the run is
+    # refused (exit 2) when that prerequisite was not itself selected, and
+    # an unselected prerequisite behind a failure is never run.
+    from omlq import verify
+
+    involutive_calls = []
+    real_involutive = verify.check_involutive
+
+    def involutive(*args, **kwargs):
+        involutive_calls.append(args)
+        return real_involutive(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_quantale", lambda q, workers=1: make_report(
+        "quantale", [("associative", ("x", "y", "z"))]))
+    monkeypatch.setattr(verify, "check_involutive", involutive)
+
+    payload, code = run_verify(b2, ["foulis"])
+    assert (code, payload["refused"], payload["passed"]) == (2, True, False)
+    assert payload["results"]["foulis"] == {
+        "skipped": True, "reason": "prerequisite 'quantale' failed", "passed": None}
+    assert involutive_calls == []
+
+    payload, code = run_verify(b2, ["quantale", "foulis"])
+    assert (code, payload["refused"]) == (1, False)
+    assert payload["results"]["quantale"]["passed"] is False
+    assert "foulis: SKIP (prerequisite 'quantale' failed)" in verify_text(payload)
+
+    payload, code = run_verify(b2, ["quantale", "hom"])
+    assert (code, payload["refused"]) == (2, True)
+    assert payload["results"]["hom"]["reason"] == "prerequisite 'foulis' failed"
+
+    payload, code = run_verify(b2, ["all"])
+    assert (code, payload["refused"], payload["passed"]) == (1, False, False)
+    skipped = [s for s, e in payload["results"].items() if e["skipped"]]
+    assert skipped == ["foulis", "star-props", "sasaki-oml", "modules", "hom", "roundtrip"]
+    assert payload["results"]["involutive"]["passed"] is True
+
+
 def test_run_verify_payload_is_json_ready(mo2):
     payload, code = run_verify(mo2, ["quantale", "involutive"])
     assert code == 0
