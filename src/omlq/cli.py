@@ -88,8 +88,7 @@ def _input_foulis(args):
 
     _need_input(args)
     if args.catalog is not None:
-        f, _ = foulis_from_lin(catalog(args.catalog), cap=args.cap)
-        return f, args.catalog
+        return foulis_from_lin(catalog(args.catalog), cap=args.cap)[0], args.catalog
     q = parse_quantale(load_json(args.file))
     if isinstance(q, FoulisQuantale):
         return q, args.file
@@ -182,12 +181,9 @@ def cmd_lin(args) -> int:
     dom, _ = _input_oml(args)
     cod = dom
     if args.cod is not None:
-        try:
-            cod = catalog(args.cod)
-        except UnknownCatalogEntry:
-            from .serialize import load_json, parse_oml
+        from .serialize import resolve_oml
 
-            cod = parse_oml(load_json(args.cod))
+        cod = resolve_oml(args.cod)
     if args.count_only:
         print(lin_count(dom, cod, cap=args.cap))
         return 0
@@ -255,7 +251,7 @@ def cmd_lin_quantale(args) -> int:
     from .serialize import quantale_to_dict, to_dot
 
     oml, subject = _input_oml(args)
-    q, _ = lin_quantale(oml, cap=args.cap)
+    q = lin_quantale(oml, cap=args.cap)[0]
     if args.fmt == "dot":
         print(to_dot(q), end="")
     elif args.fmt == "json":
@@ -274,7 +270,7 @@ def cmd_check_quantale(args) -> int:
     _no_dot(args)
     _need_input(args)
     if args.catalog is not None:
-        q, _ = lin_quantale(catalog(args.catalog), cap=args.cap)
+        q = lin_quantale(catalog(args.catalog), cap=args.cap)[0]
     else:
         d = load_json(args.file)
         q = parse_quantale(d)
@@ -491,7 +487,7 @@ def main(argv=None) -> int:
     if args.regen_goldens:
         from .goldens import golden_path, regen_goldens
 
-        data = regen_goldens(workers=_workers(args))
+        data = regen_goldens()
         for entry, count in sorted(data["lin_counts"].items()):
             print(f"{entry}: {count}")
         print(f"wrote {golden_path()}")

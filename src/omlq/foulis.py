@@ -150,10 +150,10 @@ def closed_form_sai(view: QElementView, star) -> np.ndarray:
 
 
 def foulis_from_lin(oml: FiniteOML, cap: int | None = None):
-    """Endomorphism quantale with the projection table closed_form_sai;
-    derive_sai recovers the same table by annihilator search."""
-    q, view = lin_quantale(oml, cap=cap)
-    return FoulisQuantale(q, closed_form_sai(view, q.dense_star())), view
+    """Endomorphism quantale with the projection table closed_form_sai,
+    and its view; derive_sai recovers the same table by annihilator search."""
+    q = lin_quantale(oml, cap=cap)[0]
+    return FoulisQuantale(q, closed_form_sai(q.view, q.dense_star())), q.view
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +393,11 @@ class FoulisHom:
         return len(set(self.table)) == len(self.table)
 
 
-def hom_h(
-    f: FoulisQuantale,
-    cap: int | None = None,
-    sub: SasakiOML | None = None,
-) -> FoulisHom:
-    """Represent every element by its action on the projection lattice, as an
-    element of target_view, the J-code index of the lattice's Lin: products
-    from the view, star from its adjoints, sai from closed_form_sai."""
-    if sub is None:
-        sub = sasaki_oml(f)
+def hom_h(f: FoulisQuantale, sub: SasakiOML, cap: int | None = None) -> FoulisHom:
+    """Represent every element by its action on sub, the projection lattice
+    of f, as an element of target_view, the J-code index of the lattice's
+    Lin: products from the view, star from its adjoints, sai from
+    closed_form_sai."""
     tview = QElementView(sub.oml, lin_values(sub.oml, cap=cap))
     table = tview.find(sasaki_action_table(f, sub))
     if (table < 0).any():
@@ -411,10 +406,10 @@ def hom_h(
                      tuple(table.tolist()))
 
 
-def sasaki_embedding(view: QElementView, oml: FiniteOML, sub: SasakiOML) -> np.ndarray:
-    """theta: a -> the Sasaki projection at a, in the local indices of sub;
-    KeyError at a projection off sub."""
-    proj = view.indices(sasaki_table(oml))
+def sasaki_embedding(q: FinQuantale, sub: SasakiOML) -> np.ndarray:
+    """theta: a -> the Sasaki projection at a, for a in the host of q.view,
+    in the local indices of sub; KeyError at a projection off sub."""
+    proj = q.view.indices(sasaki_table(q.view.host))
     theta = sub.local[proj]
     if (theta < 0).any():
         raise KeyError(int(proj[theta.argmin()]))
@@ -485,26 +480,13 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     ], workers)
 
 
-def roundtrip_iso(
-    oml: FiniteOML,
-    cap: int | None = None,
-    workers: int = 1,
-    subject="roundtrip",
-    built=None,
-    sub: SasakiOML | None = None,
-) -> CheckReport:
-    """a -> Sasaki projection at a, as an isomorphism onto the projection
-    lattice of the endomorphism quantale.
-
-    built and sub, when given, are a prebuilt (FoulisQuantale,
-    QElementView) pair for this lattice and its projection lattice.
-    """
-    if built is None:
-        built = foulis_from_lin(oml, cap=cap)
-    f, view = built
-    sub = sasaki_oml(f) if sub is None else sub
+def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML, workers=1,
+                  subject="roundtrip") -> CheckReport:
+    """a -> Sasaki projection at a, as an isomorphism from the host X of
+    f.base.view onto sub, the projection lattice of f."""
+    oml = f.base.view.host
     n = oml.n
-    cand = sasaki_embedding(view, oml, sub)
+    cand = sasaki_embedding(f.base, sub)
     seen = {}
     dup = next(((seen[c], a) for a, c in enumerate(cand.tolist()) if seen.setdefault(c, a) != a),
                None)

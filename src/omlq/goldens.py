@@ -54,19 +54,7 @@ def _decode(codes: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _chunked_codes(total: int, workers: int, work):
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: work(*b), bounds))
-    else:
-        parts = [work(*b) for b in bounds]
-    return np.concatenate(parts)
-
-
-def bruteforce_lin_values(dom: FiniteOML, cod: FiniteOML | None = None, workers: int = 1):
+def bruteforce_lin_values(dom: FiniteOML, cod: FiniteOML | None = None):
     """The oracle: the value tables of all maps dom -> cod that preserve
     the bottom and every binary join, one row per map in lexicographic
     order, found among all cod.n ** dom.n tables.  The join condition is
@@ -83,7 +71,8 @@ def bruteforce_lin_values(dom: FiniteOML, cod: FiniteOML | None = None, workers:
             ok &= jc[t[x], t[y]] == t[jd[x, y]]
         return t[:, ok].T
 
-    return _chunked_codes(m**n, workers, work)
+    total = m**n
+    return np.concatenate([work(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)])
 
 
 def mo_lin_count(n: int) -> int:
@@ -112,18 +101,16 @@ def mo_lin_count(n: int) -> int:
     return 1 + m * (m + 1) + m + sum(comb(m, k) * perm(m, k) for k in range(m + 1))
 
 
-def compute_lin_count(entry: str, workers: int = 1) -> int:
+def compute_lin_count(entry: str) -> int:
     """Run the brute-force oracle for one catalog entry."""
-    return len(bruteforce_lin_values(catalog(entry), workers=workers))
+    return len(bruteforce_lin_values(catalog(entry)))
 
 
-def regen_goldens(path=None, workers: int = 1) -> dict:
+def regen_goldens(path=None) -> dict:
     """Recompute every golden count and rewrite the fixture file."""
     from .serialize import dump_json
 
-    data = {
-        "lin_counts": {e: compute_lin_count(e, workers) for e in GOLDEN_ENTRIES}
-    }
+    data = {"lin_counts": {e: compute_lin_count(e) for e in GOLDEN_ENTRIES}}
     target = Path(path) if path is not None else _DATA
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(dump_json(data), encoding="utf-8")

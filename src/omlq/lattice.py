@@ -568,32 +568,22 @@ def normalize_ortho(lattice: FiniteLattice, ortho) -> np.ndarray:
     return arr
 
 
-def _coerce_oml(subject_or_oml, ortho):
-    if isinstance(subject_or_oml, FiniteOML):
-        if ortho is not None:
-            raise ValueError("ortho given twice")
-        return subject_or_oml, subject_or_oml.ortho
-    lattice = subject_or_oml
-    return lattice, normalize_ortho(lattice, ortho)
-
-
-def check_oml(lattice_or_oml, ortho=None, subject="oml", workers=1) -> CheckReport:
+def check_oml(oml: FiniteOML, subject="oml", workers=1) -> CheckReport:
     """Check the ortholattice laws and the orthomodular law.
 
     One least witness is reported per violated law: involution (x'' = x),
     antitonicity (x <= y implies y' <= x'), complement (x meet x' = 0) and
     orthomodular (x <= y implies y = x join (x' meet y)).
     """
-    lat, ortho = _coerce_oml(lattice_or_oml, ortho)
-    n = lat.n
-    leq = lat.leq_mat
-    jt, mt = lat.join_tab, lat.meet_tab
+    n = oml.n
+    leq, ortho = oml.leq_mat, oml.ortho
+    jt, mt = oml.join_tab, oml.meet_tab
     ar = np.arange(n)
-    return run_laws(subject, lat.label, [
+    return run_laws(subject, oml.label, [
         Law("involution", hit=least(ortho[ortho] != ar)),
         # entry j: j >= i but ortho(j) not below ortho(i)
         Law("antitone", rows(lambda i: leq[i] & ~leq[ortho, ortho[i]]), n),
-        Law("complement", hit=least(mt[ar, ortho] != lat.bottom)),
+        Law("complement", hit=least(mt[ar, ortho] != oml.bottom)),
         # entry j: j >= i but j differs from i join (i' meet j)
         Law("orthomodular", rows(lambda i: leq[i] & (jt[i, mt[ortho[i]]] != ar)), n),
     ], workers)

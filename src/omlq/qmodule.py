@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureViolation
-from .foulis import FoulisHom, FoulisQuantale, SasakiOML, sasaki_action_table, sasaki_oml
-from .lattice import (CheckReport, FiniteLattice, FiniteOML, Law, cell_dtype, join_law, least,
-                      rows, run_laws)
-from .quantale import FinQuantale, QElementView, lin_quantale
+from .foulis import FoulisHom, FoulisQuantale, SasakiOML, sasaki_action_table
+from .lattice import CheckReport, FiniteLattice, Law, cell_dtype, join_law, least, rows, run_laws
+from .quantale import FinQuantale, QElementView
 
 
 @dataclass(frozen=True)
@@ -55,42 +54,33 @@ class ModuleAction:
         return int(self.table[s, a])
 
 
-def lin_module(
-    oml: FiniteOML,
-    q: FinQuantale | None = None,
-    view: QElementView | None = None,
-    cap: int | None = None,
-) -> ModuleAction:
-    """The endomorphism quantale acting on its lattice by application."""
-    if q is None or view is None:
-        q, view = lin_quantale(oml, cap=cap)
-    return ModuleAction(q, oml, view.values, view)
+def lin_module(q: FinQuantale) -> ModuleAction:
+    """A quantale of maps acting on the host of q.view by application, as
+    the endomorphism quantale acts on its lattice."""
+    return ModuleAction(q, q.view.host, q.view.values, q.view)
 
 
-def sasaki_module(f: FoulisQuantale, sub: SasakiOML | None = None, view=None) -> ModuleAction:
-    """A Foulis quantale acting on its projection lattice; view, when given,
-    is the J-code index of the lattice's Lin, as FoulisHom.target_view.
+def sasaki_module(f: FoulisQuantale, sub: SasakiOML, view=None) -> ModuleAction:
+    """A Foulis quantale acting on sub, its projection lattice; view, when
+    given, is the J-code index of the lattice's Lin, as FoulisHom.target_view.
 
     u . k = perp(perp(u * k)); the double complement lands every product
     back in the projection image.
     """
-    if sub is None:
-        sub = sasaki_oml(f)
     return ModuleAction(f.base, sub.oml, sasaki_action_table(f, sub), view)
 
 
-def module_reports(oml: FiniteOML, f: FoulisQuantale, view: QElementView, h: FoulisHom,
-                   workers=1) -> list[CheckReport]:
+def module_reports(f: FoulisQuantale, h: FoulisHom, workers=1) -> list[CheckReport]:
     """The module laws of both canonical actions, each with its right
-    two-module: Lin(oml) on oml by application, and the Foulis quantale f
-    (built from oml, with element view view) on its projection lattice,
-    the second with the view and products pass of h."""
-    lm = lin_module(oml, f.base, view)
+    two-module: the endomorphism quantale f.base on its lattice by
+    application, and the Foulis quantale f on its projection lattice, the
+    second with the view and products pass of h."""
+    lm = lin_module(f.base)
     sm = sasaki_module(f, h.sub, h.target_view)
     return [
         check_left_module(lm, subject="lin-module", workers=workers),
         check_left_module(sm, subject="sasaki-module", workers=workers),
-        check_right_two_module(oml, left=lm, subject="two-module", workers=workers),
+        check_right_two_module(lm.lattice, left=lm, subject="two-module", workers=workers),
         check_right_two_module(sm.lattice, left=sm, subject="projection-two-module",
                                workers=workers),
     ]

@@ -60,10 +60,10 @@ class FinQuantale:
 
     The zero element is the carrier bottom (the empty join).  phi, when
     given, is a representation (host, values) on a host OML X: row a of
-    values is the value table of a map phi(a) on X.  check_quantale tries
-    it as a certificate, and certified_view extends it to the involution
-    and the annihilator laws; only lin_quantale sets it, with its element
-    view.
+    values is the value table of a map phi(a) on X, and view is its J-code
+    index.  check_quantale tries phi as a certificate, and certified_view
+    extends it to the involution and the annihilator laws; lin_quantale
+    sets phi and stores the view it built.
     """
 
     def __init__(self, carrier: FiniteLattice, mult, star, unit: int, phi=None):
@@ -73,7 +73,7 @@ class FinQuantale:
         self.unit = int(unit)
         self.zero = carrier.bottom
         self.phi = phi
-        self._phi_view, self._passes = None, {}
+        self._passes = {}
 
     @property
     def n(self) -> int:
@@ -108,6 +108,20 @@ class FinQuantale:
         return self._star
 
     @cached_property
+    def view(self) -> QElementView | None:
+        """The J-code index of phi, built on first use; None without phi, or
+        when phi's values are out of shape or range, or its host has more
+        than BRUTEFORCE_LIMIT J-codes."""
+        if self.phi is None:
+            return None
+        x, values = self.phi
+        if (values.shape != (self.n, x.n) or values.min(initial=0) < 0
+                or values.max(initial=0) >= x.n
+                or x.n ** len(x.join_irreducibles()) > BRUTEFORCE_LIMIT):
+            return None
+        return QElementView(x, values)
+
+    @cached_property
     def certified_view(self) -> QElementView | None:
         """The element view of phi when phi certifies the involution, else None.
 
@@ -128,10 +142,11 @@ class FinQuantale:
         check_foulis and check_star_props certify their row laws from
         these facts.
         """
-        if self.phi is None or not represents(self):
+        if not represents(self):
             return None
-        x, values = self.phi
-        view, c, ar = self._phi_view, x.ortho, np.arange(x.n)
+        view = self.view
+        x, values = view.host, view.values
+        c, ar = x.ortho, np.arange(x.n)
         if ((values[self.zero] != x.bottom).any() or (values[self.unit] != ar).any()
                 or (c[c] != ar).any() or not np.array_equal(x.leq_mat[np.ix_(c, c)], x.leq_mat.T)):
             return None
@@ -263,7 +278,7 @@ def leq_by_mult_matrix(q: FinQuantale) -> np.ndarray:
 
 
 def lin_quantale(oml: FiniteOML, cap: int | None = None):
-    """The endomorphism quantale of an OML, with its element view.
+    """The endomorphism quantale of an OML, and its element view q.view.
 
     Elements are all join-preserving endomaps in canonical (value vector)
     order; multiplication of i and j composes map i after map j, the
@@ -274,9 +289,9 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     unit, zero and top maps and every adjoint are found as whole rows.  A
     code or row that is no element raises FormatError.  No map object is
     built, and the carrier keeps no meet table.  mult and the carrier join
-    have cells of cell_dtype(k).  The quantale carries phi = (oml, values).
-    Raises TableTooLarge, before any table is allocated, when the dense
-    tables would exceed TABLE_BYTE_LIMIT.
+    have cells of cell_dtype(k).  The quantale carries phi = (oml, values)
+    and the view as q.view.  Raises TableTooLarge, before any table is
+    allocated, when the dense tables would exceed TABLE_BYTE_LIMIT.
     """
     values = lin_values(oml, oml, cap=cap)
     k = len(values)
@@ -305,10 +320,11 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     star = view.adjoints()
     star.setflags(write=False)
     q = FinQuantale(carrier, mult, star, unit, phi=(oml, values))
-    q._phi_view = view
+    q.view = view
     # the tables are that pass's products, so preserved_by over every row
     # would find no hit
     q.record_pass(view, np.arange(k))
+    # (q, view), as in foulis_from_lin: perfbench/replay.py's hooks read r[0]
     return q, view
 
 
@@ -318,25 +334,21 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
 def represents(q: FinQuantale) -> bool:
     """Whether q.phi is a certificate in the sense of (c) in check_quantale.
 
-    phi declines when its values are out of shape or range, or when its
-    host has more than BRUTEFORCE_LIMIT J-codes.  (i) is read as a zero
-    column, the row test of nonadditive_row on the host, and distinct
-    codes: the index finds every row at its own position.  (ii) and (iii)
-    are the pass of FinQuantale.preserved_by over every row, which as codes
-    are distinct is a comparison of codes; q memoizes it, with the index
-    lin_quantale built when it built q (or the one built here, kept on q),
-    and lin_quantale records the pass its build made.
+    phi declines when q.view is None.  (i) is read as a zero column, the
+    row test of nonadditive_row on the host, and distinct codes: the index
+    finds every row at its own position.  (ii) and (iii) are the pass of
+    FinQuantale.preserved_by over every row, which as codes are distinct is
+    a comparison of codes; q memoizes it per view, and lin_quantale records
+    the pass its build made.
     """
-    x, values = q.phi
-    k = q.n
-    irr = x.join_irreducibles()
-    if (values.shape != (k, x.n) or values.min(initial=0) < 0 or values.max(initial=0) >= x.n
-            or x.n ** len(irr) > BRUTEFORCE_LIMIT):
+    view = q.view
+    if view is None:
         return False
-    if (values[:, x.bottom] != x.bottom).any() or nonadditive_row(values, x, irr) is not None:
+    x, values = view.host, view.values
+    if ((values[:, x.bottom] != x.bottom).any()
+            or nonadditive_row(values, x, x.join_irreducibles()) is not None):
         return False
-    view = q._phi_view = q._phi_view or QElementView(x, values)
-    ar = np.arange(k, dtype=np.int32)
+    ar = np.arange(q.n, dtype=np.int32)
     return np.array_equal(view.find(values), ar) and q.preserved_by(view, ar) == (None, None)
 
 
@@ -416,7 +428,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         Law("zero-left", hit=least(m[q.zero] != q.zero)),
         Law("zero-right", hit=least(m[:, q.zero] != q.zero)),
     ]
-    if q.phi is not None and represents(q):
+    if represents(q):
         laws = [Law("associativity"), *linear, Law("distributes-left"), Law("distributes-right")]
         return run_laws(subject, q.label, laws, workers)
     irr = q.carrier.join_irreducibles()

@@ -39,6 +39,7 @@ from .foulis import (
     record_conjugation,
     roundtrip_iso,
     sasaki_embedding,
+    sasaki_oml,
     sasaki_oml_report,
 )
 from .lattice import FiniteOML, Law, check_oml, least, rows, run_laws, sasaki_table
@@ -150,7 +151,10 @@ def _splitting_fails(oml: FiniteOML, S, k: int):
 # the pipeline
 
 class VerifyContext:
-    """Lazily built shared structures for one verification run."""
+    """Lazily built shared structures for one verification run: the one
+    place that decides what is built and what is reused.  The checkers take
+    the structures they read, and the Foulis quantale's base carries its
+    element view."""
 
     def __init__(self, oml: FiniteOML, cap, workers):
         self.oml = oml
@@ -159,27 +163,30 @@ class VerifyContext:
 
     @cached_property
     def foulis(self):
-        return foulis_from_lin(self.oml, cap=self.cap)
+        return foulis_from_lin(self.oml, cap=self.cap)[0]
 
     @cached_property
     def sub_report(self):
-        return sasaki_oml_report(self.foulis[0])
+        return sasaki_oml_report(self.foulis)
+
+    @property
+    def sub(self):
+        """The projection lattice; without one, sasaki_oml raises its
+        StructureViolation."""
+        return self.sub_report[0] or sasaki_oml(self.foulis)
 
     @cached_property
     def roundtrip(self):
-        return roundtrip_iso(self.oml, cap=self.cap, workers=self.workers, built=self.foulis,
-                             sub=self.sub_report[0])
+        return roundtrip_iso(self.foulis, self.sub, self.workers)
 
     @cached_property
     def hom(self):
         # roundtrip is decided first: its passing report shows that theta is
         # an isomorphism, so h is phi conjugated by theta when
         # record_conjugation's row test holds, and no products pass is made
-        f, view = self.foulis
-        sub = self.sub_report[0]
-        h = hom_h(f, cap=self.cap, sub=sub)
+        h = hom_h(self.foulis, self.sub, self.cap)
         if self.roundtrip.passed:
-            record_conjugation(h, sasaki_embedding(view, self.oml, sub))
+            record_conjugation(h, sasaki_embedding(self.foulis.base, self.sub))
         return h
 
 
@@ -187,12 +194,12 @@ class VerifyContext:
 SELECTOR_REPORTS = {
     "sasaki-facts": lambda c: [sasaki_facts_report(c.oml, workers=c.workers)],
     "dagger-kernel": lambda c: [dagger_kernel_report(c.oml, cap=c.cap, workers=c.workers)],
-    "quantale": lambda c: [check_quantale(c.foulis[0].base, workers=c.workers)],
-    "involutive": lambda c: [check_involutive(c.foulis[0].base, workers=c.workers)],
-    "foulis": lambda c: [check_foulis(c.foulis[0], workers=c.workers)],
-    "star-props": lambda c: [check_star_props(c.foulis[0], workers=c.workers)],
+    "quantale": lambda c: [check_quantale(c.foulis.base, workers=c.workers)],
+    "involutive": lambda c: [check_involutive(c.foulis.base, workers=c.workers)],
+    "foulis": lambda c: [check_foulis(c.foulis, workers=c.workers)],
+    "star-props": lambda c: [check_star_props(c.foulis, workers=c.workers)],
     "sasaki-oml": lambda c: [c.sub_report[1]],
-    "modules": lambda c: module_reports(c.oml, *c.foulis, c.hom, workers=c.workers),
+    "modules": lambda c: module_reports(c.foulis, c.hom, workers=c.workers),
     "hom": lambda c: [check_hom(c.hom, workers=c.workers)],
     "roundtrip": lambda c: [c.roundtrip],
 }

@@ -38,6 +38,7 @@ from omlq import (
     sasaki_apply,
     sasaki_facts_report,
     sasaki_module,
+    sasaki_oml,
     sasaki_oml_report,
 )
 from omlq.cli import main
@@ -171,11 +172,12 @@ def test_criterion_06_projection_lattice_reconstruction(
     defined order, is an orthomodular lattice whose meet/join closed forms
     agree with the order-derived bounds, and mapping each host element to
     its Sasaki projection is an isomorphism onto it.  Exact."""
-    for oml, built in ((b1, fq_b1), (b2, fq_b2), (b3, fq_b3), (mo2, fq_mo2)):
-        sub, report = sasaki_oml_report(built[0])
+    for oml, (f, _) in ((b1, fq_b1), (b2, fq_b2), (b3, fq_b3), (mo2, fq_mo2)):
+        sub, report = sasaki_oml_report(f)
         assert sub is not None and report.passed, str(report)
         assert check_oml(sub.oml).passed
-        assert roundtrip_iso(oml, built=built).passed
+        assert f.base.view.host is oml
+        assert roundtrip_iso(f, sub).passed
 
 
 def test_criterion_07_module_law_suites(b1, b2, mo2, fq_b1, fq_b2, fq_mo2):
@@ -183,10 +185,12 @@ def test_criterion_07_module_law_suites(b1, b2, mo2, fq_b1, fq_b2, fq_mo2):
     action and for the projection-lattice action over the three hosts;
     the right action of the two-element quantale passes on every catalog
     lattice."""
-    for oml, (f, view) in ((b1, fq_b1), (b2, fq_b2), (mo2, fq_mo2)):
-        rep = check_left_module(lin_module(oml, q=f.base, view=view))
+    for oml, (f, _) in ((b1, fq_b1), (b2, fq_b2), (mo2, fq_mo2)):
+        mod = lin_module(f.base)
+        assert mod.lattice is oml
+        rep = check_left_module(mod)
         assert rep.passed, str(rep)
-        rep = check_left_module(sasaki_module(f))
+        rep = check_left_module(sasaki_module(f, sasaki_oml(f)))
         assert rep.passed, str(rep)
     names = [n for n in catalog_names() if "(" not in n]
     names += ["product(boolean:2,mo:2)", "horizontal_sum(boolean:2,boolean:3)"]
@@ -200,10 +204,10 @@ def test_criterion_08_representation_homomorphism(fq_b1, fq_b2):
     lattice preserves joins, multiplication, the unit, the involution, and
     the complement operator, for the endomorphism quantales of the two
     smallest Boolean hosts; on the two-element host it is a bijection."""
-    h1 = hom_h(fq_b1[0])
+    h1 = hom_h(fq_b1[0], sasaki_oml(fq_b1[0]))
     assert check_hom(h1).passed
     assert h1.injective and len(set(h1.table)) == h1.target_view.n
-    h2 = hom_h(fq_b2[0])
+    h2 = hom_h(fq_b2[0], sasaki_oml(fq_b2[0]))
     rep = check_hom(h2)
     assert rep.passed, str(rep)
     for law in ("preserves-join", "preserves-mult", "preserves-unit",

@@ -190,6 +190,21 @@ def test_lin_cod(capsys):
     assert out.strip() == "4"
 
 
+def test_lin_cod_reads_an_oml_file(capsys, tmp_path):
+    p = tmp_path / "mo1.json"
+    p.write_text(dump_json(oml_to_dict(catalog("mo:1"))))
+    code, out, _ = run(capsys, "lin", "--catalog", "boolean:1", "--cod", str(p),
+                       "--count-only")
+    assert (code, out) == (0, "4\n")
+
+
+def test_lin_cod_missing_path_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "lin", "--catalog", "boolean:1", "--cod", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "absent.json" in err
+
+
 def test_lin_cap_exceeded_is_a_math_outcome(capsys):
     code, _, err = run(capsys, "lin", "--catalog", "mo:2", "--cap", "100")
     assert code == 1
@@ -421,8 +436,8 @@ def test_check_quantale_file_with_a_list_label_is_an_input_error(capsys, tmp_pat
     assert err.startswith("error: ") and "['m']" in err
 
 
-def test_check_module_file_with_a_list_action_label_is_an_input_error(capsys, tmp_path, b2):
-    d = module_to_dict(lin_module(b2))
+def test_check_module_file_with_a_list_action_label_is_an_input_error(capsys, tmp_path, fq_b2):
+    d = module_to_dict(lin_module(fq_b2[0].base))
     d["action"][1][0] = ["a"]
     p = tmp_path / "list-label.json"
     p.write_text(dump_json(d))
@@ -510,6 +525,16 @@ def test_sasaki_lattice_json_is_an_oml(capsys):
 def test_check_module_on_catalog(capsys):
     code, out, _ = run(capsys, "check-module", "--catalog", "boolean:2")
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_module_on_a_host_without_a_projection_oml(capsys, fmt):
+    # benzene's projections violate the OML laws: the catalog branch reads
+    # h, whose build raises the projection lattice's violation, exit 1.
+    code, out, err = run(capsys, "check-module", "--catalog", "benzene", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == ("violation: derived structure violates projection-involution "
+                   "at ('[0,0,y,y,0,y]',)\n")
 
 
 def test_check_module_makes_one_products_pass(monkeypatch, capsys):
@@ -701,7 +726,7 @@ def test_lin_count_loads_no_quantale_layer():
 
 
 def test_goldens_import_loads_no_thread_pool():
-    # goldens imports concurrent.futures only for a threaded oracle run.
+    # The oracle decodes its chunks in turn; goldens starts no thread pool.
     script = "import sys, omlq.goldens\nprint('concurrent.futures' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -31,7 +31,8 @@ from omlq import (
 
 def test_lin_module_rows_are_value_tables(fq_b2, b2):
     f, view = fq_b2
-    mod = lin_module(b2, q=f.base, view=view)
+    mod = lin_module(f.base)
+    assert mod.lattice is b2 and mod.view is view
     for s in range(f.n):
         assert mod.table[s].tolist() == view.values[s].tolist()
         for a in range(b2.n):
@@ -39,15 +40,15 @@ def test_lin_module_rows_are_value_tables(fq_b2, b2):
 
 
 def test_lin_module_laws(fq_b1, fq_b2, fq_mo2, b1, b2, mo2):
-    for (f, view), oml in ((fq_b1, b1), (fq_b2, b2), (fq_mo2, mo2)):
-        mod = lin_module(oml, q=f.base, view=view)
+    for (f, _), oml in ((fq_b1, b1), (fq_b2, b2), (fq_mo2, mo2)):
+        mod = lin_module(f.base)
+        assert mod.lattice is oml
         report = check_left_module(mod)
         assert report.passed, str(report)
 
 
-def test_lin_module_axiom_names(fq_b2, b2):
-    f, view = fq_b2
-    report = check_left_module(lin_module(b2, q=f.base, view=view))
+def test_lin_module_axiom_names(fq_b2):
+    report = check_left_module(lin_module(fq_b2[0].base))
     assert set(report.axioms) == {
         "act-join", "act-bottom", "join-act", "zero-act", "assoc-act",
         "unit-act",
@@ -55,15 +56,15 @@ def test_lin_module_axiom_names(fq_b2, b2):
 
 
 def test_unit_and_zero_rows(fq_b2, b2):
-    f, view = fq_b2
-    mod = lin_module(b2, q=f.base, view=view)
+    f, _ = fq_b2
+    mod = lin_module(f.base)
     assert list(mod.table[f.base.unit]) == list(range(b2.n))
     assert all(v == b2.bottom for v in mod.table[f.base.zero])
 
 
 def test_projection_rows_are_sasaki_application(fq_mo2, mo2):
     f, view = fq_mo2
-    mod = lin_module(mo2, q=f.base, view=view)
+    mod = lin_module(f.base)
     for a in range(mo2.n):
         s = view.indices([[sasaki_apply(mo2, a, y) for y in range(mo2.n)]])[0]
         assert list(mod.table[s]) == [
@@ -78,7 +79,7 @@ def test_projection_rows_are_sasaki_application(fq_mo2, mo2):
 
 def test_sasaki_module_laws(fq_b1, fq_b2, fq_b3, fq_mo2):
     for f, _ in (fq_b1, fq_b2, fq_b3, fq_mo2):
-        report = check_left_module(sasaki_module(f))
+        report = check_left_module(sasaki_module(f, sasaki_oml(f)))
         assert report.passed, str(report)
 
 
@@ -117,16 +118,14 @@ def test_right_two_module_axiom_names(b2):
 
 
 def test_right_two_module_compatible_with_left_action(fq_b2, b2):
-    f, view = fq_b2
-    left = lin_module(b2, q=f.base, view=view)
+    left = lin_module(fq_b2[0].base)
     report = check_right_two_module(b2, left=left)
     assert report.passed, str(report)
     assert "bimodule-compat" in report.axioms
 
 
 def test_right_two_module_rejects_mismatched_left(fq_b2, mo2):
-    f, view = fq_b2
-    left = lin_module(catalog("boolean:2"), q=f.base, view=view)
+    left = lin_module(fq_b2[0].base)
     with pytest.raises(StructureViolation):
         check_right_two_module(mo2, left=left)
 
@@ -149,8 +148,8 @@ def test_action_table_shape_is_validated(fq_b2, b2):
 
 
 def test_perturbed_unit_row_is_caught(fq_b2, b2):
-    f, view = fq_b2
-    mod = lin_module(b2, q=f.base, view=view)
+    f, _ = fq_b2
+    mod = lin_module(f.base)
     table = mod.table.copy()
     table[f.base.unit, b2.top] = b2.bottom
     report = check_left_module(ModuleAction(f.base, b2, table))
@@ -159,8 +158,8 @@ def test_perturbed_unit_row_is_caught(fq_b2, b2):
 
 
 def test_perturbed_interior_entry_is_caught(fq_b2, b2):
-    f, view = fq_b2
-    mod = lin_module(b2, q=f.base, view=view)
+    f, _ = fq_b2
+    mod = lin_module(f.base)
     # flip one non-unit, non-zero row entry
     s = next(
         i for i in range(f.n) if i not in (f.base.unit, f.base.zero)
@@ -174,8 +173,8 @@ def test_perturbed_interior_entry_is_caught(fq_b2, b2):
 
 
 def test_perturbed_composition_yields_assoc_witness(fq_b2, b2):
-    f, view = fq_b2
-    mod = lin_module(b2, q=f.base, view=view)
+    f, _ = fq_b2
+    mod = lin_module(f.base)
     # replace a whole row by another row: unit laws survive, composition
     # with the mutated element cannot
     rows = mod.table.copy()
@@ -194,10 +193,10 @@ def test_perturbed_composition_yields_assoc_witness(fq_b2, b2):
 # ---------------------------------------------------------------------------
 
 
-def canonical_actions(f, view, oml):
+def canonical_actions(f):
     """The lin-module and the sasaki-module of f, each with its view."""
-    h = hom_h(f)
-    return [lin_module(oml, f.base, view), sasaki_module(f, h.sub, h.target_view)]
+    h = hom_h(f, sasaki_oml(f))
+    return [lin_module(f.base), sasaki_module(f, h.sub, h.target_view)]
 
 
 def act_join_reference(action, table):
@@ -226,14 +225,12 @@ def assert_certificate_matches_scan(action, table):
     return want
 
 
-def test_module_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo2, fq_b3,
-                                                        b1, b2, mo2, b3):
+def test_module_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo2, fq_b3):
     # One to three cells of the action table overwritten, the zero and
     # unit rows and the bottom column drawn often, or two rows swapped: a
     # swapped table keeps every row an element, so only the pass can fail.
-    small = [a for (f, view), oml in ((fq_b1, b1), (fq_b2, b2), (fq_mo2, mo2))
-             for a in canonical_actions(f, view, oml)]
-    large = canonical_actions(*fq_b3, b3)
+    small = [a for f, _ in (fq_b1, fq_b2, fq_mo2) for a in canonical_actions(f)]
+    large = canonical_actions(fq_b3[0])
     for action in small + large:
         assert check_left_module(action).passed
     failed = set()

@@ -856,6 +856,32 @@ def test_lin_quantale_carries_its_maps_as_phi(fq_b1, fq_b2, fq_b3, fq_mo2, b2):
     assert fq_b2[0].base.phi[0] is b2
 
 
+def test_a_quantale_builds_the_view_of_its_phi_once(monkeypatch, fq_b2, fq_mo2):
+    # lin_quantale stores the view it built.  Another quantale with phi
+    # builds its view on first use; phi values out of shape or range, or a
+    # host with more than BRUTEFORCE_LIMIT J-codes, give none, and then phi
+    # represents nothing.
+    for f, view in (fq_b2, fq_mo2):
+        q = f.base
+        assert q.view is view
+        host, values = q.phi
+        copy = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit, phi=q.phi)
+        assert copy.view is copy.view and copy.view is not view
+        assert np.array_equal(copy.view.find(values), np.arange(q.n))
+        high, low = values.copy(), values.copy()
+        high[3, 1], low[3, 1] = host.n, -1
+        for bad in (values[1:], values[:, 1:], high, low):
+            mutant = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit,
+                                 phi=(host, bad))
+            assert mutant.view is None and not quantale_module.represents(mutant)
+        codes = host.n ** len(host.join_irreducibles())
+        monkeypatch.setattr(quantale_module, "BRUTEFORCE_LIMIT", codes - 1)
+        assert FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit,
+                           phi=q.phi).view is None
+        monkeypatch.undo()
+    assert FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit).view is None
+
+
 def draw_phi_mutant(data, q):
     """One to three overwritten cells of mult, of the carrier join table
     (a new FiniteLattice over the mutated table) or of phi's values."""
@@ -1122,6 +1148,6 @@ def test_every_dense_element_table_follows_the_cell_rule(fq_b2, fq_mo2):
                           (back.carrier.join_tab, q.carrier.join_tab)):
             assert got.dtype == cell_dtype(q.n)
             assert got.tobytes() == want.tobytes()
-        module = lin_module(view.host, q, view)
+        module = lin_module(q)
         assert module.table.dtype == cell_dtype(view.host.n)
         assert parse_module(module_to_dict(module)).table.tobytes() == module.table.tobytes()

@@ -32,6 +32,7 @@ from omlq import (
     resolve_structure,
     sasaki_apply,
     sasaki_module,
+    sasaki_oml,
     structure_to_dict,
     to_dot,
 )
@@ -124,16 +125,16 @@ def test_plain_quantale_parse_has_no_sai(fq_b2):
     assert not hasattr(again, "sai")
 
 
-def test_module_round_trip(fq_b2, b2):
-    f, view = fq_b2
-    for mod in (lin_module(b2, q=f.base, view=view), sasaki_module(f)):
+def test_module_round_trip(fq_b2):
+    f, _ = fq_b2
+    for mod in (lin_module(f.base), sasaki_module(f, sasaki_oml(f))):
         again = parse_module(module_to_dict(mod))
         assert np.array_equal(again.table, mod.table)
         assert again.lattice.signature == FiniteLattice.signature.fget(mod.lattice)
 
 
 def test_structure_dispatch(fq_b2, b2):
-    f, view = fq_b2
+    f, _ = fq_b2
     cases = [
         (oml_to_dict(b2), FiniteOML),
     ]
@@ -145,7 +146,7 @@ def test_structure_dispatch(fq_b2, b2):
     assert type(obj).__name__ == "FoulisQuantale"
     obj = parse_structure(linmap_to_dict(LinMap(b2, b2, range(b2.n))))
     assert type(obj).__name__ == "LinMap"
-    obj = parse_structure(module_to_dict(sasaki_module(f)))
+    obj = parse_structure(module_to_dict(sasaki_module(f, sasaki_oml(f))))
     assert type(obj).__name__ == "ModuleAction"
     obj = parse_structure(lattice_to_dict(b2))
     assert type(obj).__name__ == "FiniteLattice"
@@ -228,9 +229,8 @@ def test_parse_rejects_partial_tables(b2):
         parse_quantale(q)
 
 
-def test_parse_module_rejects_unknown_action_labels(fq_b2, b2):
-    f, view = fq_b2
-    d = module_to_dict(lin_module(b2, q=f.base, view=view))
+def test_parse_module_rejects_unknown_action_labels(fq_b2):
+    d = module_to_dict(lin_module(fq_b2[0].base))
     d["action"][3][1] = "nope"
     with pytest.raises(FormatError, match="unknown element 'nope'"):
         parse_module(d)
@@ -288,12 +288,12 @@ def test_dot_escapes_quotes():
 
 def test_dot_of_module_draws_no_complements(fq_mo2, mo2):
     # the canonical actions hold OMLs, a module file may name one
-    f, view = fq_mo2
+    f, _ = fq_mo2
     plain = to_dot(parse_lattice(lattice_to_dict(mo2)))
-    lm = lin_module(mo2, q=f.base, view=view)
+    lm = lin_module(f.base)
     named = parse_module({**module_to_dict(lm), "lattice": "mo:2"})
     assert isinstance(named.lattice, FiniteOML)
-    for mod in (lm, sasaki_module(f), named):
+    for mod in (lm, sasaki_module(f, sasaki_oml(f)), named):
         assert "style=dashed" not in to_dot(mod)
     assert to_dot(lm) == to_dot(named) == plain
 

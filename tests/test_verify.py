@@ -292,7 +292,7 @@ def test_run_verify_deterministic_across_workers(mo2):
 def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
     # sasaki-oml, modules, hom and roundtrip share the run's projection
     # lattice: one sasaki_oml call, which also checks its OML laws once.
-    from omlq import foulis, qmodule
+    from omlq import foulis, verify
 
     calls = []
     real = foulis.sasaki_oml
@@ -302,7 +302,7 @@ def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
         return real(f)
 
     monkeypatch.setattr(foulis, "sasaki_oml", counting)
-    monkeypatch.setattr(qmodule, "sasaki_oml", counting)
+    monkeypatch.setattr(verify, "sasaki_oml", counting)
     payload, code = run_verify(b2, ["all"])
     assert code == 0 and payload["results"]["roundtrip"]["passed"]
     assert len(calls) == 1
@@ -312,7 +312,7 @@ def test_verify_all_builds_one_quantale(monkeypatch, b2):
     # hom reads its target, the endomorphism quantale of the projection
     # lattice, through a J-code index: the run builds the host's quantale
     # and no other.
-    from omlq import foulis, qmodule
+    from omlq import foulis
 
     calls = []
     real = foulis.lin_quantale
@@ -322,7 +322,6 @@ def test_verify_all_builds_one_quantale(monkeypatch, b2):
         return real(oml, *args, **kwargs)
 
     monkeypatch.setattr(foulis, "lin_quantale", counting)
-    monkeypatch.setattr(qmodule, "lin_quantale", counting)
     payload, code = run_verify(b2, ["all"])
     assert code == 0 and payload["results"]["hom"]["passed"]
     assert calls == [b2]
@@ -374,19 +373,14 @@ def test_verify_all_builds_no_linmap(monkeypatch):
 
 
 def certificates_off(monkeypatch):
-    """Make run_verify build every quantale without phi and every module
-    action without a view, so that no certificate decides a law."""
-    from omlq import FinQuantale, FoulisQuantale, qmodule, verify
+    """Make run_verify find that phi represents no quantale, and build every
+    module action without a view, so that no certificate decides a law:
+    check_quantale, certified_view and with it FoulisQuantale.certified and
+    record_conjugation all rest on represents."""
+    from omlq import qmodule, quantale
 
-    real_build, real_action = verify.foulis_from_lin, qmodule.ModuleAction
-
-    def build(*args, **kwargs):
-        f, view = real_build(*args, **kwargs)
-        q = f.base
-        stripped = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit)
-        return FoulisQuantale(stripped, f.sai), view
-
-    monkeypatch.setattr(verify, "foulis_from_lin", build)
+    real_action = qmodule.ModuleAction
+    monkeypatch.setattr(quantale, "represents", lambda q: False)
     monkeypatch.setattr(qmodule, "ModuleAction",
                         lambda quantale, lattice, table, view=None:
                         real_action(quantale, lattice, table))

@@ -82,10 +82,9 @@ def report_entry(run, axioms, checker):
 
 @lru_cache(maxsize=None)
 def built(host):
-    oml = catalog(host)
-    f, view = foulis_from_lin(oml)
+    f = foulis_from_lin(catalog(host))[0]
     sub = sasaki_oml(f)
-    return oml, f, view, sub, hom_h(f, sub=sub)
+    return f, sub, hom_h(f, sub)
 
 
 SEEDS = range(4)
@@ -110,7 +109,7 @@ def lattice_cases(host):
 
 
 def quantale_cases(host):
-    oml, f, view, sub, h = built(host)
+    f, sub, h = built(host)
     q = f.base
     n = q.n
     m, s = q.dense_mult(), q.dense_star()
@@ -134,9 +133,8 @@ def quantale_cases(host):
         fq = FoulisQuantale(q, sai)
         yield f"sai-foulis/{k}", lambda w, fq=fq: check_foulis(fq, workers=w)
         yield f"sai-star-props/{k}", lambda w, fq=fq: check_star_props(fq, workers=w)
-        rt = (fq, view)
-        yield f"sai-roundtrip/{k}", lambda w, rt=rt: roundtrip_iso(oml, workers=w, built=rt)
-    yield "roundtrip/0", lambda w: roundtrip_iso(oml, workers=w, built=(f, view))
+        yield f"sai-roundtrip/{k}", lambda w, fq=fq: roundtrip_iso(fq, sasaki_oml(fq), workers=w)
+    yield "roundtrip/0", lambda w: roundtrip_iso(f, sub, workers=w)
     tn = h.target_view.n
     tables = [h.table] + [one_cell(h.table, seed, tn) for seed in SEEDS]
     tables += [one_cell(h.table, 9, tn, (q.zero,)), one_cell(h.table, 9, tn, (q.unit,))]
@@ -147,9 +145,9 @@ def quantale_cases(host):
 
 
 def module_cases(host):
-    oml, f, view, sub, h = built(host)
+    f, sub, h = built(host)
     q = f.base
-    for name, action in (("lin", lin_module(oml, q, view)),
+    for name, action in (("lin", lin_module(q)),
                          ("sasaki", sasaki_module(f, sub, h.target_view))):
         ln = action.lattice.n
         t = action.table
