@@ -317,7 +317,7 @@ def cmd_check_module(args) -> int:
         m = parse_module(load_json(args.file), os.path.dirname(args.file) or None)
         reports = [
             check_left_module(m, workers=w),
-            check_right_two_module(m.lattice, left=m, workers=w),
+            check_right_two_module(m, workers=w),
         ]
         return _emit_reports(args, reports)
     from .verify import SELECTOR_REPORTS, VerifyContext

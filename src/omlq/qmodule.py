@@ -9,7 +9,8 @@ u . k = perp(perp(u * k)).
 
 Every complete lattice is also a right module over the two-element
 quantale {0, 1} by a . 1 = a, a . 0 = bottom; check_right_two_module
-verifies those laws and their compatibility with a given left action.
+verifies those laws on a lattice, or on the lattice of a left action
+together with their compatibility with it.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def module_reports(f: FoulisQuantale, h: FoulisHom, workers=1) -> list[CheckRepo
     return [
         check_left_module(lm, subject="lin-module", workers=workers),
         check_left_module(sm, subject="sasaki-module", workers=workers),
-        check_right_two_module(lm.lattice, left=lm, subject="two-module", workers=workers),
-        check_right_two_module(sm.lattice, left=sm, subject="projection-two-module",
-                               workers=workers),
+        check_right_two_module(lm, subject="two-module", workers=workers),
+        check_right_two_module(sm, subject="projection-two-module", workers=workers),
     ]
 
 
@@ -128,16 +128,19 @@ def check_left_module(action: ModuleAction, subject="module", workers=1) -> Chec
 
 
 def check_right_two_module(
-    lat: FiniteLattice, left: ModuleAction | None = None, subject="two-module", workers=1
+    on: FiniteLattice | ModuleAction, subject="two-module", workers=1
 ) -> CheckReport:
-    """The canonical right action of the two-element quantale.
+    """The canonical right action of the two-element quantale on a lattice,
+    or on the lattice of a left action.
 
     a . 1 = a and a . 0 = bottom; multiplication on {0, 1} is meet and the
     unit is 1.  The action table is built from these two rules, so
     two-unit-act, two-zero-act and two-assoc hold by construction; they
-    stay listed, which keeps the payload.  When a left action on the same
-    lattice is supplied, the two actions must commute: (s . a) . t = s . (a . t).
+    stay listed, which keeps the payload.  When on is a left action, the
+    two actions must commute: (s . a) . t = s . (a . t).
     """
+    left = None if isinstance(on, FiniteLattice) else on
+    lat = on if left is None else left.lattice
     n = lat.n
     bottom = lat.bottom
     jl = lat.join_tab
@@ -156,8 +159,6 @@ def check_right_two_module(
     ]
     label = {"l": lat.label, "t": str}
     if left is not None:
-        if left.lattice.signature != lat.signature:
-            raise StructureViolation("bimodule-lattice-mismatch")
         table = left.table
         # entry (s, t, a): (s . a) . t against s . (a . t); witness (s, a, t)
         w = least(acted[:, table].transpose(1, 0, 2) != table[:, acted])

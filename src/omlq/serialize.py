@@ -272,16 +272,89 @@ def parse_linmap(d: dict, base_dir=None) -> LinMap:
 
 
 # ---------------------------------------------------------------------------
-# resolution of string/inline specifications
+# reading files
+
+_scan = json.JSONDecoder().scan_once
+_skip = json.decoder.WHITESPACE.match
+
+
+def _next(text, i, *allowed) -> tuple[str, int]:
+    """The first character at or after i that is not whitespace, which must
+    be one of allowed, and its index."""
+    i = _skip(text, i).end()
+    c = text[i:i + 1]
+    if c not in allowed:
+        raise ValueError(c)
+    return c, i
+
+
+def _read_object(text, i, memo) -> tuple[dict, int]:
+    """The object at text[i] == "{" and the index past it.  Member objects
+    are walked in turn, a "mult" or "action" array is read by _read_table,
+    any other value by one scan_once call."""
+    out = {}
+    c, i = _next(text, i + 1, '"', "}")
+    while c == '"':
+        key, i = _scan(text, i)
+        _, i = _next(text, i, ":")
+        i = _skip(text, i + 1).end()
+        c = text[i:i + 1]
+        if c == "{":
+            out[key], i = _read_object(text, i, memo)
+        elif c == "[" and key in ("mult", "action"):
+            out[key], i = _read_table(text, i, memo)
+        else:
+            out[key], i = _scan(text, i)
+        c, i = _next(text, i, ",", "}")
+        if c == ",":
+            c, i = _next(text, i + 1, '"')
+    return out, i + 1
+
+
+def _read_table(text, i, memo) -> tuple[list, int]:
+    """The array at text[i] == "[", one scan_once call per row.  A row of
+    strings only is rebuilt from memo, so equal labels are one object;
+    other rows stay as read, since 1 == True must not merge."""
+    rows = []
+    i = _skip(text, i + 1).end()
+    if text[i:i + 1] == "]":
+        return rows, i + 1
+    while True:
+        row, i = _scan(text, i)
+        if type(row) is list and set(map(type, row)) == {str}:
+            row = list(map(memo.setdefault, row, row))
+        rows.append(row)
+        c, i = _next(text, i, ",", "]")
+        if c == "]":
+            return rows, i + 1
+        i = _skip(text, i + 1).end()
+
+
+def _decode(text: str):
+    """json.loads(text), with an object read by _read_object, so a label
+    table holds one string per distinct label.  Any text the walk does not
+    expect goes to json.loads, which gives the value or the error."""
+    try:
+        _, i = _next(text, 0, "{")
+        out, i = _read_object(text, i, {})
+        if _skip(text, i).end() == len(text):
+            return out
+    except (ValueError, StopIteration, RecursionError):
+        pass
+    return json.loads(text)
+
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return json.loads(text)
+        return _decode(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: {e}") from None
 
+
+# ---------------------------------------------------------------------------
+# resolution of string/inline specifications
 
 def _resolve(spec, base_dir, want, parser):
     if isinstance(spec, dict):

@@ -118,16 +118,9 @@ def test_right_two_module_axiom_names(b2):
 
 
 def test_right_two_module_compatible_with_left_action(fq_b2, b2):
-    left = lin_module(fq_b2[0].base)
-    report = check_right_two_module(b2, left=left)
+    report = check_right_two_module(lin_module(fq_b2[0].base))
     assert report.passed, str(report)
-    assert "bimodule-compat" in report.axioms
-
-
-def test_right_two_module_rejects_mismatched_left(fq_b2, mo2):
-    left = lin_module(fq_b2[0].base)
-    with pytest.raises(StructureViolation):
-        check_right_two_module(mo2, left=left)
+    assert report.axioms == check_right_two_module(b2).axioms + ("bimodule-compat",)
 
 
 # ---------------------------------------------------------------------------

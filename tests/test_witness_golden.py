@@ -157,8 +157,7 @@ def module_cases(host):
         for k, table in enumerate(tables):
             act = ModuleAction(q, action.lattice, table, action.view)
             yield f"{name}-module/{k}", lambda w, a=act: check_left_module(a, workers=w)
-            yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(
-                a.lattice, left=a, workers=w)
+            yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(a, workers=w)
 
 
 FAMILIES = {"lattice": (lattice_cases, LATTICE_HOSTS),
