@@ -20,6 +20,7 @@ cuts into ordered chunks across the workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -42,9 +43,11 @@ def bool_product(a, b) -> np.ndarray:
 
     Computed through BLAS as a float32 product of 0/1 matrices.  Every
     entry counts at most a.shape[1] < 2**24 paths, and float32 holds every
-    such count exactly, so the result is exact.
+    such count exactly, so the result is exact.  A square a @ a converts a
+    once.
     """
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    fa = a.astype(np.float32)
+    return (fa @ (fa if b is a else b.astype(np.float32))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +386,19 @@ def lattice_from_order(labels, leq) -> FiniteLattice:
     return FiniteLattice(labels, leq, join_tab, None, bottom, top)
 
 
+def _raise_bad_pair(idx, pairs):
+    """The FormatError for the first of pairs that is not a pair of two
+    labels in idx."""
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise FormatError(f"order pair {pair!r} is not a pair")
+        x, y = pair
+        try:
+            idx[x], idx[y]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements") from None
+
+
 def build_lattice(labels, leq_pairs) -> FiniteLattice:
     """Lattice from labels and order pairs (covers or full order).
 
@@ -397,14 +413,14 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     leq = np.eye(n, dtype=bool)
-    for pair in leq_pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FormatError(f"order pair {pair!r} is not a pair")
-        x, y = pair
-        try:
-            leq[idx[x], idx[y]] = True
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements") from None
+    pairs = list(leq_pairs)
+    try:  # every pair's two indices in one pass; TypeError: a non-pair or an unhashable label
+        if not all(map(isinstance, pairs, repeat((list, tuple)))) or set(map(len, pairs)) - {2}:
+            raise TypeError
+        ij = np.fromiter(map(idx.__getitem__, chain.from_iterable(pairs)), np.int32, 2 * len(pairs))
+    except (KeyError, TypeError):
+        _raise_bad_pair(idx, pairs)
+    leq[ij[0::2], ij[1::2]] = True
     # the loop ends on a product that adds nothing: leq is transitive
     while True:
         closed = leq | bool_product(leq, leq)

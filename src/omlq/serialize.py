@@ -45,9 +45,56 @@ if TYPE_CHECKING:
     from .quantale import FinQuantale
 
 
+class _Encoded(dict):
+    """Each string's JSON text, by json's C encoder, once per string."""
+
+    def __missing__(self, s):
+        self[s] = out = json.encoder.encode_basestring_ascii(s)
+        return out
+
+
 def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text of json.dumps(obj, sort_keys=True, indent=2), built by
+    _indented so that a list of strings, such as a label row, an order
+    pair or "elements", is one join of encoded items rather than a pass
+    of json's pure-Python indenting encoder per item."""
+    try:
+        return _indented(obj, "\n", _Encoded()) + "\n"
+    except RecursionError:  # a cycle: json.dumps raises its own error
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _indented(obj, nl, enc) -> str:
+    """obj's text in dump_json, where nl is a newline and the indentation
+    of obj's line, and enc encodes strings."""
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        try:  # a list of strings; enc raises TypeError on any other item
+            body = ("," + inner).join(map(enc.__getitem__, obj))
+        except TypeError:
+            body = ("," + inner).join([_indented(v, inner, enc) for v in obj])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        body = ("," + inner).join([f"{enc[_key(k)]}: {_indented(v, inner, enc)}"
+                                   for k, v in sorted(obj.items())])
+        return f"{{{inner}{body}{nl}}}"
+    if isinstance(obj, str):
+        return enc[obj]
+    # a number, true, false, null, an empty list or object, or the
+    # TypeError json.dumps raises for what JSON cannot hold
+    return json.dumps(obj)
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,80 +323,185 @@ def parse_linmap(d: dict, base_dir=None) -> LinMap:
 
 _scan = json.JSONDecoder().scan_once
 _skip = json.decoder.WHITESPACE.match
+_WINDOW = 1 << 20  # bytes load_json reads into its window at a time
+_TABLES = ("mult", "action")  # arrays of label rows, read row by row
+_PAIRS = ("leq", "covers")  # arrays of label pairs, read whole
 
 
-def _next(text, i, *allowed) -> tuple[str, int]:
-    """The first character at or after i that is not whitespace, which must
-    be one of allowed, and its index."""
-    i = _skip(text, i).end()
-    c = text[i:i + 1]
+class _Window:
+    """The part of a text not yet walked past: text[i:] for the walk's
+    index i.  A window over a binary file handle reads on in chunks of
+    bytes, each at least as long as the part it keeps, and decodes them as
+    a text-mode handle does, with universal newlines; one over a whole
+    text has read all there is."""
+
+    def __init__(self, text, fh=None):
+        self.text, self.fh = text, fh
+        if fh is not None:
+            import codecs
+            import io
+
+            utf8 = codecs.getincrementaldecoder("utf-8")()
+            self.decode = io.IncrementalNewlineDecoder(utf8, translate=True).decode
+
+    def grow(self, i) -> bool:
+        """Drop text[:i] and read on, so that i becomes 0; False, with
+        nothing dropped, once the text is read to its end."""
+        if self.fh is None:
+            return False
+        tail, self.text = self.text[i:], ""
+        size = max(_WINDOW, len(tail))
+        data = self.fh.read(size)
+        if len(data) < size:  # a file reads short only at its end
+            self.fh = None
+        self.text = tail + self.decode(data, final=self.fh is None)
+        return True
+
+
+def _at(w, i) -> tuple[str, int]:
+    """The first character at or after i that is not whitespace, "" at the
+    end of the text, and its index."""
+    while True:
+        i = _skip(w.text, i).end()
+        if i < len(w.text) or not w.grow(i):
+            return w.text[i:i + 1], i
+        i = 0
+
+
+def _next(w, i, *allowed) -> tuple[str, int]:
+    """_at(w, i), whose character must be one of allowed."""
+    c, i = _at(w, i)
     if c not in allowed:
         raise ValueError(c)
     return c, i
 
 
-def _read_object(text, i, memo) -> tuple[dict, int]:
-    """The object at text[i] == "{" and the index past it.  Member objects
-    are walked in turn, a "mult" or "action" array is read by _read_table,
-    any other value by one scan_once call."""
+def _value(w, i, ahead, *allowed) -> tuple[object, str, int, int]:
+    """The value at i by one scan_once call, _next past it, and the
+    length from i to that character.  The window first grows when fewer
+    than ahead characters are left in it, so a value shorter than that is
+    scanned once.  The value counts as read once the window shows the
+    character after it, so one cut by the window's edge, a number among
+    them, is read again from a window grown to twice its length."""
+    if len(w.text) - i < ahead and w.grow(i):
+        i = 0
+    while True:
+        try:
+            value, j = _scan(w.text, i)
+            j = _skip(w.text, j).end()
+            c = w.text[j:j + 1]
+            if c in allowed:
+                return value, c, j, j - i
+        except (ValueError, StopIteration):
+            pass
+        if not w.grow(i):
+            raise ValueError(i)
+        i = 0
+
+
+def _shared(row, memo):
+    """row, rebuilt from memo when it is a list of strings only, so equal
+    labels are one object; other rows stay as read, since 1 == True must
+    not merge."""
+    if type(row) is list and set(map(type, row)) == {str}:
+        return list(map(memo.setdefault, row, row))
+    return row
+
+
+def _share_pairs(pairs, memo) -> None:
+    """Each pair of two strings in pairs takes its labels from memo, in
+    place."""
+    sd = memo.setdefault
+    for p in pairs:
+        if type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str:
+            x, y = p
+            p[0], p[1] = sd(x, x), sd(y, y)
+
+
+def _read_object(w, i, memo) -> tuple[dict, int]:
+    """The object at w.text[i] == "{" and the index past it.  Member
+    objects are walked in turn, a "mult" or "action" array is read by
+    _read_table, any other value by _value with a window of _WINDOW
+    characters ahead, and the pairs of a "leq" or "covers" array take
+    their labels from memo."""
     out = {}
-    c, i = _next(text, i + 1, '"', "}")
+    c, i = _next(w, i + 1, '"', "}")
     while c == '"':
-        key, i = _scan(text, i)
-        _, i = _next(text, i, ":")
-        i = _skip(text, i + 1).end()
-        c = text[i:i + 1]
+        key, _, i, _ = _value(w, i, _WINDOW, ":")
+        c, i = _at(w, i + 1)
         if c == "{":
-            out[key], i = _read_object(text, i, memo)
-        elif c == "[" and key in ("mult", "action"):
-            out[key], i = _read_table(text, i, memo)
+            out[key], i = _read_object(w, i, memo)
+            c, i = _next(w, i, ",", "}")
+        elif c == "[" and key in _TABLES:
+            out[key], i = _read_table(w, i, memo)
+            c, i = _next(w, i, ",", "}")
         else:
-            out[key], i = _scan(text, i)
-        c, i = _next(text, i, ",", "}")
+            out[key], c, i, _ = _value(w, i, _WINDOW, ",", "}")
+            if key in _PAIRS and type(out[key]) is list:
+                _share_pairs(out[key], memo)
         if c == ",":
-            c, i = _next(text, i + 1, '"')
+            c, i = _next(w, i + 1, '"')
     return out, i + 1
 
 
-def _read_table(text, i, memo) -> tuple[list, int]:
-    """The array at text[i] == "[", one scan_once call per row.  A row of
-    strings only is rebuilt from memo, so equal labels are one object;
-    other rows stay as read, since 1 == True must not merge."""
-    rows = []
-    i = _skip(text, i + 1).end()
-    if text[i:i + 1] == "]":
+def _read_table(w, i, memo) -> tuple[list, int]:
+    """The array at w.text[i] == "[", one _value call per row, each row
+    taken through _shared.  A row asks the window for the length of the
+    row before, so rows of one length are scanned once each; one cut by
+    the window's edge would cost a second scan and an error whose line
+    number counts the newlines of the window."""
+    rows, last = [], 0
+    c, i = _at(w, i + 1)
+    if c == "]":
         return rows, i + 1
     while True:
-        row, i = _scan(text, i)
-        if type(row) is list and set(map(type, row)) == {str}:
-            row = list(map(memo.setdefault, row, row))
-        rows.append(row)
-        c, i = _next(text, i, ",", "]")
+        row, c, i, last = _value(w, i, last, ",", "]")
+        rows.append(_shared(row, memo))
         if c == "]":
             return rows, i + 1
-        i = _skip(text, i + 1).end()
+        _, i = _at(w, i + 1)
 
 
-def _decode(text: str):
-    """json.loads(text), with an object read by _read_object, so a label
-    table holds one string per distinct label.  Any text the walk does not
-    expect goes to json.loads, which gives the value or the error."""
+def _walk(w):
+    """The object the text of w holds, walked by _read_object; None when
+    the text is not one object the walk reads."""
     try:
-        _, i = _next(text, 0, "{")
-        out, i = _read_object(text, i, {})
-        if _skip(text, i).end() == len(text):
+        _, i = _next(w, 0, "{")
+        out, i = _read_object(w, i, {})
+        if _at(w, i)[0] == "":
             return out
     except (ValueError, StopIteration, RecursionError):
         pass
-    return json.loads(text)
+    return None
+
+
+def _decode(text: str):
+    """json.loads(text), with an object walked by _walk, so a label table
+    and the order pairs hold one string per distinct label.  Any text the
+    walk does not expect goes to json.loads, which gives the value or the
+    error."""
+    out = _walk(_Window(text))
+    return json.loads(text) if out is None else out
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """_decode of the file's text, walked through a window of about
+    _WINDOW bytes, so the whole file is never held at once.  A file the
+    walk does not expect, or one that is not UTF-8, is read again whole in
+    text mode, so its value or its error is that of json.loads or of the
+    whole decode; a pipe is read whole at once."""
+    from io import TextIOWrapper
+
     try:
-        return _decode(text)
-    except json.JSONDecodeError as e:
+        with open(path, "rb") as fh:
+            if not fh.seekable():
+                return _decode(TextIOWrapper(fh, encoding="utf-8").read())
+            out = _walk(_Window("", fh))
+            if out is None:
+                fh.seek(0)
+                out = json.loads(TextIOWrapper(fh, encoding="utf-8").read())
+            return out
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: {e}") from None
 
 

@@ -416,6 +416,15 @@ def test_check_quantale_detects_broken_mult(capsys, tmp_path):
     assert "unit" in out
 
 
+@pytest.mark.parametrize("cmd", ["check-quantale", "check-foulis", "check-module", "emit"])
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, monkeypatch, cmd):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b'{"elements": ["\xff"]}')
+    assert run(capsys, cmd, "--file", "bad.json") == (2, "", (
+        "error: bad.json: 'utf-8' codec can't decode byte 0xff in position 15: "
+        "invalid start byte\n"))
+
+
 @pytest.mark.parametrize("key", ["mult", "star", "unit", "leq"])
 def test_check_quantale_file_with_a_list_label_is_an_input_error(capsys, tmp_path, key):
     # A JSON list where a label belongs is unhashable; it is an unknown

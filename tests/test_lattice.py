@@ -134,6 +134,19 @@ def test_build_lattice_rejects_unknown_and_duplicate_labels():
             build_lattice(["x", "y"], [pair])
 
 
+def test_build_lattice_reports_the_first_bad_pair():
+    # A non-pair before an unknown label, and an unknown label before a
+    # non-pair: each raises for the first of the two.
+    with pytest.raises(FormatError, match=r"order pair 5 is not a pair"):
+        build_lattice(["x", "y"], [["x", "y"], 5, ["x", "z"]])
+    with pytest.raises(FormatError, match=r"order pair \('x', 'z'\) names unknown"):
+        build_lattice(["x", "y"], [["x", "y"], ["x", "z"], 5])
+    with pytest.raises(FormatError, match=r"order pair \(\['y'\], 'x'\) names unknown"):
+        build_lattice(["x", "y"], (p for p in [("x", "y"), (["y"], "x"), "xy"]))
+    lat = build_lattice(["x", "y"], iter([["x", "y"], ("x", "x")]))
+    assert lat.le(0, 1) and not lat.le(1, 0)
+
+
 def test_build_lattice_rejects_missing_bounds():
     # Two maximal elements: the pair {a, b} has no upper bound at all.
     with pytest.raises(NotALattice) as exc:

@@ -1,14 +1,20 @@
-"""load_json reads label tables row by row with one string per label.
+"""load_json reads label tables row by row with one string per label,
+through a bounded window of the file's text.
 
 Its value equals json.loads of the file's text on every text json.loads
 accepts, with the same types (1 and True stay apart), and every text it
 rejects gives the FormatError json.loads' error would give.  A table of
-labels holds one str object per distinct label, which is what keeps the
-decode of a Lin(boolean:3) file small.
+labels and the order pairs hold one str object per distinct label, which
+is what keeps the decode of a Lin(boolean:3) file small.  The window is
+shrunk to a few characters here, so that every token, row, CRLF pair and
+multi-byte character straddles its edge somewhere.
 """
 
 import hashlib
 import json
+import os
+import tempfile
+import threading
 import tracemalloc
 
 import pytest
@@ -17,10 +23,11 @@ from hypothesis import strategies as st
 
 from omlq import FormatError, catalog, dump_json, foulis_from_lin, lin_module, load_json
 from omlq import module_to_dict, quantale_to_dict
+from omlq import serialize
 from omlq.cli import main
 from omlq.serialize import _decode
 
-KEYS = ("mult", "action", "quantale", "lattice", "elements", "unit", "a", "")
+KEYS = ("mult", "action", "leq", "covers", "quantale", "lattice", "elements", "unit", "a", "")
 SPACES = ("", " ", "\n  ", "\t\r\n ")
 
 
@@ -34,7 +41,7 @@ def outcome(f, text):
 
 
 scalars = st.one_of(
-    st.sampled_from(["a", "b", "0", "1", "", "é", "\\", '"']),
+    st.sampled_from(["a", "b", "0", "1", "", "é", "€", "\U0001f600", "\\", '"']),
     st.integers(-2, 2), st.sampled_from([1.0, 0.0, -0.0, 1e300]), st.booleans(), st.none(),
 )
 cells = st.one_of(scalars, st.lists(scalars, max_size=2))
@@ -52,15 +59,20 @@ objects = st.lists(st.tuples(st.sampled_from(KEYS), st.one_of(tables, values)),
                    max_size=5).map(tuple)
 
 
-def render(value, ws):
+EDITS = ["", ",", ":", "]", "}", "[", " ", '"', "x", "\ufeff", "\r", "\r\n"]
+
+
+def render(value, ws, ascii=True):
     """JSON text of value, a tuple of (key, value) pairs standing for an
-    object so that keys may repeat, with ws around every token."""
+    object so that keys may repeat, with ws around every token; strings
+    hold raw non-ASCII characters unless ascii."""
     if isinstance(value, tuple):
-        members = (f"{ws}{json.dumps(k)}{ws}:{ws}{render(v, ws)}{ws}" for k, v in value)
+        members = (f"{ws}{json.dumps(k, ensure_ascii=ascii)}{ws}:{ws}{render(v, ws, ascii)}{ws}"
+                   for k, v in value)
         return "{" + ",".join(members) + ws + "}"
     if isinstance(value, list):
-        return "[" + ",".join(ws + render(v, ws) + ws for v in value) + ws + "]"
-    return json.dumps(value)
+        return "[" + ",".join(ws + render(v, ws, ascii) + ws for v in value) + ws + "]"
+    return json.dumps(value, ensure_ascii=ascii)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -80,9 +92,73 @@ def test_decode_of_an_edited_text_equals_json_loads(obj, ws, data):
     text = render(obj, ws)
     i = data.draw(st.integers(0, len(text)))
     j = data.draw(st.integers(i, min(len(text), i + 2)))
-    edit = data.draw(st.sampled_from(["", ",", ":", "]", "}", "[", " ", '"', "x", "\ufeff"]))
-    text = text[:i] + edit + text[j:]
+    text = text[:i] + data.draw(st.sampled_from(EDITS)) + text[j:]
     assert outcome(_decode, text) == outcome(json.loads, text)
+
+
+WINDOWS = (1, 7, 64)
+
+
+def write(path, text):
+    """text as the file's UTF-8 bytes, with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def windowed_outcomes(text, windows=WINDOWS, walked=False):
+    """load_json's outcome on a file holding text, once per window size,
+    and the outcome json.loads gives on the file's text read whole, with
+    its error as load_json raises it.  With walked, the walk must read
+    the file itself, rather than hand it to json.loads."""
+    walk = serialize._walk
+
+    def walk_to_the_end(w):
+        out = walk(w)
+        assert out is not None, "the walk handed the file to json.loads"
+        return out
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        write(path, text)
+        with open(path, encoding="utf-8") as fh:
+            want = outcome(json.loads, fh.read())
+        if want[0] == "error":
+            want = ("error", "FormatError", f"{path}: {want[2]}")
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            if walked:
+                mp.setattr(serialize, "_walk", walk_to_the_end)
+            for window in windows:
+                mp.setattr(serialize, "_WINDOW", window)
+                got.append(outcome(load_json, path))
+    return got, want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(objects, st.sampled_from(SPACES), st.booleans())
+def test_load_json_through_small_windows_equals_json_loads(obj, ws, ascii):
+    got, want = windowed_outcomes(render(obj, ws, ascii), walked=True)
+    assert got == [want] * len(WINDOWS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(objects, st.sampled_from(SPACES), st.booleans(), st.data())
+def test_load_json_of_an_edited_text_through_small_windows_equals_json_loads(obj, ws, ascii, data):
+    text = render(obj, ws, ascii)
+    i = data.draw(st.integers(0, len(text)))
+    j = data.draw(st.integers(i, min(len(text), i + 2)))
+    text = text[:i] + data.draw(st.sampled_from(EDITS)) + text[j:]
+    got, want = windowed_outcomes(text)
+    assert got == [want] * len(WINDOWS)
+
+
+def test_numbers_cut_by_the_window_edge_are_read_whole():
+    # The first window ends at every character in turn: a number cut by it
+    # ("1" of "1.5e3") is read again, never taken for the shorter one.
+    text = '{"a":1.5e3,"b": -20 ,"c":[1, 2.25],"unit":123,"d":{"e":4.0}}'
+    got, want = windowed_outcomes(text, range(1, len(text) + 1), walked=True)
+    assert want[0] == "value"
+    assert got == [want] * len(text)
 
 
 def test_table_rows_with_numbers_or_true_are_kept_as_read():
@@ -90,6 +166,15 @@ def test_table_rows_with_numbers_or_true_are_kept_as_read():
     d = _decode(text)
     assert repr(d) == repr(json.loads(text))
     assert d["mult"][2][0] is d["mult"][2][1]
+
+
+def test_order_pairs_with_numbers_or_true_are_kept_as_read():
+    text = ('{"mult": [["ab"]], '
+            '"leq": [[1, true], [true, 1], ["ab", 1], ["ab", "ab", "ab"], ["ab", "ab"]]}')
+    d = _decode(text)
+    assert repr(d) == repr(json.loads(text))
+    assert d["leq"][4][0] is d["leq"][4][1] is d["mult"][0][0]
+    assert d["leq"][3][0] is not d["leq"][3][1]
 
 
 MODULE = dump_json(module_to_dict(lin_module(foulis_from_lin(catalog("boolean:1"))[0].base)))
@@ -119,11 +204,73 @@ def test_malformed_files_give_the_json_loads_error(tmp_path, name):
     assert str(got.value) == f"{path}: {want.value}"
 
 
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_files_through_small_windows_give_the_json_loads_error(name):
+    got, want = windowed_outcomes(MALFORMED[name])
+    assert want[0] == "error"
+    assert got == [want] * len(WINDOWS)
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"mult"', " 7 ", "{}", '{"a": {}}', MODULE])
 def test_well_formed_files_read_as_json_loads(tmp_path, text):
     path = tmp_path / "ok.json"
     path.write_text(text, encoding="utf-8")
     assert repr(load_json(str(path))) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("window", (*WINDOWS, 1 << 20))
+def test_a_crlf_file_reads_as_its_lf_text(tmp_path, window, monkeypatch):
+    path = tmp_path / "crlf.json"
+    write(path, MODULE.replace("\n", "\r\n"))
+    monkeypatch.setattr(serialize, "_WINDOW", window)
+    assert repr(load_json(str(path))) == repr(json.loads(MODULE))
+
+
+def test_a_file_shorter_than_one_window_is_walked(tmp_path):
+    path = tmp_path / "short.json"
+    write(path, MODULE)
+    assert len(MODULE) < serialize._WINDOW
+    d = load_json(str(path))
+    assert repr(d) == repr(json.loads(MODULE))
+    # one string per label: the walk read it, not json.loads
+    cells = [lab for row in d["quantale"]["mult"] for lab in row]
+    assert len({id(lab) for lab in cells}) == len(set(cells))
+
+
+@pytest.mark.parametrize("tail", ["{}", "x", "\n"])
+def test_data_past_the_first_window_is_read(tail):
+    # A value followed by whitespace to past the first window's edge, then
+    # tail: extra data is json.loads' error, whitespace is no error.
+    text = MODULE + " " * serialize._WINDOW + tail
+    got, want = windowed_outcomes(text, [serialize._WINDOW])
+    assert got == [want]
+    assert want[0] == ("value" if tail == "\n" else "error")
+
+
+@pytest.mark.parametrize("window", (*WINDOWS, 1 << 20))
+@pytest.mark.parametrize("at", [0, 15, len(MODULE) // 2, len(MODULE) - 1])
+def test_a_file_that_is_not_utf8_gives_the_whole_file_position(tmp_path, monkeypatch, window, at):
+    data = MODULE.encode()
+    path = tmp_path / "bad.json"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(UnicodeDecodeError) as want:
+        path.read_text(encoding="utf-8")
+    monkeypatch.setattr(serialize, "_WINDOW", window)
+    with pytest.raises(FormatError) as got:
+        load_json(str(path))
+    assert str(got.value) == f"{path}: {want.value}"
+    assert f"position {at}:" in str(got.value)
+
+
+def test_a_pipe_is_read_whole(tmp_path):
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=write, args=(path, MODULE))
+    writer.start()
+    try:
+        assert repr(load_json(str(path))) == repr(json.loads(MODULE))
+    finally:
+        writer.join()
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +302,18 @@ def test_lin_b3_mult_holds_one_string_per_label(lin_b3_file):
     assert len({id(lab) for row in plain["mult"] for lab in row}) == 512 * 512
     assert decode_peak(_decode, text) < 10e6
     assert decode_peak(json.loads, text) > 20e6
+
+
+def test_lin_b3_order_pairs_hold_the_labels_of_the_table(lin_b3_file):
+    d = load_json(str(lin_b3_file))
+    table = {id(lab) for row in d["mult"] for lab in row}
+    pairs = {id(lab) for pair in d["leq"] for lab in pair}
+    assert len(d["leq"]) == 19_171 and pairs == table and len(table) == 512
+
+
+def test_load_json_of_lin_b3_with_its_read_stays_below_10_mb(lin_b3_file):
+    # Reading the 9.1 MB text whole and decoding it peaks at 18.2 MB.
+    assert decode_peak(load_json, str(lin_b3_file)) < 10e6
 
 
 def test_module_file_shares_the_labels_of_its_nested_mult_and_its_action(fq_mo2):

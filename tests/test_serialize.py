@@ -1,10 +1,13 @@
 """JSON round trips for every structure kind, input resolution order,
 canonical text output, and DOT rendering."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlq import (
     FiniteLattice,
@@ -36,6 +39,7 @@ from omlq import (
     structure_to_dict,
     to_dot,
 )
+from omlq.cli import main
 from omlq.serialize import foulis_to_dict
 
 
@@ -245,6 +249,71 @@ def test_parse_module_rejects_unknown_action_labels(fq_b2):
 def test_dump_json_is_canonical():
     text = dump_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+json_scalars = st.one_of(
+    st.text(max_size=3), st.sampled_from(["a", "é", "\U0001f600", '"', "\\", "\n"]),
+    st.integers(-3, 3), st.floats(allow_nan=True), st.booleans(), st.none(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.text(max_size=2), max_size=4),  # a row of labels
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=2), inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
+                                  st.floats(allow_nan=False)), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+def dumps_outcome(f, obj):
+    try:
+        return "text", f(obj)
+    except Exception as e:
+        return "error", type(e).__name__, str(e)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(json_values)
+def test_dump_json_equals_json_dumps(obj):
+    def reference(o):
+        return json.dumps(o, sort_keys=True, indent=2) + "\n"
+
+    assert dumps_outcome(dump_json, obj) == dumps_outcome(reference, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": 1, 2: 3},  # keys that do not sort
+    {(1, 2): 3},  # a key JSON cannot hold
+    [b"x"], ["a", b"x"], {"a": [1, object()]},  # values JSON cannot hold
+])
+def test_dump_json_raises_the_json_dumps_error(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        dump_json(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_dump_json_of_a_cycle_raises_the_json_dumps_error():
+    obj = [["a"]]
+    obj[0].append(obj)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dump_json(obj)
+
+
+# sha256 of `lin-quantale --catalog boolean:3 --format json`, as pinned by
+# the benchmark's mutants-b3 workload.
+LIN_B3_SHA256 = "203431c971c8bfe38b8eccb1e8c39b897251e875d31791456ae8a6f05629f982"
+
+
+def test_lin_quantale_b3_json_prints_pinned_bytes(capsys):
+    assert main(["lin-quantale", "--catalog", "boolean:3", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == LIN_B3_SHA256
 
 
 # ---------------------------------------------------------------------------
