@@ -2,7 +2,7 @@
 
 Exit codes: 0 every requested check passed; 1 a mathematical law is
 violated (a witness is reported); 2 usage, parse, or input errors, and
-quantales too large for dense tables.  The one nuance is enumeration caps:
+quantales too large for dense tables or lattices too large to build.  The one nuance is enumeration caps:
 `lin` reports a blown cap as exit 1 (the requested enumeration is the
 result, and it is too large), all other commands treat it as exit 2.  A
 step of the enumeration beyond the desk-scale limit (FrontierTooLarge) is

@@ -61,7 +61,8 @@ class FrontierTooLarge(CapExceeded):
 
 
 class TableTooLarge(OmlqError):
-    """A quantale's dense tables would not fit in memory; refused unbuilt."""
+    """A quantale's dense tables would not fit in memory, or a lattice has
+    too many elements to close its order in time; refused unbuilt."""
 
 
 class NotFoulis(OmlqError):

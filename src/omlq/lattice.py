@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, NotALattice, NotAPoset
+from .errors import FormatError, NotALattice, NotAPoset, TableTooLarge
 from .scan import first_hit
 
 
@@ -37,17 +37,29 @@ def cell_dtype(n) -> np.dtype:
     return np.dtype(np.int16 if n <= 1 << 15 else np.int32)
 
 
+# Rows of a that bool_product multiplies at once: BLAS runs blocks of 128
+# rows about as fast as the whole product, and the block of a 512-element
+# order takes a quarter of its float32 copy.
+_PRODUCT_ROWS = 128
+
+
 def bool_product(a, b) -> np.ndarray:
     """Boolean matrix product: entry (i, j) is whether a[i, k] and b[k, j]
     for some k.
 
     Computed through BLAS as a float32 product of 0/1 matrices.  Every
     entry counts at most a.shape[1] < 2**24 paths, and float32 holds every
-    such count exactly, so the result is exact.  A square a @ a converts a
-    once.
+    such count exactly, so the result is exact.  b is converted once and a
+    in blocks of _PRODUCT_ROWS rows, so a square a @ a holds one float32
+    copy of a.
     """
-    fa = a.astype(np.float32)
-    return (fa @ (fa if b is a else b.astype(np.float32))) > 0
+    fb = b.astype(np.float32)
+    fa = fb if b is a else a
+    out = np.empty((a.shape[0], b.shape[1]), dtype=bool)
+    for lo in range(0, a.shape[0], _PRODUCT_ROWS):
+        block = fa[lo : lo + _PRODUCT_ROWS].astype(np.float32, copy=False)
+        out[lo : lo + _PRODUCT_ROWS] = block @ fb > 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +398,72 @@ def lattice_from_order(labels, leq) -> FiniteLattice:
     return FiniteLattice(labels, leq, join_tab, None, bottom, top)
 
 
+class LabelMemo(dict):
+    """The code of each label, numbered in order of first sight; labels
+    lists them by code, one string object per label.  Looking up anything
+    but a string raises TypeError, so 1 and True are never numbered."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = []
+
+    def __missing__(self, label):
+        if not isinstance(label, str):
+            raise TypeError(label)
+        self[label] = code = len(self.labels)
+        self.labels.append(label)
+        return code
+
+
+class LabelCodes:
+    """A table of labels as an integer array of codes, rows of one length:
+    cell code c stands for labels[c]."""
+
+    __slots__ = ("codes", "labels")
+
+    def __init__(self, codes, labels):
+        self.codes, self.labels = codes, labels
+
+    def tolist(self) -> list[list[str]]:
+        """The rows as lists of labels."""
+        labels = self.labels
+        return [[labels[c] for c in row] for row in self.codes.tolist()]
+
+    def indices(self, index, dtype) -> np.ndarray:
+        """The table with each label replaced by index[label], and by -1
+        where index has none: one lookup per label and one take."""
+        lut = np.fromiter((index.get(lab, -1) for lab in self.labels), dtype, len(self.labels))
+        return lut.take(self.codes)
+
+
+def label_codes(chunks, memo=None):
+    """The rows of an iterable of lists of rows as LabelCodes numbered by
+    memo (a fresh LabelMemo by default) when every row is a list or tuple
+    of strings as long as the first; otherwise the list of the rows, those
+    coded before the first other chunk given back as lists of labels.  A
+    chunk is checked and coded by C loops, so it may be a few rows as they
+    are read or a whole table."""
+    memo = LabelMemo() if memo is None else memo
+    codes, size, height, width = np.empty(0, np.intc), 0, 0, None
+    chunks = iter(chunks)
+    for chunk in chunks:
+        if width is None and chunk and isinstance(chunk[0], (list, tuple)):
+            width = len(chunk[0])
+        try:
+            if not all(map(isinstance, chunk, repeat((list, tuple)))) or set(map(len, chunk)) - {width}:
+                raise TypeError
+            part = np.fromiter(map(memo.__getitem__, chain.from_iterable(chunk)), np.intc)
+        except TypeError:
+            done = LabelCodes(codes[:size].reshape(height, width or 0), memo.labels)
+            return [*done.tolist(), *chunk, *chain.from_iterable(chunks)]
+        if size + part.size > codes.size:  # grown by realloc, a quarter ahead
+            codes.resize((size + part.size) * 5 // 4, refcheck=False)
+        codes[size : size + part.size] = part
+        size, height = size + part.size, height + len(chunk)
+    codes.resize(size, refcheck=False)
+    return LabelCodes(codes.reshape(height, width or 0), memo.labels)
+
+
 def _raise_bad_pair(idx, pairs):
     """The FormatError for the first of pairs that is not a pair of two
     labels in idx."""
@@ -393,34 +471,51 @@ def _raise_bad_pair(idx, pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"order pair {pair!r} is not a pair")
         x, y = pair
-        try:
-            idx[x], idx[y]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements") from None
+        if not (isinstance(x, str) and isinstance(y, str) and x in idx and y in idx):
+            raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements")
+
+
+# Closing the order squares the n-by-n order matrix until it stops
+# growing: up to log2(n) float32 products of n^3 steps, the most for a
+# chain given by its covers.  On the 2-core reference machine a chain took
+# 0.07 s at n = 512, 0.4 s at 1,024, 3-4 s at 2,048 and 27-35 s at 4,096,
+# about nine times as long per doubling, so 8,192 elements would take
+# about 5 minutes and 20,000 more than an hour.  The largest lattice the
+# catalog can name, product(boolean:4,product(boolean:4,boolean:4)), has
+# 4,096 elements.
+LATTICE_ELEMENT_LIMIT = 4096
 
 
 def build_lattice(labels, leq_pairs) -> FiniteLattice:
-    """Lattice from labels and order pairs (covers or full order).
+    """Lattice from string labels and order pairs (covers or full order).
 
-    Raises NotAPoset when the closure breaks antisymmetry and NotALattice
-    when some pair has no least upper or greatest lower bound.
+    leq_pairs is a LabelCodes table or an iterable of pairs, coded by
+    label_codes; either way each label is looked up once.  Raises
+    TableTooLarge, before any n-by-n array, when there are more than
+    LATTICE_ELEMENT_LIMIT labels, NotAPoset when the closure breaks
+    antisymmetry and NotALattice when some pair has no least upper or
+    greatest lower bound.
     """
     labels = tuple(labels)
     if not labels:
         raise FormatError("no elements")
     if len(set(labels)) != len(labels):
         raise FormatError("element labels are not distinct")
-    idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
+    if n > LATTICE_ELEMENT_LIMIT:
+        raise TableTooLarge(
+            f"a lattice of {n} elements is above the limit of "
+            f"{LATTICE_ELEMENT_LIMIT} elements"
+        )
+    idx = {lab: i for i, lab in enumerate(labels)}
+    pairs = leq_pairs if isinstance(leq_pairs, LabelCodes) else list(leq_pairs)
+    table = pairs if isinstance(pairs, LabelCodes) else label_codes([pairs])
+    ij = table.indices(idx, np.intp) if isinstance(table, LabelCodes) else None
+    if ij is None or len(ij) and (ij.shape[1] != 2 or ij.min() < 0):
+        _raise_bad_pair(idx, table.tolist() if pairs is table else pairs)
     leq = np.eye(n, dtype=bool)
-    pairs = list(leq_pairs)
-    try:  # every pair's two indices in one pass; TypeError: a non-pair or an unhashable label
-        if not all(map(isinstance, pairs, repeat((list, tuple)))) or set(map(len, pairs)) - {2}:
-            raise TypeError
-        ij = np.fromiter(map(idx.__getitem__, chain.from_iterable(pairs)), np.int32, 2 * len(pairs))
-    except (KeyError, TypeError):
-        _raise_bad_pair(idx, pairs)
-    leq[ij[0::2], ij[1::2]] = True
+    if len(ij):
+        leq[ij[:, 0], ij[:, 1]] = True
     # the loop ends on a product that adds nothing: leq is transitive
     while True:
         closed = leq | bool_product(leq, leq)

@@ -18,6 +18,11 @@ strict order under "leq", so parse(emit(x)) reproduces x exactly.
 
 String specifications resolve catalog-first, then as file paths.
 
+load_json gives each "mult", "action", "leq" or "covers" array whose rows
+are lists of strings of one length as a LabelCodes array of label codes;
+the parsers code a table given as lists the same way, so both forms go
+through one decode.
+
 Only the lattice layers are imported here.  A parse function imports the
 quantale, Foulis, module or map layer when it builds one of those
 structures, and the type dispatch of structure_to_dict and to_dot when
@@ -30,13 +35,23 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .catalog import catalog
 from .errors import FormatError, UnknownCatalogEntry
-from .lattice import FiniteLattice, FiniteOML, build_lattice, cell_dtype
+from .lattice import (
+    FiniteLattice,
+    FiniteOML,
+    LabelCodes,
+    LabelMemo,
+    build_lattice,
+    cell_dtype,
+    label_codes,
+)
 
 if TYPE_CHECKING:
     from .foulis import FoulisQuantale
@@ -59,7 +74,8 @@ def dump_json(obj) -> str:
     The text of json.dumps(obj, sort_keys=True, indent=2), built by
     _indented so that a list of strings, such as a label row, an order
     pair or "elements", is one join of encoded items rather than a pass
-    of json's pure-Python indenting encoder per item."""
+    of json's pure-Python indenting encoder per item, and a list of such
+    lists, such as a label table, is one pass over its rows."""
     try:
         return _indented(obj, "\n", _Encoded()) + "\n"
     except RecursionError:  # a cycle: json.dumps raises its own error
@@ -74,7 +90,7 @@ def _indented(obj, nl, enc) -> str:
         try:  # a list of strings; enc raises TypeError on any other item
             body = ("," + inner).join(map(enc.__getitem__, obj))
         except TypeError:
-            body = ("," + inner).join([_indented(v, inner, enc) for v in obj])
+            body = _items(obj, inner, enc)
         return f"[{inner}{body}{nl}]"
     if isinstance(obj, dict) and obj:
         inner = nl + "  "
@@ -86,6 +102,21 @@ def _indented(obj, nl, enc) -> str:
     # a number, true, false, null, an empty list or object, or the
     # TypeError json.dumps raises for what JSON cannot hold
     return json.dumps(obj)
+
+
+def _items(obj, inner, enc) -> str:
+    """The items of a list in _indented, where inner is their newline and
+    indentation: one join of the rows' joins when every item is a nonempty
+    list of strings, such as the rows of a label table, and _indented of
+    each item otherwise."""
+    if all(map(isinstance, obj, repeat((list, tuple)))) and all(obj):
+        cell = inner + "  "
+        try:
+            rows = [("," + cell).join(map(enc.__getitem__, row)) for row in obj]
+            return f"[{cell}" + f"{inner}],{inner}[{cell}".join(rows) + f"{inner}]"
+        except TypeError:
+            pass
+    return ("," + inner).join([_indented(v, inner, enc) for v in obj])
 
 
 def _key(k) -> str:
@@ -186,7 +217,7 @@ def _order_pairs(d: dict):
         pairs = d["covers"]
     else:
         raise FormatError('missing "leq" (or "covers") relation')
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, (list, LabelCodes)):
         raise FormatError("order relation must be a list of pairs")
     return pairs
 
@@ -229,23 +260,25 @@ def _label_array(lat, mapping, what) -> np.ndarray:
     return out
 
 
-def _label_table(lat, rows, height, message) -> np.ndarray:
-    """A height-by-lat.n table of labels as indices of cell_dtype(lat.n),
-    one dict lookup per cell.  A row with an unknown label is decoded again
-    through lat.index, which raises its error for the first such label."""
+def _label_table(lat, table, height, message) -> np.ndarray:
+    """A height-by-lat.n table of labels as indices of cell_dtype(lat.n).
+    table is a LabelCodes array from load_json or rows of labels, which
+    label_codes codes; the codes take one lookup per label and one take.
+    Any other table, or one naming an unknown label, raises the error of
+    its first bad row or label in row-major order."""
+    codes = label_codes([table]) if isinstance(table, list) else table
+    if isinstance(codes, LabelCodes) and codes.codes.shape == (height, lat.n):
+        out = codes.indices({lab: i for i, lab in enumerate(lat.labels)}, cell_dtype(lat.n))
+        if out.min() >= 0:
+            return out
+    rows = table.tolist() if isinstance(table, LabelCodes) else table
     if not isinstance(rows, list) or len(rows) != height:
         raise FormatError(message)
-    index = {lab: i for i, lab in enumerate(lat.labels)}
-    cell = cell_dtype(lat.n)
-    out = np.empty((height, lat.n), dtype=cell)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != lat.n:
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != lat.n:
             raise FormatError(message)
-        try:
-            out[i] = np.fromiter(map(index.__getitem__, row), cell, lat.n)
-        except (KeyError, TypeError):
-            out[i] = [lat.index(lab) for lab in row]
-    return out
+        for lab in row:
+            lat.index(lab)
 
 
 def parse_quantale(d: dict):
@@ -324,8 +357,9 @@ def parse_linmap(d: dict, base_dir=None) -> LinMap:
 _scan = json.JSONDecoder().scan_once
 _skip = json.decoder.WHITESPACE.match
 _WINDOW = 1 << 20  # bytes load_json reads into its window at a time
-_TABLES = ("mult", "action")  # arrays of label rows, read row by row
-_PAIRS = ("leq", "covers")  # arrays of label pairs, read whole
+_TABLES = ("mult", "action", "leq", "covers")  # label rows, coded as read
+_CHUNK = 1 << 16  # characters of rows _read_table scans at once, at least
+_CUT = re.compile(r"\][ \t\n\r]*,")  # a row's end and the comma after it
 
 
 class _Window:
@@ -376,13 +410,13 @@ def _next(w, i, *allowed) -> tuple[str, int]:
     return c, i
 
 
-def _value(w, i, ahead, *allowed) -> tuple[object, str, int, int]:
-    """The value at i by one scan_once call, _next past it, and the
-    length from i to that character.  The window first grows when fewer
-    than ahead characters are left in it, so a value shorter than that is
-    scanned once.  The value counts as read once the window shows the
-    character after it, so one cut by the window's edge, a number among
-    them, is read again from a window grown to twice its length."""
+def _value(w, i, ahead, *allowed) -> tuple[object, str, int]:
+    """The value at i by one scan_once call and _next past it.  The
+    window first grows when fewer than ahead characters are left in it,
+    so a value shorter than that is scanned once.  The value counts as
+    read once the window shows the character after it, so one cut by the
+    window's edge, a number among them, is read again from a window grown
+    to twice its length."""
     if len(w.text) - i < ahead and w.grow(i):
         i = 0
     while True:
@@ -391,7 +425,7 @@ def _value(w, i, ahead, *allowed) -> tuple[object, str, int, int]:
             j = _skip(w.text, j).end()
             c = w.text[j:j + 1]
             if c in allowed:
-                return value, c, j, j - i
+                return value, c, j
         except (ValueError, StopIteration):
             pass
         if not w.grow(i):
@@ -399,35 +433,17 @@ def _value(w, i, ahead, *allowed) -> tuple[object, str, int, int]:
         i = 0
 
 
-def _shared(row, memo):
-    """row, rebuilt from memo when it is a list of strings only, so equal
-    labels are one object; other rows stay as read, since 1 == True must
-    not merge."""
-    if type(row) is list and set(map(type, row)) == {str}:
-        return list(map(memo.setdefault, row, row))
-    return row
-
-
-def _share_pairs(pairs, memo) -> None:
-    """Each pair of two strings in pairs takes its labels from memo, in
-    place."""
-    sd = memo.setdefault
-    for p in pairs:
-        if type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str:
-            x, y = p
-            p[0], p[1] = sd(x, x), sd(y, y)
-
-
 def _read_object(w, i, memo) -> tuple[dict, int]:
     """The object at w.text[i] == "{" and the index past it.  Member
-    objects are walked in turn, a "mult" or "action" array is read by
-    _read_table, any other value by _value with a window of _WINDOW
-    characters ahead, and the pairs of a "leq" or "covers" array take
-    their labels from memo."""
+    objects are walked in turn, a "mult", "action", "leq" or "covers"
+    array is read by _read_table, any other value by _value with a window
+    of _WINDOW characters ahead, and an "elements" list of strings is
+    numbered in memo, so that tables read after it code each element by
+    its index."""
     out = {}
     c, i = _next(w, i + 1, '"', "}")
     while c == '"':
-        key, _, i, _ = _value(w, i, _WINDOW, ":")
+        key, _, i = _value(w, i, _WINDOW, ":")
         c, i = _at(w, i + 1)
         if c == "{":
             out[key], i = _read_object(w, i, memo)
@@ -436,30 +452,55 @@ def _read_object(w, i, memo) -> tuple[dict, int]:
             out[key], i = _read_table(w, i, memo)
             c, i = _next(w, i, ",", "}")
         else:
-            out[key], c, i, _ = _value(w, i, _WINDOW, ",", "}")
-            if key in _PAIRS and type(out[key]) is list:
-                _share_pairs(out[key], memo)
+            out[key], c, i = _value(w, i, _WINDOW, ",", "}")
+            if key == "elements":  # numbered in memo when it is a list of strings
+                label_codes([[out[key]]], memo)
         if c == ",":
             c, i = _next(w, i + 1, '"')
     return out, i + 1
 
 
-def _read_table(w, i, memo) -> tuple[list, int]:
-    """The array at w.text[i] == "[", one _value call per row, each row
-    taken through _shared.  A row asks the window for the length of the
-    row before, so rows of one length are scanned once each; one cut by
-    the window's edge would cost a second scan and an error whose line
-    number counts the newlines of the window."""
-    rows, last = [], 0
-    c, i = _at(w, i + 1)
-    if c == "]":
-        return rows, i + 1
-    while True:
-        row, c, i, last = _value(w, i, last, ",", "]")
-        rows.append(_shared(row, memo))
-        if c == "]":
-            return rows, i + 1
-        _, i = _at(w, i + 1)
+def _read_table(w, i, memo) -> tuple[object, int]:
+    """The array at w.text[i] == "[" as label_codes gives it, numbered by
+    memo, and the index past it.  Rows are read in chunks, each coded
+    before the next is read.  A chunk is the text from a row's start to
+    the first "]," at least _CHUNK characters on, scanned as an array by
+    one scan_once call: a scan that reads all of it has read whole rows,
+    and one that stops early has read the rows up to the table's closing
+    bracket.  Once a chunk does not scan, as when a label holds "]," or a
+    row is longer than the chunk, the rest of the table is read row by row
+    by _value."""
+    end = [i + 1]
+
+    def chunks():
+        c, i = _at(w, end[0])
+        whole = True
+        while c != "]":
+            rows = []
+            if whole:
+                if len(w.text) - i < 2 * _CHUNK and w.grow(i):
+                    i = 0
+                text = w.text
+                m = _CUT.search(text, i + _CHUNK)
+                k = m.start() + 1 if m else min(len(text), i + 2 * _CHUNK)
+                try:
+                    rows, n = _scan(f"[{text[i:k]}]", 0)
+                except (ValueError, StopIteration):
+                    pass
+                if rows and m and n == k - i + 2:
+                    c, j = ",", m.end() - 1
+                elif rows and n < k - i + 2:
+                    c, j = "]", i + n - 2
+                else:
+                    rows, whole = [], False
+            if not rows:
+                row, c, j = _value(w, i, 0, ",", "]")
+                rows = [row]
+            yield rows
+            i = _at(w, j + 1)[1] if c == "," else j
+        end[0] = i + 1
+
+    return label_codes(chunks(), memo), end[0]
 
 
 def _walk(w):
@@ -467,7 +508,7 @@ def _walk(w):
     the text is not one object the walk reads."""
     try:
         _, i = _next(w, 0, "{")
-        out, i = _read_object(w, i, {})
+        out, i = _read_object(w, i, LabelMemo())
         if _at(w, i)[0] == "":
             return out
     except (ValueError, StopIteration, RecursionError):
@@ -476,10 +517,10 @@ def _walk(w):
 
 
 def _decode(text: str):
-    """json.loads(text), with an object walked by _walk, so a label table
-    and the order pairs hold one string per distinct label.  Any text the
-    walk does not expect goes to json.loads, which gives the value or the
-    error."""
+    """json.loads(text), with an object walked by _walk, so that each label
+    table and order relation of equal-length rows of strings is one
+    LabelCodes array.  Any text the walk does not expect goes to
+    json.loads, which gives the value or the error."""
     out = _walk(_Window(text))
     return json.loads(text) if out is None else out
 

@@ -828,6 +828,28 @@ def test_installed_entry_point():
     assert "boolean:1" in proc.stdout
 
 
+def test_a_lattice_file_past_the_element_limit_is_refused_before_allocation(
+        capsys, tmp_path, monkeypatch):
+    # A chain given by its covers needs about log2(n) squarings of its
+    # n-by-n order to close; one element past the limit is refused before
+    # the first of them, with the exit code of an input too large.
+    import omlq.lattice as lattice
+
+    def no_product(a, b):
+        raise AssertionError("the order was closed")
+
+    monkeypatch.setattr(lattice, "bool_product", no_product)
+    n = lattice.LATTICE_ELEMENT_LIMIT + 1
+    labels = [f"c{i}" for i in range(n)]
+    chain = {"elements": labels, "covers": [[x, y] for x, y in zip(labels, labels[1:])],
+             "ortho": {labels[0]: labels[-1]}}
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(chain))
+    code, out, err = run(capsys, "check-oml", "--file", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: a lattice of {n} elements is above the limit of {n - 1} elements\n"
+
+
 def test_lin_quantale_too_large_is_refused_before_allocation():
     # boolean:4 has 65,536 endomaps: 65,536^2 cells of dense tables at
     # 9 bytes each.  The child gets a 2 GiB address-space limit, so a guard

@@ -260,6 +260,7 @@ json_values = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(st.text(max_size=2), max_size=4),  # a row of labels
+        st.lists(st.lists(st.text(max_size=2), max_size=3), max_size=4),  # a label table
         st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(st.text(max_size=2), inner, max_size=4),
         st.dictionaries(st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
@@ -314,6 +315,17 @@ def test_lin_quantale_b3_json_prints_pinned_bytes(capsys):
     assert main(["lin-quantale", "--catalog", "boolean:3", "--format", "json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == LIN_B3_SHA256
+
+
+# sha256 of `lin --catalog boolean:4 --format json`: 65,536 rows of 16
+# labels, each row written by one join.
+LIN_B4_MAPS_SHA256 = "dd3202a54bcfa4e938cc2eab6cf7e76c39cda839df97bf69aad3ca3ceecf9f7c"
+
+
+def test_lin_b4_json_prints_pinned_bytes(capsys):
+    assert main(["lin", "--catalog", "boolean:4", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == LIN_B4_MAPS_SHA256
 
 
 # ---------------------------------------------------------------------------
