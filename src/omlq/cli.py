@@ -2,11 +2,12 @@
 
 Exit codes: 0 every requested check passed; 1 a mathematical law is
 violated (a witness is reported); 2 usage, parse, or input errors, and
-quantales too large for dense tables or lattices too large to build.  The one nuance is enumeration caps:
-`lin` reports a blown cap as exit 1 (the requested enumeration is the
-result, and it is too large), all other commands treat it as exit 2.  A
-step of the enumeration beyond the desk-scale limit (FrontierTooLarge) is
-an input too large, exit 2 in `lin` as well.
+quantales too large for dense tables or lattices too large to build.  The
+one nuance is enumeration caps: `lin` reports a blown cap as exit 1 (the
+requested enumeration is the result, and it is too large), all other
+commands treat it as exit 2.  A step of the enumeration beyond the
+desk-scale limit (FrontierTooLarge) is an input too large, exit 2 in `lin`
+as well.
 
 Inputs are given as --catalog SPEC (see `omlq catalog`) or --file PATH.
 Reports are printed as text by default; --format json emits the full
@@ -82,8 +83,11 @@ def _input_oml(args):
 def _input_foulis(args):
     """The input as a Foulis quantale: catalog entries go through their
     endomorphism quantale; files hold quantale tables, deriving sai when
-    the file does not carry one."""
+    the file does not carry one.  derive_sai assumes the quantale and
+    involution laws, so a file without sai that fails one is refused
+    (exit 2) with the first failed law and its witness."""
     from .foulis import FoulisQuantale, derive_sai, foulis_from_lin
+    from .quantale import check_involutive, check_quantale
     from .serialize import load_json, parse_quantale
 
     _need_input(args)
@@ -92,6 +96,13 @@ def _input_foulis(args):
     q = parse_quantale(load_json(args.file))
     if isinstance(q, FoulisQuantale):
         return q, args.file
+    for check in (check_quantale, check_involutive):
+        report = check(q, workers=_workers(args))
+        if not report.passed:
+            v = report.violations[0]
+            raise FormatError(f"{args.file}: {report.subject} law {v.axiom} fails at "
+                              f"({', '.join(v.witness)}); sai is derived only for an "
+                              "involutive quantale")
     return FoulisQuantale(q, derive_sai(q)), args.file
 
 

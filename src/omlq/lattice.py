@@ -431,31 +431,27 @@ class LabelCodes:
 
     def indices(self, index, dtype) -> np.ndarray:
         """The table with each label replaced by index[label], and by -1
-        where index has none: one lookup per label and one take."""
+        where index has none: one lookup per label and one gather.  The
+        gather indexes by the int32 codes, which numpy casts in buffered
+        blocks, where take would first copy them whole as intp."""
         lut = np.fromiter((index.get(lab, -1) for lab in self.labels), dtype, len(self.labels))
-        return lut.take(self.codes)
+        return lut[self.codes]
 
 
-def label_codes(chunks, memo=None):
+def label_codes(chunks, memo=None) -> LabelCodes:
     """The rows of an iterable of lists of rows as LabelCodes numbered by
-    memo (a fresh LabelMemo by default) when every row is a list or tuple
-    of strings as long as the first; otherwise the list of the rows, those
-    coded before the first other chunk given back as lists of labels.  A
-    chunk is checked and coded by C loops, so it may be a few rows as they
-    are read or a whole table."""
+    memo (a fresh LabelMemo by default); TypeError unless every row is a
+    list or tuple of strings as long as the first.  A chunk is checked and
+    coded by C loops, so it may be a few rows as they are read or a whole
+    table."""
     memo = LabelMemo() if memo is None else memo
     codes, size, height, width = np.empty(0, np.intc), 0, 0, None
-    chunks = iter(chunks)
     for chunk in chunks:
         if width is None and chunk and isinstance(chunk[0], (list, tuple)):
             width = len(chunk[0])
-        try:
-            if not all(map(isinstance, chunk, repeat((list, tuple)))) or set(map(len, chunk)) - {width}:
-                raise TypeError
-            part = np.fromiter(map(memo.__getitem__, chain.from_iterable(chunk)), np.intc)
-        except TypeError:
-            done = LabelCodes(codes[:size].reshape(height, width or 0), memo.labels)
-            return [*done.tolist(), *chunk, *chain.from_iterable(chunks)]
+        if not all(map(isinstance, chunk, repeat((list, tuple)))) or set(map(len, chunk)) - {width}:
+            raise TypeError("not rows of labels of one length")
+        part = np.fromiter(map(memo.__getitem__, chain.from_iterable(chunk)), np.intc)
         if size + part.size > codes.size:  # grown by realloc, a quarter ahead
             codes.resize((size + part.size) * 5 // 4, refcheck=False)
         codes[size : size + part.size] = part
@@ -509,10 +505,13 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
         )
     idx = {lab: i for i, lab in enumerate(labels)}
     pairs = leq_pairs if isinstance(leq_pairs, LabelCodes) else list(leq_pairs)
-    table = pairs if isinstance(pairs, LabelCodes) else label_codes([pairs])
-    ij = table.indices(idx, np.intp) if isinstance(table, LabelCodes) else None
+    try:
+        table = pairs if isinstance(pairs, LabelCodes) else label_codes([pairs])
+        ij = table.indices(idx, np.intp)
+    except TypeError:
+        ij = None
     if ij is None or len(ij) and (ij.shape[1] != 2 or ij.min() < 0):
-        _raise_bad_pair(idx, table.tolist() if pairs is table else pairs)
+        _raise_bad_pair(idx, pairs.tolist() if isinstance(pairs, LabelCodes) else pairs)
     leq = np.eye(n, dtype=bool)
     if len(ij):
         leq[ij[:, 0], ij[:, 1]] = True

@@ -18,10 +18,12 @@ strict order under "leq", so parse(emit(x)) reproduces x exactly.
 
 String specifications resolve catalog-first, then as file paths.
 
-load_json gives each "mult", "action", "leq" or "covers" array whose rows
-are lists of strings of one length as a LabelCodes array of label codes;
-the parsers code a table given as lists the same way, so both forms go
-through one decode.
+load_json walks a file, or a pipe read into memory, through a bounded
+window and gives each "mult", "action", "leq" or "covers" array as a
+LabelCodes array of label codes.  A file the walk does not read, because
+it is malformed, not one object, or has a table that is not rows of
+strings of one length, goes whole to json.loads, whose lists the parsers
+code through the same label_codes, so both forms go through one decode.
 
 Only the lattice layers are imported here.  A parse function imports the
 quantale, Foulis, module or map layer when it builds one of those
@@ -33,6 +35,8 @@ layer.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import os
 import re
@@ -245,14 +249,17 @@ def parse_oml_or_lattice(d: dict):
     return parse_oml(d) if "ortho" in d else parse_lattice(d)
 
 
-def _label_array(lat, mapping, what) -> np.ndarray:
+def _label_array(lat, mapping, what, cod=None) -> np.ndarray:
+    """mapping, a dictionary from each label of lat to a label of cod (by
+    default lat), as the int32 array of cod's indices."""
+    cod = lat if cod is None else cod
     if not isinstance(mapping, dict):
         raise FormatError(f'"{what}" must be a label dictionary')
     out = np.empty(lat.n, dtype=np.int32)
     seen = [False] * lat.n
     for x, y in mapping.items():
         i = lat.index(x)
-        out[i] = lat.index(y)
+        out[i] = cod.index(y)
         seen[i] = True
     if not all(seen):
         missing = [lat.label(i) for i, s in enumerate(seen) if not s]
@@ -263,10 +270,13 @@ def _label_array(lat, mapping, what) -> np.ndarray:
 def _label_table(lat, table, height, message) -> np.ndarray:
     """A height-by-lat.n table of labels as indices of cell_dtype(lat.n).
     table is a LabelCodes array from load_json or rows of labels, which
-    label_codes codes; the codes take one lookup per label and one take.
+    label_codes codes; the codes take one lookup per label and one gather.
     Any other table, or one naming an unknown label, raises the error of
     its first bad row or label in row-major order."""
-    codes = label_codes([table]) if isinstance(table, list) else table
+    try:
+        codes = label_codes([table]) if isinstance(table, list) else table
+    except TypeError:
+        codes = None
     if isinstance(codes, LabelCodes) and codes.codes.shape == (height, lat.n):
         out = codes.indices({lab: i for i, lab in enumerate(lat.labels)}, cell_dtype(lat.n))
         if out.min() >= 0:
@@ -339,16 +349,7 @@ def parse_linmap(d: dict, base_dir=None) -> LinMap:
 
     dom = resolve_oml(d["dom"], base_dir)
     cod = resolve_oml(d["cod"], base_dir) if "cod" in d else dom
-    values_map = d.get("values")
-    if not isinstance(values_map, dict):
-        raise FormatError('"values" must be a label dictionary')
-    vals = [None] * dom.n
-    for x, y in values_map.items():
-        vals[dom.index(x)] = cod.index(y)
-    missing = [dom.label(i) for i, v in enumerate(vals) if v is None]
-    if missing:
-        raise FormatError(f'"values" misses elements {missing!r}')
-    return LinMap(dom, cod, vals)
+    return LinMap(dom, cod, _label_array(dom, d.get("values"), "values", cod))
 
 
 # ---------------------------------------------------------------------------
@@ -359,24 +360,19 @@ _skip = json.decoder.WHITESPACE.match
 _WINDOW = 1 << 20  # bytes load_json reads into its window at a time
 _TABLES = ("mult", "action", "leq", "covers")  # label rows, coded as read
 _CHUNK = 1 << 16  # characters of rows _read_table scans at once, at least
-_CUT = re.compile(r"\][ \t\n\r]*,")  # a row's end and the comma after it
+_CUT = re.compile(r'"[ \t\n\r]*(\])[ \t\n\r]*,')  # a label's close, its row's end, a comma
 
 
 class _Window:
     """The part of a text not yet walked past: text[i:] for the walk's
-    index i.  A window over a binary file handle reads on in chunks of
-    bytes, each at least as long as the part it keeps, and decodes them as
-    a text-mode handle does, with universal newlines; one over a whole
-    text has read all there is."""
+    index i.  It reads on from a binary file handle in chunks of bytes,
+    each at least as long as the part it keeps, and decodes them as a
+    text-mode handle does, with universal newlines."""
 
-    def __init__(self, text, fh=None):
-        self.text, self.fh = text, fh
-        if fh is not None:
-            import codecs
-            import io
-
-            utf8 = codecs.getincrementaldecoder("utf-8")()
-            self.decode = io.IncrementalNewlineDecoder(utf8, translate=True).decode
+    def __init__(self, fh):
+        self.text, self.fh = "", fh
+        utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.decode = io.IncrementalNewlineDecoder(utf8, translate=True).decode
 
     def grow(self, i) -> bool:
         """Drop text[:i] and read on, so that i becomes 0; False, with
@@ -410,15 +406,11 @@ def _next(w, i, *allowed) -> tuple[str, int]:
     return c, i
 
 
-def _value(w, i, ahead, *allowed) -> tuple[object, str, int]:
-    """The value at i by one scan_once call and _next past it.  The
-    window first grows when fewer than ahead characters are left in it,
-    so a value shorter than that is scanned once.  The value counts as
-    read once the window shows the character after it, so one cut by the
-    window's edge, a number among them, is read again from a window grown
-    to twice its length."""
-    if len(w.text) - i < ahead and w.grow(i):
-        i = 0
+def _value(w, i, *allowed) -> tuple[object, str, int]:
+    """The value at i by one scan_once call and _next past it.  The value
+    counts as read once the window shows the character after it, so one
+    cut by the window's edge, a number among them, is read again from a
+    window grown to twice its length."""
     while True:
         try:
             value, j = _scan(w.text, i)
@@ -436,14 +428,14 @@ def _value(w, i, ahead, *allowed) -> tuple[object, str, int]:
 def _read_object(w, i, memo) -> tuple[dict, int]:
     """The object at w.text[i] == "{" and the index past it.  Member
     objects are walked in turn, a "mult", "action", "leq" or "covers"
-    array is read by _read_table, any other value by _value with a window
-    of _WINDOW characters ahead, and an "elements" list of strings is
-    numbered in memo, so that tables read after it code each element by
-    its index."""
+    array is read by _read_table, any other value by _value, and an
+    "elements" value is numbered in memo, so that tables read after it
+    code each element by its index; label_codes raises TypeError when it
+    is not a list of strings."""
     out = {}
     c, i = _next(w, i + 1, '"', "}")
     while c == '"':
-        key, _, i = _value(w, i, _WINDOW, ":")
+        key, _, i = _value(w, i, ":")
         c, i = _at(w, i + 1)
         if c == "{":
             out[key], i = _read_object(w, i, memo)
@@ -452,52 +444,55 @@ def _read_object(w, i, memo) -> tuple[dict, int]:
             out[key], i = _read_table(w, i, memo)
             c, i = _next(w, i, ",", "}")
         else:
-            out[key], c, i = _value(w, i, _WINDOW, ",", "}")
-            if key == "elements":  # numbered in memo when it is a list of strings
+            out[key], c, i = _value(w, i, ",", "}")
+            if key == "elements":
                 label_codes([[out[key]]], memo)
         if c == ",":
             c, i = _next(w, i + 1, '"')
     return out, i + 1
 
 
-def _read_table(w, i, memo) -> tuple[object, int]:
-    """The array at w.text[i] == "[" as label_codes gives it, numbered by
+def _read_table(w, i, memo) -> tuple[LabelCodes, int]:
+    """The array at w.text[i] == "[" as label_codes codes it, numbered by
     memo, and the index past it.  Rows are read in chunks, each coded
     before the next is read.  A chunk is the text from a row's start to
-    the first "]," at least _CHUNK characters on, scanned as an array by
-    one scan_once call: a scan that reads all of it has read whole rows,
-    and one that stops early has read the rows up to the table's closing
-    bracket.  Once a chunk does not scan, as when a label holds "]," or a
-    row is longer than the chunk, the rest of the table is read row by row
-    by _value."""
+    the first '"],' at least size characters on, scanned as an array by
+    one scan_once call.  A row of strings ends with its last label's
+    closing quote, and inside a label '"],' starts only at an escaped
+    quote or at the label's opening quote, so a scan that reads all of the
+    chunk has read whole rows, and one that stops early has read the rows
+    up to the table's closing bracket.  size is _CHUNK, doubled for a
+    chunk that does not scan, as when a label holds '\\"],' or a row is
+    longer than twice the size; a chunk that holds the rest of the text
+    and does not scan raises ValueError."""
     end = [i + 1]
 
     def chunks():
         c, i = _at(w, end[0])
-        whole = True
+        size = _CHUNK
         while c != "]":
-            rows = []
-            if whole:
-                if len(w.text) - i < 2 * _CHUNK and w.grow(i):
-                    i = 0
-                text = w.text
-                m = _CUT.search(text, i + _CHUNK)
-                k = m.start() + 1 if m else min(len(text), i + 2 * _CHUNK)
-                try:
-                    rows, n = _scan(f"[{text[i:k]}]", 0)
-                except (ValueError, StopIteration):
-                    pass
-                if rows and m and n == k - i + 2:
-                    c, j = ",", m.end() - 1
-                elif rows and n < k - i + 2:
-                    c, j = "]", i + n - 2
-                else:
-                    rows, whole = [], False
-            if not rows:
-                row, c, j = _value(w, i, 0, ",", "]")
-                rows = [row]
+            while len(w.text) - i < 2 * size and w.grow(i):
+                i = 0
+            # positions only: the match holds the window's text, which would
+            # then stay alive through the next grow beside the new text
+            m = _CUT.search(w.text, i + size)
+            k, j = (m.end(1), m.end()) if m else (min(len(w.text), i + 2 * size), 0)
+            del m
+            try:
+                rows, n = _scan(f"[{w.text[i:k]}]", 0)
+            except (ValueError, StopIteration):
+                n = 0
+            if j and n == k - i + 2:  # whole rows, then a comma
+                c, i = ",", _at(w, j)[1]
+            elif 2 < n < k - i + 2:  # the rows up to the closing bracket
+                c, i = "]", i + n - 2
+            elif k < len(w.text) or w.fh is not None:
+                size *= 2
+                continue
+            else:
+                raise ValueError(i)
             yield rows
-            i = _at(w, j + 1)[1] if c == "," else j
+            size = _CHUNK
         end[0] = i + 1
 
     return label_codes(chunks(), memo), end[0]
@@ -505,42 +500,34 @@ def _read_table(w, i, memo) -> tuple[object, int]:
 
 def _walk(w):
     """The object the text of w holds, walked by _read_object; None when
-    the text is not one object the walk reads."""
+    the text is not one object, or has a table or "elements" that
+    label_codes does not code."""
     try:
         _, i = _next(w, 0, "{")
         out, i = _read_object(w, i, LabelMemo())
         if _at(w, i)[0] == "":
             return out
-    except (ValueError, StopIteration, RecursionError):
+    except (ValueError, StopIteration, TypeError, RecursionError):
         pass
     return None
 
 
-def _decode(text: str):
-    """json.loads(text), with an object walked by _walk, so that each label
-    table and order relation of equal-length rows of strings is one
-    LabelCodes array.  Any text the walk does not expect goes to
-    json.loads, which gives the value or the error."""
-    out = _walk(_Window(text))
-    return json.loads(text) if out is None else out
-
-
 def load_json(path: str) -> dict:
-    """_decode of the file's text, walked through a window of about
-    _WINDOW bytes, so the whole file is never held at once.  A file the
-    walk does not expect, or one that is not UTF-8, is read again whole in
-    text mode, so its value or its error is that of json.loads or of the
-    whole decode; a pipe is read whole at once."""
-    from io import TextIOWrapper
-
+    """json.loads of the file's text, with each label table and order
+    relation a LabelCodes array.  The file is walked by _walk through a
+    window of about _WINDOW bytes, so the whole file is never held at
+    once; a pipe is first read into memory, so that it too can be read
+    again.  A file the walk does not read, or one that is not UTF-8, is
+    read again whole in text mode, so its value or its error is that of
+    json.loads or of the whole decode."""
     try:
         with open(path, "rb") as fh:
             if not fh.seekable():
-                return _decode(TextIOWrapper(fh, encoding="utf-8").read())
-            out = _walk(_Window("", fh))
+                fh = io.BytesIO(fh.read())
+            out = _walk(_Window(fh))
             if out is None:
                 fh.seek(0)
-                out = json.loads(TextIOWrapper(fh, encoding="utf-8").read())
+                out = json.loads(io.TextIOWrapper(fh, encoding="utf-8").read())
             return out
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: {e}") from None

@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -505,6 +506,42 @@ def test_check_foulis_on_catalog(capsys):
     code, out, _ = run(capsys, "check-foulis", "--catalog", "boolean:2")
     assert code == 0
     assert "PASS" in out or "ok" in out
+
+
+@pytest.fixture(scope="module")
+def unlawful_files(tmp_path_factory, fq_b3):
+    """Quantale files without "sai" that fail a law: mutant 0 of the
+    benchmark's seed-0 mutants-b3 workload, one cell of the boolean:3
+    quantale file changed, and the nilpotent chain with a star that is no
+    involution."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads as wl
+
+    work = tmp_path_factory.mktemp("unlawful")
+    wl.mutants_b3(wl.DEFAULT_SEED, work, dump_json(quantale_to_dict(fq_b3[0].base)).encode())
+    d = quantale_to_dict(make_nilpotent_chain_quantale())
+    d["star"]["m"] = "1"
+    (work / "star.json").write_text(dump_json(d))
+    return {"mutant": work / "mutant-0.json", "star": work / "star.json"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cmd", ["check-foulis", "sasaki-lattice"])
+@pytest.mark.parametrize("name, subject, axiom", [
+    ("mutant", "quantale", "associativity"), ("star", "involutive", "star-involution")])
+def test_a_file_that_fails_the_quantale_laws_gets_no_derived_sai(
+        capsys, unlawful_files, name, subject, axiom, cmd, fmt):
+    # derive_sai assumes the quantale and involution laws: a file without
+    # "sai" that fails one is refused, naming the first failed law
+    path = unlawful_files[name]
+    code, out, _ = run(capsys, "check-quantale", "--file", str(path), "--format", "json")
+    assert code == 1
+    report = next(r for r in json.loads(out)["reports"] if not r["passed"])
+    first = report["violations"][0]
+    assert (report["subject"], first["axiom"]) == (subject, axiom)
+    assert run(capsys, cmd, "--file", str(path), "--format", fmt) == (2, "", (
+        f"error: {path}: {subject} law {axiom} fails at ({', '.join(first['witness'])}); "
+        "sai is derived only for an involutive quantale\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ through a bounded window of the file's text.
 Its value, with each LabelCodes table expanded to its lists of labels,
 equals json.loads of the file's text on every text json.loads accepts,
 with the same types (1 and True stay apart), and every text it rejects
-gives the FormatError json.loads' error would give.  A table of labels
-and the order pairs are integer arrays over one list of labels, one str
-object per distinct label, which is what keeps the decode of a
-Lin(boolean:3) file small; the parsers read the same structure, or raise
-the same error, from it as from json.loads' value.  The window is shrunk
+gives the FormatError json.loads' error would give.  The walk reads a
+file itself exactly when the file is one object whose "mult", "action",
+"leq" and "covers" arrays are rows of strings of one length and whose
+"elements" is a list of strings, also in the objects nested as members;
+it hands any other file to json.loads.  A table of labels and the order
+pairs are integer arrays over one list of labels, one str object per
+distinct label, which is what keeps the read of a Lin(boolean:3) file
+small; the parsers read the same structure, or raise the same error, from
+it as from json.loads' value.  The window and the table chunks are shrunk
 to a few characters here, so that every token, row, CRLF pair and
-multi-byte character straddles its edge somewhere.
+multi-byte character straddles an edge somewhere.
 """
 
 import hashlib
@@ -25,18 +29,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlq import FormatError, catalog, dump_json, foulis_from_lin, lin_module, load_json
-from omlq import module_to_dict, oml_to_dict, parse_module, parse_oml, parse_quantale
-from omlq import quantale_to_dict
+from omlq import lin_quantale, module_to_dict, oml_to_dict, parse_linmap, parse_module
+from omlq import parse_oml, parse_quantale, quantale_to_dict, sasaki_oml
 from omlq import serialize
 from omlq.cli import main
 from omlq.lattice import LabelCodes
-from omlq.serialize import _decode
 
 KEYS = ("mult", "action", "leq", "covers", "quantale", "lattice", "elements", "unit", "a", "")
+TABLES = ("mult", "action", "leq", "covers")
 SPACES = ("", " ", "\n  ", "\t\r\n ")
 
-
-CHUNKS = (1, 5, serialize._CHUNK)
+# (window, chunk) pairs: the defaults, then chunks of a few characters in
+# the default window, then windows of a few bytes
+CHUNKS = ((1 << 20, 1 << 16), (1 << 20, 1), (1 << 20, 2), (1 << 20, 5), (1 << 20, 9))
+WINDOWS = ((1, 1), (7, 1), (64, 16))
 
 
 def expanded(value):
@@ -59,8 +65,30 @@ def outcome(f, text):
         return "error", type(e).__name__, str(e)
 
 
+def label_row(row):
+    return isinstance(row, list) and all(isinstance(s, str) for s in row)
+
+
+def walkable(obj):
+    """Whether the walk reads the text of obj, an object given as a dict or
+    as a tuple of (key, value) pairs, rather than hand it to json.loads."""
+    if not isinstance(obj, (dict, tuple)):
+        return False
+    for k, v in obj.items() if isinstance(obj, dict) else obj:
+        if isinstance(v, (dict, tuple)):
+            if not walkable(v):
+                return False
+        elif k in TABLES and isinstance(v, list):
+            if not all(map(label_row, v)) or len({len(row) for row in v}) > 1:
+                return False
+        elif k == "elements" and not label_row(v):
+            return False
+    return True
+
+
 scalars = st.one_of(
-    st.sampled_from(["a", "b", "0", "1", "", "é", "€", "\U0001f600", "\\", '"', "],", "["]),
+    st.sampled_from(["a", "b", "0", "1", "", "é", "€", "\U0001f600", "\\", '"', "],", "[",
+                     '\\"],']),
     st.integers(-2, 2), st.sampled_from([1.0, 0.0, -0.0, 1e300]), st.booleans(), st.none(),
 )
 cells = st.one_of(scalars, st.lists(scalars, max_size=2))
@@ -94,40 +122,87 @@ def render(value, ws, ascii=True):
     return json.dumps(value, ensure_ascii=ascii)
 
 
-def decode_outcomes(text, chunks=CHUNKS):
-    """_decode's outcome on text with _CHUNK patched to each of chunks."""
-    with pytest.MonkeyPatch.context() as mp:
-        out = []
-        for chunk in chunks:
-            mp.setattr(serialize, "_CHUNK", chunk)
-            out.append(outcome(_decode, text))
-    return out
+def write(path, text):
+    """text as the file's UTF-8 bytes, with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def check_walk(mp, walked):
+    """Patch the walk so that it must read the file itself when walked is
+    true, and hand it to json.loads when it is false."""
+    walk = serialize._walk
+
+    def checked_walk(w):
+        out = walk(w)
+        assert (out is not None) == walked, "the walk did not decide as expected"
+        return out
+
+    mp.setattr(serialize, "_walk", checked_walk)
+
+
+def windowed_outcomes(text, sizes=CHUNKS + WINDOWS, walked=None):
+    """load_json's outcome on a file holding text, once per (window, chunk)
+    pair of sizes, and the outcome json.loads gives on the file's text
+    read whole, with its error as load_json raises it.  Unless walked is
+    None, check_walk checks whether the walk read the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        write(path, text)
+        with open(path, encoding="utf-8") as fh:
+            want = outcome(json.loads, fh.read())
+        if want[0] == "error":
+            want = ("error", "FormatError", f"{path}: {want[2]}")
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            if walked is not None:
+                check_walk(mp, walked)
+            for window, chunk in sizes:
+                mp.setattr(serialize, "_WINDOW", window)
+                mp.setattr(serialize, "_CHUNK", chunk)
+                got.append(outcome(load_json, path))
+    return got, want
+
+
+def loaded(text):
+    """load_json of a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        write(path, text)
+        return load_json(path)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(objects, st.sampled_from(SPACES))
-def test_decode_equals_json_loads(obj, ws):
+def test_load_json_in_small_chunks_equals_json_loads(obj, ws):
     text = render(obj, ws)
-    assert decode_outcomes(text) == [outcome(json.loads, text)] * len(CHUNKS)
+    got, want = windowed_outcomes(text, CHUNKS, walked=walkable(obj))
+    assert got == [want] * len(CHUNKS)
     plain = json.loads(text)
     for indent in (None, 2):
         text = json.dumps(plain, indent=indent)
-        assert decode_outcomes(text) == [outcome(json.loads, text)] * len(CHUNKS)
+        got, want = windowed_outcomes(text, CHUNKS, walked=walkable(plain))
+        assert got == [want] * len(CHUNKS)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(objects, st.sampled_from(SPACES), st.data())
-def test_decode_of_an_edited_text_equals_json_loads(obj, ws, data):
+def test_load_json_of_an_edited_text_in_small_chunks_equals_json_loads(obj, ws, data):
     text = render(obj, ws)
     i = data.draw(st.integers(0, len(text)))
     j = data.draw(st.integers(i, min(len(text), i + 2)))
     text = text[:i] + data.draw(st.sampled_from(EDITS)) + text[j:]
-    assert decode_outcomes(text) == [outcome(json.loads, text)] * len(CHUNKS)
+    got, want = windowed_outcomes(text, CHUNKS)
+    assert got == [want] * len(CHUNKS)
 
 
 CHUNKED = {
     "a label holding a row's end": '{"mult": [["a],", "b"], ["b", "a],"]], "leq": [["a],", "b"]]}',
+    "a label holding an escaped quote before a row's end": (
+        r'{"mult": [["x\"],", "b"], ["b", "x\"],"]], "leq": [["x\"],", "b"]]}'),
     "rows longer than a chunk": '{"mult": [["abcdefgh", "ijklmnop"], ["q", "r"]], "covers": []}',
+    "a last row longer than twice the chunk": (
+        '{"mult": [["q", "r"], ["abcdefghijklmnopqrstuvwxyz", "0123456789"]], "covers": []}'),
     "tables then members": ('{"mult": [["a"], ["b"]], "action": [["x", "y"]],'
                             ' "leq": [["p", "q"], ["q", "p"]], "z": [["],"]], "e": "],"}'),
     "rows of numbers": '{"mult": [1, 2, 3.5e2], "action": [[1], [2]], "leq": [[1, 2]]}',
@@ -140,55 +215,18 @@ CHUNKED = {
 @pytest.mark.parametrize("name", sorted(CHUNKED))
 def test_tables_read_in_chunks_equal_json_loads(name):
     text = CHUNKED[name]
-    assert decode_outcomes(text, (1, 2, 5, 9, 1 << 16)) == [outcome(json.loads, text)] * 5
-    got, want = windowed_outcomes(text)
-    assert got == [want] * len(WINDOWS)
-
-
-WINDOWS = (1, 7, 64)
-
-
-def write(path, text):
-    """text as the file's UTF-8 bytes, with no newline translation."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def windowed_outcomes(text, windows=WINDOWS, walked=False):
-    """load_json's outcome on a file holding text, once per window size,
-    with table chunks of a quarter of it, and the outcome json.loads gives
-    on the file's text read whole, with its error as load_json raises it.
-    With walked, the walk must read the file itself, rather than hand it
-    to json.loads."""
-    walk = serialize._walk
-
-    def walk_to_the_end(w):
-        out = walk(w)
-        assert out is not None, "the walk handed the file to json.loads"
-        return out
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "f.json")
-        write(path, text)
-        with open(path, encoding="utf-8") as fh:
-            want = outcome(json.loads, fh.read())
-        if want[0] == "error":
-            want = ("error", "FormatError", f"{path}: {want[2]}")
-        got = []
-        with pytest.MonkeyPatch.context() as mp:
-            if walked:
-                mp.setattr(serialize, "_walk", walk_to_the_end)
-            for window in windows:
-                mp.setattr(serialize, "_WINDOW", window)
-                mp.setattr(serialize, "_CHUNK", max(1, window // 4))
-                got.append(outcome(load_json, path))
-    return got, want
+    try:
+        walked = walkable(json.loads(text))
+    except json.JSONDecodeError:
+        walked = False
+    got, want = windowed_outcomes(text, walked=walked)
+    assert got == [want] * len(CHUNKS + WINDOWS)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(objects, st.sampled_from(SPACES), st.booleans())
 def test_load_json_through_small_windows_equals_json_loads(obj, ws, ascii):
-    got, want = windowed_outcomes(render(obj, ws, ascii), walked=True)
+    got, want = windowed_outcomes(render(obj, ws, ascii), WINDOWS, walked=walkable(obj))
     assert got == [want] * len(WINDOWS)
 
 
@@ -199,7 +237,7 @@ def test_load_json_of_an_edited_text_through_small_windows_equals_json_loads(obj
     i = data.draw(st.integers(0, len(text)))
     j = data.draw(st.integers(i, min(len(text), i + 2)))
     text = text[:i] + data.draw(st.sampled_from(EDITS)) + text[j:]
-    got, want = windowed_outcomes(text)
+    got, want = windowed_outcomes(text, WINDOWS)
     assert got == [want] * len(WINDOWS)
 
 
@@ -207,40 +245,40 @@ def test_numbers_cut_by_the_window_edge_are_read_whole():
     # The first window ends at every character in turn: a number cut by it
     # ("1" of "1.5e3") is read again, never taken for the shorter one.
     text = '{"a":1.5e3,"b": -20 ,"c":[1, 2.25],"unit":123,"d":{"e":4.0}}'
-    got, want = windowed_outcomes(text, range(1, len(text) + 1), walked=True)
+    sizes = [(window, 1) for window in range(1, len(text) + 1)]
+    got, want = windowed_outcomes(text, sizes, walked=True)
     assert want[0] == "value"
     assert got == [want] * len(text)
 
 
-def test_table_rows_with_numbers_or_true_are_kept_as_read():
-    text = '{"mult": [["a", "b"], [1, true, 1.0], ["1", 1], [], [["a"]]], "action": [1, true]}'
-    d = _decode(text)
-    assert repr(d) == repr(json.loads(text))
-    assert type(d["mult"]) is list and type(d["action"]) is list
-    # the row coded before the first other one comes back as its labels
-    text = '{"mult": [["ab", "cd"], ["cd", "ab", "ab"]]}'
-    d = _decode(text)
-    assert repr(d) == repr(json.loads(text))
+@pytest.mark.parametrize("text", [
+    '{"mult": [["a", "b"], [1, true, 1.0], ["1", 1], [], [["a"]]], "action": [1, true]}',
+    '{"mult": [["ab", "cd"], ["cd", "ab", "ab"]]}',
+    '{"elements": ["a", 1], "mult": [["a"]]}',
+])
+def test_table_rows_with_numbers_or_true_are_kept_as_read(text):
+    # handed to json.loads whole, so every table is the lists it gives
+    got, want = windowed_outcomes(text, walked=False)
+    assert got == [want] * len(CHUNKS + WINDOWS)
 
 
 def test_order_pairs_with_numbers_or_true_are_kept_as_read():
     text = ('{"mult": [["ab"]], '
             '"leq": [[1, true], [true, 1], ["ab", 1], ["ab", "ab", "ab"], ["ab", "ab"]]}')
-    d = _decode(text)
-    assert repr(expanded(d)) == repr(json.loads(text))
-    assert type(d["leq"]) is list and isinstance(d["mult"], LabelCodes)
+    got, want = windowed_outcomes(text, walked=False)
+    assert got == [want] * len(CHUNKS + WINDOWS)
 
 
 def test_tables_and_pairs_of_one_file_code_into_one_label_list():
     text = ('{"leq": [["b", "a"]], "mult": [["a", "b"], ["b", "b"]], '
             '"elements": ["b", "a"], "covers": [], "action": [[], []]}')
-    d = _decode(text)
+    d = loaded(text)
     assert expanded(d) == json.loads(text)
     assert d["leq"].labels is d["mult"].labels is d["covers"].labels is d["action"].labels
     assert d["mult"].codes.tolist() == [[1, 0], [0, 0]]
     assert d["covers"].codes.shape == (0, 0) and d["action"].codes.shape == (2, 0)
     # "elements" first: each label's code is its index
-    d = _decode('{"elements": ["b", "a"], "mult": [["a", "b"], ["b", "b"]]}')
+    d = loaded('{"elements": ["b", "a"], "mult": [["a", "b"], ["b", "b"]]}')
     assert d["mult"].codes.tolist() == [[1, 0], [0, 0]]
 
 
@@ -273,7 +311,7 @@ def test_malformed_files_give_the_json_loads_error(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_files_through_small_windows_give_the_json_loads_error(name):
-    got, want = windowed_outcomes(MALFORMED[name])
+    got, want = windowed_outcomes(MALFORMED[name], WINDOWS)
     assert want[0] == "error"
     assert got == [want] * len(WINDOWS)
 
@@ -285,7 +323,7 @@ def test_well_formed_files_read_as_json_loads(tmp_path, text):
     assert repr(expanded(load_json(str(path)))) == repr(json.loads(text))
 
 
-@pytest.mark.parametrize("window", (*WINDOWS, 1 << 20))
+@pytest.mark.parametrize("window", (*(w for w, _ in WINDOWS), 1 << 20))
 def test_a_crlf_file_reads_as_its_lf_text(tmp_path, window, monkeypatch):
     path = tmp_path / "crlf.json"
     write(path, MODULE.replace("\n", "\r\n"))
@@ -308,12 +346,12 @@ def test_data_past_the_first_window_is_read(tail):
     # A value followed by whitespace to past the first window's edge, then
     # tail: extra data is json.loads' error, whitespace is no error.
     text = MODULE + " " * serialize._WINDOW + tail
-    got, want = windowed_outcomes(text, [serialize._WINDOW])
+    got, want = windowed_outcomes(text, [(serialize._WINDOW, serialize._CHUNK)])
     assert got == [want]
     assert want[0] == ("value" if tail == "\n" else "error")
 
 
-@pytest.mark.parametrize("window", (*WINDOWS, 1 << 20))
+@pytest.mark.parametrize("window", (*(w for w, _ in WINDOWS), 1 << 20))
 @pytest.mark.parametrize("at", [0, 15, len(MODULE) // 2, len(MODULE) - 1])
 def test_a_file_that_is_not_utf8_gives_the_whole_file_position(tmp_path, monkeypatch, window, at):
     data = MODULE.encode()
@@ -328,15 +366,21 @@ def test_a_file_that_is_not_utf8_gives_the_whole_file_position(tmp_path, monkeyp
     assert f"position {at}:" in str(got.value)
 
 
-def test_a_pipe_is_read_whole(tmp_path):
+@pytest.mark.parametrize("name", ["module", "missing comma between rows"])
+def test_a_pipe_is_read_whole(tmp_path, monkeypatch, name):
+    # and then walked as a file is, or handed to json.loads
+    text = MODULE if name == "module" else MALFORMED[name]
     path = tmp_path / "fifo"
     os.mkfifo(path)
-    writer = threading.Thread(target=write, args=(path, MODULE))
+    check_walk(monkeypatch, text is MODULE)
+    writer = threading.Thread(target=write, args=(path, text))
     writer.start()
     try:
-        assert repr(expanded(load_json(str(path)))) == repr(json.loads(MODULE))
+        got = outcome(load_json, str(path))
     finally:
         writer.join()
+    want = outcome(json.loads, text)
+    assert got == (want if want[0] == "value" else ("error", "FormatError", f"{path}: {want[2]}"))
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +408,14 @@ def test_lin_b3_mult_holds_one_string_per_label(lin_b3_file):
     # 512 labels and a 512-by-512 array of their codes, where json.loads
     # gives 512 * 512 strings
     text = lin_b3_file.read_text(encoding="utf-8")
-    d, plain = _decode(text), json.loads(text)
+    d, plain = load_json(str(lin_b3_file)), json.loads(text)
     assert expanded(d) == plain
     mult = d["mult"]
     assert mult.codes.shape == (512, 512) and mult.labels == plain["elements"]
     assert len({id(lab) for lab in mult.labels}) == 512
     assert len({id(lab) for row in plain["mult"] for lab in row}) == 512 * 512
-    assert decode_peak(_decode, text) < 10e6
+    # reading the 9.1 MB text whole and decoding it peaks at 18.2 MB
+    assert decode_peak(load_json, str(lin_b3_file)) < 10e6
     assert decode_peak(json.loads, text) > 20e6
 
 
@@ -380,19 +425,46 @@ def test_lin_b3_order_pairs_hold_the_labels_of_the_table(lin_b3_file):
     assert d["leq"].labels is d["mult"].labels and len(d["mult"].labels) == 512
 
 
-def test_load_json_of_lin_b3_with_its_read_stays_below_10_mb(lin_b3_file):
-    # Reading the 9.1 MB text whole and decoding it peaks at 18.2 MB.
-    assert decode_peak(load_json, str(lin_b3_file)) < 10e6
-
-
 def test_parse_quantale_of_lin_b3_stays_below_6_5_mb(lin_b3_file):
-    # Measured at 5.8 MB, reached while load_json reads; with label rows and
+    # Measured at 4.7 MB, reached while load_json reads; with label rows and
     # pair lists the same call peaked at 7.1 MB.
     assert decode_peak(lambda p: parse_quantale(load_json(p)), str(lin_b3_file)) < 6.5e6
 
 
+def test_a_grown_window_does_not_keep_the_text_it_replaced(lin_b3_file):
+    # Measured at 4.7 MB; while the table loop held the old window text
+    # through each grow, the read peaked at 5.8 MB.
+    assert decode_peak(load_json, str(lin_b3_file)) < 5.2e6
+
+
+def test_decoding_the_lin_b3_table_copies_no_index_array(lin_b3_file):
+    # Measured at 2.35 MB; a take of the int32 codes first copies them into
+    # a 2 MB intp array, which peaked at 3.6 MB.
+    assert decode_peak(parse_quantale, load_json(str(lin_b3_file))) < 3e6
+
+
+@pytest.fixture(scope="module")
+def lin_sai_lin_b3_file(tmp_path_factory, fq_b3):
+    # Lin(sai(Lin(boolean:3))), a 51 MB file: 512 elements whose labels are
+    # rows of Lin(boolean:3) labels, so that each one holds "],"
+    path = tmp_path_factory.mktemp("lin") / "lin-sai-lin-b3.json"
+    q, _ = lin_quantale(sasaki_oml(fq_b3[0]).oml)
+    path.write_text(dump_json(quantale_to_dict(q)), encoding="utf-8")
+    return path
+
+
+def test_labels_holding_a_rows_end_are_read_in_small_chunks(lin_sai_lin_b3_file):
+    # A chunk is cut only after a label's closing quote: cut at any "],",
+    # no chunk of this file scanned until it held most of a table, and the
+    # read peaked at 145 MB; it peaks at 5.0 MB.
+    path = str(lin_sai_lin_b3_file)
+    d = load_json(path)
+    assert isinstance(d["mult"], LabelCodes) and all("]," in lab for lab in d["elements"])
+    assert decode_peak(lambda p: parse_quantale(load_json(p)), path) < 10e6
+
+
 def test_module_file_shares_the_labels_of_its_nested_mult_and_its_action(fq_mo2):
-    d = _decode(dump_json(module_to_dict(lin_module(fq_mo2[0].base))))
+    d = loaded(dump_json(module_to_dict(lin_module(fq_mo2[0].base))))
     labels = d["action"].labels
     assert d["quantale"]["mult"].labels is labels is d["lattice"]["leq"].labels
     assert len({id(lab) for lab in labels}) == len(set(labels)) == fq_mo2[0].n + 6
@@ -490,6 +562,16 @@ OMLS = {
     "null in a pair": edited(O, ("leq", 0), [None, "a"]),
     "unknown ortho label": edited(O, ("ortho", "a"), "z"),
 }
+# maps from mo:2 to boolean:1; "a" is no label of boolean:1
+L = {"dom": O, "cod": "boolean:1", "values": {lab: "0" for lab in O["elements"]}}
+LINMAPS = {
+    "as emitted": L,
+    "values first": reordered(L, "values"),
+    "values a list": edited(L, ("values",), ["0"] * 6),
+    "missing value": edited(L, ("values",), without(L["values"], "a")),
+    "unknown dom label": edited(L, ("values", "z"), "0"),
+    "unknown cod label": edited(L, ("values", "b"), "a"),
+}
 MULT = '"mult" must be an n-by-n label table'
 # The error of each malformed case, a FormatError unless a type is given;
 # quantale cases by name, the others by parser and name.
@@ -536,10 +618,15 @@ ERRORS = {
     "parse_oml unknown pair label": "order pair ('a', 'z') names unknown elements",
     "parse_oml null in a pair": "order pair (None, 'a') names unknown elements",
     "parse_oml unknown ortho label": "unknown element 'z'",
+    "parse_linmap values a list": '"values" must be a label dictionary',
+    "parse_linmap missing value": '"values" misses elements [\'a\']',
+    "parse_linmap unknown dom label": "unknown element 'z'",
+    "parse_linmap unknown cod label": "unknown element 'a'",
 }
 CASES = ([(parse_quantale, name, d) for name, d in QUANTALES.items()]
          + [(parse_module, name, d) for name, d in MODULES.items()]
-         + [(parse_oml, name, d) for name, d in OMLS.items()])
+         + [(parse_oml, name, d) for name, d in OMLS.items()]
+         + [(parse_linmap, name, d) for name, d in LINMAPS.items()])
 
 
 def parsed(parser, d):
