@@ -1,13 +1,12 @@
 """Finite bounded lattices and orthomodular lattices as dense tables.
 
-Elements are indexed 0..n-1 in input order.  The order relation is kept as
-a dense boolean matrix, the binary join table is precomputed at
-construction and the meet table is derived from the order on first use, so
-law checking and Sasaki arithmetic reduce to table lookups.  Every dense
-table of element indices, here and in the quantale, module and file
-layers, has cells of cell_dtype(n).  Input relations may list covering
-pairs or the full order; the reflexive-transitive closure is always
-recomputed.
+Elements are indexed 0..n-1 in input order.  A lattice is stored as its
+join table alone; the order (x <= y iff x v y = y, a dense boolean
+matrix) and the meet table are derived on first use, so law checking and
+Sasaki arithmetic reduce to table lookups.  Every dense table of element
+indices, here and in the quantale, module and file layers, has cells of
+cell_dtype(n).  Input relations may list covering pairs or the full
+order; the reflexive-transitive closure is always recomputed.
 
 Every exhaustive checker states its laws as Law values and hands them to
 run_laws, which decides them in order and labels each least witness.  A
@@ -20,6 +19,7 @@ cuts into ordered chunks across the workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable
 
@@ -184,32 +184,31 @@ def rows(bad):
 # lattices
 
 class FiniteLattice:
-    """Finite bounded lattice with precomputed join/meet tables.
-
-    Not constructed directly in normal use; see build_lattice,
-    lattice_from_leq and lattice_from_order.  meet_tab may be None: the
-    table is then built from the order, once, when it is first read.
+    """Finite bounded lattice held as its join table, a semilattice
+    operation with bottom as its unit (join_law); the order leq_mat, where
+    x <= y iff x v y = y, and meet_tab are read-only and built on first
+    read.  See build_lattice, lattice_from_leq and lattice_from_order.
     """
 
-    def __init__(self, labels, leq, join_tab, meet_tab, bottom, top):
+    def __init__(self, labels, join_tab, bottom, top):
         self.labels = tuple(labels)
-        self.leq_mat = leq
         self.join_tab = join_tab
-        self._meet_tab = meet_tab
         self.bottom = int(bottom)
         self.top = int(top)
         self._idx = {lab: i for i, lab in enumerate(self.labels)}
-        for arr in (leq, join_tab, meet_tab):
-            if arr is not None:
-                arr.setflags(write=False)
+        join_tab.setflags(write=False)
 
-    @property
+    @cached_property
+    def leq_mat(self) -> np.ndarray:
+        leq = self.join_tab == np.arange(self.n, dtype=self.join_tab.dtype)
+        leq.setflags(write=False)
+        return leq
+
+    @cached_property
     def meet_tab(self) -> np.ndarray:
-        if self._meet_tab is None:
-            (meet_tab,) = _order_tables(self.labels, self.leq_mat, ("meet",))
-            meet_tab.setflags(write=False)
-            self._meet_tab = meet_tab
-        return self._meet_tab
+        (meet_tab,) = _order_tables(self.labels, self.leq_mat, ("meet",))
+        meet_tab.setflags(write=False)
+        return meet_tab
 
     @property
     def n(self) -> int:
@@ -225,7 +224,7 @@ class FiniteLattice:
         return self.labels[i]
 
     def le(self, i, j) -> bool:
-        return bool(self.leq_mat[i, j])
+        return bool(self.join_tab[i, j] == j)
 
     def join(self, i, j) -> int:
         return int(self.join_tab[i, j])
@@ -395,7 +394,7 @@ def lattice_from_order(labels, leq) -> FiniteLattice:
     except (NotALattice, ValueError):
         _order_tables(labels, leq)
         raise NotALattice("bound", labels[0], labels[-1]) from None
-    return FiniteLattice(labels, leq, join_tab, None, bottom, top)
+    return FiniteLattice(labels, join_tab, bottom, top)
 
 
 class LabelMemo(dict):
@@ -607,8 +606,9 @@ def join_law(name, table, lat: FiniteLattice, irr=None, kinds="") -> Law:
     By the lemma of check_quantale part (a), the least row x that fails the
     row test of nonadditive_row (irr, by default lat's join-irreducibles)
     holds the least witness, and only that row is scanned.  lat's join
-    table is assumed to be the join of its order, as the lemma needs; the
-    least witness then has y < z, as that join commutes and is idempotent.
+    table is assumed to be a semilattice operation with bottom as its unit
+    (idempotent, commutative, associative), so it is the join of the order
+    read off it, as the lemma needs; the least witness then has y < z.
     """
     x = nonadditive_row(table, lat, lat.join_irreducibles() if irr is None else irr)
     w = None if x is None else _row_witness(table[x], lat)
@@ -628,8 +628,7 @@ class FiniteOML(FiniteLattice):
     """
 
     def __init__(self, lattice: FiniteLattice, ortho):
-        super().__init__(lattice.labels, lattice.leq_mat, lattice.join_tab, lattice._meet_tab,
-                         lattice.bottom, lattice.top)
+        super().__init__(lattice.labels, lattice.join_tab, lattice.bottom, lattice.top)
         self.ortho = normalize_ortho(lattice, ortho)
         self.ortho.setflags(write=False)
 
@@ -720,23 +719,20 @@ class SubOML:
 
     Local elements are indexed 0..m-1 in ascending parent order; members
     maps local indices back to the parent, and the array local maps parent
-    indices to local ones, -1 off the downset.  The tables are gathered
+    indices to local ones, -1 off the downset.  The join table is gathered
     from the parent's through local, whose cells are cell_dtype(m).
     """
 
     def __init__(self, parent: FiniteOML, a: int):
         self.parent = parent
         self.a = int(a)
-        sel = np.flatnonzero(parent.leq_mat[:, a])
+        sel = np.flatnonzero(parent.join_tab[:, a] == a)
         self.members = tuple(sel.tolist())
         self.local = local = np.full(parent.n, -1, dtype=cell_dtype(len(sel)))
         local[sel] = np.arange(len(sel))
-        block = np.ix_(sel, sel)
-        lat = FiniteLattice(
-            [parent.label(p) for p in self.members], parent.leq_mat[block],
-            local[parent.join_tab[block]], local[parent.meet_tab[block]],
-            local[parent.bottom], local[self.a],
-        )
+        lat = FiniteLattice([parent.label(p) for p in self.members],
+                            local[parent.join_tab[np.ix_(sel, sel)]],
+                            local[parent.bottom], local[self.a])
         self.oml = FiniteOML(lat, local[parent.meet_tab[self.a, parent.ortho[sel]]])
 
     def to_parent(self, i: int) -> int:

@@ -96,8 +96,8 @@ def check_left_module(action: ModuleAction, subject="module", workers=1) -> Chec
     assoc-act     (u * v) . a = u . (v . a)
     unit-act      e . a = a
 
-    act-join is the join_law of the table on L, so L's join is assumed to
-    be the join of its order.  join-act and assoc-act hold when act-join
+    act-join is the join_law of the table on L, so L's join table must
+    be a semilattice operation.  join-act and assoc-act hold when act-join
     and act-bottom hold, action.view (on L itself) finds each row s as
     element idx[s], and q.preserved_by(view, idx) has no hit.  Every row is
     then a join-preserving map that sends 0 to 0, and so are pointwise

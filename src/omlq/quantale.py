@@ -3,8 +3,8 @@
 The central instance is the endomorphism quantale of an OML: all
 join-preserving endomaps under pointwise order, with composition as
 multiplication and the adjoint as the involution.  Carrier joins of maps
-are pointwise.  Carrier meets are not tabled: no law reads them, and the
-lattice derives its meet table from the order if one is asked for.  Such
+are pointwise.  The carrier keeps only its join table: no law reads its
+order or meets, which the lattice derives from the join if asked.  Such
 a quantale keeps its elements' maps as its representation phi, and
 check_quantale decides associativity and both distributive laws through
 it: composition is associative, and composites and pointwise joins of
@@ -51,7 +51,10 @@ _PAIR_CHUNK = 1 << 15
 
 def table_cell_bytes(k) -> int:
     """Bytes per element pair of a k-element quantale's dense tables: a
-    bool order plus join and multiplication cells of cell_dtype(k)."""
+    bool order plus join and multiplication cells of cell_dtype(k).  The
+    carrier builds its order on first read, but JSON emission
+    (serialize._strict_pairs), DOT covers() and the path without phi
+    (join_irreducibles) read it, so the rule counts it."""
     return 1 + 2 * cell_dtype(k).itemsize
 
 
@@ -288,7 +291,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     names (QElementView.products); i <= j exactly when i v j is j.  The
     unit, zero and top maps and every adjoint are found as whole rows.  A
     code or row that is no element raises FormatError.  No map object is
-    built, and the carrier keeps no meet table.  mult and the carrier join
+    built, and the carrier keeps only its join table.  mult and that join
     have cells of cell_dtype(k).  The quantale carries phi = (oml, values)
     and the view as q.view.  Raises TableTooLarge, before any table is
     allocated, when the dense tables would exceed TABLE_BYTE_LIMIT.
@@ -314,8 +317,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
         if (applied < 0).any() or (joined < 0).any():
             raise FormatError("a composite or join is not enumerated")
         mult[a], join[a] = applied, joined
-    leq = join == np.arange(k, dtype=join.dtype)
-    carrier = FiniteLattice(labels, leq, join, None, int(zero), int(top))
+    carrier = FiniteLattice(labels, join, int(zero), int(top))
     mult.setflags(write=False)
     star = view.adjoints()
     star.setflags(write=False)
@@ -415,9 +417,10 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     pass: when (b) fails, associativity runs the exhaustive scan, which
     reports the least witness.
 
-    Without phi the carrier's join table is assumed to be the join of its
-    order, as join_law states.  build_lattice and lin_quantale always build
-    such a table; FiniteLattice accepts any.
+    Without phi the carrier's join table is assumed to be a semilattice
+    operation, as join_law states.  _order_tables, lin_quantale and SubOML
+    build one from a validated order, pointwise joins and the parent's
+    table; FiniteLattice accepts any.
     """
     m = q.dense_mult()
     n = q.n

@@ -496,8 +496,8 @@ def test_annihilator_certificate_needs_the_sasaki_facts(benzene):
 
 def draw_foulis_mutant(data, f):
     """One to three overwritten cells of star, sai, mult, the carrier join
-    (a new FiniteLattice over the mutated table) or phi's values, the zero
-    and unit rows drawn often."""
+    (a new FiniteLattice over the mutated table, whose derived order moves
+    with it) or phi's values, the zero and unit rows drawn often."""
     q = f.base
     host, values = q.phi
     tables = {"star": q.dense_star().copy(), "sai": f.sai.copy(), "mult": q.dense_mult().copy(),
@@ -512,7 +512,7 @@ def draw_foulis_mutant(data, f):
         table[cell] = data.draw(st.integers(0, size - 1).filter(lambda v: v != old))
     c = q.carrier
     if kind == "join":
-        c = FiniteLattice(c.labels, c.leq_mat, tables["join"], None, c.bottom, c.top)
+        c = FiniteLattice(c.labels, tables["join"], c.bottom, c.top)
     return FoulisQuantale(phi_copy(q, carrier=c, mult=tables["mult"], star=tables["star"],
                                    values=tables["phi"]), tables["sai"])
 
@@ -545,7 +545,7 @@ def test_certificates_need_phi_of_zero_and_of_unit(fq_b2, fq_mo2):
         q = f.base
         c = q.carrier
         for bottom, unit in ((q.unit, q.unit), (c.top, q.unit), (c.bottom, c.top)):
-            carrier = FiniteLattice(c.labels, c.leq_mat, c.join_tab, None, bottom, c.top)
+            carrier = FiniteLattice(c.labels, c.join_tab, bottom, c.top)
             base = phi_copy(q, carrier=carrier, unit=unit)
             assert quantale_module.represents(base) and base.certified_view is None
             failed |= assert_certificates_match_scans(FoulisQuantale(base, f.sai))

@@ -28,6 +28,7 @@ from omlq import (
     downset_oml,
     is_linear,
     lattice_from_leq,
+    lin_quantale,
     ortho_pair,
     sasaki_apply,
 )
@@ -95,6 +96,15 @@ def test_lattice_navigation_helpers(b2):
     assert set(b2.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
     assert set(b2.join_irreducibles()) == {1, 2}
 
+
+def test_le_reads_the_join_table_and_builds_no_order(b2):
+    hosts = [catalog(name) for name in ("boolean:3", "mo:2", "benzene", "zero",
+                                        "product(boolean:1,mo:2)")]
+    q, _ = lin_quantale(b2)
+    for lat, le in [(lat, lat.le) for lat in hosts] + [(q.carrier, q.le)]:
+        got = [[le(i, j) for j in range(lat.n)] for i in range(lat.n)]
+        assert "leq_mat" not in vars(lat)
+        assert got == lat.leq_mat.tolist()
 
 
 def test_join_irreducibles_match_the_cover_count(fq_b2, fq_mo2, fq_b3):
@@ -363,6 +373,22 @@ def test_suboml_tables_are_the_parents_restricted_to_the_downset(b2, b3, mo2, be
             for p in set(range(oml.n)) - set(members):
                 with pytest.raises(KeyError):
                     sub.from_parent(p)
+
+
+def test_suboml_keeps_the_parents_order_and_meet_blocks():
+    # The downset stores its gathered join table alone; the order and meet
+    # it derives on first read are the parent's blocks gathered through
+    # local.
+    for name in ("boolean:3", "mo:3", "product(boolean:1,mo:2)"):
+        oml = catalog(name)
+        for a in range(oml.n):
+            sub = downset_oml(oml, a)
+            lat, block = sub.oml, np.ix_(sub.members, sub.members)
+            assert "leq_mat" not in vars(lat) and "meet_tab" not in vars(lat)
+            assert np.array_equal(lat.join_tab, sub.local[oml.join_tab[block]])
+            assert lat.leq_mat.tobytes() == oml.leq_mat[block].tobytes()
+            assert lat.meet_tab.dtype == sub.local.dtype
+            assert lat.meet_tab.tobytes() == sub.local[oml.meet_tab[block]].tobytes()
 
 
 def test_suboml_membership_and_maps(mo2):

@@ -23,6 +23,7 @@ from omlq import (
     verify_text,
 )
 from omlq.lattice import sasaki_table
+from omlq.verify import SELECTOR_REPORTS, VerifyContext
 from test_linmap import dagger_reference
 
 
@@ -352,6 +353,17 @@ def test_verify_all_makes_one_products_pass_and_one_hom(monkeypatch, mo2):
     assert code == 0
     assert payload["results"]["modules"]["passed"] and payload["results"]["hom"]["passed"]
     assert len(passes) == 1 and len(homs) == 1
+
+
+@pytest.mark.parametrize("spec", ["mo:2", "boolean:3"])
+def test_verify_all_builds_no_order_or_meet_on_the_lin_carrier(spec):
+    # The Lin carrier is its join table: no selector reads its order or
+    # its meets, so neither is built.
+    ctx = VerifyContext(catalog(spec), None, 1)
+    for sel, reports in SELECTOR_REPORTS.items():
+        assert all(r.passed for r in reports(ctx)), sel
+    assert "leq_mat" not in vars(ctx.foulis.base.carrier)
+    assert "meet_tab" not in vars(ctx.foulis.base.carrier)
 
 
 def test_verify_all_builds_no_linmap(monkeypatch):
