@@ -62,7 +62,7 @@ class FrontierTooLarge(CapExceeded):
 
 class TableTooLarge(OmlqError):
     """A quantale's dense tables would not fit in memory, or a lattice has
-    too many elements to close its order in time; refused unbuilt."""
+    more elements than LATTICE_ELEMENT_LIMIT; refused unbuilt."""
 
 
 class NotFoulis(OmlqError):

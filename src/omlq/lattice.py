@@ -250,7 +250,8 @@ class FiniteLattice:
         return [int(j) for j in np.nonzero(self.leq_mat[:, i])[0]]
 
     def atoms(self) -> list[int]:
-        return [j for (i, j) in self.covers() if i == self.bottom]
+        """The elements whose down-set is {bottom, self}, ascending."""
+        return [int(j) for j in np.flatnonzero(self.leq_mat.sum(axis=0) == 2)]
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (i, j) with i < j and nothing strictly between."""
@@ -263,17 +264,19 @@ class FiniteLattice:
     def join_irreducibles(self) -> list[int]:
         """Elements with exactly one lower cover; every element is a join of these.
 
-        An element j has exactly one lower cover iff j is not the bottom and
-        the join of everything strictly below j is not j (with two covers
-        that join is j; with one, it is the cover).  One pass over x joins
-        x into the accumulator of every element strictly above x.
+        That is, j is not the bottom and no x v y = j has x and y both other
+        than j: two covers join to j, and below one cover every join stays.
+        The join table is read in row blocks of about 1 MiB.
         """
-        acc = np.full(self.n, self.bottom, dtype=self.join_tab.dtype)
-        for x in range(self.n):
-            above = np.flatnonzero(self.leq_mat[x])
-            above = above[above != x]
-            acc[above] = self.join_tab[acc[above], x]
-        return [int(j) for j in np.flatnonzero(acc != np.arange(self.n))]
+        jt, n = self.join_tab, self.n
+        reducible = np.zeros(n, dtype=bool)
+        reducible[self.bottom] = True
+        ar = np.arange(n, dtype=jt.dtype)
+        step = max(1, (1 << 20) // (jt.itemsize * n))
+        for lo in range(0, n, step):
+            block = jt[lo : lo + step]
+            reducible[block[(block != ar[lo : lo + step, None]) & (block != ar)]] = True
+        return [int(j) for j in np.flatnonzero(~reducible)]
 
     @property
     def signature(self):
@@ -470,15 +473,22 @@ def _raise_bad_pair(idx, pairs):
             raise FormatError(f"order pair ({x!r}, {y!r}) names unknown elements")
 
 
-# Closing the order squares the n-by-n order matrix until it stops
-# growing: up to log2(n) float32 products of n^3 steps, the most for a
-# chain given by its covers.  On the 2-core reference machine a chain took
-# 0.07 s at n = 512, 0.4 s at 1,024, 3-4 s at 2,048 and 27-35 s at 4,096,
-# about nine times as long per doubling, so 8,192 elements would take
-# about 5 minutes and 20,000 more than an hour.  The largest lattice the
-# catalog can name, product(boolean:4,product(boolean:4,boolean:4)), has
-# 4,096 elements.
+# The limit bounds the closure of an order read from a file, up to log2(n)
+# squarings of the n-by-n order (float32 products of n^3 steps, the most
+# for a chain given by its covers: on the 2-core reference machine 0.4 s at
+# n = 1,024, 3-4 s at 2,048 and 27-35 s at 4,096, about nine times as long
+# per doubling), and the n-by-n tables of every lattice: at 4,096 elements
+# 32 MiB of join table, and 48 MiB more once the order and meet are read.
 LATTICE_ELEMENT_LIMIT = 4096
+
+
+def _check_element_count(n):
+    """Refuse a lattice of n elements above the limit, before it exists."""
+    if n > LATTICE_ELEMENT_LIMIT:
+        raise TableTooLarge(
+            f"a lattice of {n} elements is above the limit of "
+            f"{LATTICE_ELEMENT_LIMIT} elements"
+        )
 
 
 def build_lattice(labels, leq_pairs) -> FiniteLattice:
@@ -497,11 +507,7 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
     if len(set(labels)) != len(labels):
         raise FormatError("element labels are not distinct")
     n = len(labels)
-    if n > LATTICE_ELEMENT_LIMIT:
-        raise TableTooLarge(
-            f"a lattice of {n} elements is above the limit of "
-            f"{LATTICE_ELEMENT_LIMIT} elements"
-        )
+    _check_element_count(n)
     idx = {lab: i for i, lab in enumerate(labels)}
     pairs = leq_pairs if isinstance(leq_pairs, LabelCodes) else list(leq_pairs)
     try:

@@ -54,7 +54,7 @@ def table_cell_bytes(k) -> int:
     bool order plus join and multiplication cells of cell_dtype(k).  The
     carrier builds its order on first read, but JSON emission
     (serialize._strict_pairs), DOT covers() and the path without phi
-    (join_irreducibles) read it, so the rule counts it."""
+    (join_pairs) read it, so the rule counts it."""
     return 1 + 2 * cell_dtype(k).itemsize
 
 

@@ -887,6 +887,29 @@ def test_a_lattice_file_past_the_element_limit_is_refused_before_allocation(
     assert err == f"error: a lattice of {n} elements is above the limit of {n - 1} elements\n"
 
 
+@pytest.mark.parametrize("spec, n", [
+    ("product(boolean:4,product(boolean:4,product(boolean:1,boolean:4)))", 8192),
+    ("horizontal_sum(product(boolean:4,product(boolean:4,boolean:4)),"
+     "product(boolean:4,boolean:4))", 4350),
+])
+def test_a_catalog_lattice_past_the_element_limit_is_refused_before_any_order_work(
+        capsys, monkeypatch, spec, n):
+    # A catalog product or horizontal sum is refused from its element count,
+    # before it lists an order pair or closes an order.
+    import importlib
+
+    import omlq.lattice as lattice
+
+    def no_order(*args):
+        raise AssertionError("order work before the refusal")
+
+    monkeypatch.setattr(importlib.import_module("omlq.catalog"), "build_lattice", no_order)
+    monkeypatch.setattr(lattice, "bool_product", no_order)
+    code, out, err = run(capsys, "check-oml", "--catalog", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: a lattice of {n} elements is above the limit of 4096 elements\n"
+
+
 def test_lin_quantale_too_large_is_refused_before_allocation():
     # boolean:4 has 65,536 endomaps: 65,536^2 cells of dense tables at
     # 9 bytes each.  The child gets a 2 GiB address-space limit, so a guard

@@ -109,7 +109,10 @@ def test_le_reads_the_join_table_and_builds_no_order(b2):
 
 def test_join_irreducibles_match_the_cover_count(fq_b2, fq_mo2, fq_b3):
     hosts = [catalog(name) for name in catalog_names() if "(" not in name]
-    hosts += [catalog("product(boolean:1,mo:2)")]
+    hosts += [catalog(spec) for spec in (
+        "product(boolean:1,mo:2)", "product(zero,mo:2)", "product(benzene,boolean:1)",
+        "horizontal_sum(zero,boolean:2)", "horizontal_sum(boolean:1,mo:2)",
+        "horizontal_sum(product(boolean:1,mo:1),mo:2)", "horizontal_sum(boolean:2,boolean:3)")]
     hosts += [f.base.carrier for f, _ in (fq_b2, fq_mo2, fq_b3)]
     for lat in hosts:
         lower = np.zeros(lat.n, dtype=int)
