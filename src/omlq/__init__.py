@@ -71,10 +71,6 @@ _EXPORTS = {
         "SELECTORS", "dagger_kernel_report", "run_verify", "sasaki_facts_report",
         "verify_text",
     ),
-    "goldens": (
-        "GOLDEN_ENTRIES", "compute_lin_count", "golden_lin_count", "load_goldens",
-        "regen_goldens",
-    ),
 }
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -405,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
     )
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    common.add_argument(
-        "--regen-goldens", action="store_true", default=argparse.SUPPRESS
-    )
 
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--catalog", metavar="SPEC", default=None)
@@ -423,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=("text", "json", "dot"), default="text"
     )
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--regen-goldens", action="store_true", default=False)
 
     sub = p.add_subparsers(dest="cmd")
 
@@ -495,14 +491,6 @@ def main(argv=None) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
-    if args.regen_goldens:
-        from .goldens import golden_path, regen_goldens
-
-        data = regen_goldens()
-        for entry, count in sorted(data["lin_counts"].items()):
-            print(f"{entry}: {count}")
-        print(f"wrote {golden_path()}")
-        return 0
     if getattr(args, "cmd", None) is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -1,45 +1,23 @@
-"""Golden cardinalities for endomap enumeration, and their oracle.
+"""Independent oracles for the size and the rows of Lin(X).
 
-The checked-in fixture data/goldens.json records |Lin(X)| for small
-catalog entries, produced by the brute-force oracle here: decode every
-value table and keep those that preserve the bottom and the join of every
-pair, by definition.  Nothing in production calls it.  Tests compare the
-enumerator of linmap.lin_values against the oracle, these counts and the
-closed form mo_lin_count; regen_goldens reruns the oracle and rewrites
-the file.
+bruteforce_lin_values decodes every value table and keeps those that
+preserve the bottom and the join of every pair, by definition.
+mo_lin_count and product_lin_count count Lin in closed form, the latter
+from the four Hom blocks of a product.  Nothing in production calls
+them; tests compare the enumerator of linmap.lin_values against them and
+against |Lin(2^n)| = 2^(n^2).
 """
 
 from __future__ import annotations
 
-import json
 from math import comb, perm
-from pathlib import Path
 
 import numpy as np
 
-from .catalog import catalog
 from .lattice import FiniteOML
+from .linmap import lin_count
 
-GOLDEN_ENTRIES = ("boolean:1", "boolean:2", "mo:1", "mo:2")
 _CHUNK = 1 << 16
-
-_DATA = Path(__file__).parent / "data" / "goldens.json"
-
-
-def golden_path() -> str:
-    return str(_DATA)
-
-
-def load_goldens() -> dict:
-    with open(_DATA, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def golden_lin_count(entry: str) -> int:
-    counts = load_goldens()["lin_counts"]
-    if entry not in counts:
-        raise KeyError(f"no golden count recorded for {entry!r}")
-    return int(counts[entry])
 
 
 def _decode(codes: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -101,17 +79,15 @@ def mo_lin_count(n: int) -> int:
     return 1 + m * (m + 1) + m + sum(comb(m, k) * perm(m, k) for k in range(m + 1))
 
 
-def compute_lin_count(entry: str) -> int:
-    """Run the brute-force oracle for one catalog entry."""
-    return len(bruteforce_lin_values(catalog(entry)))
+def product_lin_count(x1: FiniteOML, x2: FiniteOML) -> int:
+    """|Lin(x1 x x2)| from its four Hom blocks:
 
+        |Lin x1| * |Hom(x1, x2)| * |Hom(x2, x1)| * |Lin x2|.
 
-def regen_goldens(path=None) -> dict:
-    """Recompute every golden count and rewrite the fixture file."""
-    from .serialize import dump_json
-
-    data = {"lin_counts": {e: compute_lin_count(e) for e in GOLDEN_ENTRIES}}
-    target = Path(path) if path is not None else _DATA
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(dump_json(data), encoding="utf-8")
-    return data
+    A finite product of complete lattices is also their coproduct for
+    join-preserving maps, so such an f on x1 x x2 is fixed by its four
+    components pi_j . f . iota_i : xi -> xj, and any four join-preserving
+    components give one f.  It gives 16,848 = 2 * 6 * 6 * 234 for
+    product(boolean:1,mo:2).
+    """
+    return lin_count(x1) * lin_count(x1, x2) * lin_count(x2, x1) * lin_count(x2)

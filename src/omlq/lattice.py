@@ -282,7 +282,8 @@ class FiniteLattice:
     def signature(self):
         sig = getattr(self, "_sig", None)
         if sig is None:
-            sig = (self.labels, self.leq_mat.tobytes())
+            cells = self.join_tab.astype(cell_dtype(self.n), copy=False)
+            sig = (self.labels, cells.tobytes())
             self._sig = sig
         return sig
 
@@ -643,7 +644,7 @@ class FiniteOML(FiniteLattice):
 
     @property
     def signature(self):
-        # its own slot: FiniteLattice.signature caches the order's in _sig
+        # its own slot: FiniteLattice.signature caches the join table's in _sig
         sig = getattr(self, "_oml_sig", None)
         if sig is None:
             sig = self._oml_sig = (super().signature, self.ortho.tobytes())

@@ -123,6 +123,33 @@ def test_workers_below_one_is_a_usage_error(capsys, workers):
             2, "", "error: --workers must be at least 1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--regen-goldens", "lin", "--catalog", "boolean:2"],
+    ["lin", "--catalog", "boolean:2", "--regen-goldens"],
+])
+def test_regen_goldens_is_an_unknown_option(capsys, monkeypatch, tmp_path, argv):
+    # Lin counts are checked against oracles in the tests; the package ships
+    # no count file, and no option rewrites one.
+    import omlq
+
+    package = Path(omlq.__file__).parent
+
+    def files():
+        paths = (p for p in package.rglob("*") if "__pycache__" not in p.parts)
+        return {p: p.stat().st_mtime_ns for p in paths}
+
+    before = files()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --regen-goldens" in captured.err
+    assert files() == before
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # sasaki
 # ---------------------------------------------------------------------------
@@ -830,8 +857,6 @@ def test_package_names_resolve_to_their_modules():
         "foulis": "FoulisHom FoulisQuantale SasakiOML check_foulis check_hom check_star_props "
                   "derive_sai foulis_from_lin hom_h roundtrip_iso sasaki_oml "
                   "sasaki_oml_report",
-        "goldens": "GOLDEN_ENTRIES compute_lin_count golden_lin_count load_goldens "
-                   "regen_goldens",
         "lattice": "CheckReport FiniteLattice FiniteOML SubOML Violation build_lattice "
                    "check_oml downset_oml lattice_from_leq make_report ortho_pair "
                    "sasaki_apply",

@@ -1,54 +1,27 @@
-"""Frozen enumeration counts: the shipped file, recomputation, and the
-regeneration helper."""
-
-import json
-from pathlib import Path
+"""The size of Lin(X) against independent oracles: the brute-force scan,
+the closed forms |Lin(2^n)| = 2^(n^2) and mo_lin_count, and the four Hom
+blocks of a product."""
 
 import pytest
 
-from omlq import (
-    GOLDEN_ENTRIES,
-    catalog,
-    compute_lin_count,
-    golden_lin_count,
-    lin_values,
-    load_goldens,
-    regen_goldens,
-)
-from omlq.goldens import bruteforce_lin_values, golden_path, mo_lin_count
+from omlq import catalog, lin_count, lin_values
+from omlq.goldens import bruteforce_lin_values, mo_lin_count, product_lin_count
 
 
-EXPECTED = {"boolean:1": 2, "boolean:2": 16, "mo:1": 16, "mo:2": 234}
+def test_boolean_closed_form_against_the_oracle():
+    for n in (1, 2):
+        assert len(bruteforce_lin_values(catalog(f"boolean:{n}"))) == 2 ** (n * n)
 
 
-def test_shipped_golden_values():
-    data = load_goldens()
-    assert data["lin_counts"] == EXPECTED
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 16), (3, 512), (4, 65_536)])
+def test_boolean_closed_form_against_the_enumerator(n, count):
+    assert 2 ** (n * n) == count
+    assert lin_count(catalog(f"boolean:{n}")) == count
 
 
-def test_goldens_cover_declared_entries():
-    assert set(GOLDEN_ENTRIES) == set(EXPECTED)
-    for entry in GOLDEN_ENTRIES:
-        assert golden_lin_count(entry) == EXPECTED[entry]
-
-
-def test_recomputation_matches_shipped_values():
-    for entry in GOLDEN_ENTRIES:
-        assert compute_lin_count(entry) == EXPECTED[entry]
-
-
-def test_enumerator_agrees_with_goldens():
-    for entry, count in EXPECTED.items():
-        assert len(lin_values(catalog(entry))) == count
-
-
-def test_regen_writes_identical_content(tmp_path):
-    target = tmp_path / "goldens.json"
-    written = regen_goldens(path=target)
-    assert written["lin_counts"] == EXPECTED
-    assert json.loads(target.read_text()) == json.loads(
-        Path(golden_path()).read_text()
-    )
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boolean_closed_form_against_the_rows(n):
+    assert len(lin_values(catalog(f"boolean:{n}"))) == 2 ** (n * n)
 
 
 def test_mo_closed_form_against_the_oracle():
@@ -60,3 +33,13 @@ def test_mo_closed_form_against_the_oracle():
 def test_mo_closed_form_against_the_enumerator(n, count):
     assert mo_lin_count(n) == count
     assert len(lin_values(catalog(f"mo:{n}"), cap=count)) == count
+
+
+@pytest.mark.parametrize("x1, x2, count", [
+    ("boolean:1", "boolean:2", 512),
+    ("boolean:1", "mo:2", 16_848),
+    ("mo:1", "mo:1", 65_536),
+])
+def test_product_count_from_its_hom_blocks(x1, x2, count):
+    assert product_lin_count(catalog(x1), catalog(x2)) == count
+    assert lin_count(catalog(f"product({x1},{x2})")) == count

@@ -129,6 +129,19 @@ def test_build_lattice_from_covers_equals_full_order():
     assert full.signature == covers.signature
 
 
+def test_equality_reads_the_join_table_alone():
+    # A lattice is its join table: comparing two builds no order on either
+    # side, and the cell type of the table does not matter.
+    spec = "product(boolean:4,product(boolean:2,boolean:4))"
+    a, b = catalog(spec), catalog(spec)
+    assert a == b and hash(a) == hash(b)
+    assert "leq_mat" not in vars(a) and "leq_mat" not in vars(b)
+    lattices = [lattice_module.FiniteLattice(a.labels, jt, a.bottom, a.top)
+                for jt in (a.join_tab, a.join_tab.astype(np.int32))]
+    assert lattices[0] == lattices[1]
+    assert not any("leq_mat" in vars(lat) for lat in lattices)
+
+
 def test_build_lattice_rejects_cycles():
     with pytest.raises(NotAPoset) as exc:
         build_lattice(["x", "y"], [("x", "y"), ("y", "x")])
