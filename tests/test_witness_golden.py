@@ -3,7 +3,10 @@
 Every case is a checker run on a seeded one-cell mutant (or on the
 unmutated structure) of one table: the complement, the multiplication and
 involution tables, sai, the representation table and both module action
-tables, the latter with the views that may certify the module laws.
+tables, the latter with the views that may certify the module laws.  The
+projection family builds the projection lattice with sasaki_oml on
+mutants that set one cell of sai, one product of two projections or one
+carrier join of two projections to a projection.
 Hosts are boolean:2, mo:2, boolean:3, benzene and mo:3 for the
 lattice-level checkers, and boolean:2, mo:2 and boolean:3 for the quantale
 level.  The fixture holds the to_dict() violations of each report, or the
@@ -26,6 +29,7 @@ import pytest
 
 from omlq import (
     FinQuantale,
+    FiniteLattice,
     FiniteOML,
     FoulisQuantale,
     LinMap,
@@ -66,6 +70,20 @@ def one_cell(table, seed, values, cell=None):
     if cell is None:
         cell = tuple(int(rng.integers(s)) for s in out.shape)
     out[cell] = (int(out[cell]) + 1 + int(rng.integers(values - 1))) % values
+    return out
+
+
+def member_cell(table, seed, sel, cell=None, within=None):
+    """Copy of table with one cell changed to another member of sel.
+
+    The seed draws the cell, each coordinate from within (all indices by
+    default), unless it is given, and then the new value."""
+    out = np.array(table, dtype=np.int32)
+    rng = np.random.default_rng(seed)
+    if cell is None:
+        cell = tuple(int(rng.choice(s if within is None else within)) for s in out.shape)
+    others = sel[sel != out[cell]]
+    out[cell] = others[int(rng.integers(len(others)))]
     return out
 
 
@@ -160,9 +178,46 @@ def module_cases(host):
             yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(a, workers=w)
 
 
+# explicit cells (table, cell, value) for formulas no seed reaches: the
+# order's reflexive and antisymmetric laws and the complement law
+PROJECTION_CELLS = {
+    "boolean:2": [("mult", (2, 2), 0), ("mult", (0, 2), 2), ("mult", (4, 2), 2)],
+    "mo:2": [("mult", (6, 2), 2)],
+    "boolean:3": [],
+}
+
+
+def projection_cases(host):
+    f = built(host)[0]
+    q = f.base
+    m, s, jt = q.dense_mult(), q.dense_star(), q.carrier.join_tab
+    sel = np.array(f.members())
+
+    def with_mult(t):
+        return FoulisQuantale(FinQuantale(q.carrier, t, s, q.unit), f.sai)
+
+    def with_join(t):
+        lat = FiniteLattice(q.carrier.labels, t, q.carrier.bottom, q.carrier.top)
+        return FoulisQuantale(FinQuantale(lat, m, s, q.unit), f.sai)
+
+    mutants = [f]
+    mutants += [FoulisQuantale(q, member_cell(f.sai, seed, sel, within=sel)) for seed in SEEDS]
+    mutants += [with_mult(member_cell(m, seed, sel, within=sel)) for seed in SEEDS]
+    mutants += [with_join(member_cell(jt, seed, sel, within=sel)) for seed in SEEDS]
+    build = {"sai": lambda t: FoulisQuantale(q, t), "mult": with_mult, "join": with_join}
+    table = {"sai": f.sai, "mult": m, "join": jt}
+    for name, cell, value in PROJECTION_CELLS[host]:
+        t = np.array(table[name], dtype=np.int32)
+        t[cell] = value
+        mutants.append(build[name](t))
+    for k, fq in enumerate(mutants):
+        yield f"projection/{k}", lambda w, fq=fq: sasaki_oml(fq).report
+
+
 FAMILIES = {"lattice": (lattice_cases, LATTICE_HOSTS),
             "quantale": (quantale_cases, QUANTALE_HOSTS),
-            "module": (module_cases, QUANTALE_HOSTS)}
+            "module": (module_cases, QUANTALE_HOSTS),
+            "projection": (projection_cases, QUANTALE_HOSTS)}
 PARAMS = [(family, host) for family, (_, hosts) in FAMILIES.items() for host in hosts]
 
 
@@ -190,6 +245,18 @@ def test_witnesses_match_the_golden(family, host):
 def test_golden_holds_failing_and_passing_reports():
     reports = [e for cases in golden().values() for e in cases.values() if isinstance(e, list)]
     assert any(reports) and not all(reports)
+
+
+def test_projection_golden_reaches_ten_formulas():
+    # no one-cell mutant reaches top-is-sai-of-zero, bound-exists or
+    # orthomodular
+    raised = {e["raises"].split()[4] for key, cases in golden().items()
+              if key.startswith("projection/") for e in cases.values() if "raises" in e}
+    assert raised == {"projection-order-reflexive", "projection-order-antisymmetric",
+                      "projection-order-transitive", "projection-join-exists",
+                      "projection-meet-exists", "projection-involution",
+                      "projection-complement", "projection-antitone",
+                      "meet-formula", "join-formula"}
 
 
 if __name__ == "__main__":
