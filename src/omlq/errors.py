@@ -14,9 +14,17 @@ class FormatError(OmlqError):
 
 
 class NotAPoset(OmlqError):
-    def __init__(self, x, y):
-        super().__init__(f"antisymmetry fails: {x!r} <= {y!r} and {y!r} <= {x!r}")
-        self.witness = (x, y)
+    """An order relation that breaks law, "reflexive", "antisymmetric" or
+    "transitive", at witness: its least failing (x,) or (x, y), as labels."""
+
+    def __init__(self, law, witness):
+        x, y = witness[0], witness[-1]
+        super().__init__({"reflexive": f"reflexivity fails: not {x!r} <= {x!r}",
+                          "antisymmetric": f"antisymmetry fails: {x!r} <= {y!r} and {y!r} <= {x!r}",
+                          "transitive": f"transitivity fails: {x!r} <= z <= {y!r} for some z, "
+                                        f"but not {x!r} <= {y!r}"}[law])
+        self.law = law
+        self.witness = tuple(witness)
 
 
 class NotALattice(OmlqError):

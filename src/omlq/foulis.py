@@ -25,15 +25,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousSai, FormatError, NotALattice, NotFoulis, StructureViolation
+from .errors import AmbiguousSai, FormatError, NotALattice, NotAPoset, NotFoulis, StructureViolation
 from .lattice import (
     CheckReport,
     FiniteOML,
     Law,
-    bool_product,
     cell_dtype,
     check_oml,
-    lattice_from_order,
+    lattice_from_leq,
     least,
     make_report,
     rows,
@@ -277,49 +276,36 @@ class SasakiOML:
 def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     """Reconstruct the projection lattice and cross-check its arithmetic.
 
-    The order comes from s <= t iff s = t * s; the complement is sai
-    itself; top must be sai(0).  The meet and join closed forms
+    The order comes from s <= t iff s = t * s and is validated by
+    lattice_from_leq; the complement is sai itself; top must be sai(0).
+    The meet and join closed forms
 
         meet(k1, k2) = perp(perp(k1 * sai(sai(k2) * k1)))
         join(S) = sai(sai(carrier join of S))
 
-    are compared against the bounds the order determines.  Any mismatch,
-    and any failure of the orthomodular laws, raises StructureViolation.
+    are compared, as whole tables, against the bounds the order determines:
+    the least failing pair, meet first.  Any mismatch, and any failure of
+    the order or of the orthomodular laws, raises StructureViolation.
     """
     q = f.base
     m = q.dense_mult()
-    s = q.dense_star()
     sai = f.sai
-    zero = q.zero
+    perp = sai[q.dense_star()]
     members = f.members()
     sel = np.array(members, dtype=np.int32)
     local = np.full(q.n, -1, dtype=cell_dtype(len(sel)))
     local[sel] = np.arange(len(sel))
     local_labels = tuple(q.label(k) for k in members)
     order = m[np.ix_(sel, sel)].T == sel[:, None]  # entry (i, j): sel[j] * sel[i] = sel[i]
-
-    def lab(i):
-        return local_labels[i]
-
-    k = len(members)
-    if not order.diagonal().all():
-        i = int(np.nonzero(~order.diagonal())[0][0])
-        raise StructureViolation("projection-order-reflexive", (lab(i),))
-    bad = order & order.T & ~np.eye(k, dtype=bool)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise StructureViolation("projection-order-antisymmetric", (lab(i), lab(j)))
-    closure = bool_product(order, order)
-    if (closure & ~order).any():
-        i, j = map(int, np.argwhere(closure & ~order)[0])
-        raise StructureViolation("projection-order-transitive", (lab(i), lab(j)))
     try:
-        lat = lattice_from_order(local_labels, order)
+        lat = lattice_from_leq(local_labels, order)
+    except NotAPoset as e:
+        raise StructureViolation(f"projection-order-{e.law}", e.witness) from None
     except NotALattice as e:
         raise StructureViolation(f"projection-{e.kind}-exists", e.witness) from None
 
-    if lat.top != local[sai[zero]]:
-        raise StructureViolation("top-is-sai-of-zero", (lab(lat.top),))
+    if lat.top != local[sai[q.zero]]:
+        raise StructureViolation("top-is-sai-of-zero", (lat.label(lat.top),))
     oml = FiniteOML(lat, local[sai[sel]])
 
     report = check_oml(oml, subject="projection-lattice")
@@ -327,21 +313,18 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
         v = report.violations[0]
         raise StructureViolation(f"projection-{v.axiom}", v.witness)
 
-    def perp(t):
-        return int(sai[s[t]])
-
-    jq = q.carrier.join_tab
-    for i, k1 in enumerate(members):
-        for j, k2 in enumerate(members):
-            inner = int(sai[m[int(sai[k2]), k1]])
-            formula_meet = perp(perp(m[k1, inner]))
-            if local[formula_meet] != lat.meet(i, j):
-                raise StructureViolation("meet-formula", (lab(i), lab(j)))
-            formula_join = int(sai[sai[jq[k1, k2]]])
-            if local[formula_join] != lat.join(i, j):
-                raise StructureViolation("join-formula", (lab(i), lab(j)))
-    if local[sai[sai[zero]]] != lat.bottom:
-        raise StructureViolation("empty-join-formula", (lab(lat.bottom),))
+    # entry (i, j): the closed form at (sel[i], sel[j]), -1 off the members
+    inner = sai[m[sai[sel], sel[:, None]]]
+    meet = local[perp[perp[m[sel[:, None], inner]]]]
+    join = local[sai[sai[q.carrier.join_tab[np.ix_(sel, sel)]]]]
+    hit = least(np.stack([meet != lat.meet_tab, join != lat.join_tab], axis=-1))
+    if hit is not None:
+        i, j, formula = hit
+        raise StructureViolation(("meet-formula", "join-formula")[formula],
+                                 (local_labels[i], local_labels[j]))
+    # The empty join needs no check: with check_oml passed and top =
+    # local[sai(0)], the complement law at the top gives ortho[top] =
+    # local[sai(sai(0))] = bottom.
     return SasakiOML(f, local, oml, report)
 
 

@@ -5,8 +5,9 @@ join table alone; the order (x <= y iff x v y = y, a dense boolean
 matrix) and the meet table are derived on first use, so law checking and
 Sasaki arithmetic reduce to table lookups.  Every dense table of element
 indices, here and in the quantale, module and file layers, has cells of
-cell_dtype(n).  Input relations may list covering pairs or the full
-order; the reflexive-transitive closure is always recomputed.
+cell_dtype(n).  An order read as pairs may list covering pairs or the full
+order, and its reflexive-transitive closure is recomputed; an order
+matrix is checked as given, by lattice_from_leq.
 
 Every exhaustive checker states its laws as Law values and hands them to
 run_laws, which decides them in order and labels each least witness.  A
@@ -266,8 +267,13 @@ class FiniteLattice:
 
         That is, j is not the bottom and no x v y = j has x and y both other
         than j: two covers join to j, and below one cover every join stays.
-        The join table is read in row blocks of about 1 MiB.
+        The join table is read in row blocks of about 1 MiB, once; each call
+        returns a fresh list.
         """
+        return list(self._irreducibles)
+
+    @cached_property
+    def _irreducibles(self) -> tuple[int, ...]:
         jt, n = self.join_tab, self.n
         reducible = np.zeros(n, dtype=bool)
         reducible[self.bottom] = True
@@ -276,7 +282,7 @@ class FiniteLattice:
         for lo in range(0, n, step):
             block = jt[lo : lo + step]
             reducible[block[(block != ar[lo : lo + step, None]) & (block != ar)]] = True
-        return [int(j) for j in np.flatnonzero(~reducible)]
+        return tuple(int(j) for j in np.flatnonzero(~reducible))
 
     @property
     def signature(self):
@@ -359,26 +365,28 @@ def _order_tables(labels, leq, kinds=("join", "meet")):
 
 
 def lattice_from_leq(labels, leq) -> FiniteLattice:
-    """Build a lattice from an already reflexive-transitive order matrix."""
+    """Build a lattice from an order matrix, entry (i, j) for i <= j.
+
+    Raises NotAPoset for the first of reflexivity, antisymmetry and
+    transitivity (bool_product(leq, leq) within leq) that fails, at its
+    least witness in row-major order, and then as lattice_from_order.
+    """
     labels = tuple(labels)
     leq = np.array(leq, dtype=bool)
     n = len(labels)
     if leq.shape != (n, n):
         raise FormatError("order matrix shape does not match element count")
-    if not leq.diagonal().all():
-        raise FormatError("order relation is not reflexive")
-    _check_antisymmetric(labels, leq)
-    closed = bool_product(leq, leq)
-    if (closed & ~leq).any():
-        raise FormatError("order relation is not transitive")
+    _refuse("reflexive", labels, ~leq.diagonal())
+    _refuse("antisymmetric", labels, leq & leq.T & ~np.eye(n, dtype=bool))
+    _refuse("transitive", labels, bool_product(leq, leq) & ~leq)
     return lattice_from_order(labels, leq)
 
 
-def _check_antisymmetric(labels, leq):
-    bad = leq & leq.T & ~np.eye(len(labels), dtype=bool)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NotAPoset(labels[i], labels[j])
+def _refuse(law, labels, bad):
+    """Raise NotAPoset for law at the least True entry of bad, if any."""
+    w = least(bad)
+    if w is not None:
+        raise NotAPoset(law, tuple(labels[i] for i in w))
 
 
 def lattice_from_order(labels, leq) -> FiniteLattice:
@@ -527,7 +535,7 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
         if (closed == leq).all():
             break
         leq = closed
-    _check_antisymmetric(labels, leq)
+    _refuse("antisymmetric", labels, leq & leq.T & ~np.eye(n, dtype=bool))
     return lattice_from_order(labels, leq)
 
 
@@ -537,19 +545,19 @@ def build_lattice(labels, leq_pairs) -> FiniteLattice:
 _JOIN_CELLS = 1 << 15  # table cells one slice of breaks_joins gathers
 
 
-def join_pairs(lat: FiniteLattice, irr=None):
+def join_pairs(lat: FiniteLattice):
     """The pairs (y, k) of the join test on lat, as int32 arrays ys, ks and
     yk, the index of each y v k.
 
-    k runs over the join-irreducibles irr (by default those of lat) and y
-    over the elements with k not below y: by the lemma of check_quantale
-    part (a), a map t preserves binary joins exactly when t[y v k] =
-    t[y] v t[k] for all of them.  Of two incomparable join-irreducibles
-    only (y, k) with y < k is kept, as (k, y) states the same equation.
+    k runs over the join-irreducibles of lat and y over the elements with
+    k not below y: by the lemma of check_quantale part (a), a map t
+    preserves binary joins exactly when t[y v k] = t[y] v t[k] for all of
+    them.  Of two incomparable join-irreducibles only (y, k) with y < k is
+    kept, as (k, y) states the same equation.
     """
-    js = np.asarray(lat.join_irreducibles() if irr is None else irr, dtype=np.int32)
+    js = np.asarray(lat.join_irreducibles(), dtype=np.int32)
     leq = lat.leq_mat
-    ys, cols = np.nonzero(~leq[js].T)  # entry (y, c): irr[c] not below y
+    ys, cols = np.nonzero(~leq[js].T)  # entry (y, c): js[c] not below y
     ks = js[cols]
     twin = np.isin(ys, js) & ~leq[ys, ks] & (ys > ks)
     ys, ks = ys[~twin].astype(np.int32), ks[~twin]
@@ -576,15 +584,14 @@ def breaks_joins(tables, pairs, cod: FiniteLattice) -> np.ndarray:
     return bad
 
 
-def nonadditive_row(table, lat: FiniteLattice, irr) -> int | None:
+def nonadditive_row(table, lat: FiniteLattice) -> int | None:
     """Least x whose row w -> table[x, w] does not preserve the binary
     joins of lat, or None.
 
-    irr lists the join-irreducibles of lat.  Rows get the join test of
-    join_pairs in blocks of about _JOIN_CELLS cells, up to the first block
-    with a failing row.
+    Rows get the join test of join_pairs in blocks of about _JOIN_CELLS
+    cells, up to the first block with a failing row.
     """
-    pairs = join_pairs(lat, irr)
+    pairs = join_pairs(lat)
     step = max(1, _JOIN_CELLS // max(1, len(pairs[0])))
     for lo in range(0, table.shape[0], step):
         bad = breaks_joins(table[lo : lo + step], pairs, lat)
@@ -606,18 +613,18 @@ def _row_witness(f, lat: FiniteLattice):
     return None
 
 
-def join_law(name, table, lat: FiniteLattice, irr=None, kinds="") -> Law:
+def join_law(name, table, lat: FiniteLattice, kinds="") -> Law:
     """The law that every row w -> table[x, w] preserves the binary joins
     of lat, decided with its least witness (x, y, z).
 
     By the lemma of check_quantale part (a), the least row x that fails the
-    row test of nonadditive_row (irr, by default lat's join-irreducibles)
-    holds the least witness, and only that row is scanned.  lat's join
-    table is assumed to be a semilattice operation with bottom as its unit
-    (idempotent, commutative, associative), so it is the join of the order
-    read off it, as the lemma needs; the least witness then has y < z.
+    row test of nonadditive_row holds the least witness, and only that row
+    is scanned.  lat's join table is assumed to be a semilattice operation
+    with bottom as its unit (idempotent, commutative, associative), so it
+    is the join of the order read off it, as the lemma needs; the least
+    witness then has y < z.
     """
-    x = nonadditive_row(table, lat, lat.join_irreducibles() if irr is None else irr)
+    x = nonadditive_row(table, lat)
     w = None if x is None else _row_witness(table[x], lat)
     return Law(name, hit=w and (x, *w), kinds=kinds)
 

@@ -168,7 +168,7 @@ def _frontier(dom: FiniteOML, cod: FiniteOML, cap: int | None):
     for t, j in enumerate(irr):
         ready[leq[j]] = t
     up = leq[irr]  # entry (t, x): irr[t] below x
-    ys, ks, yk = join_pairs(dom, irr)
+    ys, ks, yk = join_pairs(dom)
     live = (up[:, yk] & ~up[:, ys] & ~up[:, ks]).any(axis=0)
     pairs = ys[live], ks[live], yk[live]
     pair_ready = np.maximum(ready[pairs[0]], ready[pairs[1]])

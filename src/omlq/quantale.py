@@ -348,7 +348,7 @@ def represents(q: FinQuantale) -> bool:
         return False
     x, values = view.host, view.values
     if ((values[:, x.bottom] != x.bottom).any()
-            or nonadditive_row(values, x, x.join_irreducibles()) is not None):
+            or nonadditive_row(values, x) is not None):
         return False
     ar = np.arange(q.n, dtype=np.int32)
     return np.array_equal(view.find(values), ar) and q.preserved_by(view, ar) == (None, None)
@@ -434,16 +434,15 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     if represents(q):
         laws = [Law("associativity"), *linear, Law("distributes-left"), Law("distributes-right")]
         return run_laws(subject, q.label, laws, workers)
-    irr = q.carrier.join_irreducibles()
     laws = [
         *linear,
-        join_law("distributes-left", m, q.carrier, irr),
-        join_law("distributes-right", m.T, q.carrier, irr),
+        join_law("distributes-left", m, q.carrier),
+        join_law("distributes-right", m.T, q.carrier),
     ]
 
     def associates_on_irreducibles():
         # one |J| x |J| slice (ij)k against i(jk) per i in J
-        js = np.array(irr, dtype=np.intp)
+        js = np.array(q.carrier.join_irreducibles(), dtype=np.intp)
         ij = m[np.ix_(js, js)]
         return all(np.array_equal(m[ij[a][:, None], js], m[i][ij]) for a, i in enumerate(js))
 

@@ -145,7 +145,69 @@ def test_equality_reads_the_join_table_alone():
 def test_build_lattice_rejects_cycles():
     with pytest.raises(NotAPoset) as exc:
         build_lattice(["x", "y"], [("x", "y"), ("y", "x")])
-    assert set(exc.value.witness) == {"x", "y"}
+    assert exc.value.law == "antisymmetric" and set(exc.value.witness) == {"x", "y"}
+
+
+@st.composite
+def relations(draw):
+    """A relation on at most 6 elements: arbitrary cells, arbitrary cells
+    with the diagonal set, or a partial order (the closure of edges i -> j
+    with i < j, relabelled) with up to two cells flipped."""
+    n = draw(st.integers(1, 6))
+    leq = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    kind = draw(st.sampled_from(["arbitrary", "reflexive", "order"]))
+    if kind != "order":
+        return leq | (kind == "reflexive") * np.eye(n, dtype=bool)
+    leq = np.triu(leq) | np.eye(n, dtype=bool)
+    for k in range(n):
+        leq |= leq[:, k : k + 1] & leq[k : k + 1, :]
+    perm = np.array(draw(st.permutations(range(n))))
+    leq = leq[np.ix_(perm, perm)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        leq[i, j] = not leq[i, j]
+    return leq
+
+
+def poset_law_reference(labels, leq):
+    """The first of reflexivity, antisymmetry and transitivity that leq
+    breaks, with its least witness in row-major order, or None."""
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    bad = [("reflexive", (i,)) for i in range(n) if not leq[i, i]]
+    bad += [("antisymmetric", (i, j)) for i, j in pairs if i != j and leq[i, j] and leq[j, i]]
+    bad += [("transitive", (i, j)) for i, j in pairs
+            if not leq[i, j] and any(leq[i, k] and leq[k, j] for k in range(n))]
+    return bad and (bad[0][0], tuple(labels[i] for i in bad[0][1]))
+
+
+def lattice_outcome(build, labels, leq):
+    try:
+        lat = build(labels, leq)
+    except NotALattice as e:
+        return str(e), e.kind, e.witness
+    return lat, lat.bottom, lat.top
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(relations())
+def test_lattice_from_leq_names_the_least_witness_of_the_first_broken_law(leq):
+    labels = [f"e{len(leq) - i}" for i in range(len(leq))]
+    want = poset_law_reference(labels, leq)
+    if want:
+        with pytest.raises(NotAPoset) as exc:
+            lattice_from_leq(labels, leq)
+        assert (exc.value.law, exc.value.witness) == want
+    else:
+        assert (lattice_outcome(lattice_from_leq, labels, leq)
+                == lattice_outcome(lattice_module.lattice_from_order, labels, leq))
+
+
+def test_join_irreducibles_are_scanned_once_and_returned_fresh():
+    lat = catalog("mo:2")
+    js = lat.join_irreducibles()
+    js.append(-1)
+    assert lat.join_irreducibles() == js[:-1] and "_irreducibles" in vars(lat)
 
 
 def test_build_lattice_rejects_unknown_and_duplicate_labels():

@@ -1031,8 +1031,7 @@ def test_row_test_decides_join_preservation(fq_b2, data):
     lat = data.draw(st.sampled_from(row_test_carriers(fq_b2)))
     rows = [draw_row(data, lat) for _ in range(data.draw(st.integers(1, 4)))]
     failing = [r for r, f in enumerate(rows) if not preserves_binary_joins(f, lat)]
-    irr = lat.join_irreducibles()
-    got = lattice_module.nonadditive_row(np.array(rows), lat, irr)
+    got = lattice_module.nonadditive_row(np.array(rows), lat)
     assert got == (failing[0] if failing else None)
     want = None
     if failing:
@@ -1049,14 +1048,13 @@ def test_row_test_reads_every_join_irreducible(fq_b2):
     # left out.  The same row behind a lawful one, and twice, is found at
     # its first place.
     for lat in row_test_carriers(fq_b2):
-        irr = lat.join_irreducibles()
         top = np.full(lat.n, lat.top, dtype=np.int32)
-        for k in irr:
+        for k in lat.join_irreducibles():
             f = top.copy()
             f[k] = lat.bottom
             assert not preserves_binary_joins(f, lat)
-            assert lattice_module.nonadditive_row(np.array([top, f, f]), lat, irr) == 1
-        assert lattice_module.nonadditive_row(top[None, :], lat, irr) is None
+            assert lattice_module.nonadditive_row(np.array([top, f, f]), lat) == 1
+        assert lattice_module.nonadditive_row(top[None, :], lat) is None
 
 
 def draw_late_mutant(data, q):
@@ -1121,10 +1119,9 @@ def test_join_test_on_int16_tables_matches_int32(fq_b3):
         c = q.carrier
         carrier = FiniteLattice(c.labels, c.join_tab.astype(dtype), c.bottom, c.top)
         m = mult.astype(dtype)
-        irr = carrier.join_irreducibles()
         mutant = FinQuantale(carrier, m, q.dense_star(), q.unit)
-        got.append((lattice_module.nonadditive_row(m, carrier, irr),
-                     lattice_module.nonadditive_row(m.T, carrier, irr),
+        got.append((lattice_module.nonadditive_row(m, carrier),
+                     lattice_module.nonadditive_row(m.T, carrier),
                      dump_json(check_quantale(mutant).to_dict())))
     assert got[0] == got[1]
     assert got[1][:2] == (300, 400)

@@ -1,6 +1,8 @@
 """Theorem pipelines: per-selector reports, prerequisite gating, and the
 aggregate payload."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from omlq import (
     vector_label,
     verify_text,
 )
+from omlq.cli import main
 from omlq.lattice import sasaki_table
 from omlq.verify import SELECTOR_REPORTS, VerifyContext
 from test_linmap import dagger_reference
@@ -409,3 +412,17 @@ def test_verify_all_payload_is_the_same_with_the_certificates_off(monkeypatch, s
             scanned, scanned_code = run_verify(oml, ["all"], workers=workers)
         assert code == scanned_code == 0
         assert dump_json(payload) == dump_json(scanned)
+
+
+# sha256 of `verify --catalog "horizontal_sum(boolean:2,boolean:3)" all
+# --format json`, 11,586 bytes: a ladder host that no reference payload
+# covers, whose 10-member projection lattice is the largest sasaki_oml run
+# of the suite.
+HSUM_B2_B3_VERIFY_SHA256 = "72c6f8a883e73bb0922ccd7375920fb9687ae86bcab481ed2f8bc5a10f6e88f3"
+
+
+def test_verify_horizontal_sum_prints_pinned_bytes(capsys):
+    argv = ["verify", "--catalog", "horizontal_sum(boolean:2,boolean:3)", "all", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 11586 and hashlib.sha256(out).hexdigest() == HSUM_B2_B3_VERIFY_SHA256
