@@ -73,15 +73,12 @@ def one_cell(table, seed, values, cell=None):
     return out
 
 
-def member_cell(table, seed, sel, cell=None, within=None):
-    """Copy of table with one cell changed to another member of sel.
-
-    The seed draws the cell, each coordinate from within (all indices by
-    default), unless it is given, and then the new value."""
+def member_cell(table, seed, sel):
+    """Copy of table with one cell, each coordinate a member of sel, changed
+    to another member of sel; the seed draws the cell and the value."""
     out = np.array(table, dtype=np.int32)
     rng = np.random.default_rng(seed)
-    if cell is None:
-        cell = tuple(int(rng.choice(s if within is None else within)) for s in out.shape)
+    cell = tuple(int(rng.choice(sel)) for _ in out.shape)
     others = sel[sel != out[cell]]
     out[cell] = others[int(rng.integers(len(others)))]
     return out
@@ -178,12 +175,11 @@ def module_cases(host):
             yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(a, workers=w)
 
 
-# explicit cells (table, cell, value) for formulas no seed reaches: the
+# product cells (cell, value) for the formulas no seed reaches: the
 # order's reflexive and antisymmetric laws and the complement law
-PROJECTION_CELLS = {
-    "boolean:2": [("mult", (2, 2), 0), ("mult", (0, 2), 2), ("mult", (4, 2), 2)],
-    "mo:2": [("mult", (6, 2), 2)],
-    "boolean:3": [],
+PROJECTION_MULT_CELLS = {
+    "boolean:2": [((2, 2), 0), ((0, 2), 2), ((4, 2), 2)],
+    "mo:2": [((6, 2), 2)],
 }
 
 
@@ -201,15 +197,13 @@ def projection_cases(host):
         return FoulisQuantale(FinQuantale(lat, m, s, q.unit), f.sai)
 
     mutants = [f]
-    mutants += [FoulisQuantale(q, member_cell(f.sai, seed, sel, within=sel)) for seed in SEEDS]
-    mutants += [with_mult(member_cell(m, seed, sel, within=sel)) for seed in SEEDS]
-    mutants += [with_join(member_cell(jt, seed, sel, within=sel)) for seed in SEEDS]
-    build = {"sai": lambda t: FoulisQuantale(q, t), "mult": with_mult, "join": with_join}
-    table = {"sai": f.sai, "mult": m, "join": jt}
-    for name, cell, value in PROJECTION_CELLS[host]:
-        t = np.array(table[name], dtype=np.int32)
+    mutants += [FoulisQuantale(q, member_cell(f.sai, seed, sel)) for seed in SEEDS]
+    mutants += [with_mult(member_cell(m, seed, sel)) for seed in SEEDS]
+    mutants += [with_join(member_cell(jt, seed, sel)) for seed in SEEDS]
+    for cell, value in PROJECTION_MULT_CELLS.get(host, ()):
+        t = np.array(m, dtype=np.int32)
         t[cell] = value
-        mutants.append(build[name](t))
+        mutants.append(with_mult(t))
     for k, fq in enumerate(mutants):
         yield f"projection/{k}", lambda w, fq=fq: sasaki_oml(fq).report
 
