@@ -328,6 +328,27 @@ def test_lin_b4_json_prints_pinned_bytes(capsys):
     assert hashlib.sha256(out).hexdigest() == LIN_B4_MAPS_SHA256
 
 
+# sha256 of `emit --catalog C --format F`: oml_to_dict's complement pairs and
+# to_dot's covers, complement edges and rank lines, read off the tables.
+EMIT_SHA256 = {
+    ("mo:2", "json"): "06276cf860a7b4e0f8dd2dd43377b9bdb72ca021fb2814932e6f8ae3fcf02697",
+    ("mo:2", "dot"): "a4976cf57a95b23e716c0b12ae75b19ae6f008a3a53d13f60109f53bfe782b11",
+    ("benzene", "json"): "2f281a7cb98b1b814a86c9dfc55cfe103d26e473d74dafa8c6f9bd640e232c17",
+    ("benzene", "dot"): "61aa971fc44454d952ccc0ff849c4605b9e58921dfb4b76e1bcfc9791c867528",
+    ("horizontal_sum(boolean:2,boolean:2)", "json"):
+        "63072292c549c70a9b50a217427013853a4b230a56f5747de28aec829494d378",
+    ("horizontal_sum(boolean:2,boolean:2)", "dot"):
+        "2c451d23e87d36edfb6300f270b919882b2de59ddee6dfbf7bdd585d387995be",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(EMIT_SHA256))
+def test_emit_prints_pinned_bytes(capsys, name, fmt):
+    assert main(["emit", "--catalog", name, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == EMIT_SHA256[name, fmt]
+
+
 # ---------------------------------------------------------------------------
 # DOT rendering.
 # ---------------------------------------------------------------------------
