@@ -41,16 +41,14 @@ _EXPORTS = {
     ),
     "lattice": (
         "CheckReport", "FiniteLattice", "FiniteOML", "SubOML", "Violation",
-        "build_lattice", "check_oml", "downset_oml", "lattice_from_leq", "make_report",
-        "ortho_pair", "sasaki_apply",
+        "build_lattice", "check_oml", "lattice_from_leq", "make_report", "sasaki_apply",
     ),
     "linmap": (
         "KernelData", "LinMap", "dagger", "is_linear", "kernel", "lin_count", "lin_values",
         "vector_label", "verify_adjoint_pair",
     ),
     "quantale": (
-        "FinQuantale", "QElementView", "check_involutive", "check_quantale",
-        "leq_by_mult", "leq_by_mult_matrix", "lin_quantale", "perp_by_star",
+        "FinQuantale", "QElementView", "check_involutive", "check_quantale", "lin_quantale",
     ),
     "foulis": (
         "FoulisHom", "FoulisQuantale", "SasakiOML", "check_foulis", "check_hom",

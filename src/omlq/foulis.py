@@ -61,12 +61,6 @@ class FoulisQuantale:
     def label(self, i) -> str:
         return self.base.label(i)
 
-    def sai_of(self, s: int) -> int:
-        return int(self.sai[s])
-
-    def perp(self, t: int) -> int:
-        return int(self.sai[self.base.star_of(t)])
-
     def members(self) -> list[int]:
         """The projection image, ascending by quantale index."""
         return sorted(int(k) for k in set(self.sai.tolist()))
@@ -250,10 +244,11 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
 class SasakiOML:
     """The projection image as an OML under the defined order.
 
-    local maps quantale indices to local ones, -1 off the image, and
     members, the quantale indices of the image ascending, maps local
-    indices back; oml is the local structure with complement k -> sai(k)
-    and top sai(0); report is its passing check_oml report.
+    indices to the host, member i at host index members[i], and the array
+    local maps host indices back, -1 off the image; both are read as
+    arrays.  oml is the local structure with complement k -> sai(k) and
+    top sai(0); report is its passing check_oml report.
     """
 
     def __init__(self, host: FoulisQuantale, local, oml: FiniteOML, report: CheckReport):
@@ -262,15 +257,6 @@ class SasakiOML:
         self.members = tuple(np.flatnonzero(local >= 0).tolist())
         self.oml = oml
         self.report = report
-
-    def to_host(self, i: int) -> int:
-        return self.members[i]
-
-    def from_host(self, k: int) -> int:
-        i = int(self.local[k])
-        if i < 0:
-            raise KeyError(k)
-        return i
 
 
 def sasaki_oml(f: FoulisQuantale) -> SasakiOML:

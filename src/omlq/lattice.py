@@ -188,7 +188,9 @@ class FiniteLattice:
     """Finite bounded lattice held as its join table, a semilattice
     operation with bottom as its unit (join_law); the order leq_mat, where
     x <= y iff x v y = y, and meet_tab are read-only and built on first
-    read.  See build_lattice, lattice_from_leq and lattice_from_order.
+    read.  Elements are read through these tables; label and index map
+    indices to labels and back at the file boundary.  See build_lattice,
+    lattice_from_leq and lattice_from_order.
     """
 
     def __init__(self, labels, join_tab, bottom, top):
@@ -223,36 +225,6 @@ class FiniteLattice:
 
     def label(self, i) -> str:
         return self.labels[i]
-
-    def le(self, i, j) -> bool:
-        return bool(self.join_tab[i, j] == j)
-
-    def join(self, i, j) -> int:
-        return int(self.join_tab[i, j])
-
-    def meet(self, i, j) -> int:
-        return int(self.meet_tab[i, j])
-
-    def join_set(self, items) -> int:
-        """Least upper bound of a finite family; empty family gives bottom."""
-        out = self.bottom
-        for i in items:
-            out = int(self.join_tab[out, i])
-        return out
-
-    def meet_set(self, items) -> int:
-        """Greatest lower bound of a finite family; empty family gives top."""
-        out = self.top
-        for i in items:
-            out = int(self.meet_tab[out, i])
-        return out
-
-    def downset(self, i) -> list[int]:
-        return [int(j) for j in np.nonzero(self.leq_mat[:, i])[0]]
-
-    def atoms(self) -> list[int]:
-        """The elements whose down-set is {bottom, self}, ascending."""
-        return [int(j) for j in np.flatnonzero(self.leq_mat.sum(axis=0) == 2)]
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (i, j) with i < j and nothing strictly between."""
@@ -367,11 +339,14 @@ def _order_tables(labels, leq, kinds=("join", "meet")):
 def lattice_from_leq(labels, leq) -> FiniteLattice:
     """Build a lattice from an order matrix, entry (i, j) for i <= j.
 
-    Raises NotAPoset for the first of reflexivity, antisymmetry and
-    transitivity (bool_product(leq, leq) within leq) that fails, at its
-    least witness in row-major order, and then as lattice_from_order.
+    Raises FormatError for no elements, as build_lattice does, and
+    NotAPoset for the first of reflexivity, antisymmetry and transitivity
+    (bool_product(leq, leq) within leq) that fails, at its least witness
+    in row-major order, and then as lattice_from_order.
     """
     labels = tuple(labels)
+    if not labels:
+        raise FormatError("no elements")
     leq = np.array(leq, dtype=bool)
     n = len(labels)
     if leq.shape != (n, n):
@@ -646,9 +621,6 @@ class FiniteOML(FiniteLattice):
         self.ortho = normalize_ortho(lattice, ortho)
         self.ortho.setflags(write=False)
 
-    def orthoc(self, i) -> int:
-        return int(self.ortho[i])
-
     @property
     def signature(self):
         # its own slot: FiniteLattice.signature caches the join table's in _sig
@@ -714,7 +686,7 @@ def check_oml(oml: FiniteOML, subject="oml", workers=1) -> CheckReport:
 
 def sasaki_apply(oml: FiniteOML, a: int, y: int) -> int:
     """Sasaki projection of y onto a: a meet (a' join y)."""
-    return oml.meet(a, oml.join(oml.orthoc(a), y))
+    return int(oml.meet_tab[a, oml.join_tab[oml.ortho[a], y]])
 
 
 def sasaki_table(oml: FiniteOML) -> np.ndarray:
@@ -723,18 +695,14 @@ def sasaki_table(oml: FiniteOML) -> np.ndarray:
     return mt[np.arange(oml.n)[:, None], jt[oml.ortho]]
 
 
-def ortho_pair(oml: FiniteOML, x: int, y: int) -> bool:
-    """Orthogonality: x below the complement of y."""
-    return oml.le(x, oml.orthoc(y))
-
-
 class SubOML:
     """Principal downset of an OML with the relative complement y -> a meet y'.
 
-    Local elements are indexed 0..m-1 in ascending parent order; members
-    maps local indices back to the parent, and the array local maps parent
-    indices to local ones, -1 off the downset.  The join table is gathered
-    from the parent's through local, whose cells are cell_dtype(m).
+    Local elements are indexed 0..m-1 in ascending parent order.  members
+    maps local indices to the parent, member i at parent index members[i],
+    and the array local maps parent indices back, -1 off the downset; both
+    are read as arrays.  The join table is gathered from the parent's
+    through local, whose cells are cell_dtype(m).
     """
 
     def __init__(self, parent: FiniteOML, a: int):
@@ -748,17 +716,3 @@ class SubOML:
                             local[parent.join_tab[np.ix_(sel, sel)]],
                             local[parent.bottom], local[self.a])
         self.oml = FiniteOML(lat, local[parent.meet_tab[self.a, parent.ortho[sel]]])
-
-    def to_parent(self, i: int) -> int:
-        return self.members[i]
-
-    def from_parent(self, p: int) -> int:
-        i = int(self.local[p])
-        if i < 0:
-            raise KeyError(p)
-        return i
-
-
-def downset_oml(oml: FiniteOML, a: int) -> SubOML:
-    """The downset of a as an OML in its own right."""
-    return SubOML(oml, a)

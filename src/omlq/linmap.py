@@ -37,7 +37,6 @@ from .lattice import (
     SubOML,
     _JOIN_CELLS,
     breaks_joins,
-    downset_oml,
     join_pairs,
     rows,
     run_laws,
@@ -64,9 +63,6 @@ class LinMap:
             raise DomainMismatch("value table length does not match the domain")
         if self.values and not all(0 <= v < cod.n for v in self.values):
             raise DomainMismatch("value table points outside the codomain")
-
-    def __call__(self, i: int) -> int:
-        return self.values[i]
 
     def __repr__(self):
         return f"LinMap{vector_label(self)}"
@@ -253,11 +249,11 @@ class KernelData:
 def kernel_split(oml: FiniteOML, k: int):
     """The downset of k and the Sasaki projection at k corestricted to it:
     (sub, row) with row[x] the local index of the projection of x."""
-    sub = downset_oml(oml, k)
+    sub = SubOML(oml, k)
     return sub, sub.local[sasaki_table(oml)[k]]
 
 
 def kernel(f: LinMap) -> KernelData:
     """Kernel as the downset of the complement of dagger(f) at the top."""
-    k = f.dom.orthoc(dagger(f).values[f.cod.top])
+    k = int(f.dom.ortho[dagger(f).values[f.cod.top]])
     return KernelData(k, *kernel_split(f.dom, k))

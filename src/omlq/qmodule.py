@@ -51,9 +51,6 @@ class ModuleAction:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
-    def act(self, s: int, a: int) -> int:
-        return int(self.table[s, a])
-
 
 def lin_module(q: FinQuantale) -> ModuleAction:
     """A quantale of maps acting on the host of q.view by application, as

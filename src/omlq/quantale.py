@@ -13,10 +13,13 @@ phi and are decided from their tables alone.
 
 The defined relations
 
-    s <= t  iff  s = t * s          (leq_by_mult)
-    s perp t  iff  star(s) * t = 0  (perp_by_star)
+    s <= t  iff  s = t * s
+    s perp t  iff  star(s) * t = 0
 
-live on the quantale and are distinct from the carrier order.
+live on the quantale and are distinct from the carrier order.  They are
+read off the multiplication table: the order as m[t, s] == s by
+foulis.sasaki_oml, which builds the projection lattice from it, and both
+relations by foulis.check_star_props.
 """
 
 from __future__ import annotations
@@ -82,27 +85,8 @@ class FinQuantale:
     def n(self) -> int:
         return self.carrier.n
 
-    @property
-    def labels(self):
-        return self.carrier.labels
-
     def label(self, i) -> str:
         return self.carrier.label(i)
-
-    def index(self, label) -> int:
-        return self.carrier.index(label)
-
-    def times(self, i, j) -> int:
-        return int(self._mult[i, j])
-
-    def star_of(self, i) -> int:
-        return int(self._star[i])
-
-    def join(self, i, j) -> int:
-        return self.carrier.join(i, j)
-
-    def le(self, i, j) -> bool:
-        return self.carrier.le(i, j)
 
     def dense_mult(self) -> np.ndarray:
         return self._mult
@@ -262,22 +246,6 @@ class QElementView:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def leq_by_mult(q: FinQuantale, s: int, t: int) -> bool:
-    """The defined order: s below t iff t * s = s."""
-    return q.times(t, s) == s
-
-
-def perp_by_star(q: FinQuantale, s: int, t: int) -> bool:
-    """The defined orthogonality: star(s) * t = 0."""
-    return q.times(q.star_of(s), t) == q.zero
-
-
-def leq_by_mult_matrix(q: FinQuantale) -> np.ndarray:
-    """Dense matrix of the defined order; entry (s, t) is s <= t."""
-    m = q.dense_mult()
-    return m.T == np.arange(q.n, dtype=m.dtype)[:, None]
 
 
 def lin_quantale(oml: FiniteOML, cap: int | None = None):

@@ -146,11 +146,8 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
 
 def oml_to_dict(oml: FiniteOML) -> dict:
     d = lattice_to_dict(oml)
-    d["ortho"] = {
-        oml.label(i): oml.label(oml.orthoc(i))
-        for i in range(oml.n)
-        if i <= oml.orthoc(i)
-    }
+    ortho = oml.ortho.tolist()
+    d["ortho"] = {oml.label(i): oml.label(c) for i, c in enumerate(ortho) if i <= c}
     return d
 
 
@@ -624,7 +621,7 @@ def to_dot(obj) -> str:
             for i, j in pairs:
                 lines.append(f"  {q(i)} -> {q(j)};")
             for i, j in pairs:
-                if not lat.le(i, j) and not lat.le(j, i):
+                if not lat.leq_mat[i, j] and not lat.leq_mat[j, i]:
                     lines.append(f"  {{rank=same; {q(i)}; {q(j)};}}")
     lines.append("}")
     return "\n".join(lines) + "\n"

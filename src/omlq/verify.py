@@ -107,7 +107,7 @@ def dagger_kernel_report(
         values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
     leq, bottom = oml.leq_mat, oml.bottom
     S = sasaki_table(oml)
-    key = np.concatenate([values == bottom, leq[values, oml.orthoc(oml.top)]], 1)
+    key = np.concatenate([values == bottom, leq[values, oml.ortho[oml.top]]], 1)
     _, reps = np.unique(np.packbits(key, axis=1), axis=0, return_index=True)
     fs = values[np.sort(reps)]
     ks = oml.ortho[adjoint_rows(fs, oml, oml)[:, oml.top]]

@@ -4,6 +4,8 @@ The quantale fixtures are session-scoped because enumeration of the
 endomap monoid is the expensive step shared by most suites.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,16 @@ def fq_b3(b3):
 @pytest.fixture(scope="session")
 def fq_mo2(mo2):
     return foulis_from_lin(mo2)
+
+
+def join_all(lat, items) -> int:
+    """The join of items in lat, its bottom for none, folded over join_tab."""
+    return reduce(lambda x, y: int(lat.join_tab[x, y]), items, lat.bottom)
+
+
+def atoms(lat) -> list[int]:
+    """The elements that cover the bottom, ascending."""
+    return sorted(j for i, j in lat.covers() if i == lat.bottom)
 
 
 def make_two_chain_quantale() -> FinQuantale:

@@ -129,9 +129,9 @@ def test_criterion_04_dagger_kernel_theorem(b1, b2, mo2):
         bottom = oml.bottom
         for f in maps:
             data = kernel(LinMap(oml, oml, f))
-            assert data.k == oml.orthoc(dagger(LinMap(oml, oml, f)).values[oml.top])
+            assert data.k == oml.ortho[dagger(LinMap(oml, oml, f)).values[oml.top]]
             killed = set(np.flatnonzero(f == bottom).tolist())
-            assert killed == set(oml.downset(data.k))
+            assert killed == set(np.flatnonzero(oml.leq_mat[:, data.k]).tolist())
             embed = np.array(data.sub.members)
             assert (f[embed] == bottom).all()
             proj_k = np.array([sasaki_apply(oml, data.k, y) for y in range(oml.n)])

@@ -15,12 +15,14 @@ from omlq import (
     product_oml,
 )
 
+from conftest import atoms
+
 
 def test_boolean_family_sizes_and_laws():
     for n in (1, 2, 3, 4):
         oml = catalog(f"boolean:{n}")
         assert oml.n == 2 ** n
-        assert len(oml.atoms()) == n
+        assert len(atoms(oml)) == n
         assert check_oml(oml).passed
 
 
@@ -28,7 +30,7 @@ def test_mo_family_sizes_and_laws():
     for n in (1, 2, 3, 4):
         oml = catalog(f"mo:{n}")
         assert oml.n == 2 * n + 2
-        assert len(oml.atoms()) == 2 * n
+        assert len(atoms(oml)) == 2 * n
         assert check_oml(oml).passed
 
 
@@ -38,7 +40,7 @@ def test_mo1_is_the_four_element_boolean_algebra():
     assert check_oml(mo1).passed
     # one atom pair, each the other's complement
     a = mo1.index("a")
-    assert mo1.label(mo1.orthoc(a)) == "a'"
+    assert mo1.label(mo1.ortho[a]) == "a'"
 
 
 def test_benzene_shape():
@@ -64,7 +66,7 @@ def test_product_combines_componentwise():
     p = catalog("product(boolean:1,boolean:1)")
     assert p.n == 4
     assert check_oml(p).passed
-    assert len(p.atoms()) == 2
+    assert len(atoms(p)) == 2
     q = catalog("product(boolean:1,mo:2)")
     assert q.n == 12
     assert check_oml(q).passed
@@ -79,20 +81,19 @@ def test_product_order_is_componentwise():
             lx, ly = p.label(x), p.label(y)
             x1, x2 = lx[1:-1].split(",", 1)
             y1, y2 = ly[1:-1].split(",", 1)
-            expected = b1.le(b1.index(x1), b1.index(y1)) and mo2.le(
-                mo2.index(x2), mo2.index(y2)
-            )
-            assert p.le(x, y) == expected
+            expected = (b1.leq_mat[b1.index(x1), b1.index(y1)]
+                        and mo2.leq_mat[mo2.index(x2), mo2.index(y2)])
+            assert p.leq_mat[x, y] == expected
 
 
 def test_horizontal_sum_of_two_squares_is_mo2():
     h = horizontal_sum_oml(catalog("boolean:2"), catalog("boolean:2"))
     assert h.n == 6
     assert check_oml(h).passed
-    assert len(h.atoms()) == 4
+    assert len(atoms(h)) == 4
     # every non-bound element is an atom and a coatom, as in mo:2
-    for a in h.atoms():
-        assert h.le(a, h.top)
+    for a in atoms(h):
+        assert h.leq_mat[a, h.top]
         assert (h.bottom, a) in h.covers()
         assert (a, h.top) in h.covers()
 

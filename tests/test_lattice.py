@@ -25,15 +25,14 @@ from omlq import (
     catalog,
     catalog_names,
     check_oml,
-    downset_oml,
     is_linear,
     lattice_from_leq,
-    lin_quantale,
-    ortho_pair,
     sasaki_apply,
 )
 from omlq import lattice as lattice_module
 from omlq.lattice import bool_product, breaks_joins, join_pairs
+
+from conftest import join_all
 
 # ---------------------------------------------------------------------------
 # Hand-frozen tables for the four-element Boolean algebra {0, a, b, 1}.
@@ -84,27 +83,8 @@ def test_lattice_navigation_helpers(b2):
     assert b2.n == 4
     assert b2.index("a") == 1
     assert b2.label(2) == "b"
-    assert b2.le(1, 3) and not b2.le(1, 2)
-    assert b2.join(1, 2) == 3
-    assert b2.meet(1, 2) == 0
-    assert b2.join_set([]) == b2.bottom
-    assert b2.meet_set([]) == b2.top
-    assert b2.join_set([1, 2]) == 3
-    assert b2.meet_set([1, 3]) == 1
-    assert set(b2.downset(1)) == {0, 1}
-    assert set(b2.atoms()) == {1, 2}
     assert set(b2.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
     assert set(b2.join_irreducibles()) == {1, 2}
-
-
-def test_le_reads_the_join_table_and_builds_no_order(b2):
-    hosts = [catalog(name) for name in ("boolean:3", "mo:2", "benzene", "zero",
-                                        "product(boolean:1,mo:2)")]
-    q, _ = lin_quantale(b2)
-    for lat, le in [(lat, lat.le) for lat in hosts] + [(q.carrier, q.le)]:
-        got = [[le(i, j) for j in range(lat.n)] for i in range(lat.n)]
-        assert "leq_mat" not in vars(lat)
-        assert got == lat.leq_mat.tolist()
 
 
 def test_join_irreducibles_match_the_cover_count(fq_b2, fq_mo2, fq_b3):
@@ -203,6 +183,13 @@ def test_lattice_from_leq_names_the_least_witness_of_the_first_broken_law(leq):
                 == lattice_outcome(lattice_module.lattice_from_order, labels, leq))
 
 
+def test_lattice_from_leq_refuses_no_elements():
+    # with the error of build_lattice, before any table is sized
+    for build, order in ((lattice_from_leq, np.zeros((0, 0), dtype=bool)), (build_lattice, [])):
+        with pytest.raises(FormatError, match="^no elements$"):
+            build([], order)
+
+
 def test_join_irreducibles_are_scanned_once_and_returned_fresh():
     lat = catalog("mo:2")
     js = lat.join_irreducibles()
@@ -232,7 +219,7 @@ def test_build_lattice_reports_the_first_bad_pair():
     with pytest.raises(FormatError, match=r"order pair \(\['y'\], 'x'\) names unknown"):
         build_lattice(["x", "y"], (p for p in [("x", "y"), (["y"], "x"), "xy"]))
     lat = build_lattice(["x", "y"], iter([["x", "y"], ("x", "x")]))
-    assert lat.le(0, 1) and not lat.le(1, 0)
+    assert lat.leq_mat[0, 1] and not lat.leq_mat[1, 0]
 
 
 def test_build_lattice_rejects_missing_bounds():
@@ -262,8 +249,8 @@ def test_diamond_m3_is_a_lattice():
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
     )
-    assert m3.join(m3.index("a"), m3.index("b")) == m3.index("1")
-    assert m3.meet(m3.index("a"), m3.index("c")) == m3.index("0")
+    assert m3.join_tab[m3.index("a"), m3.index("b")] == m3.index("1")
+    assert m3.meet_tab[m3.index("a"), m3.index("c")] == m3.index("0")
 
 
 def test_element_order_permutation_gives_same_structure():
@@ -273,16 +260,16 @@ def test_element_order_permutation_gives_same_structure():
         (base.label(x), base.label(y))
         for x in range(base.n)
         for y in range(base.n)
-        if base.le(x, y)
+        if base.leq_mat[x, y]
     ]
     shuffled = build_lattice(perm, pairs)
     for xl in perm:
         for yl in perm:
             x0, y0 = base.index(xl), base.index(yl)
             x1, y1 = shuffled.index(xl), shuffled.index(yl)
-            assert base.le(x0, y0) == shuffled.le(x1, y1)
-            assert base.label(base.join(x0, y0)) == shuffled.label(shuffled.join(x1, y1))
-            assert base.label(base.meet(x0, y0)) == shuffled.label(shuffled.meet(x1, y1))
+            assert base.leq_mat[x0, y0] == shuffled.leq_mat[x1, y1]
+            for b, s in ((base.join_tab, shuffled.join_tab), (base.meet_tab, shuffled.meet_tab)):
+                assert base.label(b[x0, y0]) == shuffled.label(s[x1, y1])
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +341,13 @@ def test_normalize_ortho_rejects_partial_or_conflicting_maps(b2):
         FiniteOML(b2, {"0": "1", "a": "b", "b": "1", "1": "0"})
 
 
-def test_orthoc_and_ortho_pair(b2):
-    assert b2.orthoc(b2.index("a")) == b2.index("b")
-    assert ortho_pair(b2, b2.index("a"), b2.index("b"))
-    assert not ortho_pair(b2, b2.index("a"), b2.index("1"))
-    assert ortho_pair(b2, b2.index("0"), b2.index("0"))
+def test_ortho_and_orthogonality_on_the_tables(b2):
+    # x is orthogonal to y when x is below the complement of y
+    a, b, top, bot = (b2.index(x) for x in "ab10")
+    assert b2.ortho[a] == b
+    assert b2.leq_mat[a, b2.ortho[b]]
+    assert not b2.leq_mat[a, b2.ortho[top]]
+    assert b2.leq_mat[bot, b2.ortho[bot]]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +365,7 @@ def test_sasaki_at_top_and_bottom(mo2):
 def test_sasaki_fixes_elements_below(b3):
     for a in range(b3.n):
         for y in range(b3.n):
-            if b3.le(y, a):
+            if b3.leq_mat[y, a]:
                 assert sasaki_apply(b3, a, y) == y
 
 
@@ -391,7 +380,7 @@ def test_sasaki_collapses_incomparable_atoms(mo2):
 def test_sasaki_is_meet_on_boolean(b3):
     for a in range(b3.n):
         for y in range(b3.n):
-            assert sasaki_apply(b3, a, y) == b3.meet(a, y)
+            assert sasaki_apply(b3, a, y) == b3.meet_tab[a, y]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +392,7 @@ def test_downset_oml_is_oml_for_every_principal_ideal():
     for name in ("boolean:3", "mo:2", "zero", "product(boolean:1,mo:2)"):
         oml = catalog(name)
         for a in range(oml.n):
-            sub = downset_oml(oml, a)
+            sub = SubOML(oml, a)
             report = check_oml(sub.oml, subject=f"{name}|{oml.label(a)}")
             assert report.passed, str(report)
 
@@ -414,19 +403,19 @@ def test_downset_complement_fails_on_non_orthomodular_host(benzene):
     # must break it somewhere.
     bad = [
         a for a in range(benzene.n)
-        if not check_oml(downset_oml(benzene, a).oml).passed
+        if not check_oml(SubOML(benzene, a).oml).passed
     ]
     assert bad, "every ideal of a non-orthomodular host passed"
 
 
 def test_downset_oml_relative_complement(b3):
     a = b3.index("ab")
-    sub = downset_oml(b3, a)
+    sub = SubOML(b3, a)
     # Inside the ideal below "ab", the complement of "a" is "b".
-    la = sub.from_parent(b3.index("a"))
-    assert sub.oml.label(sub.oml.orthoc(la)) == "b"
-    assert sub.to_parent(sub.oml.top) == a
-    assert sub.to_parent(sub.from_parent(b3.index("b"))) == b3.index("b")
+    la = sub.local[b3.index("a")]
+    assert sub.oml.label(sub.oml.ortho[la]) == "b"
+    assert sub.members[sub.oml.top] == a
+    assert sub.members[sub.local[b3.index("b")]] == b3.index("b")
 
 
 def test_suboml_tables_are_the_parents_restricted_to_the_downset(b2, b3, mo2, benzene):
@@ -434,23 +423,22 @@ def test_suboml_tables_are_the_parents_restricted_to_the_downset(b2, b3, mo2, be
     twisted = FiniteOML(b2, {"0": "a", "a": "0", "b": "1", "1": "b"})
     for oml in (b3, mo2, benzene, twisted):
         for a in range(oml.n):
-            sub = downset_oml(oml, a)
-            members = [p for p in range(oml.n) if oml.le(p, a)]
+            sub = SubOML(oml, a)
+            members = [p for p in range(oml.n) if oml.leq_mat[p, a]]
             local = {p: i for i, p in enumerate(members)}
             lat = sub.oml
             assert list(sub.members) == members
             assert lat.labels == tuple(oml.label(p) for p in members)
             assert (lat.bottom, lat.top) == (local[oml.bottom], local[a])
             for i, p in enumerate(members):
-                assert sub.from_parent(p) == i and sub.to_parent(i) == p
-                assert lat.orthoc(i) == local[oml.meet(a, oml.orthoc(p))]
+                assert sub.local[p] == i and sub.members[i] == p
+                assert lat.ortho[i] == local[oml.meet_tab[a, oml.ortho[p]]]
                 for j, q in enumerate(members):
-                    assert lat.le(i, j) == oml.le(p, q)
-                    assert lat.join(i, j) == local[oml.join(p, q)]
-                    assert lat.meet(i, j) == local[oml.meet(p, q)]
+                    assert lat.leq_mat[i, j] == oml.leq_mat[p, q]
+                    assert lat.join_tab[i, j] == local[oml.join_tab[p, q]]
+                    assert lat.meet_tab[i, j] == local[oml.meet_tab[p, q]]
             for p in set(range(oml.n)) - set(members):
-                with pytest.raises(KeyError):
-                    sub.from_parent(p)
+                assert sub.local[p] == -1
 
 
 def test_suboml_keeps_the_parents_order_and_meet_blocks():
@@ -460,7 +448,7 @@ def test_suboml_keeps_the_parents_order_and_meet_blocks():
     for name in ("boolean:3", "mo:3", "product(boolean:1,mo:2)"):
         oml = catalog(name)
         for a in range(oml.n):
-            sub = downset_oml(oml, a)
+            sub = SubOML(oml, a)
             lat, block = sub.oml, np.ix_(sub.members, sub.members)
             assert "leq_mat" not in vars(lat) and "meet_tab" not in vars(lat)
             assert np.array_equal(lat.join_tab, sub.local[oml.join_tab[block]])
@@ -471,8 +459,7 @@ def test_suboml_keeps_the_parents_order_and_meet_blocks():
 
 def test_suboml_membership_and_maps(mo2):
     a = mo2.index("a")
-    sub = downset_oml(mo2, a)
-    assert isinstance(sub, SubOML)
+    sub = SubOML(mo2, a)
     assert sub.oml.n == 2
     assert sorted(sub.members) == sorted([mo2.bottom, a])
 
@@ -559,11 +546,11 @@ def draw_map(data, dom, cod):
                         dtype=np.int32)
     if kind == "monotone":
         g = data.draw(st.lists(value, min_size=dom.n, max_size=dom.n))
-        return np.array([cod.join_set(g[x] for x in range(dom.n) if leq[x, y])
+        return np.array([join_all(cod, (g[x] for x in range(dom.n) if leq[x, y]))
                          for y in range(dom.n)], dtype=np.int32)
     terms = data.draw(st.lists(st.tuples(st.integers(0, dom.n - 1), value), max_size=4))
     c = data.draw(st.one_of(st.just(cod.bottom), value))
-    f = np.array([cod.join_set([c] + [b for a, b in terms if not leq[y, a]])
+    f = np.array([join_all(cod, [c] + [b for a, b in terms if not leq[y, a]])
                   for y in range(dom.n)], dtype=np.int32)
     f[data.draw(st.integers(0, dom.n - 1))] = data.draw(value)
     return f
@@ -595,8 +582,8 @@ def test_join_pairs_drop_only_twins_of_incomparable_irreducibles():
         ys, ks, yk = join_pairs(lat)
         kept = set(zip(ys.tolist(), ks.tolist()))
         assert len(kept) == len(ys)
-        assert yk.tolist() == [lat.join(y, k) for y, k in zip(ys.tolist(), ks.tolist())]
-        lemma = {(y, k) for k in irr for y in range(lat.n) if not lat.le(k, y)}
+        assert yk.tolist() == lat.join_tab[ys, ks].tolist()
+        lemma = {(y, k) for k in irr for y in range(lat.n) if not lat.leq_mat[k, y]}
         assert kept <= lemma
         for y, k in lemma - kept:
-            assert y in irr and not lat.le(y, k) and (k, y) in kept
+            assert y in irr and not lat.leq_mat[y, k] and (k, y) in kept

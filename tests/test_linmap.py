@@ -27,8 +27,8 @@ from omlq import (
     FiniteOML,
     FrontierTooLarge,
     LinMap,
+    SubOML,
     dagger,
-    downset_oml,
     is_linear,
     kernel,
     lin_count,
@@ -44,6 +44,8 @@ from omlq.cli import main
 from omlq.goldens import bruteforce_lin_values
 from omlq.linmap import BRUTEFORCE_LIMIT, adjoint_rows, kernel_split
 
+from conftest import atoms, join_all
+
 
 def brute_force_linear_tables(dom, cod):
     """All value tables of join-preserving maps, found by definition alone."""
@@ -53,7 +55,7 @@ def brute_force_linear_tables(dom, cod):
         if values[dom.bottom] != cod.bottom:
             continue
         ok = all(
-            values[dom.join(x, y)] == cod.join(values[x], values[y])
+            values[dom.join_tab[x, y]] == cod.join_tab[values[x], values[y]]
             for x in range(n)
             for y in range(n)
         )
@@ -69,9 +71,9 @@ def dagger_reference(f):
     leq = cod.leq_mat
     vals = []
     for t in range(cod.n):
-        tp = cod.orthoc(t)
+        tp = cod.ortho[t]
         below = [s for s in range(dom.n) if leq[f.values[s], tp]]
-        vals.append(dom.orthoc(dom.join_set(below)))
+        vals.append(dom.ortho[join_all(dom, below)])
     return LinMap(cod, dom, vals)
 
 
@@ -264,15 +266,15 @@ def test_count_equals_the_number_of_rows(b2):
 
 
 def test_boolean_maps_are_free_on_atoms(b3):
-    atoms = b3.atoms()
+    ats = atoms(b3)
     expected = set()
-    for targets in itertools.product(range(b3.n), repeat=len(atoms)):
+    for targets in itertools.product(range(b3.n), repeat=len(ats)):
         values = tuple(
-            b3.join_set([t for at, t in zip(atoms, targets) if b3.le(at, x)])
+            join_all(b3, [t for at, t in zip(ats, targets) if b3.leq_mat[at, x]])
             for x in range(b3.n)
         )
         expected.add(values)
-    assert len(expected) == b3.n ** len(atoms) == 512
+    assert len(expected) == b3.n ** len(ats) == 512
     got = set(map(tuple, lin_values(b3).tolist()))
     assert got == expected
 
@@ -335,7 +337,7 @@ def test_adjoint_rows_match_the_reference(b1, b2, mo2, benzene):
     cases.append((twisted, twisted, cases[0][2]))
     for oml in (benzene, mo2):
         for a in range(oml.n):
-            sub = downset_oml(oml, a)
+            sub = SubOML(oml, a)
             cases.append((sub.oml, oml, [list(sub.members)]))
     moved = []
 
@@ -407,7 +409,7 @@ def test_kernel_element_is_largest_killed(b2, mo2):
         for f in row_maps(oml):
             data = kernel(f)
             killed = {x for x in range(oml.n) if f.values[x] == oml.bottom}
-            assert killed == set(oml.downset(data.k))
+            assert killed == set(np.flatnonzero(oml.leq_mat[:, data.k]).tolist())
 
 
 def test_kernel_of_projection(b2):
@@ -442,11 +444,12 @@ def test_kernel_embedding_members(b2, mo2):
         for f in row_maps(oml):
             data = kernel(f)
             # embedding lands exactly on the downset of k
-            assert list(data.sub.members) == list(oml.downset(data.k))
+            assert list(data.sub.members) == np.flatnonzero(oml.leq_mat[:, data.k]).tolist()
             # f kills everything the embedding produces
             assert all(f.values[v] == oml.bottom for v in data.sub.members)
 
 
 def test_image_of_projection_is_downset(mo2):
     for a in range(mo2.n):
-        assert tuple(np.unique(projection_row(mo2, a)).tolist()) == tuple(mo2.downset(a))
+        image = np.unique(projection_row(mo2, a))
+        assert image.tolist() == np.flatnonzero(mo2.leq_mat[:, a]).tolist()

@@ -24,11 +24,8 @@ from omlq import (
     dagger,
     foulis_from_lin,
     lattice_from_leq,
-    leq_by_mult,
-    leq_by_mult_matrix,
     lin_quantale,
     make_report,
-    perp_by_star,
     sasaki_apply,
     vector_label,
 )
@@ -36,12 +33,12 @@ import omlq.foulis as foulis_module
 import omlq.lattice as lattice_module
 import omlq.linmap as linmap_module
 import omlq.quantale as quantale_module
-from omlq.lattice import _order_tables, cell_dtype, downset_oml, lattice_from_order
+from omlq.lattice import SubOML, _order_tables, cell_dtype, lattice_from_order
 from omlq.qmodule import lin_module
 from omlq.serialize import (dump_json, module_to_dict, parse_module, parse_quantale,
                             quantale_to_dict)
 
-from conftest import make_two_chain_quantale
+from conftest import join_all, make_two_chain_quantale
 
 
 def proj_index(view, oml, a):
@@ -65,25 +62,26 @@ def test_lin_quantale_carrier_is_pointwise_order(fq_b2):
     for s in range(q.n):
         for t in range(q.n):
             vs, vt = view.values[s], view.values[t]
-            pointwise = all(view.host.le(a, b) for a, b in zip(vs, vt))
-            assert q.le(s, t) == pointwise
+            pointwise = all(view.host.leq_mat[a, b] for a, b in zip(vs, vt))
+            assert q.carrier.leq_mat[s, t] == pointwise
 
 
 def test_lin_quantale_mult_is_composition(fq_b2):
     f, view = fq_b2
     q = f.base
     # map i after map j is the gather values[i][values[j]]
+    m = q.dense_mult()
     for i in range(q.n):
         expected = view.indices(view.values[i][view.values])
         for j in range(q.n):
-            assert q.times(i, j) == expected[j]
+            assert m[i, j] == expected[j]
 
 
 def test_lin_quantale_star_is_dagger(fq_mo2):
     f, view = fq_mo2
     q = f.base
     for i in range(q.n):
-        assert q.star_of(i) == dagger_index(view, view.values[i])
+        assert q.dense_star()[i] == dagger_index(view, view.values[i])
 
 
 def test_lin_quantale_unit_and_zero(fq_b2):
@@ -151,7 +149,7 @@ def test_lin_carrier_by_code_lookup_matches_the_generic_build():
         q, view = lin_quantale(oml)
         values = view.values
         pointwise = oml.leq_mat[values[:, None, :], values[None, :, :]].all(axis=2)
-        want = lattice_from_leq(q.labels, pointwise)
+        want = lattice_from_leq(q.carrier.labels, pointwise)
         got = q.carrier
         assert "meet_tab" not in vars(got)
         assert got.leq_mat.dtype == want.leq_mat.dtype
@@ -189,7 +187,9 @@ def test_lin_quantale_with_a_missing_map_is_refused(monkeypatch, b2, mo2):
         rows = [r for r, row in enumerate(full.tolist())
                 if row not in (list(range(oml.n)), [oml.bottom] * oml.n)]
         if oml is mo2:
-            atoms = [[sasaki_apply(oml, a, y) for y in range(oml.n)] for a in oml.atoms()]
+            # the atoms of mo:2 are its join-irreducibles
+            atoms = [[sasaki_apply(oml, a, y) for y in range(oml.n)]
+                     for a in oml.join_irreducibles()]
             rows = [r for r in rows if full[r].tolist() in atoms]
             assert len(rows) == len(atoms) == 4
         for r in rows:
@@ -233,7 +233,7 @@ def test_lin_builds_make_no_map_objects(monkeypatch, b2, mo2, fq_b2, fq_mo2):
         q, _ = lin_quantale(oml)
         f, _ = foulis_from_lin(oml)
         assert q.dense_mult().tobytes() == want.base.dense_mult().tobytes()
-        assert q.labels == want.base.labels
+        assert q.carrier.labels == want.base.carrier.labels
         assert f.sai.tobytes() == want.sai.tobytes()
 
 
@@ -489,13 +489,17 @@ def test_order_tables_report_the_reference_witness_across_words(poset):
 # ---------------------------------------------------------------------------
 
 
+# The defined order s <= t is m[t, s] == s, and the orthogonality s perp t
+# is m[star[s], t] == zero.
+
+
 def test_defined_order_on_projections_mirrors_the_lattice(fq_b2, fq_mo2, b2, mo2):
     for (f, view), oml in ((fq_b2, b2), (fq_mo2, mo2)):
-        q = f.base
+        m = f.base.dense_mult()
         for a in range(oml.n):
             for b in range(oml.n):
                 pa, pb = proj_index(view, oml, a), proj_index(view, oml, b)
-                assert leq_by_mult(q, pa, pb) == oml.le(a, b)
+                assert (m[pb, pa] == pa) == oml.leq_mat[a, b]
 
 
 def test_defined_order_differs_from_carrier_order(fq_b2):
@@ -504,56 +508,50 @@ def test_defined_order_differs_from_carrier_order(fq_b2):
     # not mult-comparable.
     f, view = fq_b2
     q = f.base
+    m, leq = q.dense_mult(), q.carrier.leq_mat
     diff = [
         (s, t)
         for s in range(q.n)
         for t in range(q.n)
-        if q.le(s, t) != leq_by_mult(q, s, t)
+        if leq[s, t] != (m[t, s] == s)
     ]
     assert diff, "defined order coincides with carrier order on all pairs"
 
 
 def test_zero_is_least_in_defined_order(fq_b2):
     q = fq_b2[0].base
+    m, star = q.dense_mult(), q.dense_star()
     for t in range(q.n):
-        assert leq_by_mult(q, q.zero, t)
-        assert perp_by_star(q, q.zero, t)
+        assert m[t, q.zero] == q.zero
+        assert m[star[q.zero], t] == q.zero
 
 
 def test_defined_order_reflexive_on_idempotents(fq_b2):
-    q = fq_b2[0].base
-    for s in range(q.n):
-        if q.times(s, s) == s:
-            assert leq_by_mult(q, s, s)
+    # s <= s exactly where the map s is idempotent under composition
+    f, view = fq_b2
+    m = f.base.dense_mult()
+    for s, row in enumerate(view.values):
+        assert (m[s, s] == s) == np.array_equal(row[row], row)
 
 
 def test_defined_order_transitive_on_self_adjoint_idempotents(fq_b2):
     q = fq_b2[0].base
-    sai = [
-        s for s in range(q.n)
-        if q.times(s, s) == s and q.star_of(s) == s
-    ]
+    m, star = q.dense_mult(), q.dense_star()
+    sai = [s for s in range(q.n) if m[s, s] == s and star[s] == s]
     for a in sai:
         for b in sai:
             for c in sai:
-                if leq_by_mult(q, a, b) and leq_by_mult(q, b, c):
-                    assert leq_by_mult(q, a, c)
-
-
-def test_defined_order_matrix_matches_pointwise_calls(fq_b2):
-    q = fq_b2[0].base
-    L = leq_by_mult_matrix(q)
-    for s in range(q.n):
-        for t in range(q.n):
-            assert bool(L[s, t]) == leq_by_mult(q, s, t)
+                if m[b, a] == a and m[c, b] == b:
+                    assert m[c, a] == a
 
 
 def test_orthogonality_relation_symmetric_on_lin(fq_b2):
     # star(s) * t = 0 iff star(t) * s = 0 holds in the endomorphism quantale.
     q = fq_b2[0].base
+    m, star = q.dense_mult(), q.dense_star()
     for s in range(q.n):
         for t in range(q.n):
-            assert perp_by_star(q, s, t) == perp_by_star(q, t, s)
+            assert (m[star[s], t] == q.zero) == (m[star[t], s] == q.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +604,7 @@ def test_distributivity_half_scan_matches_full_square(fq_b2, fq_mo2, data):
     q = data.draw(st.sampled_from([fq_b2[0].base, fq_mo2[0].base]))
     i = data.draw(st.integers(0, q.n - 1))
     j = data.draw(st.integers(0, q.n - 1))
-    v = data.draw(st.integers(0, q.n - 1).filter(lambda v: v != q.times(i, j)))
+    v = data.draw(st.integers(0, q.n - 1).filter(lambda v: v != q.dense_mult()[i, j]))
     mult = q.dense_mult().copy()
     mult[i, j] = v
     mutant = FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
@@ -709,9 +707,9 @@ def test_certified_check_quantale_matches_reference_on_boolean3_mutants(fq_b3, d
 def affine_table(lat, c, r, s, g):
     """x * y = c v V r(i) v V s(k) v V g(i, k) over i in J(x), k in J(y)."""
     irr = lat.join_irreducibles()
-    below = [[i for i in irr if lat.le(i, x)] for x in range(lat.n)]
-    return [[lat.join_set([c] + [r[i] for i in below[x]] + [s[k] for k in below[y]]
-                          + [g[i, k] for i in below[x] for k in below[y]])
+    below = [[i for i in irr if lat.leq_mat[i, x]] for x in range(lat.n)]
+    return [[join_all(lat, [c] + [r[i] for i in below[x]] + [s[k] for k in below[y]]
+                      + [g[i, k] for i in below[x] for k in below[y]])
              for y in range(lat.n)] for x in range(lat.n)]
 
 
@@ -731,7 +729,7 @@ def draw_extension(data, lat):
     Each kind is transposed half of the time, which swaps left and right.
     """
     n, irr = lat.n, lat.join_irreducibles()
-    below = [[i for i in irr if lat.le(i, x)] for x in range(n)]
+    below = [[i for i in irr if lat.leq_mat[i, x]] for x in range(n)]
     value = st.one_of(st.just(lat.bottom), st.integers(0, n - 1))
     kind = data.draw(st.sampled_from(["affine", "expanded rows", "meet with free rows"]))
     if kind == "affine":
@@ -745,14 +743,14 @@ def draw_extension(data, lat):
         rows = {i: data.draw(st.one_of(
             st.lists(value, min_size=n, max_size=n),
             st.fixed_dictionaries({k: value for k in irr}).map(
-                lambda on_irr: [lat.join_set(on_irr[k] for k in below[y]) for y in range(n)]),
+                lambda on_irr: [join_all(lat, (on_irr[k] for k in below[y])) for y in range(n)]),
         )) for i in irr}
-        mult = [[lat.join_set(rows[i][y] for i in below[x]) for y in range(n)]
+        mult = [[join_all(lat, (rows[i][y] for i in below[x])) for y in range(n)]
                 for x in range(n)]
     else:
         free = {x: {k: data.draw(value) for k in irr} for x in range(n)}
-        mult = [[lat.meet(x, y) if x == lat.bottom or x in irr
-                 else lat.join_set(free[x][k] for k in below[y]) for y in range(n)]
+        mult = [[lat.meet_tab[x, y] if x == lat.bottom or x in irr
+                 else join_all(lat, (free[x][k] for k in below[y])) for y in range(n)]
                 for x in range(n)]
     mult = np.array(mult, dtype=np.int32)
     return mult.T.copy() if data.draw(st.booleans()) else mult
@@ -774,7 +772,7 @@ def test_certificates_fall_back_on_tables_built_from_join_irreducibles(data):
 def test_associativity_certificate_needs_every_premise():
     lat = catalog("boolean:3")
     ix = lat.index
-    meet = {(i, k): lat.meet(i, k) for i in (1, 2, 3) for k in (1, 2, 3)}
+    meet = {(i, k): int(lat.meet_tab[i, k]) for i in (1, 2, 3) for k in (1, 2, 3)}
     zero = {i: lat.bottom for i in (1, 2, 3)}
     # Binary distributivity holds and associativity holds on J^3, but
     # 0 * 0 = ab and (0 * 0) * 0 != 0 * (0 * 0): the zero laws are needed.
@@ -1011,11 +1009,11 @@ def draw_row(data, lat):
         return np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=np.int32)
     if kind == "monotone":
         g = data.draw(st.lists(value, min_size=n, max_size=n))
-        return np.array([lat.join_set(g[x] for x in range(n) if leq[x, y]) for y in range(n)],
+        return np.array([join_all(lat, (g[x] for x in range(n) if leq[x, y])) for y in range(n)],
                         dtype=np.int32)
     terms = data.draw(st.lists(st.tuples(value, value), max_size=4))
     c = data.draw(st.one_of(st.just(lat.bottom), value))
-    f = np.array([lat.join_set([c] + [b for a, b in terms if not leq[y, a]]) for y in range(n)],
+    f = np.array([join_all(lat, [c] + [b for a, b in terms if not leq[y, a]]) for y in range(n)],
                  dtype=np.int32)
     f[data.draw(value)] = data.draw(value)
     return f
@@ -1135,7 +1133,7 @@ def test_every_dense_element_table_follows_the_cell_rule(fq_b2, fq_mo2):
     for name in ("boolean:3", "mo:2", "benzene", "product(boolean:1,mo:2)"):
         lat = catalog(name)
         assert lat.join_tab.dtype == lat.meet_tab.dtype == cell_dtype(lat.n)
-        sub = downset_oml(lat, lat.top).oml
+        sub = SubOML(lat, lat.top).oml
         assert sub.join_tab.dtype == sub.meet_tab.dtype == cell_dtype(sub.n)
     for f, view in (fq_b2, fq_mo2):
         q = f.base

@@ -12,9 +12,9 @@ from omlq import (
     SELECTORS,
     FiniteOML,
     LinMap,
+    SubOML,
     catalog,
     dagger_kernel_report,
-    downset_oml,
     dump_json,
     lin_values,
     make_report,
@@ -96,10 +96,10 @@ def dagger_kernel_reference(oml, maps):
     S = sasaki_table(oml)
 
     def per_map(f, row):
-        k = oml.orthoc(dagger_reference(f).values[oml.top])
-        sub = downset_oml(oml, k)
+        k = int(oml.ortho[dagger_reference(f).values[oml.top]])
+        sub = SubOML(oml, k)
         embed = sub.members
-        coembed = tuple(sub.from_parent(sasaki_apply(oml, k, x)) for x in range(oml.n))
+        coembed = tuple(int(sub.local[sasaki_apply(oml, k, x)]) for x in range(oml.n))
         dagger_embed = dagger_reference(LinMap(sub.oml, oml, embed)).values
         identity = tuple(range(len(embed)))
         issues = {}
