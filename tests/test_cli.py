@@ -875,7 +875,6 @@ def test_package_names_resolve_to_their_modules():
         for name in names.split():
             assert getattr(omlq, name) is getattr(mod, name), (module, name)
     assert omlq.__all__ == sorted(" ".join(exports.values()).split())
-    # the scalar twins of the tables are no longer exported
     for name in ("downset_oml", "ortho_pair", "leq_by_mult", "leq_by_mult_matrix",
                  "perp_by_star"):
         with pytest.raises(AttributeError):
