@@ -12,7 +12,8 @@ through perp reads: star(s) * x = 0 iff x = perp(s) * y for some y, which
 is the orthogonality relation of the quantale against s.  The image of sai
 carries an orthomodular lattice under the defined order s <= t iff s = t*s,
 reconstructed and cross-checked here, with the induced action u . k =
-perp(perp(u * k)) turning it into a module over the quantale.
+perp(perp(u * k)) turning it into a module over the quantale.  Row u of
+that action is h(u) in Lin(sai(Q)), and h is checked on its |Q| rows alone.
 
 On the endomorphism quantale of an OML the closed form is
 sai(s) = the Sasaki projection at complement(dagger(s)(top)).
@@ -35,11 +36,12 @@ from .lattice import (
     lattice_from_leq,
     least,
     make_report,
+    nonadditive_row,
     rows,
     run_laws,
     sasaki_table,
 )
-from .linmap import lin_values
+from .linmap import adjoint_rows
 from .quantale import FinQuantale, QElementView, lin_quantale
 
 
@@ -303,7 +305,7 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     inner = sai[m[sai[sel], sel[:, None]]]
     meet = local[perp[perp[m[sel[:, None], inner]]]]
     join = local[sai[sai[q.carrier.join_tab[np.ix_(sel, sel)]]]]
-    hit = least(np.stack([meet != lat.meet_tab, join != lat.join_tab], axis=-1))
+    hit = least(np.stack([meet != oml.meet_tab, join != oml.join_tab], axis=-1))
     if hit is not None:
         i, j, formula = hit
         raise StructureViolation(("meet-formula", "join-formula")[formula],
@@ -345,34 +347,33 @@ def sasaki_action_table(f: FoulisQuantale, sub: SasakiOML) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoulisHom:
-    """The representation of a Foulis quantale on its projection lattice.
-
-    table maps source indices to element indices of target_view, the
-    endomorphism quantale of the projection lattice with sai target_sai.
-    """
+    """The representation of a Foulis quantale on its projection lattice:
+    row s of rows is h(s) on sub.oml, join-preserving with h(s)(0) = 0, and
+    view is the J-code index of these rows alone."""
 
     source: FoulisQuantale
-    target_view: QElementView
-    target_sai: np.ndarray
     sub: SasakiOML
-    table: tuple[int, ...]
+    rows: np.ndarray
+    view: QElementView
 
     @property
     def injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
+        return len(set(self.view.find(self.rows).tolist())) == len(self.rows)
 
 
-def hom_h(f: FoulisQuantale, sub: SasakiOML, cap: int | None = None) -> FoulisHom:
-    """Represent every element by its action on sub, the projection lattice
-    of f, as an element of target_view, the J-code index of the lattice's
-    Lin: products from the view, star from its adjoints, sai from
-    closed_form_sai."""
-    tview = QElementView(sub.oml, lin_values(sub.oml, cap=cap))
-    table = tview.find(sasaki_action_table(f, sub))
-    if (table < 0).any():
-        raise StructureViolation("action-not-join-preserving", (f.label(int(table.argmin())),))
-    return FoulisHom(f, tview, closed_form_sai(tview, tview.adjoints()), sub,
-                     tuple(table.tolist()))
+def hom_h(f: FoulisQuantale, sub: SasakiOML) -> FoulisHom:
+    """Row s: the action of s on sub, the projection lattice of f, a map of
+    Lin(sub.oml) unless it moves 0 or breaks a binary join of sub.oml; the
+    least such s raises action-not-join-preserving."""
+    x = sub.oml
+    rows = sasaki_action_table(f, sub)
+    moved = np.flatnonzero(rows[:, x.bottom] != x.bottom)
+    bad = [int(s) for s in moved[:1]]
+    if (s := nonadditive_row(rows, x)) is not None:
+        bad.append(s)
+    if bad:
+        raise StructureViolation("action-not-join-preserving", (f.label(min(bad)),))
+    return FoulisHom(f, sub, rows, QElementView(x, rows))
 
 
 def sasaki_embedding(q: FinQuantale, sub: SasakiOML) -> np.ndarray:
@@ -386,28 +387,23 @@ def sasaki_embedding(q: FinQuantale, sub: SasakiOML) -> np.ndarray:
 
 
 def record_conjugation(h: FoulisHom, theta) -> bool:
-    """Record on the source quantale q that preserved_by(h.target_view,
-    h.table) has no hit, when h(s) o theta = theta o phi(s) for every s.
+    """Record on the source quantale q that preserved_by(h.view,
+    h.view.find(h.rows)) has no hit, when h(s) o theta = theta o phi(s)
+    for every s.
 
     theta must be a lattice isomorphism from the host X of q.phi onto the
     projection lattice h.sub.oml, as a passing roundtrip_iso shows of
-    sasaki_embedding.  It also needs q.certified_view and every h.table
-    entry an element.  Then h(s) = theta o phi(s) o theta^-1, so by
-    represents (ii) h(u * v) = theta phi(u) phi(v) theta^-1 = h(u) o h(v),
-    and by (iii), theta preserving joins, h(u v v) = h(u) v h(v).  The
-    element h.table[w] is target_view.find of row h(w), the dense inverse
-    at the row's code on J; the pass looks up the code of h(u) o h(v) (of
-    h(u) v h(v)) in the same inverse, so at w = u * v (w = u v v) both name
-    one element and the pass has no hit.  Returns whether it recorded.
+    sasaki_embedding.  It also needs q.certified_view.  Then h(s) = theta
+    o phi(s) o theta^-1, so by represents (ii) h(u * v) = theta phi(u)
+    phi(v) theta^-1 = h(u) o h(v), and by (iii), theta preserving joins,
+    h(u v v) = h(u) v h(v): the pass looks up the code of row h(w), w =
+    u * v (w = u v v), and has no hit.  Returns whether it recorded.
     """
     q = h.source.base
     view = q.certified_view
-    tb = np.array(h.table, dtype=np.int32)
-    if view is None or (tb < 0).any():
+    if view is None or not np.array_equal(h.rows[:, theta], theta[view.values]):
         return False
-    if not np.array_equal(h.target_view.values[tb][:, theta], theta[view.values]):
-        return False
-    q.record_pass(h.target_view, tb)
+    q.record_pass(h.view, h.view.find(h.rows))
     return True
 
 
@@ -419,33 +415,36 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
     target side: perp of the image map is the Sasaki projection at the
     complement of its value at the top.
 
-    The target's products are the elements target_view.products names, its
-    star target_view.adjoints, an involution, and its sai h.target_sai.
-    preserves-join and preserves-mult are read from one pass of
-    FinQuantale.preserved_by over the image rows, memoized on the source
-    quantale, so the Sasaki module of module_reports reads the same pass;
-    when record_conjugation has recorded the pass, neither makes it.
-    perp-closed-form reads closed_form_sai at the star of each image, so it
-    compares the closed form with itself when target_sai is closed_form_sai;
-    it stays for the payload and for supplied target_sai tables.
+    The laws compare rows of h under Lin(X), X = h.sub.oml: two
+    join-preserving rows are one element when they are equal.  The star of
+    f is its adjoint A(f), and its perp sai(A(f)) is the Sasaki projection
+    at c(A(A(f))(1)), c the complement of X.  preserves-join and
+    preserves-mult are one pass of FinQuantale.preserved_by over h.view,
+    memoized on the source quantale and shared with module_reports, or none
+    when record_conjugation recorded it; a composite or join that is no row
+    of h is a hit.  perp-closed-form holds because A(A(f)) = f: X passed
+    check_oml, so c is an order-reversing involution, and A is then an
+    involution by the argument of FinQuantale.certified_view.  It stays for
+    the payload.
     """
-    f, tview = h.source, h.target_view
-    tb = np.array(h.table, dtype=np.int32)
-    ss = f.base.dense_star()
-    st = tview.adjoints()
-    perp_t = h.target_sai[st]
-    sub_oml = h.sub.oml
-    t_zero, t_unit = tview.indices([np.full(sub_oml.n, sub_oml.bottom), np.arange(sub_oml.n)])
-    closed = closed_form_sai(tview, st)
-    mult_hit, join_hit = f.base.preserved_by(tview, tb)
+    f, q, hr, x = h.source, h.source.base, h.rows, h.sub.oml
+    ss = q.dense_star()
+    S = sasaki_table(x)
+    star = adjoint_rows(hr, x, x)
+    perp = S[x.ortho[adjoint_rows(star, x, x)[:, x.top]]]
+    mult_hit, join_hit = q.preserved_by(h.view, h.view.find(hr))
+
+    def differ(a, b):
+        return least((a != b).any(axis=1))
+
     return run_laws(subject, f.label, [
         Law("preserves-join", hit=join_hit),
-        Law("preserves-zero", hit=None if tb[f.base.zero] == t_zero else (f.base.zero,)),
+        Law("preserves-zero", hit=None if (hr[q.zero] == x.bottom).all() else (q.zero,)),
         Law("preserves-mult", hit=mult_hit),
-        Law("preserves-unit", hit=None if tb[f.base.unit] == t_unit else (f.base.unit,)),
-        Law("preserves-star", hit=least(tb[ss] != st[tb])),
-        Law("preserves-perp", hit=least(tb[f.sai[ss]] != perp_t[tb])),
-        Law("perp-closed-form", hit=least(closed[st[tb]] != perp_t[tb])),
+        Law("preserves-unit", hit=None if (hr[q.unit] == np.arange(x.n)).all() else (q.unit,)),
+        Law("preserves-star", hit=differ(hr[ss], star)),
+        Law("preserves-perp", hit=differ(hr[f.sai[ss]], perp)),
+        Law("perp-closed-form", hit=differ(perp, S[x.ortho[hr[:, x.top]]])),
     ], workers)
 
 

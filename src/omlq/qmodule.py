@@ -58,23 +58,22 @@ def lin_module(q: FinQuantale) -> ModuleAction:
     return ModuleAction(q, q.view.host, q.view.values, q.view)
 
 
-def sasaki_module(f: FoulisQuantale, sub: SasakiOML, view=None) -> ModuleAction:
-    """A Foulis quantale acting on sub, its projection lattice; view, when
-    given, is the J-code index of the lattice's Lin, as FoulisHom.target_view.
+def sasaki_module(f: FoulisQuantale, sub: SasakiOML) -> ModuleAction:
+    """A Foulis quantale acting on sub, its projection lattice, with no view.
 
     u . k = perp(perp(u * k)); the double complement lands every product
     back in the projection image.
     """
-    return ModuleAction(f.base, sub.oml, sasaki_action_table(f, sub), view)
+    return ModuleAction(f.base, sub.oml, sasaki_action_table(f, sub))
 
 
 def module_reports(f: FoulisQuantale, h: FoulisHom, workers=1) -> list[CheckReport]:
     """The module laws of both canonical actions, each with its right
     two-module: the endomorphism quantale f.base on its lattice by
     application, and the Foulis quantale f on its projection lattice, the
-    second with the view and products pass of h."""
+    second by the rows, view and products pass of h."""
     lm = lin_module(f.base)
-    sm = sasaki_module(f, h.sub, h.target_view)
+    sm = ModuleAction(f.base, h.sub.oml, h.rows, h.view)
     return [
         check_left_module(lm, subject="lin-module", workers=workers),
         check_left_module(sm, subject="sasaki-module", workers=workers),

@@ -184,7 +184,7 @@ class VerifyContext:
         # roundtrip is decided first: its passing report shows that theta is
         # an isomorphism, so h is phi conjugated by theta when
         # record_conjugation's row test holds, and no products pass is made
-        h = hom_h(self.foulis, self.sub, self.cap)
+        h = hom_h(self.foulis, self.sub)
         if self.roundtrip.passed:
             record_conjugation(h, sasaki_embedding(self.foulis.base, self.sub))
         return h

@@ -91,6 +91,17 @@ def make_nilpotent_chain_quantale() -> FinQuantale:
     return FinQuantale(lat, mult, star, unit=2)
 
 
+def make_three_chain_quantale() -> FinQuantale:
+    """A Foulis quantale whose representation is not injective: 0 < a < 1
+    with mult = meet, star = id, unit = 1.  The annihilators of a and of 1
+    are both {0}, so sai(a) = sai(1) = 0, and a and 1 act alike on the
+    projection lattice {0, 1}."""
+    lat = build_lattice(["0", "a", "1"], [["0", "a"], ["a", "1"]])
+    mult = np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2]], dtype=np.int32)
+    star = np.array([0, 1, 2], dtype=np.int32)
+    return FinQuantale(lat, mult, star, unit=2)
+
+
 @pytest.fixture()
 def two_chain_quantale():
     return make_two_chain_quantale()

@@ -26,6 +26,7 @@ from omlq import (
     FoulisQuantale,
     ModuleAction,
     NotFoulis,
+    QElementView,
     StructureViolation,
     catalog,
     check_foulis,
@@ -33,10 +34,12 @@ from omlq import (
     check_involutive,
     check_left_module,
     check_oml,
+    check_quantale,
     check_star_props,
     derive_sai,
     foulis_from_lin,
     hom_h,
+    lin_values,
     roundtrip_iso,
     sasaki_apply,
     sasaki_oml,
@@ -44,9 +47,13 @@ from omlq import (
 )
 import omlq.foulis as foulis_module
 import omlq.quantale as quantale_module
-from omlq.lattice import Law, least, rows, run_laws, sasaki_table
+from omlq.lattice import Law, least, nonadditive_row, rows, run_laws, sasaki_table
 
-from conftest import make_nilpotent_chain_quantale, make_two_chain_quantale
+from conftest import (
+    make_nilpotent_chain_quantale,
+    make_three_chain_quantale,
+    make_two_chain_quantale,
+)
 
 
 def projection_indices(view, oml):
@@ -219,6 +226,23 @@ def test_projection_lattice_is_checked_once_per_report(monkeypatch, fq_b3):
     assert report.axioms == ("construction", "involution", "antitone", "complement", "orthomodular")
 
 
+def test_projection_lattice_builds_its_meet_table_once(monkeypatch, fq_mo2):
+    # check_oml and the closed-form comparison read the meet table of the
+    # one FiniteOML; the order's join table is built before it.
+    import omlq.lattice as lattice_module
+
+    built = []
+    real = lattice_module._order_tables
+
+    def spying(labels, leq, kinds=("join", "meet")):
+        built.append(tuple(kinds))
+        return real(labels, leq, kinds)
+
+    monkeypatch.setattr(lattice_module, "_order_tables", spying)
+    sasaki_oml(fq_mo2[0])
+    assert built == [("join",), ("meet",)]
+
+
 def test_projection_lattice_complement_is_projection_table(fq_mo2):
     f, _ = fq_mo2
     sub = sasaki_oml(f)
@@ -331,14 +355,15 @@ def test_hom_axiom_names(fq_b2):
 def test_hom_unit_goes_to_identity(fq_b2):
     f, _ = fq_b2
     h = hom_h(f, sasaki_oml(f))
-    assert h.target_view.values[h.table[f.base.unit]].tolist() == list(range(h.sub.oml.n))
+    assert h.rows[f.base.unit].tolist() == list(range(h.sub.oml.n))
 
 
 def test_hom_on_two_element_host_is_a_bijection(fq_b1):
     f, _ = fq_b1
     h = hom_h(f, sasaki_oml(f))
     assert h.injective
-    assert len(set(h.table)) == h.target_view.n
+    # every row is a map of Lin(sub.oml), and they are as many as its maps
+    assert len(set(map(tuple, h.rows.tolist()))) == len(lin_values(h.sub.oml))
 
 
 def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
@@ -346,45 +371,57 @@ def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
         assert hom_h(f, sasaki_oml(f)).injective
 
 
-def hom_table_reference(f, sub, tview):
+def hom_rows_reference(f, sub):
     """The action u . k = perp(perp(u * k)) of each element, one cell at a
-    time from the tables, looked up by its whole value row."""
-    index = {tuple(row): i for i, row in enumerate(tview.values.tolist())}
+    time from the tables."""
     m, perp = f.base.dense_mult(), f.sai[f.base.dense_star()]
-    return tuple(index[tuple(int(sub.local[perp[perp[m[u, k]]]]) for k in sub.members)]
-                 for u in range(f.n))
+    return [[int(sub.local[perp[perp[m[u, k]]]]) for k in sub.members] for u in range(f.n)]
 
 
 def test_hom_table_matches_a_per_element_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
     for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
         sub = sasaki_oml(f)
         h = hom_h(f, sub)
-        assert h.table == hom_table_reference(f, sub, h.target_view)
+        assert h.rows.tolist() == hom_rows_reference(f, sub)
+        assert set(map(tuple, h.rows.tolist())) <= set(map(tuple, lin_values(sub.oml).tolist()))
 
 
 def test_hom_names_the_first_action_that_is_no_element(monkeypatch, fq_b2):
+    # a moved row sends the bottom to the top; a broken row keeps the
+    # bottom and sends one atom alone to the top, which breaks the join of
+    # the two atoms; either is no map of Lin
     f, _ = fq_b2
     sub = sasaki_oml(f)
-    table = foulis_module.sasaki_action_table(f, sub).copy()
-    table[[9, 5]] = sub.oml.top  # sends the bottom to the top: not join-preserving
-    monkeypatch.setattr(foulis_module, "sasaki_action_table", lambda *args: table)
-    with pytest.raises(StructureViolation) as err:
-        hom_h(f, sub)
-    assert (err.value.formula, err.value.witness) == ("action-not-join-preserving",
-                                                     (f.label(5),))
+    x = sub.oml
+    a = next(k for k in range(x.n) if k not in (x.bottom, x.top))
+    action = foulis_module.sasaki_action_table(f, sub)
+    for moved, broken in (((9, 5), ()), ((9,), (7,)), ((2,), (6, 1))):
+        table = action.copy()
+        table[list(moved)] = x.top
+        table[list(broken)] = np.where(np.arange(x.n) == a, x.top, x.bottom)
+        monkeypatch.setattr(foulis_module, "sasaki_action_table", lambda *args: table)
+        with pytest.raises(StructureViolation) as err:
+            hom_h(f, sub)
+        assert (err.value.formula, err.value.witness) == ("action-not-join-preserving",
+                                                         (f.label(min(moved + broken)),))
+
+
+def with_rows(h, rows, **fields):
+    """h with its rows replaced, and the view of the new rows."""
+    return replace(h, rows=rows, view=QElementView(h.sub.oml, rows), **fields)
 
 
 def check_hom_reference(h, target, view, workers=1):
     """check_hom read from the dense tables of target, the Foulis quantale
     foulis_from_lin builds on the projection lattice, with view its element
-    view and h.target_sai in place of its projection table."""
+    view, in which every row of h is found."""
     f = h.source
-    tb = np.array(h.table, dtype=np.int32)
+    tb = view.indices(h.rows)
     ms, mt = f.base.dense_mult(), target.base.dense_mult()
     js, jt = f.base.carrier.join_tab, target.base.carrier.join_tab
     ss, st_ = f.base.dense_star(), target.base.dense_star()
     perp_s = f.sai[ss]
-    perp_t = h.target_sai[st_]
+    perp_t = target.sai[st_]
     sub_oml = h.sub.oml
     proj_t = view.indices(sasaki_table(sub_oml))
     img_tops = view.values[tb, sub_oml.top]
@@ -401,14 +438,13 @@ def check_hom_reference(h, target, view, workers=1):
 
 
 def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
-    # One to three cells of h.table or h.target_sai overwritten, the zero
-    # and unit cells drawn often; boolean:3 gets a few of them.
+    # One to three rows of h replaced by rows of lin_values(sub.oml), the
+    # zero and unit rows drawn often; boolean:3 gets a few of them.
     cases = []
     for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
         h = hom_h(f, sasaki_oml(f))
         target, view = foulis_from_lin(h.sub.oml)
-        assert np.array_equal(view.values, h.target_view.values)
-        assert np.array_equal(target.sai, h.target_sai)
+        assert check_hom(h).to_dict() == check_hom_reference(h, target, view).to_dict()
         cases.append((h, target, view))
     failed = set()
 
@@ -417,14 +453,12 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
         @given(st.data())
         def check(data):
             h, target, view = data.draw(st.sampled_from(cases))
-            field = data.draw(st.sampled_from(["table", "target_sai"]))
-            cells = np.array(getattr(h, field), dtype=np.int32)
-            cell = st.integers(0, len(cells) - 1)
-            if field == "table":
-                cell = st.sampled_from([h.source.base.zero, h.source.base.unit]) | cell
+            q = h.source.base
+            table = h.rows.copy()
+            cell = st.sampled_from([q.zero, q.unit]) | st.integers(0, q.n - 1)
             for _ in range(data.draw(st.integers(1, 3))):
-                cells[data.draw(cell)] = data.draw(st.integers(0, h.target_view.n - 1))
-            hm = replace(h, **{field: tuple(cells.tolist()) if field == "table" else cells})
+                table[data.draw(cell)] = view.values[data.draw(st.integers(0, view.n - 1))]
+            hm = with_rows(h, table)
             for w in (1, 2, 4):  # 4 workers: chunks of one or a few rows
                 want = check_hom_reference(hm, target, view, workers=w).to_dict()
                 assert check_hom(hm, workers=w).to_dict() == want
@@ -434,7 +468,27 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
 
     mutants(cases[:3], 120)
     mutants(cases[3:], 6)
-    assert failed == set(check_hom(cases[0][0]).axioms)
+    # perp-closed-form holds on every join-preserving row of an OML
+    assert failed == set(check_hom(cases[0][0]).axioms) - {"perp-closed-form"}
+
+
+def test_non_injective_hom_on_the_three_chain():
+    # Q is the chain 0 < a < 1 under meet: sai(0) = 1 and sai(a) = sai(1) =
+    # 0, so sai(Q) = {0, 1} and h(a) = h(1) is the identity of it
+    q = make_three_chain_quantale()
+    sai = derive_sai(q)
+    assert sai.tolist() == [2, 0, 0]
+    f = FoulisQuantale(q, sai)
+    for report in (check_quantale(q), check_involutive(q), check_foulis(f)):
+        assert report.passed, str(report)
+    sub = sasaki_oml(f)
+    assert sub.members == (0, 2) and sub.oml.n == 2
+    h = hom_h(f, sub)
+    assert h.rows.tolist() == [[0, 0], [0, 1], [0, 1]]
+    assert check_hom(h).passed and not h.injective
+    for view in (h.view, None):
+        action = ModuleAction(q, sub.oml, h.rows, view)
+        assert check_left_module(action).passed
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +633,7 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
         @given(st.data())
         def check(data):
             f, h, theta = data.draw(st.sampled_from(cases))
-            table = h.target_view.values[np.array(h.table)].copy()
+            table = h.rows.copy()
             lat = h.sub.oml
             if data.draw(st.booleans()):
                 s, t = data.draw(st.lists(st.integers(0, f.n - 1), min_size=2, max_size=2,
@@ -590,19 +644,21 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
                 for _ in range(data.draw(st.integers(1, 3))):
                     table[data.draw(row), data.draw(st.integers(0, lat.n - 1))] = data.draw(
                         st.integers(0, lat.n - 1))
-            idx = h.target_view.find(table)
-            hs = [replace(h, source=FoulisQuantale(phi_copy(f.base), f.sai),
-                          table=tuple(idx.tolist())) for _ in range(2)]
+            # every row a map of Lin(lat), as hom_h requires
+            linear = ((table[:, lat.bottom] == lat.bottom).all()
+                      and nonadditive_row(table, lat) is None)
+            hs = [with_rows(h, table, source=FoulisQuantale(phi_copy(f.base), f.sai))
+                  for _ in range(2)]
             recorded = foulis_module.record_conjugation(hs[0], theta)
-            assert recorded == np.array_equal(idx, h.table)
+            assert recorded == np.array_equal(table, h.rows)
             for w in (1, 2):
                 modules = [check_left_module(ModuleAction(hs[0].source.base, lat, table,
-                                                          h.target_view), workers=w),
+                                                          hs[0].view), workers=w),
                            check_left_module(ModuleAction(hs[1].source.base, lat, table),
                                              workers=w)]
                 assert modules[0].to_dict() == modules[1].to_dict()
                 reports = [modules[1]]
-                if (idx >= 0).all():
+                if linear:
                     homs = [check_hom(hm, workers=w).to_dict() for hm in hs]
                     assert homs[0] == homs[1]
                     reports.append(check_hom(hs[1], workers=w))

@@ -188,7 +188,7 @@ def test_perturbed_composition_yields_assoc_witness(fq_b2, b2):
 def canonical_actions(f):
     """The lin-module and the sasaki-module of f, each with its view."""
     h = hom_h(f, sasaki_oml(f))
-    return [lin_module(f.base), sasaki_module(f, h.sub, h.target_view)]
+    return [lin_module(f.base), ModuleAction(f.base, h.sub.oml, h.rows, h.view)]
 
 
 def act_join_reference(action, table):

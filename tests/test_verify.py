@@ -2,6 +2,7 @@
 aggregate payload."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -313,9 +314,9 @@ def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
 
 
 def test_verify_all_builds_one_quantale(monkeypatch, b2):
-    # hom reads its target, the endomorphism quantale of the projection
-    # lattice, through a J-code index: the run builds the host's quantale
-    # and no other.
+    # hom reads its image rows in Lin of the projection lattice through
+    # their own J-code index: the run builds the host's quantale and no
+    # other.
     from omlq import foulis
 
     calls = []
@@ -329,6 +330,28 @@ def test_verify_all_builds_one_quantale(monkeypatch, b2):
     payload, code = run_verify(b2, ["all"])
     assert code == 0 and payload["results"]["hom"]["passed"]
     assert calls == [b2]
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "mo:2"])
+def test_verify_all_enumerates_lin_twice(monkeypatch, spec):
+    # dagger-kernel and the quantale build each enumerate Lin of the input;
+    # hom reads only its image rows, so no enumeration of the projection
+    # lattice's Lin follows.  Every omlq module that holds the enumerator
+    # gets a counting copy.
+    from omlq import linmap
+
+    calls = []
+    real = linmap.lin_values
+    for module in [m for n, m in sys.modules.items() if n.startswith("omlq.")]:
+        if getattr(module, "lin_values", None) is real:
+            def counting(*args, name=module.__name__, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "lin_values", counting)
+    payload, code = run_verify(catalog(spec), ["all"])
+    assert code == 0 and payload["results"]["hom"]["passed"]
+    assert calls == ["omlq.verify", "omlq.quantale"]
 
 
 def test_verify_all_makes_one_products_pass_and_one_hom(monkeypatch, mo2):

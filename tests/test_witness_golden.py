@@ -2,8 +2,9 @@
 
 Every case is a checker run on a seeded one-cell mutant (or on the
 unmutated structure) of one table: the complement, the multiplication and
-involution tables, sai, the representation table and both module action
-tables, the latter with the views that may certify the module laws.  The
+involution tables, sai, the representation's index into the Lin of the
+projection lattice and both module action tables, the latter with the
+views that may certify the module laws.  The
 projection family builds the projection lattice with sasaki_oml on
 mutants that set one cell of sai, one product of two projections or one
 carrier join of two projections to a projection.
@@ -34,6 +35,7 @@ from omlq import (
     FoulisQuantale,
     LinMap,
     OmlqError,
+    QElementView,
     catalog,
     check_foulis,
     check_hom,
@@ -47,9 +49,9 @@ from omlq import (
     foulis_from_lin,
     hom_h,
     lin_module,
+    lin_values,
     roundtrip_iso,
     sasaki_facts_report,
-    sasaki_module,
     sasaki_oml,
     verify_adjoint_pair,
 )
@@ -150,11 +152,12 @@ def quantale_cases(host):
         yield f"sai-star-props/{k}", lambda w, fq=fq: check_star_props(fq, workers=w)
         yield f"sai-roundtrip/{k}", lambda w, fq=fq: roundtrip_iso(fq, sasaki_oml(fq), workers=w)
     yield "roundtrip/0", lambda w: roundtrip_iso(f, sub, workers=w)
-    tn = h.target_view.n
-    tables = [h.table] + [one_cell(h.table, seed, tn) for seed in SEEDS]
-    tables += [one_cell(h.table, 9, tn, (q.zero,)), one_cell(h.table, 9, tn, (q.unit,))]
-    homs = [replace(h, table=tuple(int(v) for v in table)) for table in tables]
-    homs += [replace(h, target_sai=one_cell(h.target_sai, seed, tn)) for seed in (0, 1)]
+    # h with seeded entries of its index into lin_values(sub.oml) changed
+    lin = lin_values(sub.oml)
+    table, tn = QElementView(sub.oml, lin).find(h.rows), len(lin)
+    tables = [table] + [one_cell(table, seed, tn) for seed in SEEDS]
+    tables += [one_cell(table, 9, tn, (q.zero,)), one_cell(table, 9, tn, (q.unit,))]
+    homs = [replace(h, rows=lin[t], view=QElementView(sub.oml, lin[t])) for t in tables]
     for k, hm in enumerate(homs):
         yield f"hom/{k}", lambda w, hm=hm: check_hom(hm, workers=w)
 
@@ -163,7 +166,7 @@ def module_cases(host):
     f, sub, h = built(host)
     q = f.base
     for name, action in (("lin", lin_module(q)),
-                         ("sasaki", sasaki_module(f, sub, h.target_view))):
+                         ("sasaki", ModuleAction(q, sub.oml, h.rows, h.view))):
         ln = action.lattice.n
         t = action.table
         tables = [t] + [one_cell(t, seed, ln) for seed in SEEDS]
