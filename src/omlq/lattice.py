@@ -706,13 +706,12 @@ class SubOML:
     """
 
     def __init__(self, parent: FiniteOML, a: int):
-        self.parent = parent
-        self.a = int(a)
+        a = int(a)
         sel = np.flatnonzero(parent.join_tab[:, a] == a)
         self.members = tuple(sel.tolist())
         self.local = local = np.full(parent.n, -1, dtype=cell_dtype(len(sel)))
         local[sel] = np.arange(len(sel))
         lat = FiniteLattice([parent.label(p) for p in self.members],
                             local[parent.join_tab[np.ix_(sel, sel)]],
-                            local[parent.bottom], local[self.a])
-        self.oml = FiniteOML(lat, local[parent.meet_tab[self.a, parent.ortho[sel]]])
+                            local[parent.bottom], local[a])
+        self.oml = FiniteOML(lat, local[parent.meet_tab[a, parent.ortho[sel]]])

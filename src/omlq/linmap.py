@@ -44,8 +44,7 @@ from .lattice import (
 )
 
 DEFAULT_CAP = 100000
-# Desk scale: the most candidate rows one step of lin_values may build, and
-# the most J-codes of quantale.represents.
+# Desk scale: the most candidate rows one step of lin_values may build.
 BRUTEFORCE_LIMIT = 10_000_000
 
 

@@ -32,8 +32,8 @@ class ModuleAction:
     table[s, a] is the index of s acting on a; rows are indexed by
     quantale elements, columns by lattice elements, and every entry is a
     lattice element, kept in cells of cell_dtype(lattice.n).  view, when
-    given, is an element view on the lattice in which check_left_module
-    finds rows.
+    given, is an element view whose rows are the table on the lattice,
+    which check_left_module tries as a certificate.
     """
 
     quantale: FinQuantale
@@ -71,9 +71,9 @@ def module_reports(f: FoulisQuantale, h: FoulisHom, workers=1) -> list[CheckRepo
     """The module laws of both canonical actions, each with its right
     two-module: the endomorphism quantale f.base on its lattice by
     application, and the Foulis quantale f on its projection lattice, the
-    second by the rows, view and products pass of h."""
+    second by the view and products pass of h."""
     lm = lin_module(f.base)
-    sm = ModuleAction(f.base, h.sub.oml, h.rows, h.view)
+    sm = ModuleAction(f.base, h.sub.oml, h.view.values, h.view)
     return [
         check_left_module(lm, subject="lin-module", workers=workers),
         check_left_module(sm, subject="sasaki-module", workers=workers),
@@ -94,23 +94,24 @@ def check_left_module(action: ModuleAction, subject="module", workers=1) -> Chec
 
     act-join is the join_law of the table on L, so L's join table must
     be a semilattice operation.  join-act and assoc-act hold when act-join
-    and act-bottom hold, action.view (on L itself) finds each row s as
-    element idx[s], and q.preserved_by(view, idx) has no hit.  Every row is
-    then a join-preserving map that sends 0 to 0, and so are pointwise
-    joins and composites of rows; two such maps that agree on J(L) agree on
-    all of L, as each x is the join of J(x).  find confirms whole rows, and
-    the pass compares the codes on J(L) of row s v t and of rows s and t
-    joined, and of row u * v and of row u after row v; a code that names
-    no element reads -1, a hit.  This certificate only certifies a pass:
-    on any hit or decline both laws are scanned exhaustively.
+    and act-bottom hold, action.view has L itself as host and the table as
+    its rows, and q.preserved_by(view) has no hit.  Every row is then a
+    join-preserving map that sends 0 to 0, and so are pointwise joins and
+    composites of rows; two such maps that agree on J(L) agree on all of
+    L, as each x is the join of J(x).  The pass compares the codes on J(L)
+    of row s v t and of rows s and t joined, and of row u * v and of row u
+    after row v; a code that names no element reads -1, a hit.  This
+    certificate only certifies a pass: on any hit or decline both laws are
+    scanned exhaustively.
     """
     q, lat, table = action.quantale, action.lattice, action.table
     jq, jl, mq = q.carrier.join_tab, lat.join_tab, q.dense_mult()
     act_join = join_law("act-join", table, lat, kinds="qll")
     bottom = least(table[:, lat.bottom] != lat.bottom)
-    view = action.view if act_join.hit is None and bottom is None else None
-    idx = view.find(table) if view is not None and view.host is lat else None
-    certified = idx is not None and (idx >= 0).all() and q.preserved_by(view, idx) == (None, None)
+    view = action.view
+    certified = (act_join.hit is None and bottom is None and view is not None
+                 and view.host is lat and np.array_equal(view.values, table)
+                 and q.preserved_by(view) == (None, None))
     return run_laws(subject, {"q": q.label, "l": lat.label}, [
         act_join,
         Law("act-bottom", hit=bottom, kinds="q"),

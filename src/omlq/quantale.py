@@ -5,11 +5,11 @@ join-preserving endomaps under pointwise order, with composition as
 multiplication and the adjoint as the involution.  Carrier joins of maps
 are pointwise.  The carrier keeps only its join table: no law reads its
 order or meets, which the lattice derives from the join if asked.  Such
-a quantale keeps its elements' maps as its representation phi, and
-check_quantale decides associativity and both distributive laws through
-it: composition is associative, and composites and pointwise joins of
-join-preserving maps distribute.  Quantales from other sources carry no
-phi and are decided from their tables alone.
+a quantale keeps its elements' maps as its representation phi, an
+element view, and check_quantale decides associativity and both
+distributive laws through it: composition is associative, and composites
+and pointwise joins of join-preserving maps distribute.  Quantales from
+other sources carry no view and are decided from their tables alone.
 
 The defined relations
 
@@ -41,7 +41,7 @@ from .lattice import (
     rows,
     run_laws,
 )
-from .linmap import BRUTEFORCE_LIMIT, adjoint_rows, lin_values
+from .linmap import adjoint_rows, lin_values
 
 # The reference machine has 7 GiB; a run builds one dense quantale and the
 # checkers add row temporaries, so its tables may take 3 GiB:
@@ -56,7 +56,7 @@ def table_cell_bytes(k) -> int:
     """Bytes per element pair of a k-element quantale's dense tables: a
     bool order plus join and multiplication cells of cell_dtype(k).  The
     carrier builds its order on first read, but JSON emission
-    (serialize._strict_pairs), DOT covers() and the path without phi
+    (serialize._strict_pairs), DOT covers() and the path without a view
     (join_pairs) read it, so the rule counts it."""
     return 1 + 2 * cell_dtype(k).itemsize
 
@@ -64,21 +64,22 @@ def table_cell_bytes(k) -> int:
 class FinQuantale:
     """Carrier lattice plus dense multiplication and involution tables.
 
-    The zero element is the carrier bottom (the empty join).  phi, when
-    given, is a representation (host, values) on a host OML X: row a of
-    values is the value table of a map phi(a) on X, and view is its J-code
-    index.  check_quantale tries phi as a certificate, and certified_view
+    The zero element is the carrier bottom (the empty join).  view, when
+    given, is a representation phi on the host OML X = view.host: row a of
+    view.values, one row per element, is the value table of the map phi(a)
+    on X.  check_quantale tries it as a certificate, and certified_view
     extends it to the involution and the annihilator laws; lin_quantale
-    sets phi and stores the view it built.
+    passes the view it built.
     """
 
-    def __init__(self, carrier: FiniteLattice, mult, star, unit: int, phi=None):
+    def __init__(self, carrier: FiniteLattice, mult, star, unit: int,
+                 view: QElementView | None = None):
         self.carrier = carrier
         self._mult = mult
         self._star = star
         self.unit = int(unit)
         self.zero = carrier.bottom
-        self.phi = phi
+        self.view = view
         self._passes = {}
 
     @property
@@ -95,24 +96,11 @@ class FinQuantale:
         return self._star
 
     @cached_property
-    def view(self) -> QElementView | None:
-        """The J-code index of phi, built on first use; None without phi, or
-        when phi's values are out of shape or range, or its host has more
-        than BRUTEFORCE_LIMIT J-codes."""
-        if self.phi is None:
-            return None
-        x, values = self.phi
-        if (values.shape != (self.n, x.n) or values.min(initial=0) < 0
-                or values.max(initial=0) >= x.n
-                or x.n ** len(x.join_irreducibles()) > BRUTEFORCE_LIMIT):
-            return None
-        return QElementView(x, values)
-
-    @cached_property
     def certified_view(self) -> QElementView | None:
-        """The element view of phi when phi certifies the involution, else None.
+        """q.view when it certifies the involution, else None.
 
-        With X the host of phi and c its complement, it needs all of:
+        With phi the representation of the view, X its host and c the
+        complement of X, it needs all of:
         - represents(self);
         - phi(zero) the zero map and phi(unit) the identity of X, as row
           tests (represents does not imply them);
@@ -143,19 +131,19 @@ class FinQuantale:
             return None
         return view if np.array_equal(adjoints, self._star) else None
 
-    def record_pass(self, view: QElementView, idx):
-        """Record that preserved_by(view, idx) has no hit; the caller has
-        proved it."""
-        self._passes[view, np.asarray(idx, dtype=np.int32).tobytes()] = (None, None)
+    def record_pass(self, view: QElementView):
+        """Record that preserved_by(view) has no hit; the caller has proved
+        it."""
+        self._passes[view] = (None, None)
 
-    def preserved_by(self, view: QElementView, idx):
-        """The least (u, v) with idx[u * v] not the element idx[u] o idx[v]
-        of view, and the least with idx[u v v] not idx[u] v idx[v], or None.
-        One view.products pass over idx in ascending blocks up to both hits,
-        memoized per view and idx; a code naming no element reads -1, a hit."""
-        idx = np.asarray(idx, dtype=np.int32)
-        key = (view, idx.tobytes())
-        if key not in self._passes:
+    def preserved_by(self, view: QElementView):
+        """With idx[u] the element of view that row u of view.values is, the
+        least (u, v) with idx[u * v] not the element idx[u] o idx[v], and
+        the least with idx[u v v] not idx[u] v idx[v], or None.  One
+        view.products pass over idx in ascending blocks up to both hits,
+        memoized per view; a code naming no element reads -1, a hit."""
+        if view not in self._passes:
+            idx = view.find(view.values)
             hits = [None, None]
             for a, *prods in view.products(idx):
                 for k, tab in enumerate((self._mult, self.carrier.join_tab)):
@@ -163,8 +151,8 @@ class FinQuantale:
                         hits[k] = (a.start + w[0], w[1])
                 if all(hits):
                     break
-            self._passes[key] = tuple(hits)
-        return self._passes[key]
+            self._passes[view] = tuple(hits)
+        return self._passes[view]
 
 
 class QElementView:
@@ -174,8 +162,9 @@ class QElementView:
     element i.  A join-preserving map is fixed by its values on J(X), the
     join-irreducibles: each x is the join of J(x).  A row's code reads its
     values on J(X) as a base-|X| number, in a high and a low half code.
-    The codes' dense inverse (|X|^|J(X)| <= BRUTEFORCE_LIMIT entries) is
-    -1 where no row has the code; find confirms each row on all of X.
+    The codes' dense inverse has |X|^|J(X)| entries, 262,144 on mo:3, and
+    nothing but the host bounds it; it is -1 where no row has the code,
+    and find confirms each row on all of X.
     Elements are value rows only: products gives composites and joins,
     adjoints the star, find and indices the element of a row.
     """
@@ -260,8 +249,8 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     unit, zero and top maps and every adjoint are found as whole rows.  A
     code or row that is no element raises FormatError.  No map object is
     built, and the carrier keeps only its join table.  mult and that join
-    have cells of cell_dtype(k).  The quantale carries phi = (oml, values)
-    and the view as q.view.  Raises TableTooLarge, before any table is
+    have cells of cell_dtype(k).  The quantale carries the view as its
+    representation q.view.  Raises TableTooLarge, before any table is
     allocated, when the dense tables would exceed TABLE_BYTE_LIMIT.
     """
     values = lin_values(oml, oml, cap=cap)
@@ -289,11 +278,10 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
     mult.setflags(write=False)
     star = view.adjoints()
     star.setflags(write=False)
-    q = FinQuantale(carrier, mult, star, unit, phi=(oml, values))
-    q.view = view
-    # the tables are that pass's products, so preserved_by over every row
-    # would find no hit
-    q.record_pass(view, np.arange(k))
+    q = FinQuantale(carrier, mult, star, unit, view)
+    # the tables are that pass's products, so preserved_by(view) would find
+    # no hit
+    q.record_pass(view)
     # (q, view), as in foulis_from_lin: perfbench/replay.py's hooks read r[0]
     return q, view
 
@@ -302,13 +290,13 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
 # law checking
 
 def represents(q: FinQuantale) -> bool:
-    """Whether q.phi is a certificate in the sense of (c) in check_quantale.
+    """Whether q.view is a certificate in the sense of (c) in check_quantale.
 
-    phi declines when q.view is None.  (i) is read as a zero column, the
+    A quantale without a view has none.  (i) is read as a zero column, the
     row test of nonadditive_row on the host, and distinct codes: the index
     finds every row at its own position.  (ii) and (iii) are the pass of
-    FinQuantale.preserved_by over every row, which as codes are distinct is
-    a comparison of codes; q memoizes it per view, and lin_quantale records
+    FinQuantale.preserved_by(view), which as codes are distinct is a
+    comparison of codes; q memoizes it per view, and lin_quantale records
     the pass its build made.
     """
     view = q.view
@@ -318,8 +306,8 @@ def represents(q: FinQuantale) -> bool:
     if ((values[:, x.bottom] != x.bottom).any()
             or nonadditive_row(values, x) is not None):
         return False
-    ar = np.arange(q.n, dtype=np.int32)
-    return np.array_equal(view.find(values), ar) and q.preserved_by(view, ar) == (None, None)
+    return (np.array_equal(view.find(values), np.arange(q.n))
+            and q.preserved_by(view) == (None, None))
 
 
 def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport:
@@ -355,7 +343,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         argument, so (ab)c is the join of (ij)k over i in J(a), j in J(b),
         k in J(c), and a(bc) is the join of i(jk) over the same triples;
         the two joins agree term by term.
-    (c) A representation q.phi maps each a to a map phi(a) on a host
+    (c) A representation q.view maps each a to a map phi(a) on a host
         lattice X with join-irreducibles J(X).  It certifies associativity
         and both distributive laws when
         (i) every phi(a) preserves joins, phi(a)(0) = 0 included, and no
@@ -375,7 +363,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         distributivity.  The binary half of (i) is the test of (a), applied
         to the rows of phi on X.
 
-    (c) is tried first when q.phi is present; it reads each cell of the
+    (c) is tried first when q.view is present; it reads each cell of the
     multiplication and join tables once, and the unit and zero laws keep
     their vector comparisons.  Otherwise, or when (c) fails, each
     distributive law is the join_law of the table (m for the left law, its
@@ -385,7 +373,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     pass: when (b) fails, associativity runs the exhaustive scan, which
     reports the least witness.
 
-    Without phi the carrier's join table is assumed to be a semilattice
+    Without a view the carrier's join table is assumed to be a semilattice
     operation, as join_law states.  _order_tables, lin_quantale and SubOML
     build one from a validated order, pointwise joins and the parent's
     table; FiniteLattice accepts any.

@@ -206,7 +206,8 @@ def test_criterion_08_representation_homomorphism(fq_b1, fq_b2):
     smallest Boolean hosts; on the two-element host it is a bijection."""
     h1 = hom_h(fq_b1[0], sasaki_oml(fq_b1[0]))
     assert check_hom(h1).passed
-    assert h1.injective and len(set(map(tuple, h1.rows.tolist()))) == len(lin_values(h1.sub.oml))
+    assert h1.injective and len(set(map(tuple, h1.view.values.tolist()))) == len(
+        lin_values(h1.sub.oml))
     h2 = hom_h(fq_b2[0], sasaki_oml(fq_b2[0]))
     rep = check_hom(h2)
     assert rep.passed, str(rep)

@@ -48,6 +48,7 @@ from omlq import (
 import omlq.foulis as foulis_module
 import omlq.quantale as quantale_module
 from omlq.lattice import Law, least, nonadditive_row, rows, run_laws, sasaki_table
+from omlq.linmap import adjoint_rows
 
 from conftest import (
     make_nilpotent_chain_quantale,
@@ -352,10 +353,37 @@ def test_hom_axiom_names(fq_b2):
     }
 
 
+@pytest.mark.parametrize("spec", ["boolean:2", "mo:2", "boolean:3", "mo:3",
+                                  "horizontal_sum(boolean:2,boolean:3)"])
+def test_adjoint_is_an_involution_on_lin(spec):
+    # check_hom reads the perp of h(s) off h(s) itself, as A(A(f)) = f on
+    # every join-preserving row f of an OML
+    x = catalog(spec)
+    values = lin_values(x)
+    assert np.array_equal(adjoint_rows(adjoint_rows(values, x, x), x, x), values)
+
+
+def test_check_hom_builds_one_adjoint(monkeypatch, fq_b2, fq_mo2):
+    # the adjoint of every row, for preserves-star; perp needs no second
+    calls = []
+    real = foulis_module.adjoint_rows
+
+    def counting(values, dom, cod):
+        calls.append(values)
+        return real(values, dom, cod)
+
+    monkeypatch.setattr(foulis_module, "adjoint_rows", counting)
+    for f, _ in (fq_b2, fq_mo2):
+        h = hom_h(f, sasaki_oml(f))
+        calls.clear()
+        assert check_hom(h).passed
+        assert len(calls) == 1 and calls[0] is h.view.values
+
+
 def test_hom_unit_goes_to_identity(fq_b2):
     f, _ = fq_b2
     h = hom_h(f, sasaki_oml(f))
-    assert h.rows[f.base.unit].tolist() == list(range(h.sub.oml.n))
+    assert h.view.values[f.base.unit].tolist() == list(range(h.sub.oml.n))
 
 
 def test_hom_on_two_element_host_is_a_bijection(fq_b1):
@@ -363,7 +391,7 @@ def test_hom_on_two_element_host_is_a_bijection(fq_b1):
     h = hom_h(f, sasaki_oml(f))
     assert h.injective
     # every row is a map of Lin(sub.oml), and they are as many as its maps
-    assert len(set(map(tuple, h.rows.tolist()))) == len(lin_values(h.sub.oml))
+    assert len(set(map(tuple, h.view.values.tolist()))) == len(lin_values(h.sub.oml))
 
 
 def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
@@ -382,8 +410,9 @@ def test_hom_table_matches_a_per_element_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
     for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
         sub = sasaki_oml(f)
         h = hom_h(f, sub)
-        assert h.rows.tolist() == hom_rows_reference(f, sub)
-        assert set(map(tuple, h.rows.tolist())) <= set(map(tuple, lin_values(sub.oml).tolist()))
+        assert h.view.values.tolist() == hom_rows_reference(f, sub)
+        assert set(map(tuple, h.view.values.tolist())) <= set(
+            map(tuple, lin_values(sub.oml).tolist()))
 
 
 def test_hom_names_the_first_action_that_is_no_element(monkeypatch, fq_b2):
@@ -407,8 +436,8 @@ def test_hom_names_the_first_action_that_is_no_element(monkeypatch, fq_b2):
 
 
 def with_rows(h, rows, **fields):
-    """h with its rows replaced, and the view of the new rows."""
-    return replace(h, rows=rows, view=QElementView(h.sub.oml, rows), **fields)
+    """h with the view of other rows."""
+    return replace(h, view=QElementView(h.sub.oml, rows), **fields)
 
 
 def check_hom_reference(h, target, view, workers=1):
@@ -416,7 +445,7 @@ def check_hom_reference(h, target, view, workers=1):
     foulis_from_lin builds on the projection lattice, with view its element
     view, in which every row of h is found."""
     f = h.source
-    tb = view.indices(h.rows)
+    tb = view.indices(h.view.values)
     ms, mt = f.base.dense_mult(), target.base.dense_mult()
     js, jt = f.base.carrier.join_tab, target.base.carrier.join_tab
     ss, st_ = f.base.dense_star(), target.base.dense_star()
@@ -454,7 +483,7 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
         def check(data):
             h, target, view = data.draw(st.sampled_from(cases))
             q = h.source.base
-            table = h.rows.copy()
+            table = h.view.values.copy()
             cell = st.sampled_from([q.zero, q.unit]) | st.integers(0, q.n - 1)
             for _ in range(data.draw(st.integers(1, 3))):
                 table[data.draw(cell)] = view.values[data.draw(st.integers(0, view.n - 1))]
@@ -484,10 +513,10 @@ def test_non_injective_hom_on_the_three_chain():
     sub = sasaki_oml(f)
     assert sub.members == (0, 2) and sub.oml.n == 2
     h = hom_h(f, sub)
-    assert h.rows.tolist() == [[0, 0], [0, 1], [0, 1]]
+    assert h.view.values.tolist() == [[0, 0], [0, 1], [0, 1]]
     assert check_hom(h).passed and not h.injective
     for view in (h.view, None):
-        action = ModuleAction(q, sub.oml, h.rows, view)
+        action = ModuleAction(q, sub.oml, h.view.values, view)
         assert check_left_module(action).passed
 
 
@@ -502,10 +531,12 @@ CERTIFIED_ROW_LAWS = {"star-antihomomorphism", "star-join", "sai-annihilator",
 
 def phi_copy(q, **parts):
     """A fresh copy of the Lin quantale q, with nothing memoized; parts
-    replace its carrier, mult, star, unit or phi's values."""
+    replace its carrier, mult, star, unit or phi's values.  The copy gets a
+    view of its own, so no pass recorded on q's view reaches it."""
     p = {"carrier": q.carrier, "mult": q.dense_mult(), "star": q.dense_star(), "unit": q.unit,
-         "values": q.phi[1], **parts}
-    return FinQuantale(p["carrier"], p["mult"], p["star"], p["unit"], phi=(q.phi[0], p["values"]))
+         "values": q.view.values, **parts}
+    return FinQuantale(p["carrier"], p["mult"], p["star"], p["unit"],
+                       view=QElementView(q.view.host, p["values"]))
 
 
 def without_phi(f):
@@ -551,7 +582,7 @@ def draw_foulis_mutant(data, f):
     (a new FiniteLattice over the mutated table, whose derived order moves
     with it) or phi's values, the zero and unit rows drawn often."""
     q = f.base
-    host, values = q.phi
+    host, values = q.view.host, q.view.values
     tables = {"star": q.dense_star().copy(), "sai": f.sai.copy(), "mult": q.dense_mult().copy(),
               "join": q.carrier.join_tab.copy(), "phi": values.copy()}
     kind = data.draw(st.sampled_from(sorted(tables)))
@@ -633,7 +664,7 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
         @given(st.data())
         def check(data):
             f, h, theta = data.draw(st.sampled_from(cases))
-            table = h.rows.copy()
+            table = h.view.values.copy()
             lat = h.sub.oml
             if data.draw(st.booleans()):
                 s, t = data.draw(st.lists(st.integers(0, f.n - 1), min_size=2, max_size=2,
@@ -650,7 +681,7 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
             hs = [with_rows(h, table, source=FoulisQuantale(phi_copy(f.base), f.sai))
                   for _ in range(2)]
             recorded = foulis_module.record_conjugation(hs[0], theta)
-            assert recorded == np.array_equal(table, h.rows)
+            assert recorded == np.array_equal(table, h.view.values)
             for w in (1, 2):
                 modules = [check_left_module(ModuleAction(hs[0].source.base, lat, table,
                                                           hs[0].view), workers=w),

@@ -15,6 +15,7 @@ from omlq import (
     FormatError,
     LinMap,
     NotALattice,
+    QElementView,
     TableTooLarge,
     build_lattice,
     catalog,
@@ -825,7 +826,7 @@ def test_certificates_replace_the_cubic_scans(monkeypatch, fq_b1, fq_b2, fq_b3, 
     assert check_quantale(without_phi(fq_mo2[0].base)).passed
     assert scanned == []
     for q in lin:
-        assert q.phi is not None
+        assert q.view is not None
         assert check_quantale(q).passed
     assert scanned == []
 
@@ -841,50 +842,24 @@ def test_lin_quantale_records_the_pass_of_its_build(fq_b2, fq_mo2, fq_b3):
     # represents reads it instead of making the pass again.
     for f, view in (fq_b2, fq_mo2, fq_b3):
         q = f.base
-        ar = np.arange(q.n, dtype=np.int32)
-        recorded = q._passes[view, ar.tobytes()]
-        copy = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit, phi=q.phi)
-        assert copy.preserved_by(view, ar) == recorded == (None, None)
+        recorded = q._passes[view]
+        copy = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit, view=view)
+        assert copy.preserved_by(view) == recorded == (None, None)
 
 
 def test_lin_quantale_carries_its_maps_as_phi(fq_b1, fq_b2, fq_b3, fq_mo2, b2):
+    # phi is the view lin_quantale built and returned beside the quantale
     for f, view in (fq_b1, fq_b2, fq_b3, fq_mo2):
-        assert f.base.phi[1] is view.values
+        assert f.base.view is view
         assert quantale_module.represents(f.base)
-    assert fq_b2[0].base.phi[0] is b2
-
-
-def test_a_quantale_builds_the_view_of_its_phi_once(monkeypatch, fq_b2, fq_mo2):
-    # lin_quantale stores the view it built.  Another quantale with phi
-    # builds its view on first use; phi values out of shape or range, or a
-    # host with more than BRUTEFORCE_LIMIT J-codes, give none, and then phi
-    # represents nothing.
-    for f, view in (fq_b2, fq_mo2):
-        q = f.base
-        assert q.view is view
-        host, values = q.phi
-        copy = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit, phi=q.phi)
-        assert copy.view is copy.view and copy.view is not view
-        assert np.array_equal(copy.view.find(values), np.arange(q.n))
-        high, low = values.copy(), values.copy()
-        high[3, 1], low[3, 1] = host.n, -1
-        for bad in (values[1:], values[:, 1:], high, low):
-            mutant = FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit,
-                                 phi=(host, bad))
-            assert mutant.view is None and not quantale_module.represents(mutant)
-        codes = host.n ** len(host.join_irreducibles())
-        monkeypatch.setattr(quantale_module, "BRUTEFORCE_LIMIT", codes - 1)
-        assert FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit,
-                           phi=q.phi).view is None
-        monkeypatch.undo()
-    assert FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit).view is None
+    assert fq_b2[0].base.view.host is b2
 
 
 def draw_phi_mutant(data, q):
     """One to three overwritten cells of mult, of the carrier join table
     (a new FiniteLattice over the mutated table, whose derived order moves
     with it) or of phi's values."""
-    host, values = q.phi
+    host, values = q.view.host, q.view.values
     mult, join, values = q.dense_mult().copy(), q.carrier.join_tab.copy(), values.copy()
     kind = data.draw(st.sampled_from(["mult", "join", "phi"]))
     table, size = {"mult": (mult, q.n), "join": (join, q.n), "phi": (values, host.n)}[kind]
@@ -896,7 +871,7 @@ def draw_phi_mutant(data, q):
     c = q.carrier
     if kind == "join":
         c = FiniteLattice(c.labels, join, c.bottom, c.top)
-    return kind, FinQuantale(c, mult, q.dense_star(), q.unit, phi=(host, values))
+    return kind, FinQuantale(c, mult, q.dense_star(), q.unit, view=QElementView(host, values))
 
 
 def check_phi_mutant(kind, mutant):
@@ -929,14 +904,14 @@ def reread_from_phi(q, values):
     element whose values on J(X) are those of phi(a) o phi(b); a product
     that names no element keeps its cell.  (ii) and (iii) then hold by
     construction, so only (i) can fail the certificate."""
-    host = q.phi[0]
+    host = q.view.host
     irr = host.join_irreducibles()
     base = host.n ** np.arange(len(irr))
     by_code = {int(c): a for a, c in enumerate(values[:, irr] @ base)}
     mult = q.dense_mult().copy()
     for (a, b), c in np.ndenumerate(np.take(values, values[:, irr], axis=1) @ base):
         mult[a, b] = by_code.get(int(c), mult[a, b])
-    return FinQuantale(q.carrier, mult, q.dense_star(), q.unit, phi=(host, values))
+    return FinQuantale(q.carrier, mult, q.dense_star(), q.unit, view=QElementView(host, values))
 
 
 def test_phi_certificate_needs_join_preserving_rows(fq_b2):
@@ -945,7 +920,7 @@ def test_phi_certificate_needs_join_preserving_rows(fq_b2):
     # binary joins, any other change breaks them.  Some of the re-read
     # multiplications break associativity or distributivity.
     q = fq_b2[0].base
-    host, values = q.phi
+    host, values = q.view.host, q.view.values
     irr = host.join_irreducibles()
     cubic = ("associativity", "distributes-left", "distributes-right")
     failing = 0
@@ -968,11 +943,11 @@ def test_phi_certificate_needs_distinct_rows(fq_b2, fq_mo2, data):
     # Every row of phi the zero map: (i) holds but for distinctness, and
     # (ii) and (iii) hold for any tables.
     q = data.draw(st.sampled_from([fq_b2[0].base, fq_mo2[0].base]))
-    host, values = q.phi
+    host, values = q.view.host, q.view.values
     mutant = draw_mutant(data, q)
     collapsed = np.repeat(values[q.zero][None], q.n, axis=0)
     check_phi_mutant("mult", FinQuantale(q.carrier, mutant.dense_mult(), q.dense_star(), q.unit,
-                                         phi=(host, collapsed)))
+                                         view=QElementView(host, collapsed)))
 
 
 # ---------------------------------------------------------------------------

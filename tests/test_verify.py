@@ -381,6 +381,30 @@ def test_verify_all_makes_one_products_pass_and_one_hom(monkeypatch, mo2):
     assert len(passes) == 1 and len(homs) == 1
 
 
+def test_verify_all_finds_the_rows_of_h_once(monkeypatch):
+    # record_conjugation records the pass of h.view, so check_hom and the
+    # sasaki-module read it without finding any row; only injective looks
+    # up the rows of h.
+    from omlq import foulis, quantale, verify
+
+    found, homs = [], []
+    real_find, real_hom = quantale.QElementView.find, foulis.hom_h
+
+    def find(view, rows):
+        found.append(view)
+        return real_find(view, rows)
+
+    def hom(*args, **kwargs):
+        homs.append(real_hom(*args, **kwargs))
+        return homs[-1]
+
+    monkeypatch.setattr(quantale.QElementView, "find", find)
+    monkeypatch.setattr(verify, "hom_h", hom)
+    payload, code = run_verify(catalog("mo:2"), ["all"])
+    assert code == 0 and payload["results"]["hom"]["passed"]
+    assert len(homs) == 1 and sum(view is homs[0].view for view in found) == 1
+
+
 @pytest.mark.parametrize("spec", ["mo:2", "boolean:3"])
 def test_verify_all_builds_no_order_or_meet_on_the_lin_carrier(spec):
     # The Lin carrier is its join table: no selector reads its order or

@@ -154,10 +154,10 @@ def quantale_cases(host):
     yield "roundtrip/0", lambda w: roundtrip_iso(f, sub, workers=w)
     # h with seeded entries of its index into lin_values(sub.oml) changed
     lin = lin_values(sub.oml)
-    table, tn = QElementView(sub.oml, lin).find(h.rows), len(lin)
+    table, tn = QElementView(sub.oml, lin).find(h.view.values), len(lin)
     tables = [table] + [one_cell(table, seed, tn) for seed in SEEDS]
     tables += [one_cell(table, 9, tn, (q.zero,)), one_cell(table, 9, tn, (q.unit,))]
-    homs = [replace(h, rows=lin[t], view=QElementView(sub.oml, lin[t])) for t in tables]
+    homs = [replace(h, view=QElementView(sub.oml, lin[t])) for t in tables]
     for k, hm in enumerate(homs):
         yield f"hom/{k}", lambda w, hm=hm: check_hom(hm, workers=w)
 
@@ -166,14 +166,14 @@ def module_cases(host):
     f, sub, h = built(host)
     q = f.base
     for name, action in (("lin", lin_module(q)),
-                         ("sasaki", ModuleAction(q, sub.oml, h.rows, h.view))):
+                         ("sasaki", ModuleAction(q, sub.oml, h.view.values, h.view))):
         ln = action.lattice.n
         t = action.table
         tables = [t] + [one_cell(t, seed, ln) for seed in SEEDS]
         tables += [one_cell(t, 9, ln, (q.zero, ln - 1)), one_cell(t, 9, ln, (q.unit, ln - 1)),
                    one_cell(t, 9, ln, (q.n - 1, action.lattice.bottom))]
         for k, table in enumerate(tables):
-            act = ModuleAction(q, action.lattice, table, action.view)
+            act = ModuleAction(q, action.lattice, table, QElementView(action.lattice, table))
             yield f"{name}-module/{k}", lambda w, a=act: check_left_module(a, workers=w)
             yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(a, workers=w)
 
