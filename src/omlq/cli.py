@@ -17,7 +17,7 @@ command has one to draw.
 Only the catalog and the errors are imported here.  Each command imports
 the layers it runs, and JSON output imports serialize, which imports only
 the lattice layers, so `lin` and `check-oml` load no quantale layer in
-either format.  Scans run on one thread unless --workers asks for more.
+either format.  Every scan runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,13 +56,6 @@ _INPUT_ERRORS = (
 )
 
 
-def _workers(args) -> int:
-    """One scan thread unless --workers asks for more.  Since the
-    certificates decide most laws, a second thread no longer pays on the
-    measured hosts, and only a count above 1 starts the thread pool."""
-    return 1 if args.workers is None else args.workers
-
-
 def _need_input(args):
     if args.catalog is not None and args.file is not None:
         raise FormatError("give --catalog or --file, not both")
@@ -97,7 +90,7 @@ def _input_foulis(args):
     if isinstance(q, FoulisQuantale):
         return q, args.file
     for check in (check_quantale, check_involutive):
-        report = check(q, workers=_workers(args))
+        report = check(q)
         if not report.passed:
             v = report.violations[0]
             raise FormatError(f"{args.file}: {report.subject} law {v.axiom} fails at "
@@ -156,7 +149,7 @@ def cmd_check_oml(args) -> int:
 
     _no_dot(args)
     oml, subject = _input_oml(args)
-    report = check_oml(oml, subject=subject, workers=_workers(args))
+    report = check_oml(oml, subject=subject)
     return _emit_reports(args, [report])
 
 
@@ -287,10 +280,7 @@ def cmd_check_quantale(args) -> int:
         q = parse_quantale(d)
         if "sai" in d:  # a FoulisQuantale; its laws are check-foulis's
             q = q.base
-    w = _workers(args)
-    return _emit_reports(
-        args, [check_quantale(q, workers=w), check_involutive(q, workers=w)]
-    )
+    return _emit_reports(args, [check_quantale(q), check_involutive(q)])
 
 
 def cmd_check_foulis(args) -> int:
@@ -298,7 +288,7 @@ def cmd_check_foulis(args) -> int:
 
     _no_dot(args)
     f, _ = _input_foulis(args)
-    return _emit_reports(args, [check_foulis(f, workers=_workers(args))])
+    return _emit_reports(args, [check_foulis(f)])
 
 
 def cmd_sasaki_lattice(args) -> int:
@@ -323,17 +313,12 @@ def cmd_check_module(args) -> int:
 
     _no_dot(args)
     _need_input(args)
-    w = _workers(args)
     if args.file is not None:
         m = parse_module(load_json(args.file), os.path.dirname(args.file) or None)
-        reports = [
-            check_left_module(m, workers=w),
-            check_right_two_module(m, workers=w),
-        ]
-        return _emit_reports(args, reports)
+        return _emit_reports(args, [check_left_module(m), check_right_two_module(m)])
     from .verify import SELECTOR_REPORTS, VerifyContext
 
-    ctx = VerifyContext(catalog(args.catalog), args.cap, w)
+    ctx = VerifyContext(catalog(args.catalog), args.cap)
     return _emit_reports(args, SELECTOR_REPORTS["modules"](ctx))
 
 
@@ -345,9 +330,7 @@ def cmd_verify(args) -> int:
 
     _no_dot(args)
     oml, subject = _input_oml(args)
-    payload, code = run_verify(
-        oml, args.selectors, subject=subject, cap=args.cap, workers=_workers(args)
-    )
+    payload, code = run_verify(oml, args.selectors, subject=subject, cap=args.cap)
     if args.fmt == "json":
         print(dump_json(payload), end="")
     else:
@@ -404,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "dot"),
         default=argparse.SUPPRESS,
     )
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
 
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--catalog", metavar="SPEC", default=None)
@@ -419,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", dest="fmt", choices=("text", "json", "dot"), default="text"
     )
-    p.add_argument("--workers", type=int, default=None)
 
     sub = p.add_subparsers(dest="cmd")
 
@@ -487,9 +468,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cap is not None and args.cap < 1:
         print("error: --cap must be at least 1", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     if getattr(args, "cmd", None) is None:
         parser.print_usage(sys.stderr)

@@ -37,7 +37,6 @@ from .lattice import (
     least,
     make_report,
     nonadditive_row,
-    rows,
     run_laws,
     sasaki_table,
 )
@@ -154,7 +153,7 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None):
 # ---------------------------------------------------------------------------
 # law checking
 
-def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
+def check_foulis(f: FoulisQuantale, subject="foulis") -> CheckReport:
     """Projection axioms plus their restatement through perp.
 
     The annihilator axioms compare the set {x | s*x = 0} with the set of
@@ -184,7 +183,7 @@ def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
             generated[m[sai[t]]] = True
             return (m[t] == q.zero) != generated
 
-        return None if certified else rows(bad)
+        return None if certified else bad
 
     return run_laws(subject, q.label, [
         Law("sai-idempotent", hit=least(m[sai, sai] != sai)),
@@ -195,10 +194,10 @@ def check_foulis(f: FoulisQuantale, subject="foulis", workers=1) -> CheckReport:
         Law("perp-self-adjoint", hit=least(s[perp] != perp)),
         Law("perp-unit", hit=None if perp[q.unit] == q.zero else (q.unit,)),
         Law("perp-annihilator", annihilator(s), n),
-    ], workers)
+    ])
 
 
-def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> CheckReport:
+def check_star_props(f: FoulisQuantale, subject="star-props") -> CheckReport:
     """Derived laws of the projection complement under the defined order.
 
     fixed-point: star(r) * t = 0 iff t = sai(star(r)) * t, all pairs (r, t).
@@ -228,7 +227,7 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
     unfixed = members[perp[perp[members]] != members]
 
     def scan(bad):
-        return None if f.certified else rows(bad)
+        return None if f.certified else bad
 
     return run_laws(subject, q.label, [
         Law("fixed-point", scan(lambda r: (m[s[r]] == q.zero) != (m[sai[s[r]]] == ar)), n),
@@ -237,7 +236,7 @@ def check_star_props(f: FoulisQuantale, subject="star-props", workers=1) -> Chec
         Law("double-perp", hit=tuple(unfixed[:1].tolist()) or None),
         # entry r: t <= perp(r) against r <= perp(t)
         Law("perp-galois", scan(lambda t: (m[perp, t] == t) != (m[perp[t]] == ar)), n),
-    ], workers)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +404,7 @@ def record_conjugation(h: FoulisHom, theta) -> bool:
     return True
 
 
-def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
+def check_hom(h: FoulisHom, subject="hom") -> CheckReport:
     """Structure preservation of the representation.
 
     Joins (binary and empty), multiplication, unit, involution, and the
@@ -443,11 +442,10 @@ def check_hom(h: FoulisHom, subject="hom", workers=1) -> CheckReport:
         Law("preserves-star", hit=differ(hr[ss], star)),
         Law("preserves-perp", hit=differ(hr[f.sai[ss]], perp)),
         Law("perp-closed-form"),
-    ], workers)
+    ])
 
 
-def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML, workers=1,
-                  subject="roundtrip") -> CheckReport:
+def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML, subject="roundtrip") -> CheckReport:
     """a -> Sasaki projection at a, as an isomorphism from the host X of
     f.base.view onto sub, the projection lattice of f."""
     oml = f.base.view.host
@@ -466,13 +464,13 @@ def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML, workers=1,
 
     def preserves(tab, img_tab):
         # entry b: the image of a op b against cand[a] op cand[b]
-        return rows(lambda a: cand[tab[a]] != img_tab[cand[a], cand])
+        return lambda a: cand[tab[a]] != img_tab[cand[a], cand]
 
     return run_laws(subject, {"x": oml.label, "n": str}, [
         bijection,
-        Law("order-isomorphism", rows(lambda a: oml.leq_mat[a] != img.leq_mat[cand[a], cand]),
+        Law("order-isomorphism", lambda a: oml.leq_mat[a] != img.leq_mat[cand[a], cand],
             n, kinds="xx"),
         Law("complement-preserved", hit=least(cand[oml.ortho] != sub.oml.ortho[cand]), kinds="x"),
         Law("meet-preserved", preserves(oml.meet_tab, img.meet_tab), n, kinds="xx"),
         Law("join-preserved", preserves(oml.join_tab, img.join_tab), n, kinds="xx"),
-    ], workers)
+    ])

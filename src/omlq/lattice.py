@@ -12,9 +12,9 @@ matrix is checked as given, by lattice_from_leq.
 Every exhaustive checker states its laws as Law values and hands them to
 run_laws, which decides them in order and labels each least witness.  A
 law over a linear range is one vector comparison, decided on the spot
-with least(); a law with a row of witnesses per outer index is a
-first_hit scan, built from a per-row mask with rows(), which run_laws
-cuts into ordered chunks across the workers.
+with least(); a law with a row of witnesses per outer index gives a
+per-row mask, which run_laws scans row by row in ascending order on the
+calling thread up to the first row with a witness.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormatError, NotALattice, NotAPoset, TableTooLarge
-from .scan import first_hit
 
 
 def cell_dtype(n) -> np.dtype:
@@ -130,7 +129,9 @@ def make_report(subject, axiom_hits) -> CheckReport:
 class Law:
     """One law of a checker and how to find its least witness.
 
-    Either scan is a first_hit scan over range(total), or the law was
+    Either scan is a per-row mask over range(total), scan(i) marking the
+    witnesses whose first coordinate is i, so the least witness is
+    (i, *least(scan(i))) at the least row i with one; or the law was
     decided without a scan and hit is its least witness (None when the law
     holds).  Witnesses are index tuples; kinds, one letter per coordinate,
     picks each coordinate's labeller when run_laws is given several.
@@ -143,7 +144,7 @@ class Law:
     kinds: str = ""
 
 
-def run_laws(subject, label, laws, workers=1) -> CheckReport:
+def run_laws(subject, label, laws) -> CheckReport:
     """Decide laws in order and report each least witness as labels.
 
     label maps an index to its label: one function for every coordinate,
@@ -151,7 +152,7 @@ def run_laws(subject, label, laws, workers=1) -> CheckReport:
     """
     hits = []
     for law in laws:
-        w = law.hit if law.scan is None else first_hit(law.scan, law.total, workers)
+        w = law.hit if law.scan is None else _first_row_hit(law.scan, law.total)
         if w is not None:
             labels = [label[k] for k in law.kinds] if isinstance(label, dict) else [label] * len(w)
             w = tuple(lab(i) for lab, i in zip(labels, w))
@@ -167,18 +168,13 @@ def least(mask):
     return tuple(int(i) for i in np.unravel_index(flat[0], mask.shape))
 
 
-def rows(bad):
-    """A first_hit scan from a per-row mask: bad(i) marks the witnesses
-    whose first coordinate is i, and the least of them is (i, *least)."""
-
-    def scan(lo, hi):
-        for i in range(lo, hi):
-            w = least(bad(i))
-            if w is not None:
-                return (i, *w)
-        return None
-
-    return scan
+def _first_row_hit(bad, total):
+    """(i, *least(bad(i))) at the least row i < total with a witness, or None."""
+    for i in range(total):
+        w = least(bad(i))
+        if w is not None:
+            return (i, *w)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +659,7 @@ def normalize_ortho(lattice: FiniteLattice, ortho) -> np.ndarray:
     return arr
 
 
-def check_oml(oml: FiniteOML, subject="oml", workers=1) -> CheckReport:
+def check_oml(oml: FiniteOML, subject="oml") -> CheckReport:
     """Check the ortholattice laws and the orthomodular law.
 
     One least witness is reported per violated law: involution (x'' = x),
@@ -677,11 +673,11 @@ def check_oml(oml: FiniteOML, subject="oml", workers=1) -> CheckReport:
     return run_laws(subject, oml.label, [
         Law("involution", hit=least(ortho[ortho] != ar)),
         # entry j: j >= i but ortho(j) not below ortho(i)
-        Law("antitone", rows(lambda i: leq[i] & ~leq[ortho, ortho[i]]), n),
+        Law("antitone", lambda i: leq[i] & ~leq[ortho, ortho[i]], n),
         Law("complement", hit=least(mt[ar, ortho] != oml.bottom)),
         # entry j: j >= i but j differs from i join (i' meet j)
-        Law("orthomodular", rows(lambda i: leq[i] & (jt[i, mt[ortho[i]]] != ar)), n),
-    ], workers)
+        Law("orthomodular", lambda i: leq[i] & (jt[i, mt[ortho[i]]] != ar), n),
+    ])
 
 
 def sasaki_apply(oml: FiniteOML, a: int, y: int) -> int:

@@ -38,7 +38,6 @@ from .lattice import (
     _JOIN_CELLS,
     breaks_joins,
     join_pairs,
-    rows,
     run_laws,
     sasaki_table,
 )
@@ -97,17 +96,18 @@ def dagger(f: LinMap) -> LinMap:
     return LinMap(f.cod, f.dom, adjoint_rows([f.values], f.dom, f.cod)[0])
 
 
-def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair", workers=1) -> CheckReport:
+def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair") -> CheckReport:
     """Check f(x) orthogonal y iff x orthogonal h(y), over all pairs."""
     if f.dom != h.cod or f.cod != h.dom:
         raise DomainMismatch("adjoint candidate runs between the wrong lattices")
     X, Y = f.dom, f.cod
     leq_x, leq_y = X.leq_mat, Y.leq_mat
     hop = X.ortho[np.array(h.values, dtype=np.int32)]
-    # entry y: f(x) orthogonal y against x orthogonal h(y)
-    biconditional = rows(lambda x: leq_y[f.values[x]][Y.ortho] != leq_x[x][hop])
-    return run_laws(subject, {"x": X.label, "y": Y.label},
-                    [Law("adjoint-biconditional", biconditional, X.n, kinds="xy")], workers)
+    return run_laws(subject, {"x": X.label, "y": Y.label}, [
+        # entry y: f(x) orthogonal y against x orthogonal h(y)
+        Law("adjoint-biconditional", lambda x: leq_y[f.values[x]][Y.ortho] != leq_x[x][hop],
+            X.n, kinds="xy"),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import StructureViolation
 from .foulis import FoulisHom, FoulisQuantale, SasakiOML, sasaki_action_table
-from .lattice import CheckReport, FiniteLattice, Law, cell_dtype, join_law, least, rows, run_laws
+from .lattice import CheckReport, FiniteLattice, Law, cell_dtype, join_law, least, run_laws
 from .quantale import FinQuantale, QElementView
 
 
@@ -67,7 +67,7 @@ def sasaki_module(f: FoulisQuantale, sub: SasakiOML) -> ModuleAction:
     return ModuleAction(f.base, sub.oml, sasaki_action_table(f, sub))
 
 
-def module_reports(f: FoulisQuantale, h: FoulisHom, workers=1) -> list[CheckReport]:
+def module_reports(f: FoulisQuantale, h: FoulisHom) -> list[CheckReport]:
     """The module laws of both canonical actions, each with its right
     two-module: the endomorphism quantale f.base on its lattice by
     application, and the Foulis quantale f on its projection lattice, the
@@ -75,14 +75,14 @@ def module_reports(f: FoulisQuantale, h: FoulisHom, workers=1) -> list[CheckRepo
     lm = lin_module(f.base)
     sm = ModuleAction(f.base, h.sub.oml, h.view.values, h.view)
     return [
-        check_left_module(lm, subject="lin-module", workers=workers),
-        check_left_module(sm, subject="sasaki-module", workers=workers),
-        check_right_two_module(lm, subject="two-module", workers=workers),
-        check_right_two_module(sm, subject="projection-two-module", workers=workers),
+        check_left_module(lm, subject="lin-module"),
+        check_left_module(sm, subject="sasaki-module"),
+        check_right_two_module(lm, subject="two-module"),
+        check_right_two_module(sm, subject="projection-two-module"),
     ]
 
 
-def check_left_module(action: ModuleAction, subject="module", workers=1) -> CheckReport:
+def check_left_module(action: ModuleAction, subject="module") -> CheckReport:
     """The left module laws of an action of q on a lattice L.
 
     act-join      s . (a join b) = (s . a) join (s . b)
@@ -115,18 +115,16 @@ def check_left_module(action: ModuleAction, subject="module", workers=1) -> Chec
     return run_laws(subject, {"q": q.label, "l": lat.label}, [
         act_join,
         Law("act-bottom", hit=bottom, kinds="q"),
-        Law("join-act", None if certified else rows(lambda s: table[jq[s]] != jl[table[s], table]),
+        Law("join-act", None if certified else lambda s: table[jq[s]] != jl[table[s], table],
             q.n, kinds="qql"),
         Law("zero-act", hit=least(table[q.zero] != lat.bottom), kinds="l"),
-        Law("assoc-act", None if certified else rows(lambda u: table[mq[u]] != table[u][table]),
+        Law("assoc-act", None if certified else lambda u: table[mq[u]] != table[u][table],
             q.n, kinds="qql"),
         Law("unit-act", hit=least(table[q.unit] != np.arange(lat.n)), kinds="l"),
-    ], workers)
+    ])
 
 
-def check_right_two_module(
-    on: FiniteLattice | ModuleAction, subject="two-module", workers=1
-) -> CheckReport:
+def check_right_two_module(on: FiniteLattice | ModuleAction, subject="two-module") -> CheckReport:
     """The canonical right action of the two-element quantale on a lattice,
     or on the lattice of a left action.
 
@@ -150,7 +148,7 @@ def check_right_two_module(
         Law("two-join-act", hit=least(acted[t1 | t2, a] != jl[acted[t1, a], acted[t2, a]]),
             kinds="ltt"),
         # entry (b, t): (a join b) . t against (a . t) join (b . t)
-        Law("act-two-join", rows(lambda a: (acted[:, jl[a]] != jl[acted[:, a, None], acted]).T),
+        Law("act-two-join", lambda a: (acted[:, jl[a]] != jl[acted[:, a, None], acted]).T,
             n, kinds="llt"),
         Law("two-assoc", hit=least(acted[t1 & t2, a] != acted[t2, acted[t1, a]]), kinds="ltt"),
     ]
@@ -161,4 +159,4 @@ def check_right_two_module(
         w = least(acted[:, table].transpose(1, 0, 2) != table[:, acted])
         laws.append(Law("bimodule-compat", hit=w and (w[0], w[2], w[1]), kinds="qlt"))
         label["q"] = left.quantale.label
-    return run_laws(subject, label, laws, workers)
+    return run_laws(subject, label, laws)

@@ -20,8 +20,9 @@ over the same context.  run_verify gates every pipeline on the input
 passing the OML laws.  A selector runs once its prerequisites (PREREQS, in
 order) pass; otherwise it is skipped, naming the first that failed, and
 the run is refused (exit 2) when that prerequisite was not itself
-selected.  Payloads contain no machine-dependent data, so reports are
-byte-identical across worker counts.
+selected.  Every law is scanned in order on the calling thread, and
+payloads contain no machine-dependent data, so a run's bytes depend on
+its input and selectors alone.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .foulis import (
     sasaki_oml,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, Law, check_oml, least, rows, run_laws, sasaki_table
+from .lattice import FiniteOML, Law, check_oml, least, run_laws, sasaki_table
 from .linmap import adjoint_rows, kernel_split, lin_values
 from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
@@ -52,7 +53,7 @@ from .selectors import PREREQS, SELECTORS
 # ---------------------------------------------------------------------------
 # aggregate report builders
 
-def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts", workers=1):
+def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts"):
     """The four projection laws, scanned over every (a, y[, z]).
 
     fixed-below   y <= a  iff  the projection at a fixes y
@@ -67,14 +68,15 @@ def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts", workers=1):
     S = sasaki_table(oml)
     ar = np.arange(n)
     return run_laws(subject, oml.label, [
-        Law("fixed-below", rows(lambda a: leq[:, a] != (S[a] == ar)), n),
-        Law("interior", rows(lambda a: ~leq[S[a, ortho[S[a, ortho]]], ar]), n),
-        Law("annihilates", rows(lambda a: (S[a] == oml.bottom) != leq[:, ortho[a]]), n),
+        Law("fixed-below", lambda a: leq[:, a] != (S[a] == ar), n),
+        Law("interior", lambda a: ~leq[S[a, ortho[S[a, ortho]]], ar], n),
+        Law("annihilates", lambda a: (S[a] == oml.bottom) != leq[:, ortho[a]], n),
         # entry (y, z): proj_a(y) orthogonal to z against y orthogonal to proj_a(z)
-        Law("adjoint-swap", rows(lambda a: leq[S[a]][:, ortho] != leq[:, ortho[S[a]]]), n),
-    ], workers)
+        Law("adjoint-swap", lambda a: leq[S[a]][:, ortho] != leq[:, ortho[S[a]]], n),
+    ])
 
 
+# workers is unread, kept while perfbench/replay.py passes it (ROADMAP item 3b)
 def dagger_kernel_report(
     oml: FiniteOML, cap=None, workers=1, subject="dagger-kernel", maps=None
 ):
@@ -97,7 +99,7 @@ def dagger_kernel_report(
     In an OML D_f = Z_f; keying on both keeps this exact for any tables.
     The four splitting axioms depend on k alone and are decided once per
     distinct k; kernel-downset and weak-kernel are row scans over the
-    classes, which workers share.
+    classes.
 
     maps, when given, are checked in place of the enumeration.
     """
@@ -127,13 +129,13 @@ def dagger_kernel_report(
 
     label = {"f": lambda r: vector(fs[r]), "m": lambda m: vector(values[m]), "x": oml.label}
     return run_laws(subject, label, [
-        Law("kernel-downset", rows(lambda r: (fs[r] == bottom) != leq[:, ks[r]]), len(fs),
+        Law("kernel-downset", lambda r: (fs[r] == bottom) != leq[:, ks[r]], len(fs),
             kinds="fx"),
         Law("kills-kernel", hit=least(((fs != bottom) & leq[:, ks].T).any(axis=1)), kinds="f"),
         *(Law(name, hit=least(splits[:, i]), kinds="f") for i, name in enumerate(
             ("splits-projection", "normalized", "embed-dagger-of-coembed", "embed-dagger-mono"))),
-        Law("weak-kernel", rows(weak), len(fs), kinds="fm"),
-    ], workers)
+        Law("weak-kernel", weak, len(fs), kinds="fm"),
+    ])
 
 
 def _splitting_fails(oml: FiniteOML, S, k: int):
@@ -156,10 +158,9 @@ class VerifyContext:
     the structures they read, and the Foulis quantale's base carries its
     element view."""
 
-    def __init__(self, oml: FiniteOML, cap, workers):
+    def __init__(self, oml: FiniteOML, cap):
         self.oml = oml
         self.cap = cap
-        self.workers = workers
 
     @cached_property
     def foulis(self):
@@ -177,7 +178,7 @@ class VerifyContext:
 
     @cached_property
     def roundtrip(self):
-        return roundtrip_iso(self.foulis, self.sub, self.workers)
+        return roundtrip_iso(self.foulis, self.sub)
 
     @cached_property
     def hom(self):
@@ -192,19 +193,20 @@ class VerifyContext:
 
 # The reports of each selector over a run's context.
 SELECTOR_REPORTS = {
-    "sasaki-facts": lambda c: [sasaki_facts_report(c.oml, workers=c.workers)],
-    "dagger-kernel": lambda c: [dagger_kernel_report(c.oml, cap=c.cap, workers=c.workers)],
-    "quantale": lambda c: [check_quantale(c.foulis.base, workers=c.workers)],
-    "involutive": lambda c: [check_involutive(c.foulis.base, workers=c.workers)],
-    "foulis": lambda c: [check_foulis(c.foulis, workers=c.workers)],
-    "star-props": lambda c: [check_star_props(c.foulis, workers=c.workers)],
+    "sasaki-facts": lambda c: [sasaki_facts_report(c.oml)],
+    "dagger-kernel": lambda c: [dagger_kernel_report(c.oml, cap=c.cap)],
+    "quantale": lambda c: [check_quantale(c.foulis.base)],
+    "involutive": lambda c: [check_involutive(c.foulis.base)],
+    "foulis": lambda c: [check_foulis(c.foulis)],
+    "star-props": lambda c: [check_star_props(c.foulis)],
     "sasaki-oml": lambda c: [c.sub_report[1]],
-    "modules": lambda c: module_reports(c.foulis, c.hom, workers=c.workers),
-    "hom": lambda c: [check_hom(c.hom, workers=c.workers)],
+    "modules": lambda c: module_reports(c.foulis, c.hom),
+    "hom": lambda c: [check_hom(c.hom)],
     "roundtrip": lambda c: [c.roundtrip],
 }
 
 
+# workers is unread, kept while perfbench/replay.py passes it (ROADMAP item 3b)
 def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
     """Run the selected pipelines; returns (payload, exit_code).
 
@@ -218,7 +220,7 @@ def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
         raise ValueError(f"unknown selector {bad[0]!r}")
     run_all = "all" in selectors
     requested = [s for s in SELECTORS if run_all or s in selectors]
-    gate = check_oml(oml, subject="check-oml", workers=workers)
+    gate = check_oml(oml, subject="check-oml")
     payload = {
         "input": subject,
         "selected": requested,
@@ -240,7 +242,7 @@ def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
         payload["passed"] = False
         return payload, 1
 
-    ctx = VerifyContext(oml, cap, workers)
+    ctx = VerifyContext(oml, cap)
     entries: dict[str, dict] = {}
     blocker: dict[str, str] = {}  # a skipped selector's first failing prerequisite
 

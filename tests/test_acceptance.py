@@ -8,6 +8,8 @@ prints one pass/fail line per criterion.
 import itertools
 import json
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -275,16 +277,18 @@ def test_criterion_09_mutation_sensitivity(fq_b2):
     assert detected == 24
 
 
-def test_criterion_10_deterministic_verification_across_workers(capsys):
+def test_criterion_10_deterministic_verification(capsys):
     """The full verification pipeline over the six-element atom-pair host
-    emits byte-identical JSON for 1, 2, and 8 workers."""
+    emits byte-identical JSON across two in-process runs and across two
+    fresh interpreters."""
+    argv = ["verify", "--catalog", "mo:2", "all", "--format", "json"]
     payloads = []
-    for w in ("1", "2", "8"):
-        code = main([
-            "verify", "--catalog", "mo:2", "all", "--format", "json",
-            "--workers", w,
-        ])
-        assert code == 0
+    for _ in range(2):
+        assert main(argv) == 0
         payloads.append(capsys.readouterr().out.encode())
-    assert payloads[0] == payloads[1] == payloads[2]
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-m", "omlq", *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(proc.stdout)
+    assert len(set(payloads)) == 1
     json.loads(payloads[0])  # well-formed

@@ -116,11 +116,16 @@ def test_bad_cap_value(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_is_a_usage_error(capsys, workers):
-    for argv in (["lin", "--catalog", "boolean:1"], ["verify", "--catalog", "boolean:1", "all"]):
-        assert run(capsys, *argv, "--workers", workers) == (
-            2, "", "error: --workers must be at least 1\n")
+@pytest.mark.parametrize("argv", [
+    ["--workers", "2", "verify", "--catalog", "mo:2", "all"],
+    ["verify", "--catalog", "mo:2", "all", "--workers", "2"],
+])
+def test_workers_is_an_unknown_option(capsys, argv):
+    # Every scan runs on the calling thread; no option picks a thread count.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,17 +518,12 @@ def test_check_quantale_file_with_a_late_row_mutant(tmp_path, fq_b3):
     d["mult"][450][300] = next(lab for lab in d["elements"] if lab != old)
     p = tmp_path / "late.json"
     p.write_text(dump_json(d))
-    outs = []
-    for workers in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "omlq", "check-quantale", "--file", str(p),
-             "--format", "json", "--workers", workers],
-            capture_output=True,
-        )
-        assert proc.returncode == 1
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    report = next(r for r in json.loads(outs[0])["reports"] if r["subject"] == "quantale")
+    proc = subprocess.run(
+        [sys.executable, "-m", "omlq", "check-quantale", "--file", str(p), "--format", "json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 1
+    report = next(r for r in json.loads(proc.stdout)["reports"] if r["subject"] == "quantale")
     want = check_quantale_reference(parse_quantale(d)).to_dict()
     assert report == want
     assert want["axioms"]["distributes-left"]["witness"][0] == q.label(450)
@@ -747,16 +747,6 @@ def test_flags_accepted_before_and_after_subcommand(capsys):
     assert out1 == out2
 
 
-def test_workers_flag_does_not_change_output(capsys):
-    outs = set()
-    for flag in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "8"]):
-        code, out, _ = run(capsys, "verify", "--catalog", "boolean:2", "all",
-                           "--format", "json", *flag)
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
-
-
 def test_console_script_runs():
     for module in ("omlq.cli", "omlq"):
         proc = subprocess.run(
@@ -836,10 +826,9 @@ def test_check_oml_json_loads_no_quantale_layer():
     assert modules_loaded_by(argv, heavy) == "0 []\n"
 
 
-@pytest.mark.parametrize("flag, loaded", [([], "[]"), (["--workers", "2"], "['concurrent.futures']")])
-def test_verify_starts_a_thread_pool_only_when_workers_ask(flag, loaded):
-    argv = ["verify", "--catalog", "boolean:2", "all", *flag]
-    assert modules_loaded_by(argv, ["concurrent.futures"]) == f"0 {loaded}\n"
+def test_verify_loads_no_thread_pool_or_scan_module():
+    argv = ["verify", "--catalog", "boolean:2", "all"]
+    assert modules_loaded_by(argv, ["concurrent.futures", "omlq.scan"]) == "0 []\n"
 
 
 def test_package_names_resolve_to_their_modules():

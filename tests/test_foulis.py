@@ -47,7 +47,7 @@ from omlq import (
 )
 import omlq.foulis as foulis_module
 import omlq.quantale as quantale_module
-from omlq.lattice import Law, least, nonadditive_row, rows, run_laws, sasaki_table
+from omlq.lattice import Law, least, nonadditive_row, run_laws, sasaki_table
 from omlq.linmap import adjoint_rows
 
 from conftest import (
@@ -440,7 +440,7 @@ def with_rows(h, rows, **fields):
     return replace(h, view=QElementView(h.sub.oml, rows), **fields)
 
 
-def check_hom_reference(h, target, view, workers=1):
+def check_hom_reference(h, target, view):
     """check_hom read from the dense tables of target, the Foulis quantale
     foulis_from_lin builds on the projection lattice, with view its element
     view, in which every row of h is found."""
@@ -456,14 +456,14 @@ def check_hom_reference(h, target, view, workers=1):
     img_tops = view.values[tb, sub_oml.top]
     zero, unit = f.base.zero, f.base.unit
     return run_laws("hom", f.label, [
-        Law("preserves-join", rows(lambda u: tb[js[u]] != jt[tb[u]][tb]), f.n),
+        Law("preserves-join", lambda u: tb[js[u]] != jt[tb[u]][tb], f.n),
         Law("preserves-zero", hit=None if tb[zero] == target.base.zero else (zero,)),
-        Law("preserves-mult", rows(lambda u: tb[ms[u]] != mt[tb[u]][tb]), f.n),
+        Law("preserves-mult", lambda u: tb[ms[u]] != mt[tb[u]][tb], f.n),
         Law("preserves-unit", hit=None if tb[unit] == target.base.unit else (unit,)),
         Law("preserves-star", hit=least(tb[ss] != st_[tb])),
         Law("preserves-perp", hit=least(tb[perp_s] != perp_t[tb])),
         Law("perp-closed-form", hit=least(proj_t[sub_oml.ortho[img_tops]] != perp_t[tb])),
-    ], workers)
+    ])
 
 
 def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
@@ -488,9 +488,8 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
             for _ in range(data.draw(st.integers(1, 3))):
                 table[data.draw(cell)] = view.values[data.draw(st.integers(0, view.n - 1))]
             hm = with_rows(h, table)
-            for w in (1, 2, 4):  # 4 workers: chunks of one or a few rows
-                want = check_hom_reference(hm, target, view, workers=w).to_dict()
-                assert check_hom(hm, workers=w).to_dict() == want
+            want = check_hom_reference(hm, target, view).to_dict()
+            assert check_hom(hm).to_dict() == want
             failed.update(a for a, e in want["axioms"].items() if not e["passed"])
 
         check()
@@ -545,18 +544,16 @@ def without_phi(f):
     return FoulisQuantale(FinQuantale(q.carrier, q.dense_mult(), q.dense_star(), q.unit), f.sai)
 
 
-def involution_and_annihilator_reports(f, workers):
-    return [check_involutive(f.base, workers=workers).to_dict(),
-            check_foulis(f, workers=workers).to_dict(),
-            check_star_props(f, workers=workers).to_dict()]
+def involution_and_annihilator_reports(f):
+    return [check_involutive(f.base).to_dict(), check_foulis(f).to_dict(),
+            check_star_props(f).to_dict()]
 
 
 def assert_certificates_match_scans(f):
     """The involutive, foulis and star-props reports of f equal those of
-    the scans at 1 and 2 workers; returns the laws that fail."""
-    for w in (1, 2):
-        want = involution_and_annihilator_reports(without_phi(f), w)
-        assert involution_and_annihilator_reports(f, w) == want
+    the scans; returns the laws that fail."""
+    want = involution_and_annihilator_reports(without_phi(f))
+    assert involution_and_annihilator_reports(f) == want
     return {a for r in want for a, e in r["axioms"].items() if not e["passed"]}
 
 
@@ -682,17 +679,15 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
                   for _ in range(2)]
             recorded = foulis_module.record_conjugation(hs[0], theta)
             assert recorded == np.array_equal(table, h.view.values)
-            for w in (1, 2):
-                modules = [check_left_module(ModuleAction(hs[0].source.base, lat, table,
-                                                          hs[0].view), workers=w),
-                           check_left_module(ModuleAction(hs[1].source.base, lat, table),
-                                             workers=w)]
-                assert modules[0].to_dict() == modules[1].to_dict()
-                reports = [modules[1]]
-                if linear:
-                    homs = [check_hom(hm, workers=w).to_dict() for hm in hs]
-                    assert homs[0] == homs[1]
-                    reports.append(check_hom(hs[1], workers=w))
+            modules = [check_left_module(ModuleAction(hs[0].source.base, lat, table,
+                                                      hs[0].view)),
+                       check_left_module(ModuleAction(hs[1].source.base, lat, table))]
+            assert modules[0].to_dict() == modules[1].to_dict()
+            reports = [modules[1]]
+            if linear:
+                homs = [check_hom(hm).to_dict() for hm in hs]
+                assert homs[0] == homs[1]
+                reports.append(check_hom(hs[1]))
             failed.update(v.axiom for r in reports for v in r.violations)
 
         check()
@@ -733,22 +728,21 @@ def test_roundtrip_reports_the_least_witness_of_a_rewired_candidate(
     # perm[a] instead.
     real = foulis_module.sasaki_embedding
 
-    def rewired(built, perm, workers):
+    def rewired(built, perm):
         f = built[0]
         monkeypatch.setattr(foulis_module, "sasaki_embedding",
                             lambda q, sub: real(q, sub)[perm])
-        return roundtrip_iso(f, sasaki_oml(f), workers=workers).to_dict()["violations"]
+        return roundtrip_iso(f, sasaki_oml(f)).to_dict()["violations"]
 
-    for workers in (1, 2):
-        # boolean:2 with a sent where b goes: every law fails at (a, b) or a
-        assert rewired(fq_b2, [0, 2, 2, 3], workers) == [
-            {"axiom": ax, "witness": w} for ax, w in (
-                ("bijection", ["a", "b"]), ("order-isomorphism", ["a", "b"]),
-                ("complement-preserved", ["a"]), ("meet-preserved", ["a", "b"]),
-                ("join-preserved", ["a", "b"]))]
-        # mo:2 with atoms a and b swapped keeps order, meets and joins
-        assert rewired(fq_mo2, [0, 3, 2, 1, 4, 5], workers) == [
-            {"axiom": "complement-preserved", "witness": ["a"]}]
+    # boolean:2 with a sent where b goes: every law fails at (a, b) or a
+    assert rewired(fq_b2, [0, 2, 2, 3]) == [
+        {"axiom": ax, "witness": w} for ax, w in (
+            ("bijection", ["a", "b"]), ("order-isomorphism", ["a", "b"]),
+            ("complement-preserved", ["a"]), ("meet-preserved", ["a", "b"]),
+            ("join-preserved", ["a", "b"]))]
+    # mo:2 with atoms a and b swapped keeps order, meets and joins
+    assert rewired(fq_mo2, [0, 3, 2, 1, 4, 5]) == [
+        {"axiom": "complement-preserved", "witness": ["a"]}]
 
 
 def test_projection_lattice_of_b2_has_expected_labels(fq_b2):

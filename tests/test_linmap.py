@@ -284,10 +284,10 @@ def test_enumeration_order_is_lexicographic(b2):
     assert vecs == sorted(vecs)
 
 
-def test_enumeration_deterministic_across_workers(capsys):
+def test_enumeration_is_deterministic(capsys):
     outs = []
-    for w in ("1", "4"):
-        assert main(["lin", "--catalog", "mo:2", "--format", "json", "--workers", w]) == 0
+    for _ in range(2):
+        assert main(["lin", "--catalog", "mo:2", "--format", "json"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 

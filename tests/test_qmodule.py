@@ -206,14 +206,12 @@ def act_join_reference(action, table):
 
 def assert_certificate_matches_scan(action, table):
     """check_left_module on table with a view of its rows and without a
-    view, which scans, give the same report at 1, 2 and 4 workers, and its
-    act-join is that of the exhaustive reference; returns the report."""
+    view, which scans, give the same report, and its act-join is that of
+    the exhaustive reference; returns the report."""
     q, lat = action.quantale, action.lattice
-    view = QElementView(lat, table)
-    for w in (1, 2, 4):  # 4 workers: chunks of one or a few rows
-        want = check_left_module(ModuleAction(q, lat, table), workers=w).to_dict()
-        got = check_left_module(ModuleAction(q, lat, table, view), workers=w).to_dict()
-        assert got == want
+    want = check_left_module(ModuleAction(q, lat, table)).to_dict()
+    got = check_left_module(ModuleAction(q, lat, table, QElementView(lat, table))).to_dict()
+    assert got == want
     assert want["axioms"]["act-join"]["witness"] == act_join_reference(action, table)
     return want
 
@@ -303,10 +301,10 @@ def test_verify_modules_hand_no_left_module_law_to_a_scan(monkeypatch, mo2, b3):
     scanned = []
     real = qmodule.run_laws
 
-    def recording(subject, label, laws, workers=1):
+    def recording(subject, label, laws):
         laws = list(laws)
         scanned.extend(subject for law in laws if law.scan is not None)
-        return real(subject, label, laws, workers)
+        return real(subject, label, laws)
 
     monkeypatch.setattr(qmodule, "run_laws", recording)
     for oml in (mo2, b3):

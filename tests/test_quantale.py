@@ -609,7 +609,7 @@ def test_distributivity_half_scan_matches_full_square(fq_b2, fq_mo2, data):
     mult = q.dense_mult().copy()
     mult[i, j] = v
     mutant = FinQuantale(q.carrier, mult, q.dense_star(), q.unit)
-    report = check_quantale(mutant, workers=data.draw(st.sampled_from([1, 2])))
+    report = check_quantale(mutant)
     left, right = distributivity_reference(mutant)
     assert report.witness("distributes-left") == left
     assert report.witness("distributes-right") == right
@@ -665,8 +665,7 @@ def test_check_quantale_matches_exhaustive_reference(
     for q in (fq_b1[0].base, fq_b2[0].base, fq_b3[0].base, fq_mo2[0].base,
               two_chain_quantale, nilpotent_chain_quantale):
         want = check_quantale_reference(q).to_dict()
-        for workers in (1, 2):
-            assert check_quantale(q, workers=workers).to_dict() == want
+        assert check_quantale(q).to_dict() == want
 
 
 def draw_mutant(data, q):
@@ -692,8 +691,7 @@ def draw_mutant(data, q):
 def test_certified_check_quantale_matches_reference_on_boolean2_mutants(fq_b2, data):
     mutant = draw_mutant(data, fq_b2[0].base)
     want = check_quantale_reference(mutant).to_dict()
-    for workers in (1, 2):
-        assert check_quantale(mutant, workers=workers).to_dict() == want
+    assert check_quantale(mutant).to_dict() == want
 
 
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
@@ -701,8 +699,7 @@ def test_certified_check_quantale_matches_reference_on_boolean2_mutants(fq_b2, d
 def test_certified_check_quantale_matches_reference_on_boolean3_mutants(fq_b3, data):
     mutant = draw_mutant(data, fq_b3[0].base)
     want = check_quantale_reference(mutant).to_dict()
-    for workers in (1, 2):
-        assert check_quantale(mutant, workers=workers).to_dict() == want
+    assert check_quantale(mutant).to_dict() == want
 
 
 def affine_table(lat, c, r, s, g):
@@ -766,8 +763,7 @@ def test_certificates_fall_back_on_tables_built_from_join_irreducibles(data):
     mult = draw_extension(data, lat)
     q = FinQuantale(lat, mult, np.arange(lat.n, dtype=np.int32), lat.top)
     want = check_quantale_reference(q).to_dict()
-    for workers in (1, 2):
-        assert check_quantale(q, workers=workers).to_dict() == want
+    assert check_quantale(q).to_dict() == want
 
 
 def test_associativity_certificate_needs_every_premise():
@@ -794,8 +790,7 @@ def test_associativity_certificate_needs_every_premise():
         assert want["axioms"]["associativity"]["witness"] == list(witness)
         assert want["axioms"]["distributes-left"]["passed"]
         assert want["axioms"]["distributes-right"]["passed"]
-        for workers in (1, 2):
-            assert check_quantale(q, workers=workers).to_dict() == want
+        assert check_quantale(q).to_dict() == want
 
 
 def without_phi(q):
@@ -812,10 +807,10 @@ def test_certificates_replace_the_cubic_scans(monkeypatch, fq_b1, fq_b2, fq_b3, 
     scanned = []
     real = quantale_module.run_laws
 
-    def recording(subject, label, laws, workers=1):
+    def recording(subject, label, laws):
         laws = list(laws)
         scanned.extend(law.name for law in laws if law.scan is not None)
-        return real(subject, label, laws, workers)
+        return real(subject, label, laws)
 
     monkeypatch.setattr(quantale_module, "run_laws", recording)
     lin = [f.base for f, _ in (fq_b1, fq_b2, fq_b3, fq_mo2)]
@@ -882,8 +877,7 @@ def check_phi_mutant(kind, mutant):
         want = check_quantale(without_phi(mutant)).to_dict()
     else:
         want = check_quantale_reference(mutant).to_dict()
-    for workers in (1, 2):
-        assert check_quantale(mutant, workers=workers).to_dict() == want
+    assert check_quantale(mutant).to_dict() == want
 
 
 @settings(max_examples=90, deadline=None, derandomize=True, database=None)
@@ -932,8 +926,7 @@ def test_phi_certificate_needs_join_preserving_rows(fq_b2):
                 mutant = reread_from_phi(q, changed)
                 want = check_quantale_reference(mutant).to_dict()
                 failing += any(not want["axioms"][law]["passed"] for law in cubic)
-                for workers in (1, 2):
-                    assert check_quantale(mutant, workers=workers).to_dict() == want
+                assert check_quantale(mutant).to_dict() == want
     assert failing > 0
 
 
@@ -1049,8 +1042,7 @@ def draw_late_mutant(data, q):
 def test_row_test_matches_reference_on_late_boolean3_mutants(fq_b3, data):
     mutant = draw_late_mutant(data, fq_b3[0].base)
     want = check_quantale_reference(mutant).to_dict()
-    for workers in (1, 2):
-        assert check_quantale(mutant, workers=workers).to_dict() == want
+    assert check_quantale(mutant).to_dict() == want
 
 
 def test_failed_row_test_scans_one_row_per_law(monkeypatch, fq_b3):
@@ -1068,14 +1060,12 @@ def test_failed_row_test_scans_one_row_per_law(monkeypatch, fq_b3):
         return real(f, lat)
 
     monkeypatch.setattr(lattice_module, "_row_witness", counting)
-    for workers in (1, 2):
-        scanned.clear()
-        report = check_quantale(mutant, workers=workers)
-        assert report.witness("distributes-left")[0] == q.label(400)
-        assert report.witness("distributes-right")[0] == q.label(266)
-        assert len(scanned) == 2
-        assert np.array_equal(scanned[0], mult[400])
-        assert np.array_equal(scanned[1], mult[:, 266])
+    report = check_quantale(mutant)
+    assert report.witness("distributes-left")[0] == q.label(400)
+    assert report.witness("distributes-right")[0] == q.label(266)
+    assert len(scanned) == 2
+    assert np.array_equal(scanned[0], mult[400])
+    assert np.array_equal(scanned[1], mult[:, 266])
 
 
 def test_join_test_on_int16_tables_matches_int32(fq_b3):

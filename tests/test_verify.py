@@ -159,8 +159,7 @@ def test_dagger_kernel_report_matches_per_map_reference(b1, b2, mo2, benzene):
             data.draw(st.randoms(use_true_random=False)).shuffle(tables)
         maps = [LinMap(oml, oml, t) for t in tables]
         want = dagger_kernel_reference(oml, maps).to_dict()
-        for w in (1, 2):
-            assert dagger_kernel_report(oml, maps=maps, workers=w).to_dict() == want
+        assert dagger_kernel_report(oml, maps=maps).to_dict() == want
         failed.update(a for a, e in want["axioms"].items() if not e["passed"])
 
     check()
@@ -247,7 +246,7 @@ def test_run_verify_blocked_selectors_skip_refuse_and_short_circuit(monkeypatch,
         involutive_calls.append(args)
         return real_involutive(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "check_quantale", lambda q, workers=1: make_report(
+    monkeypatch.setattr(verify, "check_quantale", lambda q: make_report(
         "quantale", [("associative", ("x", "y", "z"))]))
     monkeypatch.setattr(verify, "check_involutive", involutive)
 
@@ -285,13 +284,6 @@ def test_verify_text_mentions_every_stage(b2):
     text = verify_text(payload)
     assert "sasaki-facts" in text and "dagger-kernel" in text
     assert "PASS" in text
-
-
-def test_run_verify_deterministic_across_workers(mo2):
-    texts = {
-        dump_json(run_verify(mo2, ["all"], workers=w)[0]) for w in (1, 2, 8)
-    }
-    assert len(texts) == 1
 
 
 def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
@@ -375,10 +367,30 @@ def test_verify_all_makes_one_products_pass_and_one_hom(monkeypatch, mo2):
 
     monkeypatch.setattr(quantale.QElementView, "products", products)
     monkeypatch.setattr(verify, "hom_h", hom)
-    payload, code = run_verify(mo2, ["all"], workers=1)
+    payload, code = run_verify(mo2, ["all"])
     assert code == 0
     assert payload["results"]["modules"]["passed"] and payload["results"]["hom"]["passed"]
     assert len(passes) == 1 and len(homs) == 1
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "mo:2"])
+def test_verify_all_decides_the_representation_once(monkeypatch, spec):
+    # check_quantale and certified_view both read whether phi represents
+    # the quantale; the quantale decides it once, so its row test over
+    # every row of phi runs once.
+    from omlq import quantale
+
+    calls = []
+    real = quantale.nonadditive_row
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantale, "nonadditive_row", counting)
+    payload, code = run_verify(catalog(spec), ["all"])
+    assert code == 0 and payload["results"]["involutive"]["passed"]
+    assert len(calls) == 1
 
 
 def test_verify_all_finds_the_rows_of_h_once(monkeypatch):
@@ -409,7 +421,7 @@ def test_verify_all_finds_the_rows_of_h_once(monkeypatch):
 def test_verify_all_builds_no_order_or_meet_on_the_lin_carrier(spec):
     # The Lin carrier is its join table: no selector reads its order or
     # its meets, so neither is built.
-    ctx = VerifyContext(catalog(spec), None, 1)
+    ctx = VerifyContext(catalog(spec), None)
     for sel, reports in SELECTOR_REPORTS.items():
         assert all(r.passed for r in reports(ctx)), sel
     assert "leq_mat" not in vars(ctx.foulis.base.carrier)
@@ -452,13 +464,12 @@ def certificates_off(monkeypatch):
                                   "horizontal_sum(boolean:1,boolean:1)"])
 def test_verify_all_payload_is_the_same_with_the_certificates_off(monkeypatch, spec):
     oml = catalog(spec)
-    for workers in (1, 2):
-        payload, code = run_verify(oml, ["all"], workers=workers)
-        with monkeypatch.context() as m:
-            certificates_off(m)
-            scanned, scanned_code = run_verify(oml, ["all"], workers=workers)
-        assert code == scanned_code == 0
-        assert dump_json(payload) == dump_json(scanned)
+    payload, code = run_verify(oml, ["all"])
+    with monkeypatch.context() as m:
+        certificates_off(m)
+        scanned, scanned_code = run_verify(oml, ["all"])
+    assert code == scanned_code == 0
+    assert dump_json(payload) == dump_json(scanned)
 
 
 # sha256 of `verify --catalog "horizontal_sum(boolean:2,boolean:3)" all

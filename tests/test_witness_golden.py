@@ -11,8 +11,7 @@ carrier join of two projections to a projection.
 Hosts are boolean:2, mo:2, boolean:3, benzene and mo:3 for the
 lattice-level checkers, and boolean:2, mo:2 and boolean:3 for the quantale
 level.  The fixture holds the to_dict() violations of each report, or the
-exception the checker raised, and the axiom list of each checker; every
-case must give the same at workers 1 and 2.
+exception the checker raised, and the axiom list of each checker.
 
 The fixture pins witnesses, so it changes only when a witness is meant to
 change.  Regenerate it with
@@ -113,8 +112,8 @@ def lattice_cases(host):
     orthos = [oml.ortho] + [one_cell(oml.ortho, s, n) for s in SEEDS]
     for k, ortho in enumerate(orthos):
         mut = FiniteOML(oml, ortho)
-        yield f"oml/{k}", lambda w, m=mut: check_oml(m, workers=w)
-        yield f"sasaki-facts/{k}", lambda w, m=mut: sasaki_facts_report(m, workers=w)
+        yield f"oml/{k}", lambda m=mut: check_oml(m)
+        yield f"sasaki-facts/{k}", lambda m=mut: sasaki_facts_report(m)
     a = n // 2
     f = LinMap(oml, oml, sasaki_table(oml)[a].tolist())
     h = dagger(f)
@@ -122,7 +121,7 @@ def lattice_cases(host):
     pairs += [(LinMap(oml, oml, one_cell(f.values, s, n)), h) for s in (0, 1)]
     pairs += [(f, LinMap(oml, oml, one_cell(h.values, s, n))) for s in (2, 3)]
     for k, (g, d) in enumerate(pairs):
-        yield f"adjoint/{k}", lambda w, g=g, d=d: verify_adjoint_pair(g, d, workers=w)
+        yield f"adjoint/{k}", lambda g=g, d=d: verify_adjoint_pair(g, d)
 
 
 def quantale_cases(host):
@@ -140,18 +139,18 @@ def quantale_cases(host):
     for k, base in enumerate(bases):
         fq = FoulisQuantale(base, f.sai)
         if k < len(mults):  # the quantale laws do not read the star
-            yield f"quantale/{k}", lambda w, b=base: check_quantale(b, workers=w)
-        yield f"involutive/{k}", lambda w, b=base: check_involutive(b, workers=w)
-        yield f"foulis/{k}", lambda w, fq=fq: check_foulis(fq, workers=w)
-        yield f"star-props/{k}", lambda w, fq=fq: check_star_props(fq, workers=w)
+            yield f"quantale/{k}", lambda b=base: check_quantale(b)
+        yield f"involutive/{k}", lambda b=base: check_involutive(b)
+        yield f"foulis/{k}", lambda fq=fq: check_foulis(fq)
+        yield f"star-props/{k}", lambda fq=fq: check_star_props(fq)
     sais = [one_cell(f.sai, seed, n) for seed in SEEDS]
     sais.append(one_cell(f.sai, 9, n, (q.unit,)))
     for k, sai in enumerate(sais):
         fq = FoulisQuantale(q, sai)
-        yield f"sai-foulis/{k}", lambda w, fq=fq: check_foulis(fq, workers=w)
-        yield f"sai-star-props/{k}", lambda w, fq=fq: check_star_props(fq, workers=w)
-        yield f"sai-roundtrip/{k}", lambda w, fq=fq: roundtrip_iso(fq, sasaki_oml(fq), workers=w)
-    yield "roundtrip/0", lambda w: roundtrip_iso(f, sub, workers=w)
+        yield f"sai-foulis/{k}", lambda fq=fq: check_foulis(fq)
+        yield f"sai-star-props/{k}", lambda fq=fq: check_star_props(fq)
+        yield f"sai-roundtrip/{k}", lambda fq=fq: roundtrip_iso(fq, sasaki_oml(fq))
+    yield "roundtrip/0", lambda: roundtrip_iso(f, sub)
     # h with seeded entries of its index into lin_values(sub.oml) changed
     lin = lin_values(sub.oml)
     table, tn = QElementView(sub.oml, lin).find(h.view.values), len(lin)
@@ -159,7 +158,7 @@ def quantale_cases(host):
     tables += [one_cell(table, 9, tn, (q.zero,)), one_cell(table, 9, tn, (q.unit,))]
     homs = [replace(h, view=QElementView(sub.oml, lin[t])) for t in tables]
     for k, hm in enumerate(homs):
-        yield f"hom/{k}", lambda w, hm=hm: check_hom(hm, workers=w)
+        yield f"hom/{k}", lambda hm=hm: check_hom(hm)
 
 
 def module_cases(host):
@@ -174,8 +173,8 @@ def module_cases(host):
                    one_cell(t, 9, ln, (q.n - 1, action.lattice.bottom))]
         for k, table in enumerate(tables):
             act = ModuleAction(q, action.lattice, table, QElementView(action.lattice, table))
-            yield f"{name}-module/{k}", lambda w, a=act: check_left_module(a, workers=w)
-            yield f"{name}-two-module/{k}", lambda w, a=act: check_right_two_module(a, workers=w)
+            yield f"{name}-module/{k}", lambda a=act: check_left_module(a)
+            yield f"{name}-two-module/{k}", lambda a=act: check_right_two_module(a)
 
 
 # product cells (cell, value) for the formulas no seed reaches: the
@@ -208,7 +207,7 @@ def projection_cases(host):
         t[cell] = value
         mutants.append(with_mult(t))
     for k, fq in enumerate(mutants):
-        yield f"projection/{k}", lambda w, fq=fq: sasaki_oml(fq).report
+        yield f"projection/{k}", lambda fq=fq: sasaki_oml(fq).report
 
 
 FAMILIES = {"lattice": (lattice_cases, LATTICE_HOSTS),
@@ -218,12 +217,12 @@ FAMILIES = {"lattice": (lattice_cases, LATTICE_HOSTS),
 PARAMS = [(family, host) for family, (_, hosts) in FAMILIES.items() for host in hosts]
 
 
-def entries(family, host, workers):
+def entries(family, host):
     """Each case's violations, by case name, and each checker's axiom list
     under "axioms"; the checker is the case name up to the slash."""
     cases, _ = FAMILIES[family]
     axioms = {}
-    out = {name: report_entry(lambda: run(workers), axioms, name.split("/")[0])
+    out = {name: report_entry(run, axioms, name.split("/")[0])
            for name, run in cases(host)}
     return {**out, "axioms": axioms}
 
@@ -235,8 +234,7 @@ def golden():
 @pytest.mark.parametrize("family,host", PARAMS, ids=[f"{f}-{h}" for f, h in PARAMS])
 def test_witnesses_match_the_golden(family, host):
     want = golden()[f"{family}/{host}"]
-    for workers in (1, 2):
-        assert entries(family, host, workers) == want
+    assert entries(family, host) == want
 
 
 def test_golden_holds_failing_and_passing_reports():
@@ -257,7 +255,7 @@ def test_projection_golden_reaches_ten_formulas():
 
 
 if __name__ == "__main__":
-    data = {f"{family}/{host}": entries(family, host, 1) for family, host in PARAMS}
+    data = {f"{family}/{host}": entries(family, host) for family, host in PARAMS}
     text = "{\n" + ",\n".join(
         f"{json.dumps(key)}: {json.dumps(cases, separators=(',', ':'))}"
         for key, cases in data.items()
