@@ -116,6 +116,18 @@ def test_bad_cap_value(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(capsys, workers):
+    # --workers is no option at all, so any count is refused before a run.
+    for argv in (["lin", "--catalog", "boolean:1"], ["verify", "--catalog", "boolean:1", "all"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --workers" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--workers", "2", "verify", "--catalog", "mo:2", "all"],
     ["verify", "--catalog", "mo:2", "all", "--workers", "2"],

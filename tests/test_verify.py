@@ -286,6 +286,15 @@ def test_verify_text_mentions_every_stage(b2):
     assert "PASS" in text
 
 
+def test_run_verify_deterministic_across_workers(mo2):
+    # run_verify keeps an unread workers keyword for the benchmark's traced
+    # replay, which calls it at 1 and 2; the payload must not depend on it.
+    texts = {
+        dump_json(run_verify(mo2, ["all"], workers=w)[0]) for w in (1, 2, 8)
+    }
+    assert len(texts) == 1
+
+
 def test_verify_all_builds_the_projection_lattice_once(monkeypatch, b2):
     # sasaki-oml, modules, hom and roundtrip share the run's projection
     # lattice: one sasaki_oml call, which also checks its OML laws once.
