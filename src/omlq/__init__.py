@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "lattice": (
         "CheckReport", "FiniteLattice", "FiniteOML", "SubOML", "Violation",
-        "build_lattice", "check_oml", "lattice_from_leq", "make_report", "sasaki_apply",
+        "build_lattice", "check_oml", "lattice_from_leq", "make_report",
     ),
     "linmap": (
         "KernelData", "LinMap", "dagger", "is_linear", "kernel", "lin_count", "lin_values",
@@ -51,9 +51,9 @@ _EXPORTS = {
         "FinQuantale", "QElementView", "check_involutive", "check_quantale", "lin_quantale",
     ),
     "foulis": (
-        "FoulisHom", "FoulisQuantale", "SasakiOML", "check_foulis", "check_hom",
-        "check_star_props", "derive_sai", "foulis_from_lin", "hom_h", "roundtrip_iso",
-        "sasaki_oml", "sasaki_oml_report",
+        "FoulisQuantale", "SasakiOML", "check_foulis", "check_hom", "check_star_props",
+        "derive_sai", "foulis_from_lin", "hom_h", "roundtrip_iso", "sasaki_oml",
+        "sasaki_oml_report",
     ),
     "qmodule": (
         "ModuleAction", "check_left_module", "check_right_two_module", "lin_module",

@@ -154,19 +154,17 @@ def cmd_check_oml(args) -> int:
 
 
 def cmd_sasaki(args) -> int:
-    from .lattice import sasaki_apply
-
     _no_dot(args)
     oml, _ = _input_oml(args)
-    a = oml.index(args.a)
+    row = oml.sasaki_tab[oml.index(args.a)].tolist()
     if args.y is not None:
-        out = oml.label(sasaki_apply(oml, a, oml.index(args.y)))
+        out = oml.label(row[oml.index(args.y)])
         if args.fmt == "json":
             _print_json({"result": out})
         else:
             print(out)
         return 0
-    values = {oml.label(y): oml.label(sasaki_apply(oml, a, y)) for y in range(oml.n)}
+    values = {oml.label(y): oml.label(v) for y, v in enumerate(row)}
     if args.fmt == "json":
         _print_json({"at": args.a, "values": values})
     else:

@@ -13,7 +13,8 @@ is the orthogonality relation of the quantale against s.  The image of sai
 carries an orthomodular lattice under the defined order s <= t iff s = t*s,
 reconstructed and cross-checked here, with the induced action u . k =
 perp(perp(u * k)) turning it into a module over the quantale.  Row u of
-that action is h(u) in Lin(sai(Q)), and h is checked on its |Q| rows alone.
+that action is h(u) in Lin(sai(Q)); hom_h returns h as the element view
+of these |Q| rows, and h is checked on them alone.
 
 On the endomorphism quantale of an OML the closed form is
 sai(s) = the Sasaki projection at complement(dagger(s)(top)).
@@ -21,7 +22,6 @@ sai(s) = the Sasaki projection at complement(dagger(s)(top)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,6 @@ from .lattice import (
     make_report,
     nonadditive_row,
     run_laws,
-    sasaki_table,
 )
 from .linmap import adjoint_rows
 from .quantale import FinQuantale, QElementView, lin_quantale
@@ -93,7 +92,7 @@ class FoulisQuantale:
         if view is None:
             return False
         x = view.host
-        S, leq, ar = sasaki_table(x), x.leq_mat, np.arange(x.n)
+        S, leq, ar = x.sasaki_tab, x.leq_mat, np.arange(x.n)
         if not ((S[:, x.top] == ar).all() and (S == ar)[leq.T].all() and leq[S, ar[:, None]].all()):
             return False
         try:
@@ -136,7 +135,7 @@ def closed_form_sai(view: QElementView, star) -> np.ndarray:
     dagger(s)(top), on the J-code index of an endomorphism quantale whose
     star is star; raises StructureViolation unless sai takes every projection."""
     x = view.host
-    proj_idx = view.indices(sasaki_table(x))
+    proj_idx = view.projections
     sai = proj_idx[x.ortho[view.values[star, x.top]]]
     if set(sai.tolist()) != set(proj_idx.tolist()):
         raise StructureViolation("projection-image-mismatch")
@@ -153,7 +152,7 @@ def foulis_from_lin(oml: FiniteOML, cap: int | None = None):
 # ---------------------------------------------------------------------------
 # law checking
 
-def check_foulis(f: FoulisQuantale, subject="foulis") -> CheckReport:
+def check_foulis(f: FoulisQuantale) -> CheckReport:
     """Projection axioms plus their restatement through perp.
 
     The annihilator axioms compare the set {x | s*x = 0} with the set of
@@ -185,7 +184,7 @@ def check_foulis(f: FoulisQuantale, subject="foulis") -> CheckReport:
 
         return None if certified else bad
 
-    return run_laws(subject, q.label, [
+    return run_laws("foulis", q.label, [
         Law("sai-idempotent", hit=least(m[sai, sai] != sai)),
         Law("sai-self-adjoint", hit=least(s[sai] != sai)),
         Law("sai-unit", hit=None if sai[q.unit] == q.zero else (q.unit,)),
@@ -197,7 +196,7 @@ def check_foulis(f: FoulisQuantale, subject="foulis") -> CheckReport:
     ])
 
 
-def check_star_props(f: FoulisQuantale, subject="star-props") -> CheckReport:
+def check_star_props(f: FoulisQuantale) -> CheckReport:
     """Derived laws of the projection complement under the defined order.
 
     fixed-point: star(r) * t = 0 iff t = sai(star(r)) * t, all pairs (r, t).
@@ -229,7 +228,7 @@ def check_star_props(f: FoulisQuantale, subject="star-props") -> CheckReport:
     def scan(bad):
         return None if f.certified else bad
 
-    return run_laws(subject, q.label, [
+    return run_laws("star-props", q.label, [
         Law("fixed-point", scan(lambda r: (m[s[r]] == q.zero) != (m[sai[s[r]]] == ar)), n),
         # entry r: t <= r but not perp(r) <= perp(t)
         Law("perp-antitone", scan(lambda t: (m[:, t] == t) & (m[perp[t], perp] != perp)), n),
@@ -314,7 +313,7 @@ def sasaki_oml(f: FoulisQuantale) -> SasakiOML:
     return SasakiOML(local, oml, report)
 
 
-def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml"):
+def sasaki_oml_report(f: FoulisQuantale):
     """Reporting wrapper: construction failures become a failing report.
 
     A built projection lattice has passed check_oml inside sasaki_oml, and
@@ -323,10 +322,10 @@ def sasaki_oml_report(f: FoulisQuantale, subject="sasaki-oml"):
     try:
         sub = sasaki_oml(f)
     except StructureViolation as e:
-        report = make_report(subject, [(e.formula, tuple(str(w) for w in e.witness))])
+        report = make_report("sasaki-oml", [(e.formula, tuple(str(w) for w in e.witness))])
         return None, report
     axioms = ("construction",) + sub.report.axioms
-    return sub, CheckReport(subject, sub.report.violations, axioms)
+    return sub, CheckReport("sasaki-oml", sub.report.violations, axioms)
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +342,10 @@ def sasaki_action_table(f: FoulisQuantale, sub: SasakiOML) -> np.ndarray:
     return sub.local[perp[perp[q.dense_mult()[:, sel]]]]
 
 
-@dataclass(frozen=True)
-class FoulisHom:
-    """The representation h of a Foulis quantale on its projection lattice:
-    row s of view.values is h(s) on view.host = sub.oml, join-preserving
-    with h(s)(0) = 0, and view is the J-code index of these rows alone."""
-
-    source: FoulisQuantale
-    sub: SasakiOML
-    view: QElementView
-
-    @property
-    def injective(self) -> bool:
-        return len(set(self.view.find(self.view.values).tolist())) == self.view.n
-
-
-def hom_h(f: FoulisQuantale, sub: SasakiOML) -> FoulisHom:
-    """Row s: the action of s on sub, the projection lattice of f, a map of
-    Lin(sub.oml) unless it moves 0 or breaks a binary join of sub.oml; the
-    least such s raises action-not-join-preserving."""
+def hom_h(f: FoulisQuantale, sub: SasakiOML) -> QElementView:
+    """Row s of h, a view on sub.oml: the action of s on sub, the projection
+    lattice of f, a map of Lin(sub.oml) unless it moves 0 or breaks a
+    binary join of sub.oml; the least such s raises action-not-join-preserving."""
     x = sub.oml
     rows = sasaki_action_table(f, sub)
     moved = np.flatnonzero(rows[:, x.bottom] != x.bottom)
@@ -370,71 +354,72 @@ def hom_h(f: FoulisQuantale, sub: SasakiOML) -> FoulisHom:
         bad.append(s)
     if bad:
         raise StructureViolation("action-not-join-preserving", (f.label(min(bad)),))
-    return FoulisHom(f, sub, QElementView(x, rows))
+    return QElementView(x, rows)
 
 
 def sasaki_embedding(q: FinQuantale, sub: SasakiOML) -> np.ndarray:
-    """theta: a -> the Sasaki projection at a, for a in the host of q.view,
-    in the local indices of sub; KeyError at a projection off sub."""
-    proj = q.view.indices(sasaki_table(q.view.host))
-    theta = sub.local[proj]
+    """theta: a -> the Sasaki projection at a, for a in the host X of
+    q.view, in the local indices of sub.  Raises projection-off-image at
+    the least a of X whose projection is no member of sub."""
+    theta = sub.local[q.view.projections]
     if (theta < 0).any():
-        raise KeyError(int(proj[theta.argmin()]))
+        a = int(np.flatnonzero(theta < 0)[0])
+        raise StructureViolation("projection-off-image", (q.view.host.label(a),))
     return theta
 
 
-def record_conjugation(h: FoulisHom, theta) -> bool:
-    """Record on the source quantale q that preserved_by(h.view) has no
-    hit, when h(s) o theta = theta o phi(s) for every s, with phi the
-    representation q.view.
+def record_conjugation(f: FoulisQuantale, h: QElementView, theta) -> bool:
+    """Record on q = f.base that preserved_by(h) has no hit, when
+    h(s) o theta = theta o phi(s) for every s, with phi the representation
+    q.view.
 
     theta must be a lattice isomorphism from the host X of q.view onto the
-    projection lattice h.sub.oml, as a passing roundtrip_iso shows of
+    projection lattice h.host, as a passing roundtrip_iso shows of
     sasaki_embedding.  It also needs q.certified_view.  Then h(s) = theta
     o phi(s) o theta^-1, so by represents (ii) h(u * v) = theta phi(u)
     phi(v) theta^-1 = h(u) o h(v), and by (iii), theta preserving joins,
     h(u v v) = h(u) v h(v): the pass looks up the code of row h(w), w =
     u * v (w = u v v), and has no hit.  Returns whether it recorded.
     """
-    q = h.source.base
+    q = f.base
     view = q.certified_view
-    if view is None or not np.array_equal(h.view.values[:, theta], theta[view.values]):
+    if view is None or not np.array_equal(h.values[:, theta], theta[view.values]):
         return False
-    q.record_pass(h.view)
+    q.record_pass(h)
     return True
 
 
-def check_hom(h: FoulisHom, subject="hom") -> CheckReport:
-    """Structure preservation of the representation.
+def check_hom(f: FoulisQuantale, h: QElementView) -> CheckReport:
+    """Structure preservation of the representation h = hom_h(f, sub).
 
     Joins (binary and empty), multiplication, unit, involution, and the
     derived complement; plus the closed form of the complement on the
     target side: perp of the image map is the Sasaki projection at the
     complement of its value at the top.
 
-    The laws compare rows of h under Lin(X), X = h.sub.oml: two
+    The laws compare rows of h under Lin(X), X = h.host: two
     join-preserving rows are one element when they are equal.  The star of
     f is its adjoint A(f), and its perp sai(A(f)) is the Sasaki projection
     at c(A(A(f))(1)), c the complement of X.  preserves-join and
-    preserves-mult are one pass of FinQuantale.preserved_by(h.view),
-    memoized on the source quantale and shared with module_reports, or none
-    when record_conjugation recorded it; a composite or join that is no row
-    of h is a hit.  A(A(f)) = f: X passed check_oml, so c is an
+    preserves-mult are one pass of FinQuantale.preserved_by(h), memoized
+    on the source quantale and shared with module_reports, or none when
+    record_conjugation recorded it; a composite or join that is no row of
+    h is a hit.  A(A(f)) = f: X passed check_oml, so c is an
     order-reversing involution, every row of h preserves joins (hom_h), and
     A is then an involution by the argument of FinQuantale.certified_view.
     So perp is the closed form, read without a second adjoint, and
     perp-closed-form holds; it stays for the payload.
     """
-    f, q, hr, x = h.source, h.source.base, h.view.values, h.sub.oml
+    q, hr, x = f.base, h.values, h.host
     ss = q.dense_star()
     star = adjoint_rows(hr, x, x)
-    perp = sasaki_table(x)[x.ortho[hr[:, x.top]]]
-    mult_hit, join_hit = q.preserved_by(h.view)
+    perp = x.sasaki_tab[x.ortho[hr[:, x.top]]]
+    mult_hit, join_hit = q.preserved_by(h)
 
     def differ(a, b):
         return least((a != b).any(axis=1))
 
-    return run_laws(subject, f.label, [
+    return run_laws("hom", f.label, [
         Law("preserves-join", hit=join_hit),
         Law("preserves-zero", hit=None if (hr[q.zero] == x.bottom).all() else (q.zero,)),
         Law("preserves-mult", hit=mult_hit),
@@ -445,7 +430,7 @@ def check_hom(h: FoulisHom, subject="hom") -> CheckReport:
     ])
 
 
-def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML, subject="roundtrip") -> CheckReport:
+def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML) -> CheckReport:
     """a -> Sasaki projection at a, as an isomorphism from the host X of
     f.base.view onto sub, the projection lattice of f."""
     oml = f.base.view.host
@@ -466,7 +451,7 @@ def roundtrip_iso(f: FoulisQuantale, sub: SasakiOML, subject="roundtrip") -> Che
         # entry b: the image of a op b against cand[a] op cand[b]
         return lambda a: cand[tab[a]] != img_tab[cand[a], cand]
 
-    return run_laws(subject, {"x": oml.label, "n": str}, [
+    return run_laws("roundtrip", {"x": oml.label, "n": str}, [
         bijection,
         Law("order-isomorphism", lambda a: oml.leq_mat[a] != img.leq_mat[cand[a], cand],
             n, kinds="xx"),

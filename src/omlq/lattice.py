@@ -617,6 +617,14 @@ class FiniteOML(FiniteLattice):
         self.ortho = normalize_ortho(lattice, ortho)
         self.ortho.setflags(write=False)
 
+    @cached_property
+    def sasaki_tab(self) -> np.ndarray:
+        """Row a: the value table of the Sasaki projection at a,
+        y -> a meet (a' join y); read-only and built on first read."""
+        tab = self.meet_tab[np.arange(self.n)[:, None], self.join_tab[self.ortho]]
+        tab.setflags(write=False)
+        return tab
+
     @property
     def signature(self):
         # its own slot: FiniteLattice.signature caches the join table's in _sig
@@ -678,17 +686,6 @@ def check_oml(oml: FiniteOML, subject="oml") -> CheckReport:
         # entry j: j >= i but j differs from i join (i' meet j)
         Law("orthomodular", lambda i: leq[i] & (jt[i, mt[ortho[i]]] != ar), n),
     ])
-
-
-def sasaki_apply(oml: FiniteOML, a: int, y: int) -> int:
-    """Sasaki projection of y onto a: a meet (a' join y)."""
-    return int(oml.meet_tab[a, oml.join_tab[oml.ortho[a], y]])
-
-
-def sasaki_table(oml: FiniteOML) -> np.ndarray:
-    """Row a holds the value table of the Sasaki projection at a."""
-    jt, mt = oml.join_tab, oml.meet_tab
-    return mt[np.arange(oml.n)[:, None], jt[oml.ortho]]
 
 
 class SubOML:

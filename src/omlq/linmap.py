@@ -39,7 +39,6 @@ from .lattice import (
     breaks_joins,
     join_pairs,
     run_laws,
-    sasaki_table,
 )
 
 DEFAULT_CAP = 100000
@@ -96,14 +95,14 @@ def dagger(f: LinMap) -> LinMap:
     return LinMap(f.cod, f.dom, adjoint_rows([f.values], f.dom, f.cod)[0])
 
 
-def verify_adjoint_pair(f: LinMap, h: LinMap, subject="adjoint-pair") -> CheckReport:
+def verify_adjoint_pair(f: LinMap, h: LinMap) -> CheckReport:
     """Check f(x) orthogonal y iff x orthogonal h(y), over all pairs."""
     if f.dom != h.cod or f.cod != h.dom:
         raise DomainMismatch("adjoint candidate runs between the wrong lattices")
     X, Y = f.dom, f.cod
     leq_x, leq_y = X.leq_mat, Y.leq_mat
     hop = X.ortho[np.array(h.values, dtype=np.int32)]
-    return run_laws(subject, {"x": X.label, "y": Y.label}, [
+    return run_laws("adjoint-pair", {"x": X.label, "y": Y.label}, [
         # entry y: f(x) orthogonal y against x orthogonal h(y)
         Law("adjoint-biconditional", lambda x: leq_y[f.values[x]][Y.ortho] != leq_x[x][hop],
             X.n, kinds="xy"),
@@ -249,7 +248,7 @@ def kernel_split(oml: FiniteOML, k: int):
     """The downset of k and the Sasaki projection at k corestricted to it:
     (sub, row) with row[x] the local index of the projection of x."""
     sub = SubOML(oml, k)
-    return sub, sub.local[sasaki_table(oml)[k]]
+    return sub, sub.local[oml.sasaki_tab[k]]
 
 
 def kernel(f: LinMap) -> KernelData:

@@ -5,7 +5,8 @@ A left action q x L -> L must preserve joins in each argument separately
 multiplication, and send the unit to the identity.  The tautological case
 is the endomorphism quantale acting on its own lattice by application; the
 derived case is a Foulis quantale acting on its projection lattice by
-u . k = perp(perp(u * k)).
+u . k = perp(perp(u * k)), which sasaki_module builds from the rows of h,
+the element view foulis.hom_h returns.
 
 Every complete lattice is also a right module over the two-element
 quantale {0, 1} by a . 1 = a, a . 0 = bottom; check_right_two_module
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureViolation
-from .foulis import FoulisHom, FoulisQuantale, SasakiOML, sasaki_action_table
+from .foulis import FoulisQuantale
 from .lattice import CheckReport, FiniteLattice, Law, cell_dtype, join_law, least, run_laws
 from .quantale import FinQuantale, QElementView
 
@@ -58,22 +59,21 @@ def lin_module(q: FinQuantale) -> ModuleAction:
     return ModuleAction(q, q.view.host, q.view.values, q.view)
 
 
-def sasaki_module(f: FoulisQuantale, sub: SasakiOML) -> ModuleAction:
-    """A Foulis quantale acting on sub, its projection lattice, with no view.
+def sasaki_module(f: FoulisQuantale, h: QElementView) -> ModuleAction:
+    """A Foulis quantale acting on its projection lattice h.host by
+    u . k = perp(perp(u * k)), with h = hom_h(f, sub) as table and view;
+    the double complement lands every product back in the projection
+    image."""
+    return ModuleAction(f.base, h.host, h.values, h)
 
-    u . k = perp(perp(u * k)); the double complement lands every product
-    back in the projection image.
-    """
-    return ModuleAction(f.base, sub.oml, sasaki_action_table(f, sub))
 
-
-def module_reports(f: FoulisQuantale, h: FoulisHom) -> list[CheckReport]:
+def module_reports(f: FoulisQuantale, h: QElementView) -> list[CheckReport]:
     """The module laws of both canonical actions, each with its right
     two-module: the endomorphism quantale f.base on its lattice by
     application, and the Foulis quantale f on its projection lattice, the
-    second by the view and products pass of h."""
+    second by h and its products pass."""
     lm = lin_module(f.base)
-    sm = ModuleAction(f.base, h.sub.oml, h.view.values, h.view)
+    sm = sasaki_module(f, h)
     return [
         check_left_module(lm, subject="lin-module"),
         check_left_module(sm, subject="sasaki-module"),

@@ -51,6 +51,11 @@ TABLE_BYTE_LIMIT = 3 << 30
 _PAIR_CHUNK = 1 << 15
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def table_cell_bytes(k) -> int:
     """Bytes per element pair of a k-element quantale's dense tables: a
     bool order plus join and multiplication cells of cell_dtype(k).  The
@@ -110,7 +115,7 @@ class FinQuantale:
         - phi(zero) the zero map and phi(unit) the identity of X, as row
           tests (represents does not imply them);
         - c an order-reversing involution of X;
-        - star equal to view.adjoints(): phi(star(a)) = A(phi(a)) for
+        - star equal to view.adjoints: phi(star(a)) = A(phi(a)) for
           every a, where A(f)(y) = c(V{s : f(s) <= c(y)}).
 
         Every phi(a) preserves all joins (represents (i)), so it has the
@@ -131,7 +136,7 @@ class FinQuantale:
                 or (c[c] != ar).any() or not np.array_equal(x.leq_mat[np.ix_(c, c)], x.leq_mat.T)):
             return None
         try:
-            adjoints = view.adjoints()
+            adjoints = view.adjoints
         except FormatError:  # an adjoint that is no element
             return None
         return view if np.array_equal(adjoints, self._star) else None
@@ -148,7 +153,7 @@ class FinQuantale:
         view.products pass over idx in ascending blocks up to both hits,
         memoized per view; a code naming no element reads -1, a hit."""
         if view not in self._passes:
-            idx = view.find(view.values)
+            idx = view.elements
             hits = [None, None]
             for a, *prods in view.products(idx):
                 for k, tab in enumerate((self._mult, self.carrier.join_tab)):
@@ -171,7 +176,9 @@ class QElementView:
     nothing but the host bounds it; it is -1 where no row has the code,
     and find confirms each row on all of X.
     Elements are value rows only: products gives composites and joins,
-    adjoints the star, find and indices the element of a row.
+    find and indices the element of a row.  elements, adjoints (the star)
+    and projections are read off the rows once and kept read-only; a read
+    that raises FormatError keeps nothing.
     """
 
     def __init__(self, host: FiniteOML, values: np.ndarray):
@@ -217,9 +224,27 @@ class QElementView:
                       for h, d, w in zip(self._halves, self._digits, self._weights)]
             yield a, self._mapped(applied), self._mapped(joined)
 
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """find of the rows themselves: entry i is i for every i exactly
+        when the rows are distinct."""
+        return _frozen(self.find(self.values))
+
+    @property
+    def distinct(self) -> bool:
+        """Whether every row is found at its own index: for join-preserving
+        rows, whether no two are equal."""
+        return np.array_equal(self.elements, np.arange(self.n))
+
+    @cached_property
     def adjoints(self) -> np.ndarray:
         """Element index of each row's adjoint: dagger(f)(t) = (V{s : f(s) <= t'})'."""
-        return self.indices(adjoint_rows(self.values, self.host, self.host))
+        return _frozen(self.indices(adjoint_rows(self.values, self.host, self.host)))
+
+    @cached_property
+    def projections(self) -> np.ndarray:
+        """Element index of the Sasaki projection at each a of the host."""
+        return _frozen(self.indices(self.host.sasaki_tab))
 
     def find(self, rows) -> np.ndarray:
         """The element index of each value row, -1 for a row that is none."""
@@ -281,9 +306,7 @@ def lin_quantale(oml: FiniteOML, cap: int | None = None):
         mult[a], join[a] = applied, joined
     carrier = FiniteLattice(labels, join, int(zero), int(top))
     mult.setflags(write=False)
-    star = view.adjoints()
-    star.setflags(write=False)
-    q = FinQuantale(carrier, mult, star, unit, view)
+    q = FinQuantale(carrier, mult, view.adjoints, unit, view)
     # the tables are that pass's products, so preserved_by(view) would find
     # no hit
     q.record_pass(view)
@@ -311,12 +334,11 @@ def represents(q: FinQuantale) -> bool:
     if ((values[:, x.bottom] != x.bottom).any()
             or nonadditive_row(values, x) is not None):
         return False
-    return (np.array_equal(view.find(values), np.arange(q.n))
-            and q.preserved_by(view) == (None, None))
+    return view.n == q.n and view.distinct and q.preserved_by(view) == (None, None)
 
 
 # workers is unread, kept while perfbench/replay.py passes it (ROADMAP item 3b)
-def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport:
+def check_quantale(q: FinQuantale, workers=1) -> CheckReport:
     """Associativity, unit, zero annihilation, and join distributivity.
 
     Distributivity over arbitrary joins reduces to the binary case plus the
@@ -395,7 +417,7 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
     ]
     if q.represented:
         laws = [Law("associativity"), *linear, Law("distributes-left"), Law("distributes-right")]
-        return run_laws(subject, q.label, laws)
+        return run_laws("quantale", q.label, laws)
     laws = [
         *linear,
         join_law("distributes-left", m, q.carrier),
@@ -414,10 +436,10 @@ def check_quantale(q: FinQuantale, subject="quantale", workers=1) -> CheckReport
         assoc = Law("associativity")
     else:
         assoc = Law("associativity", lambda a: m[m[a]] != m[a][m], n)
-    return run_laws(subject, q.label, [assoc, *laws])
+    return run_laws("quantale", q.label, [assoc, *laws])
 
 
-def check_involutive(q: FinQuantale, subject="involutive") -> CheckReport:
+def check_involutive(q: FinQuantale) -> CheckReport:
     """Involution laws: period two, antihomomorphism, join and unit preservation.
 
     When q.certified_view is a view, star-antihomomorphism and star-join
@@ -438,7 +460,7 @@ def check_involutive(q: FinQuantale, subject="involutive") -> CheckReport:
     j = q.carrier.join_tab
     n = q.n
     certified = q.certified_view is not None
-    return run_laws(subject, q.label, [
+    return run_laws("involutive", q.label, [
         Law("star-involution", hit=least(s[s] != np.arange(n))),
         # star(a * b) = star(b) * star(a), witness (a, b)
         Law("star-antihomomorphism",

@@ -43,7 +43,7 @@ from .foulis import (
     sasaki_oml,
     sasaki_oml_report,
 )
-from .lattice import FiniteOML, Law, check_oml, least, run_laws, sasaki_table
+from .lattice import FiniteOML, Law, check_oml, least, run_laws
 from .linmap import adjoint_rows, kernel_split, lin_values
 from .qmodule import module_reports
 from .quantale import check_involutive, check_quantale
@@ -53,7 +53,7 @@ from .selectors import PREREQS, SELECTORS
 # ---------------------------------------------------------------------------
 # aggregate report builders
 
-def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts"):
+def sasaki_facts_report(oml: FiniteOML):
     """The four projection laws, scanned over every (a, y[, z]).
 
     fixed-below   y <= a  iff  the projection at a fixes y
@@ -65,9 +65,9 @@ def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts"):
     n = oml.n
     leq = oml.leq_mat
     ortho = oml.ortho
-    S = sasaki_table(oml)
+    S = oml.sasaki_tab
     ar = np.arange(n)
-    return run_laws(subject, oml.label, [
+    return run_laws("sasaki-facts", oml.label, [
         Law("fixed-below", lambda a: leq[:, a] != (S[a] == ar), n),
         Law("interior", lambda a: ~leq[S[a, ortho[S[a, ortho]]], ar], n),
         Law("annihilates", lambda a: (S[a] == oml.bottom) != leq[:, ortho[a]], n),
@@ -77,9 +77,7 @@ def sasaki_facts_report(oml: FiniteOML, subject="sasaki-facts"):
 
 
 # workers is unread, kept while perfbench/replay.py passes it (ROADMAP item 3b)
-def dagger_kernel_report(
-    oml: FiniteOML, cap=None, workers=1, subject="dagger-kernel", maps=None
-):
+def dagger_kernel_report(oml: FiniteOML, cap=None, workers=1, maps=None):
     """Kernel structure of every endomap.
 
     For each map f with kernel element k = complement(dagger(f)(top)):
@@ -107,14 +105,13 @@ def dagger_kernel_report(
         values = lin_values(oml, cap=cap)
     else:
         values = np.array([f.values for f in maps], dtype=np.int32).reshape(-1, oml.n)
-    leq, bottom = oml.leq_mat, oml.bottom
-    S = sasaki_table(oml)
+    leq, bottom, S = oml.leq_mat, oml.bottom, oml.sasaki_tab
     key = np.concatenate([values == bottom, leq[values, oml.ortho[oml.top]]], 1)
     _, reps = np.unique(np.packbits(key, axis=1), axis=0, return_index=True)
     fs = values[np.sort(reps)]
     ks = oml.ortho[adjoint_rows(fs, oml, oml)[:, oml.top]]
     distinct, at = np.unique(ks, return_inverse=True)
-    fails = [_splitting_fails(oml, S, k) for k in distinct.tolist()]
+    fails = [_splitting_fails(oml, k) for k in distinct.tolist()]
     splits = np.array(fails, dtype=bool).reshape(-1, 4)[at]
 
     def weak(r):
@@ -128,7 +125,7 @@ def dagger_kernel_report(
         return "[" + ",".join(oml.labels[v] for v in row) + "]"
 
     label = {"f": lambda r: vector(fs[r]), "m": lambda m: vector(values[m]), "x": oml.label}
-    return run_laws(subject, label, [
+    return run_laws("dagger-kernel", label, [
         Law("kernel-downset", lambda r: (fs[r] == bottom) != leq[:, ks[r]], len(fs),
             kinds="fx"),
         Law("kills-kernel", hit=least(((fs != bottom) & leq[:, ks].T).any(axis=1)), kinds="f"),
@@ -138,14 +135,14 @@ def dagger_kernel_report(
     ])
 
 
-def _splitting_fails(oml: FiniteOML, S, k: int):
+def _splitting_fails(oml: FiniteOML, k: int):
     """Whether the splitting at k of the downset embedding e and the
-    coembedding p (the projection at k, corestricted) breaks e o p = S[k],
+    coembedding p (the projection p_k at k, corestricted) breaks e o p = p_k,
     p o e = 1, dagger(e) = p and dagger(e) o e = 1, in that order."""
     sub, coembed = kernel_split(oml, k)
     embed, ar = np.array(sub.members), np.arange(len(sub.members))
     dagger_embed = adjoint_rows([embed], sub.oml, oml)[0]
-    return [(embed[coembed] != S[k]).any(), (coembed[embed] != ar).any(),
+    return [(embed[coembed] != oml.sasaki_tab[k]).any(), (coembed[embed] != ar).any(),
             (dagger_embed != coembed).any(), (dagger_embed[embed] != ar).any()]
 
 
@@ -187,7 +184,7 @@ class VerifyContext:
         # record_conjugation's row test holds, and no products pass is made
         h = hom_h(self.foulis, self.sub)
         if self.roundtrip.passed:
-            record_conjugation(h, sasaki_embedding(self.foulis.base, self.sub))
+            record_conjugation(self.foulis, h, sasaki_embedding(self.foulis.base, self.sub))
         return h
 
 
@@ -201,7 +198,7 @@ SELECTOR_REPORTS = {
     "star-props": lambda c: [check_star_props(c.foulis)],
     "sasaki-oml": lambda c: [c.sub_report[1]],
     "modules": lambda c: module_reports(c.foulis, c.hom),
-    "hom": lambda c: [check_hom(c.hom)],
+    "hom": lambda c: [check_hom(c.foulis, c.hom)],
     "roundtrip": lambda c: [c.roundtrip],
 }
 
@@ -260,7 +257,7 @@ def run_verify(oml: FiniteOML, selectors, subject="input", cap=None, workers=1):
                 entries[sel] = {"skipped": False, "passed": all(r.passed for r in reports),
                                 "reports": [r.to_dict() for r in reports]}
                 if sel == "hom":
-                    entries[sel]["injective"] = ctx.hom.injective
+                    entries[sel]["injective"] = ctx.hom.distinct
         return entries[sel]["passed"] is True
 
     payload["passed"] = all([passes(sel) for sel in requested])

@@ -67,6 +67,12 @@ def join_all(lat, items) -> int:
     return reduce(lambda x, y: int(lat.join_tab[x, y]), items, lat.bottom)
 
 
+def sasaki_at(oml, a, y) -> int:
+    """The Sasaki projection of y onto a, a meet (a' join y), read cell by
+    cell: the reference for FiniteOML.sasaki_tab."""
+    return int(oml.meet_tab[a, oml.join_tab[oml.ortho[a], y]])
+
+
 def atoms(lat) -> list[int]:
     """The elements that cover the bottom, ascending."""
     return sorted(j for i, j in lat.covers() if i == lat.bottom)

@@ -855,11 +855,11 @@ def test_package_names_resolve_to_their_modules():
         "errors": "AmbiguousSai CapExceeded DomainMismatch FormatError FrontierTooLarge "
                   "NotALattice NotAPoset NotFoulis OmlqError ParamOutOfRange "
                   "StructureViolation TableTooLarge UnknownCatalogEntry",
-        "foulis": "FoulisHom FoulisQuantale SasakiOML check_foulis check_hom check_star_props "
+        "foulis": "FoulisQuantale SasakiOML check_foulis check_hom check_star_props "
                   "derive_sai foulis_from_lin hom_h roundtrip_iso sasaki_oml "
                   "sasaki_oml_report",
         "lattice": "CheckReport FiniteLattice FiniteOML SubOML Violation build_lattice "
-                   "check_oml lattice_from_leq make_report sasaki_apply",
+                   "check_oml lattice_from_leq make_report",
         "linmap": "KernelData LinMap dagger is_linear kernel lin_count lin_values "
                   "vector_label verify_adjoint_pair",
         "qmodule": "ModuleAction check_left_module check_right_two_module lin_module "

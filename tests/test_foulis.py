@@ -12,8 +12,6 @@ Key cross-checks:
   projections is rejected with the offending element named.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,26 +39,26 @@ from omlq import (
     hom_h,
     lin_values,
     roundtrip_iso,
-    sasaki_apply,
     sasaki_oml,
     sasaki_oml_report,
 )
 import omlq.foulis as foulis_module
 import omlq.quantale as quantale_module
-from omlq.lattice import Law, least, nonadditive_row, run_laws, sasaki_table
+from omlq.lattice import Law, least, nonadditive_row, run_laws
 from omlq.linmap import adjoint_rows
 
 from conftest import (
     make_nilpotent_chain_quantale,
     make_three_chain_quantale,
     make_two_chain_quantale,
+    sasaki_at,
 )
 
 
 def projection_indices(view, oml):
     """Entry a: the element of the Sasaki projection at a, its value row
-    computed one sasaki_apply call per element."""
-    return view.indices([[sasaki_apply(oml, a, y) for y in range(oml.n)]
+    computed one sasaki_at call per element."""
+    return view.indices([[sasaki_at(oml, a, y) for y in range(oml.n)]
                          for a in range(oml.n)]).tolist()
 
 
@@ -293,7 +291,7 @@ def test_action_restricted_to_projections_is_sasaki(fq_b2, b2):
     proj = projection_indices(view, b2)
     for a in range(b2.n):
         for y in range(b2.n):
-            assert acted[proj[a], sub.local[proj[y]]] == proj[sasaki_apply(b2, a, y)]
+            assert acted[proj[a], sub.local[proj[y]]] == proj[sasaki_at(b2, a, y)]
 
 
 def test_sasaki_action_maps(fq_b2, fq_mo2):
@@ -313,7 +311,7 @@ def test_sasaki_action_of_projection_is_local_projection(fq_b2):
         act = table[k]
         i = sub.local[k]
         expected = [
-            sasaki_apply(sub.oml, i, y) for y in range(sub.oml.n)
+            sasaki_at(sub.oml, i, y) for y in range(sub.oml.n)
         ]
         assert act.tolist() == expected
 
@@ -341,12 +339,12 @@ def test_projection_lattice_local_indices(fq_b2, fq_mo2, b2, mo2):
 def test_hom_laws_hold(fq_b1, fq_b2, fq_mo2):
     for f, _ in (fq_b1, fq_b2, fq_mo2):
         h = hom_h(f, sasaki_oml(f))
-        assert check_hom(h).passed
+        assert check_hom(f, h).passed
 
 
 def test_hom_axiom_names(fq_b2):
     h = hom_h(fq_b2[0], sasaki_oml(fq_b2[0]))
-    report = check_hom(h)
+    report = check_hom(fq_b2[0], h)
     assert set(report.axioms) == {
         "preserves-join", "preserves-zero", "preserves-mult", "preserves-unit",
         "preserves-star", "preserves-perp", "perp-closed-form",
@@ -376,27 +374,27 @@ def test_check_hom_builds_one_adjoint(monkeypatch, fq_b2, fq_mo2):
     for f, _ in (fq_b2, fq_mo2):
         h = hom_h(f, sasaki_oml(f))
         calls.clear()
-        assert check_hom(h).passed
-        assert len(calls) == 1 and calls[0] is h.view.values
+        assert check_hom(f, h).passed
+        assert len(calls) == 1 and calls[0] is h.values
 
 
 def test_hom_unit_goes_to_identity(fq_b2):
     f, _ = fq_b2
     h = hom_h(f, sasaki_oml(f))
-    assert h.view.values[f.base.unit].tolist() == list(range(h.sub.oml.n))
+    assert h.values[f.base.unit].tolist() == list(range(h.host.n))
 
 
 def test_hom_on_two_element_host_is_a_bijection(fq_b1):
     f, _ = fq_b1
     h = hom_h(f, sasaki_oml(f))
-    assert h.injective
+    assert h.distinct
     # every row is a map of Lin(sub.oml), and they are as many as its maps
-    assert len(set(map(tuple, h.view.values.tolist()))) == len(lin_values(h.sub.oml))
+    assert len(set(map(tuple, h.values.tolist()))) == len(lin_values(h.host))
 
 
 def test_hom_injective_on_tested_hosts(fq_b2, fq_mo2):
     for f, _ in (fq_b2, fq_mo2):
-        assert hom_h(f, sasaki_oml(f)).injective
+        assert hom_h(f, sasaki_oml(f)).distinct
 
 
 def hom_rows_reference(f, sub):
@@ -410,8 +408,9 @@ def test_hom_table_matches_a_per_element_reference(fq_b1, fq_b2, fq_mo2, fq_b3):
     for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
         sub = sasaki_oml(f)
         h = hom_h(f, sub)
-        assert h.view.values.tolist() == hom_rows_reference(f, sub)
-        assert set(map(tuple, h.view.values.tolist())) <= set(
+        assert h.host is sub.oml
+        assert h.values.tolist() == hom_rows_reference(f, sub)
+        assert set(map(tuple, h.values.tolist())) <= set(
             map(tuple, lin_values(sub.oml).tolist()))
 
 
@@ -435,24 +434,19 @@ def test_hom_names_the_first_action_that_is_no_element(monkeypatch, fq_b2):
                                                          (f.label(min(moved + broken)),))
 
 
-def with_rows(h, rows, **fields):
-    """h with the view of other rows."""
-    return replace(h, view=QElementView(h.sub.oml, rows), **fields)
-
-
-def check_hom_reference(h, target, view):
-    """check_hom read from the dense tables of target, the Foulis quantale
-    foulis_from_lin builds on the projection lattice, with view its element
-    view, in which every row of h is found."""
-    f = h.source
-    tb = view.indices(h.view.values)
+def check_hom_reference(f, h, target, view):
+    """check_hom(f, h) read from the dense tables of target, the Foulis
+    quantale foulis_from_lin builds on the projection lattice, with view
+    its element view, in which every row of h is found."""
+    tb = view.indices(h.values)
     ms, mt = f.base.dense_mult(), target.base.dense_mult()
     js, jt = f.base.carrier.join_tab, target.base.carrier.join_tab
     ss, st_ = f.base.dense_star(), target.base.dense_star()
     perp_s = f.sai[ss]
     perp_t = target.sai[st_]
-    sub_oml = h.sub.oml
-    proj_t = view.indices(sasaki_table(sub_oml))
+    sub_oml = h.host
+    proj_t = view.indices([[sasaki_at(sub_oml, a, y) for y in range(sub_oml.n)]
+                           for a in range(sub_oml.n)])
     img_tops = view.values[tb, sub_oml.top]
     zero, unit = f.base.zero, f.base.unit
     return run_laws("hom", f.label, [
@@ -472,24 +466,24 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
     cases = []
     for f, _ in (fq_b1, fq_b2, fq_mo2, fq_b3):
         h = hom_h(f, sasaki_oml(f))
-        target, view = foulis_from_lin(h.sub.oml)
-        assert check_hom(h).to_dict() == check_hom_reference(h, target, view).to_dict()
-        cases.append((h, target, view))
+        target, view = foulis_from_lin(h.host)
+        assert check_hom(f, h).to_dict() == check_hom_reference(f, h, target, view).to_dict()
+        cases.append((f, h, target, view))
     failed = set()
 
     def mutants(cases, examples):
         @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
         @given(st.data())
         def check(data):
-            h, target, view = data.draw(st.sampled_from(cases))
-            q = h.source.base
-            table = h.view.values.copy()
+            f, h, target, view = data.draw(st.sampled_from(cases))
+            q = f.base
+            table = h.values.copy()
             cell = st.sampled_from([q.zero, q.unit]) | st.integers(0, q.n - 1)
             for _ in range(data.draw(st.integers(1, 3))):
                 table[data.draw(cell)] = view.values[data.draw(st.integers(0, view.n - 1))]
-            hm = with_rows(h, table)
-            want = check_hom_reference(hm, target, view).to_dict()
-            assert check_hom(hm).to_dict() == want
+            hm = QElementView(h.host, table)
+            want = check_hom_reference(f, hm, target, view).to_dict()
+            assert check_hom(f, hm).to_dict() == want
             failed.update(a for a, e in want["axioms"].items() if not e["passed"])
 
         check()
@@ -497,7 +491,7 @@ def test_check_hom_matches_the_table_reading_reference(fq_b1, fq_b2, fq_mo2, fq_
     mutants(cases[:3], 120)
     mutants(cases[3:], 6)
     # perp-closed-form holds on every join-preserving row of an OML
-    assert failed == set(check_hom(cases[0][0]).axioms) - {"perp-closed-form"}
+    assert failed == set(check_hom(*cases[0][:2]).axioms) - {"perp-closed-form"}
 
 
 def test_non_injective_hom_on_the_three_chain():
@@ -512,10 +506,10 @@ def test_non_injective_hom_on_the_three_chain():
     sub = sasaki_oml(f)
     assert sub.members == (0, 2) and sub.oml.n == 2
     h = hom_h(f, sub)
-    assert h.view.values.tolist() == [[0, 0], [0, 1], [0, 1]]
-    assert check_hom(h).passed and not h.injective
-    for view in (h.view, None):
-        action = ModuleAction(q, sub.oml, h.view.values, view)
+    assert h.values.tolist() == [[0, 0], [0, 1], [0, 1]]
+    assert check_hom(f, h).passed and not h.distinct
+    for view in (h, None):
+        action = ModuleAction(q, sub.oml, h.values, view)
         assert check_left_module(action).passed
 
 
@@ -637,9 +631,9 @@ def hom_cases(*fs):
     trip's isomorphism, which passes."""
     cases = []
     for f in fs:
-        h = hom_h(f, sasaki_oml(f))
-        assert roundtrip_iso(f, h.sub).passed
-        cases.append((f, h, foulis_module.sasaki_embedding(f.base, h.sub)))
+        sub = sasaki_oml(f)
+        assert roundtrip_iso(f, sub).passed
+        cases.append((f, hom_h(f, sub), foulis_module.sasaki_embedding(f.base, sub)))
     return cases
 
 
@@ -653,7 +647,7 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
     large = hom_cases(fq_b3[0])
     for f, h, theta in small + large:
         source = FoulisQuantale(phi_copy(f.base), f.sai)
-        assert foulis_module.record_conjugation(replace(h, source=source), theta)
+        assert foulis_module.record_conjugation(source, h, theta)
     failed = set()
 
     def mutants(cases, examples):
@@ -661,8 +655,8 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
         @given(st.data())
         def check(data):
             f, h, theta = data.draw(st.sampled_from(cases))
-            table = h.view.values.copy()
-            lat = h.sub.oml
+            table = h.values.copy()
+            lat = h.host
             if data.draw(st.booleans()):
                 s, t = data.draw(st.lists(st.integers(0, f.n - 1), min_size=2, max_size=2,
                                           unique=True))
@@ -675,19 +669,19 @@ def test_conjugation_certificate_matches_the_scan_on_mutants(fq_b1, fq_b2, fq_mo
             # every row a map of Lin(lat), as hom_h requires
             linear = ((table[:, lat.bottom] == lat.bottom).all()
                       and nonadditive_row(table, lat) is None)
-            hs = [with_rows(h, table, source=FoulisQuantale(phi_copy(f.base), f.sai))
+            # (source, h) twice: fresh copies of f and views of the table
+            hs = [(FoulisQuantale(phi_copy(f.base), f.sai), QElementView(lat, table))
                   for _ in range(2)]
-            recorded = foulis_module.record_conjugation(hs[0], theta)
-            assert recorded == np.array_equal(table, h.view.values)
-            modules = [check_left_module(ModuleAction(hs[0].source.base, lat, table,
-                                                      hs[0].view)),
-                       check_left_module(ModuleAction(hs[1].source.base, lat, table))]
+            recorded = foulis_module.record_conjugation(*hs[0], theta)
+            assert recorded == np.array_equal(table, h.values)
+            modules = [check_left_module(ModuleAction(hs[0][0].base, lat, table, hs[0][1])),
+                       check_left_module(ModuleAction(hs[1][0].base, lat, table))]
             assert modules[0].to_dict() == modules[1].to_dict()
             reports = [modules[1]]
             if linear:
-                homs = [check_hom(hm).to_dict() for hm in hs]
+                homs = [check_hom(*hm).to_dict() for hm in hs]
                 assert homs[0] == homs[1]
-                reports.append(check_hom(hs[1]))
+                reports.append(check_hom(*hs[1]))
             failed.update(v.axiom for r in reports for v in r.violations)
 
         check()
@@ -719,6 +713,22 @@ def test_roundtrip_axiom_names(fq_b2):
         "bijection", "order-isomorphism", "complement-preserved",
         "meet-preserved", "join-preserved",
     }
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "mo:1"])
+def test_roundtrip_refuses_a_projection_off_the_image(spec):
+    # sai = [2, 0, 0, ...] is no annihilator table, but its image {0, 2}
+    # builds a two-element projection lattice.  The Sasaki projection at
+    # a, the least element but the bottom, is off it, and roundtrip_iso
+    # refuses it as hom_h and sasaki_oml refuse a construction that does
+    # not exist.
+    q = foulis_from_lin(catalog(spec))[0].base
+    f = FoulisQuantale(q, [2] + [0] * (q.n - 1))
+    sub = sasaki_oml(f)
+    assert sub.members == (0, 2) and q.view.projections[0] == 0
+    with pytest.raises(StructureViolation) as err:
+        roundtrip_iso(f, sub)
+    assert (err.value.formula, err.value.witness) == ("projection-off-image", ("a",))
 
 
 def test_roundtrip_reports_the_least_witness_of_a_rewired_candidate(

@@ -27,12 +27,11 @@ from omlq import (
     check_oml,
     is_linear,
     lattice_from_leq,
-    sasaki_apply,
 )
 from omlq import lattice as lattice_module
 from omlq.lattice import bool_product, breaks_joins, join_pairs
 
-from conftest import join_all
+from conftest import join_all, sasaki_at
 
 # ---------------------------------------------------------------------------
 # Hand-frozen tables for the four-element Boolean algebra {0, a, b, 1}.
@@ -351,36 +350,46 @@ def test_ortho_and_orthogonality_on_the_tables(b2):
 
 
 # ---------------------------------------------------------------------------
-# Sasaki application.
+# The Sasaki table.
 # ---------------------------------------------------------------------------
 
 
 def test_sasaki_at_top_and_bottom(mo2):
     top, bot = mo2.top, mo2.bottom
     for y in range(mo2.n):
-        assert sasaki_apply(mo2, top, y) == y
-        assert sasaki_apply(mo2, bot, y) == bot
+        assert mo2.sasaki_tab[top, y] == y
+        assert mo2.sasaki_tab[bot, y] == bot
 
 
 def test_sasaki_fixes_elements_below(b3):
     for a in range(b3.n):
         for y in range(b3.n):
             if b3.leq_mat[y, a]:
-                assert sasaki_apply(b3, a, y) == y
+                assert b3.sasaki_tab[a, y] == y
 
 
 def test_sasaki_collapses_incomparable_atoms(mo2):
     # In the horizontal-sum family, distinct non-complementary atoms
     # project onto each other's target: p_a(b) = a.
     a, b = mo2.index("a"), mo2.index("b")
-    assert sasaki_apply(mo2, a, b) == a
-    assert sasaki_apply(mo2, a, mo2.index("a'")) == mo2.bottom
+    assert mo2.sasaki_tab[a, b] == a
+    assert mo2.sasaki_tab[a, mo2.index("a'")] == mo2.bottom
 
 
 def test_sasaki_is_meet_on_boolean(b3):
     for a in range(b3.n):
         for y in range(b3.n):
-            assert sasaki_apply(b3, a, y) == b3.meet_tab[a, y]
+            assert b3.sasaki_tab[a, y] == b3.meet_tab[a, y]
+
+
+@pytest.mark.parametrize("spec", ["boolean:3", "mo:2", "benzene"])
+def test_sasaki_tab_is_the_cellwise_formula_read_only_and_kept(spec):
+    # Cell (a, y) is a meet (a' join y); the table is built on first read
+    # and the same read-only array is returned after.
+    oml = catalog(spec)
+    tab = oml.sasaki_tab
+    assert tab.tolist() == [[sasaki_at(oml, a, y) for y in range(oml.n)] for a in range(oml.n)]
+    assert not tab.flags.writeable and oml.sasaki_tab is tab
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from omlq import (
     lin_values,
     oml_to_dict,
     parse_oml,
-    sasaki_apply,
     vector_label,
     verify_adjoint_pair,
 )
@@ -44,7 +43,7 @@ from omlq.cli import main
 from omlq.goldens import bruteforce_lin_values
 from omlq.linmap import BRUTEFORCE_LIMIT, adjoint_rows, kernel_split
 
-from conftest import atoms, join_all
+from conftest import atoms, join_all, sasaki_at
 
 
 def brute_force_linear_tables(dom, cod):
@@ -78,8 +77,8 @@ def dagger_reference(f):
 
 
 def projection_row(oml, a):
-    """The Sasaki projection at a, one sasaki_apply call per element."""
-    return np.array([sasaki_apply(oml, a, y) for y in range(oml.n)])
+    """The Sasaki projection at a, one sasaki_at call per element."""
+    return np.array([sasaki_at(oml, a, y) for y in range(oml.n)])
 
 
 def row_maps(oml):
@@ -118,7 +117,7 @@ def test_constant_top_is_not_linear(b2):
 
 def test_sasaki_projections_are_linear(mo2):
     for a in range(mo2.n):
-        values = [sasaki_apply(mo2, a, y) for y in range(mo2.n)]
+        values = [sasaki_at(mo2, a, y) for y in range(mo2.n)]
         assert is_linear(LinMap(mo2, mo2, values))
 
 

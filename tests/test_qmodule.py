@@ -18,10 +18,11 @@ from omlq import (
     hom_h,
     lin_module,
     run_verify,
-    sasaki_apply,
     sasaki_module,
     sasaki_oml,
 )
+
+from conftest import sasaki_at
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +65,9 @@ def test_projection_rows_are_sasaki_application(fq_mo2, mo2):
     f, view = fq_mo2
     mod = lin_module(f.base)
     for a in range(mo2.n):
-        s = view.indices([[sasaki_apply(mo2, a, y) for y in range(mo2.n)]])[0]
+        s = view.indices([[sasaki_at(mo2, a, y) for y in range(mo2.n)]])[0]
         assert list(mod.table[s]) == [
-            sasaki_apply(mo2, a, y) for y in range(mo2.n)
+            sasaki_at(mo2, a, y) for y in range(mo2.n)
         ]
 
 
@@ -76,15 +77,21 @@ def test_projection_rows_are_sasaki_application(fq_mo2, mo2):
 
 
 def test_sasaki_module_laws(fq_b1, fq_b2, fq_b3, fq_mo2):
+    # the action is h with h as its view; the laws pass by the view and by
+    # the scan of the same table without one
     for f, _ in (fq_b1, fq_b2, fq_b3, fq_mo2):
-        report = check_left_module(sasaki_module(f, sasaki_oml(f)))
-        assert report.passed, str(report)
+        h = hom_h(f, sasaki_oml(f))
+        mod = sasaki_module(f, h)
+        assert mod.view is h and mod.lattice is h.host
+        for action in (mod, ModuleAction(f.base, mod.lattice, mod.table)):
+            report = check_left_module(action)
+            assert report.passed, str(report)
 
 
 def test_sasaki_module_agrees_with_elementwise_action(fq_b2):
     f, _ = fq_b2
     sub = sasaki_oml(f)
-    mod = sasaki_module(f, sub)
+    mod = sasaki_module(f, hom_h(f, sub))
     m, perp = f.base.dense_mult(), f.sai[f.base.dense_star()]
     for u in range(f.n):
         for i, k in enumerate(sub.members):
@@ -187,8 +194,7 @@ def test_perturbed_composition_yields_assoc_witness(fq_b2, b2):
 
 def canonical_actions(f):
     """The lin-module and the sasaki-module of f, each with its view."""
-    h = hom_h(f, sasaki_oml(f))
-    return [lin_module(f.base), ModuleAction(f.base, h.sub.oml, h.view.values, h.view)]
+    return [lin_module(f.base), sasaki_module(f, hom_h(f, sasaki_oml(f)))]
 
 
 def act_join_reference(action, table):

@@ -27,7 +27,6 @@ from omlq import (
     lattice_from_leq,
     lin_quantale,
     make_report,
-    sasaki_apply,
     vector_label,
 )
 import omlq.foulis as foulis_module
@@ -39,11 +38,11 @@ from omlq.qmodule import lin_module
 from omlq.serialize import (dump_json, module_to_dict, parse_module, parse_quantale,
                             quantale_to_dict)
 
-from conftest import join_all, make_two_chain_quantale
+from conftest import join_all, make_two_chain_quantale, sasaki_at
 
 
 def proj_index(view, oml, a):
-    return int(view.indices([[sasaki_apply(oml, a, y) for y in range(oml.n)]])[0])
+    return int(view.indices([[sasaki_at(oml, a, y) for y in range(oml.n)]])[0])
 
 
 def dagger_index(view, row):
@@ -189,7 +188,7 @@ def test_lin_quantale_with_a_missing_map_is_refused(monkeypatch, b2, mo2):
                 if row not in (list(range(oml.n)), [oml.bottom] * oml.n)]
         if oml is mo2:
             # the atoms of mo:2 are its join-irreducibles
-            atoms = [[sasaki_apply(oml, a, y) for y in range(oml.n)]
+            atoms = [[sasaki_at(oml, a, y) for y in range(oml.n)]
                      for a in oml.join_irreducibles()]
             rows = [r for r in rows if full[r].tolist() in atoms]
             assert len(rows) == len(atoms) == 4
@@ -848,6 +847,33 @@ def test_lin_quantale_carries_its_maps_as_phi(fq_b1, fq_b2, fq_b3, fq_mo2, b2):
         assert f.base.view is view
         assert quantale_module.represents(f.base)
     assert fq_b2[0].base.view.host is b2
+
+
+def test_view_memoizes_what_it_reads_off_its_rows(fq_mo2, mo2):
+    # elements, adjoints and projections are found once and kept
+    # read-only; lin_quantale keeps the adjoints as its star.
+    f, view = fq_mo2
+    assert f.base.dense_star() is view.adjoints
+    for name in ("elements", "adjoints", "projections"):
+        got = getattr(view, name)
+        assert getattr(view, name) is got and not got.flags.writeable
+    assert view.elements.tolist() == list(range(view.n)) and view.distinct
+    assert view.projections.tolist() == [proj_index(view, mo2, a) for a in range(mo2.n)]
+
+
+def test_view_caches_no_failed_read(fq_mo2, mo2):
+    # Without the identity row, the projection at the top is no element,
+    # and without a row f other than its adjoint, the adjoint of A(f) is
+    # none: each read raises FormatError again, and nothing is kept.
+    f, view = fq_mo2
+    identity = view.values.tolist().index(list(range(mo2.n)))
+    moved = int(np.flatnonzero(view.adjoints != np.arange(view.n))[0])
+    cut = QElementView(mo2, np.delete(view.values, [identity, moved], axis=0))
+    for name in ("adjoints", "projections", "adjoints", "projections"):
+        with pytest.raises(FormatError):
+            getattr(cut, name)
+    assert "adjoints" not in vars(cut) and "projections" not in vars(cut)
+    assert cut.distinct
 
 
 def draw_phi_mutant(data, q):

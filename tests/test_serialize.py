@@ -18,6 +18,7 @@ from omlq import (
     dump_json,
     LinMap,
     foulis_from_lin,
+    hom_h,
     lattice_to_dict,
     lin_module,
     linmap_to_dict,
@@ -33,7 +34,6 @@ from omlq import (
     quantale_to_dict,
     resolve_oml,
     resolve_structure,
-    sasaki_apply,
     sasaki_module,
     sasaki_oml,
     structure_to_dict,
@@ -41,6 +41,8 @@ from omlq import (
 )
 from omlq.cli import main
 from omlq.serialize import foulis_to_dict
+
+from conftest import sasaki_at
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ def test_missing_order_keys_rejected():
 def test_linmap_round_trip(b2, mo2):
     a = b2.index("a")
     f = LinMap(b2, b2, range(b2.n))
-    g = LinMap(b2, b2, [sasaki_apply(b2, a, y) for y in range(b2.n)])
+    g = LinMap(b2, b2, [sasaki_at(b2, a, y) for y in range(b2.n)])
     h = LinMap(b2, mo2, [0, 1, 2, 5])
     for m in (f, g, h):
         again = parse_linmap(linmap_to_dict(m))
@@ -131,7 +133,7 @@ def test_plain_quantale_parse_has_no_sai(fq_b2):
 
 def test_module_round_trip(fq_b2):
     f, _ = fq_b2
-    for mod in (lin_module(f.base), sasaki_module(f, sasaki_oml(f))):
+    for mod in (lin_module(f.base), sasaki_module(f, hom_h(f, sasaki_oml(f)))):
         again = parse_module(module_to_dict(mod))
         assert np.array_equal(again.table, mod.table)
         assert again.lattice.signature == FiniteLattice.signature.fget(mod.lattice)
@@ -150,7 +152,7 @@ def test_structure_dispatch(fq_b2, b2):
     assert type(obj).__name__ == "FoulisQuantale"
     obj = parse_structure(linmap_to_dict(LinMap(b2, b2, range(b2.n))))
     assert type(obj).__name__ == "LinMap"
-    obj = parse_structure(module_to_dict(sasaki_module(f, sasaki_oml(f))))
+    obj = parse_structure(module_to_dict(sasaki_module(f, hom_h(f, sasaki_oml(f)))))
     assert type(obj).__name__ == "ModuleAction"
     obj = parse_structure(lattice_to_dict(b2))
     assert type(obj).__name__ == "FiniteLattice"
@@ -395,7 +397,7 @@ def test_dot_of_module_draws_no_complements(fq_mo2, mo2):
     lm = lin_module(f.base)
     named = parse_module({**module_to_dict(lm), "lattice": "mo:2"})
     assert isinstance(named.lattice, FiniteOML)
-    for mod in (lm, sasaki_module(f, sasaki_oml(f)), named):
+    for mod in (lm, sasaki_module(f, hom_h(f, sasaki_oml(f))), named):
         assert "style=dashed" not in to_dot(mod)
     assert to_dot(lm) == to_dot(named) == plain
 

@@ -3,6 +3,7 @@ aggregate payload."""
 
 import hashlib
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,15 +21,15 @@ from omlq import (
     lin_values,
     make_report,
     run_verify,
-    sasaki_apply,
     sasaki_facts_report,
     vector_label,
     verify_text,
 )
 from omlq.cli import main
-from omlq.lattice import sasaki_table
 from omlq.verify import SELECTOR_REPORTS, VerifyContext
 from test_linmap import dagger_reference
+
+from conftest import sasaki_at
 
 
 def test_selector_listing_is_stable():
@@ -90,17 +91,17 @@ DAGGER_KERNEL_AXIOMS = (
 
 def dagger_kernel_reference(oml, maps):
     """The kernel checks run on every map, with the one-cell adjoint
-    dagger_reference and the splitting built one sasaki_apply call per
+    dagger_reference and the splitting built one sasaki_at call per
     element; each axiom reports its least failing map."""
     values = np.array([f.values for f in maps], dtype=np.int32)
     leq = oml.leq_mat
-    S = sasaki_table(oml)
+    S = np.array([[sasaki_at(oml, a, y) for y in range(oml.n)] for a in range(oml.n)])
 
     def per_map(f, row):
         k = int(oml.ortho[dagger_reference(f).values[oml.top]])
         sub = SubOML(oml, k)
         embed = sub.members
-        coembed = tuple(int(sub.local[sasaki_apply(oml, k, x)]) for x in range(oml.n))
+        coembed = tuple(int(sub.local[sasaki_at(oml, k, x)]) for x in range(oml.n))
         dagger_embed = dagger_reference(LinMap(sub.oml, oml, embed)).values
         identity = tuple(range(len(embed)))
         issues = {}
@@ -402,28 +403,44 @@ def test_verify_all_decides_the_representation_once(monkeypatch, spec):
     assert len(calls) == 1
 
 
-def test_verify_all_finds_the_rows_of_h_once(monkeypatch):
-    # record_conjugation records the pass of h.view, so check_hom and the
-    # sasaki-module read it without finding any row; only injective looks
-    # up the rows of h.
-    from omlq import foulis, quantale, verify
+def test_verify_all_derives_each_table_once(monkeypatch):
+    # Each derived table is memoized by its owner.  The view of phi finds
+    # rows four times: the unit, zero and top maps, the adjoints, the
+    # Sasaki projections and its own rows; h finds its own rows once, for
+    # injective, as record_conjugation records its pass.  Each OML builds
+    # its Sasaki table once: the input X and the projection lattice.  The
+    # adjoints of phi's rows are computed once, the star that
+    # certified_view compares with them.
+    from omlq import quantale
+    from omlq.lattice import FiniteOML
 
-    found, homs = [], []
-    real_find, real_hom = quantale.QElementView.find, foulis.hom_h
+    found, built, adjoined = [], [], []
+    real_find, real_adjoint = quantale.QElementView.find, quantale.adjoint_rows
+    real_sasaki = FiniteOML.sasaki_tab.func
 
     def find(view, rows):
         found.append(view)
         return real_find(view, rows)
 
-    def hom(*args, **kwargs):
-        homs.append(real_hom(*args, **kwargs))
-        return homs[-1]
+    def sasaki_tab(oml):
+        built.append(oml)
+        return real_sasaki(oml)
 
+    def adjoint_rows(values, dom, cod):
+        adjoined.append(len(values))
+        return real_adjoint(values, dom, cod)
+
+    counting = cached_property(sasaki_tab)
+    counting.__set_name__(FiniteOML, "sasaki_tab")
     monkeypatch.setattr(quantale.QElementView, "find", find)
-    monkeypatch.setattr(verify, "hom_h", hom)
-    payload, code = run_verify(catalog("mo:2"), ["all"])
-    assert code == 0 and payload["results"]["hom"]["passed"]
-    assert len(homs) == 1 and sum(view is homs[0].view for view in found) == 1
+    monkeypatch.setattr(FiniteOML, "sasaki_tab", counting)
+    monkeypatch.setattr(quantale, "adjoint_rows", adjoint_rows)
+    oml = catalog("mo:2")
+    payload, code = run_verify(oml, ["all"])
+    assert code == 0 and payload["results"]["hom"]["injective"] is True
+    assert len(found) == 5 and len({id(view) for view in found}) == 2
+    assert len(built) == len({id(x) for x in built}) == 2 and built[0] is oml
+    assert adjoined == [len(lin_values(oml))]
 
 
 @pytest.mark.parametrize("spec", ["mo:2", "boolean:3"])

@@ -20,7 +20,6 @@ change.  Regenerate it with
 """
 
 import json
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -54,7 +53,6 @@ from omlq import (
     sasaki_oml,
     verify_adjoint_pair,
 )
-from omlq.lattice import sasaki_table
 from omlq.qmodule import ModuleAction
 
 FIXTURE = Path(__file__).with_name("witness_golden.json")
@@ -115,7 +113,7 @@ def lattice_cases(host):
         yield f"oml/{k}", lambda m=mut: check_oml(m)
         yield f"sasaki-facts/{k}", lambda m=mut: sasaki_facts_report(m)
     a = n // 2
-    f = LinMap(oml, oml, sasaki_table(oml)[a].tolist())
+    f = LinMap(oml, oml, oml.sasaki_tab[a].tolist())
     h = dagger(f)
     pairs = [(f, h)]
     pairs += [(LinMap(oml, oml, one_cell(f.values, s, n)), h) for s in (0, 1)]
@@ -153,19 +151,19 @@ def quantale_cases(host):
     yield "roundtrip/0", lambda: roundtrip_iso(f, sub)
     # h with seeded entries of its index into lin_values(sub.oml) changed
     lin = lin_values(sub.oml)
-    table, tn = QElementView(sub.oml, lin).find(h.view.values), len(lin)
+    table, tn = QElementView(sub.oml, lin).find(h.values), len(lin)
     tables = [table] + [one_cell(table, seed, tn) for seed in SEEDS]
     tables += [one_cell(table, 9, tn, (q.zero,)), one_cell(table, 9, tn, (q.unit,))]
-    homs = [replace(h, view=QElementView(sub.oml, lin[t])) for t in tables]
+    homs = [QElementView(sub.oml, lin[t]) for t in tables]
     for k, hm in enumerate(homs):
-        yield f"hom/{k}", lambda hm=hm: check_hom(hm)
+        yield f"hom/{k}", lambda hm=hm: check_hom(f, hm)
 
 
 def module_cases(host):
     f, sub, h = built(host)
     q = f.base
     for name, action in (("lin", lin_module(q)),
-                         ("sasaki", ModuleAction(q, sub.oml, h.view.values, h.view))):
+                         ("sasaki", ModuleAction(q, sub.oml, h.values, h))):
         ln = action.lattice.n
         t = action.table
         tables = [t] + [one_cell(t, seed, ln) for seed in SEEDS]
